@@ -80,7 +80,10 @@ def _cache_get(cache_dir: Optional[str], key_obj: dict) -> Optional[dict]:
     path = _cache_path(cache_dir, key_obj)
     if os.path.exists(path):
         with open(path) as fh:
-            return json.load(fh)
+            try:
+                return json.load(fh)
+            except ValueError:
+                return None  # JSON or UTF-8 decode error: a miss, rewritten by _cache_put
     return None
 
 

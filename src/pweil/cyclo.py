@@ -413,11 +413,83 @@ def apply_aut(aut: GaloisAut, x: CycloElt) -> CycloElt:
 
 
 def norm(x: CycloElt) -> Fraction:
-    """Product of all phi(n) conjugates of x, computed exactly."""
-    prod = x.field.one()
-    for a in x.field.units:
-        prod = prod * x.apply(x.field.aut(a))
-    return prod.as_rational()
+    """The norm N(x), the product of all phi(n) conjugates of x, exactly.
+
+    With d the common denominator of x and a = d x in Z[zeta], N(x) is
+    N(a) / d^phi(n), and N(a) = Res(Phi_n, a) is an integer.  Modulo a
+    prime l = 1 (mod n), Phi_n splits as the product of (t - w^k) over k in
+    (Z/n)*, where w has order n mod l, so N(a) = prod_k a(w^k) (mod l).
+    Every conjugate of a has absolute value at most B = sum |a_i|, so
+    |N(a)| <= B^phi(n); once the product of the primes used exceeds
+    2 B^phi(n), the symmetric residue modulo that product is N(a) itself.
+    The result is therefore exact for every input, with no rounding and no
+    rational arithmetic before the final quotient.
+    """
+    d = x.denominator()
+    a = [c.numerator * (d // c.denominator) for c in x.coeffs]
+    deg = x.field.degree
+    target = 2 * sum(abs(c) for c in a) ** deg
+    if target == 0:
+        return Fraction(0)
+    residue, modulus = 0, 1
+    i = 0
+    while modulus <= target:
+        ell, roots = _norm_prime(x.field.n, i)
+        i += 1
+        coeffs = [c % ell for c in reversed(a)]
+        value = 1
+        for w in roots:
+            acc = 0
+            for c in coeffs:
+                acc = (acc * w + c) % ell
+            value = value * acc % ell
+        # Garner step: lift residue from mod modulus to mod modulus * ell
+        residue += modulus * ((value - residue) * pow(modulus, -1, ell) % ell)
+        modulus *= ell
+    if 2 * residue > modulus:
+        residue -= modulus
+    return Fraction(residue, d ** deg)
+
+
+@lru_cache(maxsize=None)
+def _norm_prime(n: int, i: int) -> tuple[int, tuple[int, ...]]:
+    """The i-th prime l = 1 (mod n) above 2^62 and the phi(n) roots of Phi_n mod l."""
+    ell = _norm_prime(n, i - 1)[0] + n if i else (2 ** 62 // n + 1) * n + 1
+    while not _is_prime_mr(ell):
+        ell += n
+    prime_factors = [q for q in range(2, n + 1) if n % q == 0 and euler_phi(q) == q - 1]
+    for c in range(2, ell):
+        w = pow(c, (ell - 1) // n, ell)
+        if all(pow(w, n // q, ell) != 1 for q in prime_factors):
+            break  # w has order exactly n
+    units = [k for k in range(1, n) if gcd(k, n) == 1]
+    return ell, tuple(pow(w, k, ell) for k in units)
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime_mr(m: int) -> bool:
+    """Miller-Rabin with the first 12 prime bases: deterministic for m < 3.3e24."""
+    if m < 2:
+        return False
+    for q in _MR_BASES:
+        if m % q == 0:
+            return m == q
+    s, t = 0, m - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    for b in _MR_BASES:
+        y = pow(b, t, m)
+        if y in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            y = y * y % m
+            if y == m - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def trace(x: CycloElt) -> Fraction:

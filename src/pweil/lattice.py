@@ -298,6 +298,14 @@ def short_vectors_gram(gram: Sequence[Sequence], bound,
 
     Complete enumeration; raises BoundTooLarge when the visited node count
     exceeds ``node_budget``.  Results are (vector, squared norm), sorted.
+
+    The Cholesky data q is exact and rational, computed once.  The recursion
+    itself runs in integers: with D the lcm of the denominators of the
+    off-diagonal q[i][j], E that of the diagonal d_i = q[i][i] and b that of
+    the bound, every node quantity is scaled by S = D^2 E b, so the partial
+    sums u, the terms d_i (x_i + u)^2 and the remaining budget are all
+    integers and the pruning test is exact.  Floats only size the range of
+    x_i, with a margin of 2 on each side.
     """
     n = len(gram)
     bound = Fraction(bound)
@@ -311,19 +319,31 @@ def short_vectors_gram(gram: Sequence[Sequence], bound,
         for j in range(i + 1, n):
             q[i][j] = (g[i][j] - sum(q[k][k] * q[k][i] * q[k][j] for k in range(i))) / q[i][i]
 
-    results: list[tuple[tuple[int, ...], Fraction]] = []
+    D = math.lcm(1, *(q[i][j].denominator for i in range(n) for j in range(i + 1, n)))
+    E = math.lcm(*(q[i][i].denominator for i in range(n)))
+    b = bound.denominator
+    scale = D * D * E * b
+    qD = [[int(q[i][j] * D) if j > i else 0 for j in range(n)] for i in range(n)]
+    d_s = [int(q[i][i] * E) * b for i in range(n)]  # d_i S / D^2
+    d_full = [di * D * D for di in d_s]  # d_i S
+    full = bound.numerator * D * D * E  # bound S
+
+    found: dict[tuple[int, ...], int] = {}  # vector up to sign -> scaled norm
     x = [0] * n
     nodes = 0
 
-    def recurse(i: int, remaining: Fraction):
+    def recurse(i: int, remaining: int):
         nonlocal nodes
-        u = sum(q[i][j] * x[j] for j in range(i + 1, n))
-        limit_sq = remaining / q[i][i]
-        approx = math.sqrt(float(limit_sq)) if limit_sq > 0 else 0.0
-        lo = math.floor(-float(u) - approx) - 2
-        hi = math.ceil(-float(u) + approx) + 2
+        row = qD[i]
+        U = sum(row[j] * x[j] for j in range(i + 1, n))  # D u
+        di = d_s[i]
+        approx = math.sqrt(remaining / d_full[i]) if remaining > 0 else 0.0
+        center = -U / D
+        lo = math.floor(center - approx) - 2
+        hi = math.ceil(center + approx) + 2
         for xi in range(lo, hi + 1):
-            term = q[i][i] * (xi + u) ** 2
+            t = D * xi + U
+            term = di * t * t
             if term > remaining:
                 continue
             nodes += 1
@@ -332,18 +352,14 @@ def short_vectors_gram(gram: Sequence[Sequence], bound,
             x[i] = xi
             if i == 0:
                 if any(x):
-                    vec = tuple(x)
-                    norm_sq = bound - (remaining - term)
-                    results.append((_canonical_sign(vec), norm_sq))
+                    found[_canonical_sign(tuple(x))] = full - remaining + term
             else:
                 recurse(i - 1, remaining - term)
         x[i] = 0
 
-    recurse(n - 1, bound)
-    dedup = {}
-    for vec, norm_sq in results:
-        dedup[vec] = norm_sq
-    return sorted(dedup.items(), key=lambda item: (item[1], item[0]))
+    recurse(n - 1, full)
+    out = [(vec, Fraction(norm_scaled, scale)) for vec, norm_scaled in found.items()]
+    return sorted(out, key=lambda item: (item[1], item[0]))
 
 
 def _canonical_sign(vec: tuple[int, ...]) -> tuple[int, ...]:

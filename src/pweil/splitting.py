@@ -18,7 +18,8 @@ import random
 from math import gcd
 from typing import Optional, Sequence
 
-from .arith import GaloisRing, fp_add, fp_divmod, fp_gcd, fp_mul, fp_pow_mod, fp_sub, fp_trim, fp_xgcd
+from .arith import (GaloisRing, _zm_rem_monic, fp_add, fp_divmod, fp_gcd, fp_mul, fp_pow_mod,
+                    fp_sub, fp_trim, fp_xgcd)
 from .cyclo import CycloElt, CycloField, GaloisAut, cyclotomic_polynomial
 
 
@@ -117,28 +118,16 @@ def hensel_lift_factor(full: Sequence[int], h_bar: Sequence[int], p: int, K: int
     pk = p
     for _ in range(K - 1):
         pk_next = pk * p
-        rem = _zmod_rem_monic(full, hk, pk_next)
+        rem = _zm_rem_monic(full, hk, pk_next)
         assert all(c % pk == 0 for c in rem)
         r_bar = fp_trim([(c // pk) % p for c in rem])
         delta = fp_divmod(fp_mul(t, r_bar, p), h, p)[1]
         delta += [0] * (fdeg - len(delta))
         hk = [(hc + pk * dc) % pk_next for hc, dc in zip(hk, delta + [0])]
         pk = pk_next
-    check = _zmod_rem_monic(full, hk, p ** K)
+    check = _zm_rem_monic(full, hk, p ** K)
     assert all(c == 0 for c in check), "Hensel lifting failed"
     return tuple(hk)
-
-
-def _zmod_rem_monic(a: Sequence[int], h: Sequence[int], m: int) -> list[int]:
-    r = [c % m for c in a]
-    deg = len(h) - 1
-    while len(r) > deg:
-        lead = r.pop()
-        if lead:
-            shift = len(r) - deg
-            for i in range(deg):
-                r[shift + i] = (r[shift + i] - lead * h[i]) % m
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +309,7 @@ def ord_at(prime: PrimeAbove, x: CycloElt, max_precision: int = 6400) -> int:
     if x.is_zero():
         raise ZeroDivisionError("valuation of zero")
     p = prime.p
-    den = x.denominator()
-    num_coeffs = [int(c * den) for c in x.coeffs]
-    v_den = 0
-    while den % p == 0:
-        den //= p
-        v_den += 1
-
+    num_coeffs, _, v_den = _split_denominator(x, p)
     K = prime.K
     h = prime.h_lifted
     while True:
@@ -341,6 +324,17 @@ def ord_at(prime: PrimeAbove, x: CycloElt, max_precision: int = 6400) -> int:
                 "valuation exceeds precision cap %d at %r" % (max_precision, prime)
             )
         h = hensel_lift_factor(cyclotomic_polynomial(prime.field.n), prime.h_bar, p, K)
+
+
+def _split_denominator(x: CycloElt, p: int) -> tuple[list[int], int, int]:
+    """(numerator coefficients, p-free part of the denominator, its p-valuation)."""
+    den = x.denominator()
+    num_coeffs = [c.numerator * (den // c.denominator) for c in x.coeffs]
+    v_den = 0
+    while den % p == 0:
+        den //= p
+        v_den += 1
+    return num_coeffs, den, v_den
 
 
 def act_on_prime(aut: GaloisAut, prime: PrimeAbove) -> PrimeAbove:
@@ -365,12 +359,7 @@ def padic_image(prime: PrimeAbove, x: CycloElt, K: Optional[int] = None):
     numerator and v_den_p the p-valuation of the denominator.
     """
     p = prime.p
-    den = x.denominator()
-    num_coeffs = [int(c * den) for c in x.coeffs]
-    v_den = 0
-    while den % p == 0:
-        den //= p
-        v_den += 1
+    num_coeffs, den, v_den = _split_denominator(x, p)
     ring = prime.ring if K is None or K == prime.K else GaloisRing(
         p, K, prime.f, hensel_lift_factor(cyclotomic_polynomial(prime.field.n), prime.h_bar, p, K)
     )

@@ -183,20 +183,20 @@ def find_generator(prime: PrimeAbove, power: int,
 
     Enumerates the ideal lattice under the trace form Tr(x x^c) starting at
     1.5x the arithmetic-geometric floor and doubling the radius; an element
-    of the ideal whose norm is +-p^(f power) with the right valuation
-    profile is a generator.  Among the candidates within the first
-    successful radius the one with the lexicographically smallest absolute
-    coefficient tuple read from the highest power of zeta down is returned,
-    sign fixed by making the first nonzero coefficient positive (this
-    prefers generators supported on low powers of zeta).  Returning None is
-    evidence, not proof, that P^power is non-principal: the search radius
-    covers 1.5 * 2^max_doublings times the minimum possible generator size.
+    x of the ideal whose norm is +-p^(f power) is a generator.  No valuation
+    needs checking: x lies in P^power, so (x) = P^power J with J integral,
+    and N(J) = |N(x)| / N(P)^power = 1 forces J = (1).  Among the
+    candidates within the first successful radius the one with the
+    lexicographically smallest absolute coefficient tuple read from the
+    highest power of zeta down is returned, sign fixed by making the first
+    nonzero coefficient positive (this prefers generators supported on low
+    powers of zeta).  Returning None is evidence, not proof, that P^power is
+    non-principal: the search radius covers 1.5 * 2^max_doublings times the
+    minimum possible generator size.
     """
     field = prime.field
     if power == 0:
         return field.one()
-    split = prime.split
-    assert split is not None
     n_target = prime.p ** (prime.f * power)
     deg = field.degree
     basis = ideal_basis(prime, power)
@@ -211,14 +211,8 @@ def find_generator(prime: PrimeAbove, power: int,
         candidates = []
         for vec, _norm_sq in vectors:
             elt = field.elt(vec)
-            nm = norm(elt)
-            if abs(nm) != n_target:
-                continue
-            if ord_at(prime, elt) != power:
-                continue
-            if any(ord_at(pr, elt) != 0 for pr in split.primes if pr.index != prime.index):
-                continue
-            candidates.append(elt)
+            if abs(norm(elt)) == n_target:
+                candidates.append(elt)
         if candidates:
             return min(candidates, key=_generator_key)
         bound *= 2

@@ -95,6 +95,20 @@ def test_scan_cache_rerun_identical(capsys, tmp_path):
     assert out1 == out2
 
 
+def test_scan_truncated_cache_file_is_a_miss(capsys, tmp_path):
+    args = ["scan", "--n-range", "5", "--p-max", "20", "--precision", "128",
+            "--bound", "100", "--format", "csv", "--cache-dir", str(tmp_path)]
+    code1, out1, _ = run_cli(capsys, *args)
+    assert code1 == 0
+    victim = sorted(f for f in tmp_path.iterdir() if f.suffix == ".json")[0]
+    intact = victim.read_text()
+    victim.write_text(intact[: len(intact) // 2])
+    code2, out2, _ = run_cli(capsys, *args)
+    assert code2 == 0
+    assert out2 == out1
+    assert json.loads(victim.read_text()) == json.loads(intact)
+
+
 def test_analyze_cache(capsys, tmp_path):
     args = ["analyze", "--n", "5", "--p", "19", "--format", "json",
             "--cache-dir", str(tmp_path)]

@@ -8,6 +8,7 @@ import sympy
 from pweil.cyclo import (
     CycloElt,
     CycloField,
+    _norm_prime,
     cyclotomic_polynomial,
     embed,
     is_root_of_unity,
@@ -100,6 +101,60 @@ def test_norm_multiplicative_random():
         if x.is_zero() or y.is_zero():
             continue
         assert norm(x * y) == norm(x) * norm(y)
+
+
+GRID_CONDUCTORS = (5, 7, 8, 11, 12, 13, 15, 16, 20)
+
+
+def norm_by_conjugates(x):
+    """Oracle: the product of all phi(n) conjugates of x in exact rationals."""
+    prod = x.field.one()
+    for a in x.field.units:
+        prod = prod * x.apply(x.field.aut(a))
+    return prod.as_rational()
+
+
+def _resultant_norm(x):
+    t = sympy.Symbol("t")
+    poly = sum(sympy.Rational(c.numerator, c.denominator) * t ** i
+               for i, c in enumerate(x.coeffs))
+    return Fraction(str(sympy.resultant(sympy.cyclotomic_poly(x.field.n, t), poly, t)))
+
+
+def test_norm_matches_resultant_and_conjugate_product():
+    rng = random.Random(17)
+    for n in GRID_CONDUCTORS:
+        field = CycloField(n)
+        deg = field.degree
+        assert norm(field.zero()) == 0
+        samples = [
+            field.elt([rng.randint(-9, 9) for _ in range(deg)]),
+            # coefficients >= 10^8: the CRT bound needs more than one prime
+            field.elt([rng.choice((-1, 1)) * rng.randint(10 ** 8, 10 ** 12)
+                       for _ in range(deg)]),
+            # p-power denominators, as in x_P^c / x_P
+            field.elt([Fraction(rng.randint(-50, 50), rng.choice((1, 3, 9, 11 ** 3)))
+                       for _ in range(deg)]),
+            field.elt([0] * (deg - 1) + [Fraction(-7, 2 ** 5)]),
+        ]
+        big = samples[1]
+        assert 2 * sum(abs(c) for c in big.coeffs) ** deg > _norm_prime(n, 0)[0] ** 2
+        for x in samples:
+            expected = _resultant_norm(x)
+            assert norm(x) == expected
+            assert norm_by_conjugates(x) == expected
+
+
+def test_norm_primes_split_the_cyclotomic_polynomial():
+    for n in GRID_CONDUCTORS:
+        phi = cyclotomic_polynomial(n)
+        for i in range(3):
+            ell, roots = _norm_prime(n, i)
+            assert ell > 2 ** 62 and ell % n == 1 and sympy.isprime(ell)
+            assert i == 0 or ell > _norm_prime(n, i - 1)[0]
+            assert len(set(roots)) == len(roots) == CycloField(n).degree
+            for w in roots:
+                assert sum(c * pow(w, k, ell) for k, c in enumerate(phi)) % ell == 0
 
 
 def test_embed_examples(k5):

@@ -17,6 +17,7 @@ from pweil.lattice import (
     rank_q,
     row_hnf,
     short_vectors,
+    short_vectors_gram,
     _canonical_sign,
 )
 
@@ -138,13 +139,13 @@ def test_short_vectors_scaled_empty():
     assert short_vectors([[3, 0], [0, 3]], 8) == []
 
 
-def _coefficient_box(rows, norm_bound):
-    # any lattice vector v = c . B with |v| <= r has |c_i| <= r |col_i(B^-1)|
+def _coefficient_box(gram, norm_bound):
+    # c^T Q c <= r forces |c_i| <= sqrt(r (Q^-1)_ii), for Q positive definite
     import math
 
-    n = len(rows)
+    n = len(gram)
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
+           for i, row in enumerate(gram)]
     for col in range(n):
         piv = next(i for i in range(col, n) if aug[i][col] != 0)
         aug[col], aug[piv] = aug[piv], aug[col]
@@ -153,15 +154,41 @@ def _coefficient_box(rows, norm_bound):
             if i != col and aug[i][col] != 0:
                 f = aug[i][col]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    inv = [r[n:] for r in aug]
-    bounds = []
-    for i in range(n):
-        colnorm_sq = sum(inv[k][i] ** 2 for k in range(n))
-        bounds.append(int(math.isqrt(int(norm_bound * colnorm_sq))) + 2)
-    return bounds
+    return [math.isqrt(math.floor(norm_bound * aug[i][n + i])) + 1 for i in range(n)]
+
+
+def _form(gram, v):
+    return sum(v[i] * gram[i][j] * v[j] for i in range(len(v)) for j in range(len(v)))
+
+
+def _in_row_span(echelon_rows, v):
+    # back substitution against an integer echelon (HNF) basis
+    v = list(v)
+    for row in echelon_rows:
+        piv = next(j for j, c in enumerate(row) if c)
+        if v[piv] % row[piv]:
+            return False
+        q = v[piv] // row[piv]
+        v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+def _box_oracle(gram, bound):
+    """Coefficient vectors x != 0 with x^T G x <= bound, up to sign, by brute force."""
+    import itertools
+
+    box = _coefficient_box(gram, bound)
+    found = {}
+    for c in itertools.product(*(range(-b, b + 1) for b in box)):
+        if any(c):
+            value = _form(gram, c)
+            if value <= bound:
+                found[_canonical_sign(c)] = Fraction(value)
+    return found
 
 
 def test_short_vectors_complete_vs_box_oracle():
+    # integer bases under the dot product
     rng = random.Random(41)
     done = 0
     while done < 5:
@@ -170,16 +197,48 @@ def test_short_vectors_complete_vs_box_oracle():
             continue
         done += 1
         got = {v for v, _ in short_vectors(rows, 30)}
-        ba, bb, bc = _coefficient_box(rows, 30)
-        brute = set()
-        for a in range(-ba, ba + 1):
-            for b in range(-bb, bb + 1):
-                for c in range(-bc, bc + 1):
-                    v = tuple(a * rows[0][i] + b * rows[1][i] + c * rows[2][i]
-                              for i in range(3))
-                    if v != (0, 0, 0) and sum(x * x for x in v) <= 30:
-                        brute.add(_canonical_sign(v))
+        coeff_gram = [[sum(a * b for a, b in zip(u, w)) for w in rows] for u in rows]
+        brute = {_canonical_sign(tuple(sum(ci * r[k] for ci, r in zip(c, rows))
+                                       for k in range(3)))
+                 for c in _box_oracle(coeff_gram, 30)}
         assert got == brute
+
+    # ideal lattices under the trace form: ambient brute force filtered by
+    # membership; each bound is a norm the lattice attains
+    from pweil.cyclo import CycloField
+    from pweil.splitting import split_prime
+    from pweil.weilgroup import ideal_basis, trace_gram
+
+    for n, p, power in ((5, 11, 1), (5, 11, 2), (8, 5, 1), (12, 13, 1), (12, 37, 1)):
+        field = CycloField(n)
+        gram = trace_gram(field)
+        basis = ideal_basis(split_prime(field, p).primes[0], power)
+        lattice_norms = sorted({nsq for _, nsq in short_vectors(basis, 100, gram=gram)})
+        assert len(lattice_norms) >= 3
+        for bound in lattice_norms[:3]:
+            got = short_vectors(basis, bound, gram=gram)
+            expected = {v: nsq for v, nsq in _box_oracle(gram, bound).items()
+                        if _in_row_span(basis, v)}
+            assert dict(got) == expected
+            assert any(nsq == bound for _, nsq in got)
+
+    # diagonally dominant rational Grams, so that the Cholesky entries have
+    # nontrivial denominators; a half-integer bound and an attained one
+    rng = random.Random(43)
+    for dim in (2, 3, 3, 4, 4):
+        gram = [[Fraction(0)] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i):
+                gram[i][j] = gram[j][i] = Fraction(rng.randint(-3, 3), rng.choice((2, 3, 5, 7)))
+        for i in range(dim):
+            slack = Fraction(rng.randint(1, 9), rng.choice((2, 3, 4)))
+            gram[i][i] = sum(abs(x) for x in gram[i]) + slack
+        attained = max(_box_oracle(gram, Fraction(10)).values())
+        for bound in (Fraction(2 * rng.randint(6, 16) + 1, 2), attained):
+            got = short_vectors_gram(gram, bound)
+            assert dict(got) == _box_oracle(gram, bound)
+            assert all(nsq == _form(gram, v) for v, nsq in got)
+        assert any(nsq == attained for _, nsq in got)
 
 
 def test_short_vectors_budget():

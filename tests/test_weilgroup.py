@@ -20,7 +20,11 @@ from pweil.weilgroup import (
     pi_m_map,
     trace_gram,
     verify_weil_basis,
+    _generator_key,
+    _iroot_ceil,
 )
+from pweil.lattice import short_vectors
+from test_cyclo import norm_by_conjugates
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +88,44 @@ def test_generator_ambiguity_is_a_unit(k5, split_5_11):
     for pr in split_5_11.primes:
         assert ord_at(pr, ratio) == 0
     assert ratio.denominator() == 1
+
+
+def _generator_by_valuations(prime, power, max_doublings=6):
+    """Oracle: the generator search filtered by the exact product-of-conjugates
+    norm and the full ord_at valuation profile.  On every enumerated vector
+    it also checks that the norm test alone gives the same verdict."""
+    field = prime.field
+    n_target = prime.p ** (prime.f * power)
+    basis = ideal_basis(prime, power)
+    gram = trace_gram(field)
+    floor = field.degree * _iroot_ceil(n_target * n_target, field.degree)
+    bound = floor + (floor + 1) // 2
+    for _ in range(max_doublings + 1):
+        candidates = []
+        for vec, _ in short_vectors(basis, bound, gram=gram):
+            elt = field.elt(vec)
+            nm = norm_by_conjugates(elt)
+            assert norm(elt) == nm
+            ok = abs(nm) == n_target and ord_at(prime, elt) == power and not any(
+                ord_at(pr, elt) for pr in prime.split.primes if pr is not prime)
+            assert ok == (abs(nm) == n_target)
+            if ok:
+                candidates.append(elt)
+        if candidates:
+            return min(candidates, key=_generator_key)
+        bound *= 2
+    return None
+
+
+@pytest.mark.parametrize("n, p, power", [
+    (13, 79, 1), (20, 41, 1), (11, 67, 1), (15, 31, 1), (16, 17, 1), (12, 13, 1), (5, 11, 2),
+])
+def test_find_generator_matches_valuation_profile_search(n, p, power):
+    split = split_prime(CycloField(n), p)
+    prime = split.primes[split.S[0]]
+    g = find_generator(prime, power)
+    assert g is not None
+    assert g == _generator_by_valuations(prime, power)
 
 
 def test_trace_gram_positive_definite(k5):
