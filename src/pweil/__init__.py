@@ -22,12 +22,9 @@ from .arith import (
 from .cyclo import CycloField, CycloElt, GaloisAut, norm, embed, is_root_of_unity
 from .splitting import PrimeAbove, SplitData, split_prime, ord_at, act_on_prime, conj_prime
 from .lattice import (
-    IntLattice,
     RelationCertificate,
-    hnf,
     lll,
     short_vectors,
-    find_relation,
     find_simultaneous_relation,
 )
 from .weilgroup import (
@@ -51,4 +48,4 @@ from .regulators import (
     weil_angle_identity,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

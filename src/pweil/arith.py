@@ -261,16 +261,6 @@ class BallReal:
         return max(abs(self.lower), abs(self.upper))
 
 
-def ball_sum(items: Sequence[BallReal], prec: Optional[int] = None) -> BallReal:
-    items = list(items)
-    if not items:
-        return BallReal.zero(prec or 53)
-    acc = items[0]
-    for x in items[1:]:
-        acc = acc + x
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # BallComplex
 

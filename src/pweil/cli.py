@@ -2,7 +2,9 @@
 
 Exit codes: 0 all exact checks passed (relation certificates reporting
 "none-up-to-bound" are informational); 1 an exact identity failed, a
-relation was found, or a reconstruction failed; 2 invalid configuration.
+relation was found, a reconstruction failed, or a certified computation
+(such as the relation search) was inconclusive at the given precision and
+bound; 2 invalid configuration.
 Reports embed their full configuration so reruns are byte-identical.
 """
 
@@ -14,11 +16,11 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
+from .arith import PrecisionTooLow
 from .cyclo import CycloField
 from .splitting import NotPrime, RamifiedPrime, is_prime, split_prime
 from .weilgroup import BadCharacterIndices, build_weil_basis, jacobi_weil_number, verify_weil_basis
@@ -112,7 +114,7 @@ def analyze_report(n: int, p: int, cfg: RunConfig) -> dict:
     split = split_prime(field, p, cfg.padic_prec)
     basis = build_weil_basis(split)
     report: dict = {
-        "schema": "pweil-analyze/1",
+        "schema": "pweil-analyze/2",
         "config": {
             "n": n, "p": p, "precision": cfg.precision, "bound": cfg.bound,
             "padic_prec": cfg.padic_prec, "version": __version__,
@@ -277,6 +279,8 @@ def cmd_scan(args, cfg: RunConfig) -> int:
 
     if pending:
         if cfg.workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
                 fresh = list(pool.map(_scan_cell, [c for c, _ in pending]))
         else:
@@ -313,7 +317,7 @@ def cmd_appendix(args, cfg: RunConfig) -> int:
     rep_obj = weil_angle_identity(lam, split, basis,
                                   den_bound=args.den_bound, precision=cfg.precision)
     report = {
-        "schema": "pweil-appendix/1",
+        "schema": "pweil-appendix/2",
         "config": {"n": args.n, "p": args.p, "chars": [a, b],
                    "den_bound": args.den_bound, "precision": cfg.precision,
                    "version": __version__},
@@ -397,6 +401,9 @@ def main(argv=None) -> int:
         if args.command == "appendix":
             return cmd_appendix(args, cfg)
         raise ValueError("unknown command %r" % args.command)
+    except PrecisionTooLow as exc:
+        sys.stderr.write("error: %s\n" % exc)
+        return 1
     except (ValueError, NotPrime, RamifiedPrime, BadCharacterIndices) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

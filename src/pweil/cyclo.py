@@ -408,10 +408,6 @@ def _q_poly_divmod(a: list[Fraction], b: list[Fraction]):
 # ---------------------------------------------------------------------------
 # Module-level operations
 
-def apply_aut(aut: GaloisAut, x: CycloElt) -> CycloElt:
-    return x.apply(aut)
-
-
 def norm(x: CycloElt) -> Fraction:
     """The norm N(x), the product of all phi(n) conjugates of x, exactly.
 
@@ -519,10 +515,6 @@ def embed(x: CycloElt, place: int, precision: int = 64) -> BallComplex:
         re = re + theta.cos() * Fraction(c)
         im = im + theta.sin() * Fraction(c)
     return BallComplex(re, im)
-
-
-def embed_all(x: CycloElt, precision: int = 64) -> list[BallComplex]:
-    return [embed(x, a, precision) for a in x.field.places]
 
 
 def is_root_of_unity(x: CycloElt) -> Optional[int]:

@@ -1,10 +1,12 @@
 """Integer-lattice algorithms over exact arithmetic.
 
-Hermite normal form, LLL reduction with exact rational Gram-Schmidt data,
-complete short-vector enumeration (Fincke-Pohst), and LLL-based detection
-of integer relations among certified reals.  A relation search never claims
-independence: a negative result is a certificate that no relation with
-coefficients below the stated bound exists at the stated precision.
+Hermite normal form, integral LLL reduction (fraction-free Gram-Schmidt
+data in integers, shared with ``gs_norms``), complete short-vector
+enumeration (Fincke-Pohst), and LLL-based detection of integer relations
+among certified reals, reduced at gradually fed scales.  A relation search
+never claims independence: a negative result is a certificate that no
+relation with coefficients below the stated bound exists at the stated
+precision.
 """
 
 from __future__ import annotations
@@ -32,29 +34,6 @@ class BoundTooLarge(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # Exact integer/rational matrix utilities
-
-def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
-    """Fraction-free exact determinant of an integer matrix."""
-    a = [list(map(int, r)) for r in rows]
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise ValueError("matrix must be square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
 
 def rank_q(rows: Sequence[Sequence]) -> int:
     """Exact rank over Q by fraction elimination."""
@@ -163,34 +142,8 @@ def _apply_transform(u, a):
     return out
 
 
-@dataclass(frozen=True)
-class IntLattice:
-    """Full-rank integer lattice given by an HNF-canonical row basis."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-
-def hnf(rows: Sequence[Sequence[int]]) -> IntLattice:
-    """Canonical HNF basis of the lattice spanned by the rows.
-
-    Raises DependentRows when the rows are linearly dependent.
-    """
-    h, rank = row_hnf(rows)
-    if rank != len(rows):
-        raise DependentRows(rank)
-    return IntLattice(tuple(tuple(r) for r in h))
-
-
 # ---------------------------------------------------------------------------
-# LLL with exact rational Gram-Schmidt data
+# Integral LLL: fraction-free Gram-Schmidt data
 
 def _dot(u, v, gram):
     if gram is None:
@@ -203,64 +156,77 @@ def _dot(u, v, gram):
     return total
 
 
+def _gs_row(b, k: int, lam, d, gram):
+    """Fraction-free Gram-Schmidt data of row k (Cohen, Alg. 2.6.7, step 2).
+
+    ``d[i + 1]`` is the leading (i+1)x(i+1) principal minor of the Gram
+    matrix of the rows, ``d[0] = 1``, so ||b_i*||^2 = d[i+1] / d[i]; and
+    ``lam[k][j] = d[j + 1] mu_kj``.  Both are integers and every division
+    below is exact.
+    """
+    row = lam[k]
+    for j in range(k + 1):
+        u = _dot(b[k], b[j], gram)
+        for i in range(j):
+            u = (d[i + 1] * u - row[i] * lam[j][i]) // d[i]
+        if j < k:
+            row[j] = u
+        elif u <= 0:
+            raise DependentRows(k)
+        else:
+            d[k + 1] = u
+
+
 def lll(rows: Sequence[Sequence[int]], delta: Fraction = Fraction(3, 4),
         gram: Optional[Sequence[Sequence[int]]] = None) -> list[list[int]]:
     """delta-LLL-reduced basis of the lattice spanned by the rows.
 
     ``gram``, when given, is the Gram matrix of the ambient basis: inner
-    products are u^T G v instead of the standard dot product.  All
-    Gram-Schmidt data is kept as exact rationals.
+    products are u^T G v instead of the standard dot product.  This is
+    integral LLL (de Weger 1987; Cohen, Alg. 2.6.7): the Gram-Schmidt data
+    are the integers d_i and lambda_ij of ``_gs_row``.  With mu = lambda/d
+    the size reduction and the Lovasz test are exactly those of rational
+    LLL, so the reduced basis is the same.
     """
-    if not (Fraction(1, 4) < delta < 1):
+    num, den = delta.numerator, delta.denominator
+    if not den < 4 * num < 4 * den:
         raise ValueError("delta must lie in (1/4, 1)")
     b = [list(map(int, r)) for r in rows]
     n = len(b)
     if n <= 1:
         return b
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    B = [Fraction(0)] * n
-
-    def gs_row(i: int):
-        for j in range(i):
-            num = Fraction(_dot(b[i], b[j], gram))
-            s = num - sum(mu[j][l] * mu[i][l] * B[l] for l in range(j))
-            if B[j] == 0:
-                raise DependentRows(j)
-            mu[i][j] = s / B[j]
-        B[i] = Fraction(_dot(b[i], b[i], gram)) - sum(mu[i][j] ** 2 * B[j] for j in range(i))
-        if B[i] <= 0:
-            raise DependentRows(i)
+    lam = [[0] * n for _ in range(n)]
+    d = [1] + [0] * n
 
     def red(k: int, l: int):
-        if abs(mu[k][l]) > Fraction(1, 2):
-            q = _round_half(mu[k][l])
+        dl = d[l + 1]
+        if 2 * abs(lam[k][l]) > dl:
+            q = (2 * lam[k][l] + dl) // (2 * dl)  # floor(mu + 1/2)
             b[k] = [x - q * y for x, y in zip(b[k], b[l])]
-            mu[k][l] -= q
+            lam[k][l] -= q * dl
             for i in range(l):
-                mu[k][i] -= q * mu[l][i]
+                lam[k][i] -= q * lam[l][i]
 
-    gs_row(0)
+    _gs_row(b, 0, lam, d, gram)
     kmax = 0
     k = 1
     while k < n:
         if k > kmax:
             kmax = k
-            gs_row(k)
+            _gs_row(b, k, lam, d, gram)
         red(k, k - 1)
-        if B[k] < (delta - mu[k][k - 1] ** 2) * B[k - 1]:
-            # swap b[k] and b[k-1], updating the Gram-Schmidt data in place
-            mu_kk1 = mu[k][k - 1]
-            B_new = B[k] + mu_kk1 ** 2 * B[k - 1]
-            mu[k][k - 1] = mu_kk1 * B[k - 1] / B_new
-            B[k] = B[k - 1] * B[k] / B_new
-            B[k - 1] = B_new
+        lk = lam[k][k - 1]
+        if den * (d[k + 1] * d[k - 1] + lk * lk) < num * d[k] * d[k]:
+            # swap b[k] and b[k-1]; lam[k][k-1] is unchanged
+            B = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
             b[k], b[k - 1] = b[k - 1], b[k]
             for j in range(k - 1):
-                mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
             for i in range(k + 1, kmax + 1):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - mu_kk1 * t
-                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+                lam[i][k - 1] = (B * t + lk * lam[i][k]) // d[k + 1]
+            d[k] = B
             k = max(k - 1, 1)
         else:
             for l in range(k - 2, -1, -1):
@@ -269,24 +235,16 @@ def lll(rows: Sequence[Sequence[int]], delta: Fraction = Fraction(3, 4),
     return b
 
 
-def _round_half(x: Fraction) -> int:
-    return math.floor(x + Fraction(1, 2))
-
-
 def gs_norms(rows: Sequence[Sequence[int]],
              gram: Optional[Sequence[Sequence[int]]] = None) -> list[Fraction]:
-    """Squared Gram-Schmidt norms ||b_i*||^2 of the given row basis."""
+    """Squared Gram-Schmidt norms ||b_i*||^2 = d_i / d_{i-1} of the row basis."""
     b = [list(map(int, r)) for r in rows]
     n = len(b)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    B = [Fraction(0)] * n
-    for i in range(n):
-        for j in range(i):
-            num = Fraction(_dot(b[i], b[j], gram))
-            s = num - sum(mu[j][l] * mu[i][l] * B[l] for l in range(j))
-            mu[i][j] = s / B[j]
-        B[i] = Fraction(_dot(b[i], b[i], gram)) - sum(mu[i][j] ** 2 * B[j] for j in range(i))
-    return B
+    lam = [[0] * n for _ in range(n)]
+    d = [1] + [0] * n
+    for k in range(n):
+        _gs_row(b, k, lam, d, gram)
+    return [Fraction(d[i + 1], d[i]) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -436,69 +394,6 @@ def _round_fraction(x: Fraction) -> int:
     return math.floor(x + Fraction(1, 2))
 
 
-def find_relation(values: Sequence[BallReal], bound: int,
-                  precision: Optional[int] = None) -> RelationCertificate:
-    """Search for integers c, |c_i| <= bound, with sum c_i v_i = 0.
-
-    The values are embedded into an (m+1)-column integer lattice with scale
-    N = 2^(precision/2) and LLL-reduced; every reduced row is tested as a
-    relation candidate against the certified enclosures.
-    """
-    m = len(values)
-    if m == 0:
-        raise ValueError("no values given")
-    if precision is None:
-        precision = max(v.prec for v in values)
-    N = 1 << (precision // 2)
-    mids = [v.midpoint for v in values]
-    rads = [v.radius for v in values]
-    for r in rads:
-        if N * r >= Fraction(1, 2):
-            raise PrecisionTooLow("value radius %s too large for scale 2^%d" % (r, precision // 2))
-    rows = []
-    for i in range(m):
-        row = [0] * m + [_round_fraction(N * mids[i])]
-        row[i] = 1
-        rows.append(row)
-    reduced = lll(rows)
-    r_max = max(rads) if rads else Fraction(0)
-    t_bound = m * bound * (Fraction(1, 2) + N * r_max)
-    threshold_sq = m * bound * bound + t_bound * t_bound
-
-    for row in reduced:
-        c = tuple(row[:m])
-        if not any(c) or max(abs(x) for x in c) > bound:
-            continue
-        res_mid = sum(ci * mi for ci, mi in zip(c, mids))
-        err = sum(abs(ci) * ri for ci, ri in zip(c, rads))
-        if abs(res_mid) <= err:
-            c = _canonical_sign(c)
-            return RelationCertificate(
-                status="found",
-                relation=c,
-                bound=bound,
-                precision=precision,
-                scale_log2=precision // 2,
-                sv_lower_bound_sq="",
-                threshold_sq=str(threshold_sq),
-                residual_bound=str(float(abs(res_mid) + err)),
-            )
-    min_gs = min(gs_norms(reduced))
-    if min_gs > threshold_sq:
-        return RelationCertificate(
-            status="none-up-to-bound",
-            relation=None,
-            bound=bound,
-            precision=precision,
-            scale_log2=precision // 2,
-            sv_lower_bound_sq=str(min_gs),
-            threshold_sq=str(threshold_sq),
-        )
-    raise PrecisionTooLow(
-        "relation search inconclusive: raise precision or lower the bound"
-    )
-
-
 def find_simultaneous_relation(vectors: Sequence[Sequence[BallReal]], modulus: BallReal,
                                bound: int, precision: Optional[int] = None) -> RelationCertificate:
     """Search for integers (c, k) with sum_i c_i a_i + modulus * k = 0 in R^d.
@@ -507,6 +402,14 @@ def find_simultaneous_relation(vectors: Sequence[Sequence[BallReal]], modulus: B
     sum_i c_i a_iv is the integer -k_v times the modulus at every coordinate
     v, certified against the enclosures.  Coefficients of both blocks are
     bounded by ``bound``.
+
+    The search lattice has rows [e_i | round(N t_i)] with N = 2^(precision/2)
+    and t_i the midpoints of a_i, or modulus * e_v.  It is reduced with
+    gradually fed scales (van Hoeij-Novocin): at 2^32, 2^64, 2^128, ...
+    below N and finally at N itself.  The identity block of each reduced
+    basis is the accumulated unimodular transform U, and the next lattice is
+    U [I | round(N' t)], so the last reduction is of exactly the full-scale
+    lattice, only from a better basis.
     """
     m = len(vectors)
     if m == 0:
@@ -516,24 +419,27 @@ def find_simultaneous_relation(vectors: Sequence[Sequence[BallReal]], modulus: B
         raise ValueError("vectors of unequal dimension")
     if precision is None:
         precision = modulus.prec
-    N = 1 << (precision // 2)
+    scale = precision // 2
+    N = 1 << scale
     all_rads = [x.radius for vec in vectors for x in vec] + [modulus.radius]
     for r in all_rads:
         if N * r >= Fraction(1, 2):
-            raise PrecisionTooLow("radius %s too large for scale 2^%d" % (r, precision // 2))
+            raise PrecisionTooLow("radius %s too large for scale 2^%d" % (r, scale))
+    mids = [[x.midpoint for x in vec] for vec in vectors]
     mu_mid = modulus.midpoint
+    tails = mids + [[mu_mid if w == v else 0 for w in range(d)] for v in range(d)]
 
-    rows = []
-    for i in range(m):
-        row = [0] * (m + d) + [_round_fraction(N * x.midpoint) for x in vectors[i]]
-        row[i] = 1
-        rows.append(row)
-    for v in range(d):
-        row = [0] * (m + d) + [0] * d
-        row[m + v] = 1
-        row[m + d + v] = _round_fraction(N * mu_mid)
-        rows.append(row)
-    reduced = lll(rows)
+    k_dim = m + d
+    unimodular = [[int(i == j) for j in range(k_dim)] for i in range(k_dim)]
+    schedule = [min(32, scale)]
+    while schedule[-1] < scale:
+        schedule.append(min(2 * schedule[-1], scale))
+    for s in schedule:
+        scaled = [[_round_fraction(t * (1 << s)) for t in row] for row in tails]
+        rows = [u + [sum(c * tail[v] for c, tail in zip(u, scaled) if c) for v in range(d)]
+                for u in unimodular]
+        reduced = lll(rows)
+        unimodular = [row[:k_dim] for row in reduced]
 
     r_max = max(all_rads)
     t_bound = (m + 1) * bound * (Fraction(1, 2) + N * r_max)
@@ -549,7 +455,7 @@ def find_simultaneous_relation(vectors: Sequence[Sequence[BallReal]], modulus: B
         ok = True
         residual = Fraction(0)
         for v in range(d):
-            mid_v = sum(ci * vectors[i][v].midpoint for i, ci in enumerate(c)) + k[v] * mu_mid
+            mid_v = sum(ci * mids[i][v] for i, ci in enumerate(c)) + k[v] * mu_mid
             err_v = sum(abs(ci) * vectors[i][v].radius for i, ci in enumerate(c)) \
                 + abs(k[v]) * modulus.radius
             if abs(mid_v) > err_v:
@@ -563,7 +469,7 @@ def find_simultaneous_relation(vectors: Sequence[Sequence[BallReal]], modulus: B
                 relation=rel,
                 bound=bound,
                 precision=precision,
-                scale_log2=precision // 2,
+                scale_log2=scale,
                 sv_lower_bound_sq="",
                 threshold_sq=str(threshold_sq),
                 residual_bound=str(float(residual)),
@@ -576,7 +482,7 @@ def find_simultaneous_relation(vectors: Sequence[Sequence[BallReal]], modulus: B
             relation=None,
             bound=bound,
             precision=precision,
-            scale_log2=precision // 2,
+            scale_log2=scale,
             sv_lower_bound_sq=str(min_gs),
             threshold_sq=str(threshold_sq),
             detail={"m": m, "d": d},

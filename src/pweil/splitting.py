@@ -309,7 +309,7 @@ def ord_at(prime: PrimeAbove, x: CycloElt, max_precision: int = 6400) -> int:
     if x.is_zero():
         raise ZeroDivisionError("valuation of zero")
     p = prime.p
-    num_coeffs, _, v_den = _split_denominator(x, p)
+    num_coeffs, v_den = _split_denominator(x, p)
     K = prime.K
     h = prime.h_lifted
     while True:
@@ -326,15 +326,15 @@ def ord_at(prime: PrimeAbove, x: CycloElt, max_precision: int = 6400) -> int:
         h = hensel_lift_factor(cyclotomic_polynomial(prime.field.n), prime.h_bar, p, K)
 
 
-def _split_denominator(x: CycloElt, p: int) -> tuple[list[int], int, int]:
-    """(numerator coefficients, p-free part of the denominator, its p-valuation)."""
+def _split_denominator(x: CycloElt, p: int) -> tuple[list[int], int]:
+    """(numerator coefficients, p-valuation of the denominator)."""
     den = x.denominator()
     num_coeffs = [c.numerator * (den // c.denominator) for c in x.coeffs]
     v_den = 0
     while den % p == 0:
         den //= p
         v_den += 1
-    return num_coeffs, den, v_den
+    return num_coeffs, v_den
 
 
 def act_on_prime(aut: GaloisAut, prime: PrimeAbove) -> PrimeAbove:
@@ -351,18 +351,3 @@ def conj_prime(prime: PrimeAbove) -> PrimeAbove:
         raise ValueError("prime is not attached to split data")
     return split.primes[split.conj_index(prime.index)]
 
-
-def padic_image(prime: PrimeAbove, x: CycloElt, K: Optional[int] = None):
-    """Image of x in the Galois ring at precision K (x must be p-integral here).
-
-    Returns (elt, v_den_p) where elt is the image of the p-denominator-cleared
-    numerator and v_den_p the p-valuation of the denominator.
-    """
-    p = prime.p
-    num_coeffs, den, v_den = _split_denominator(x, p)
-    ring = prime.ring if K is None or K == prime.K else GaloisRing(
-        p, K, prime.f, hensel_lift_factor(cyclotomic_polynomial(prime.field.n), prime.h_bar, p, K)
-    )
-    image = ring.from_int_poly(num_coeffs)
-    den_unit = ring.from_int(den)
-    return image * ring.inverse(den_unit), v_den

@@ -53,15 +53,16 @@ def is_weil_unit(x: CycloElt, p: int) -> bool:
     In a CM field the archimedean conditions are equivalent to the exact
     identity x x^c = 1.  The finite conditions hold iff both x and 1/x are
     integral away from p; since Z[zeta_n] is the maximal order, that is the
-    statement that all coefficient denominators are powers of p.
+    statement that all coefficient denominators are powers of p.  Once
+    x x^c = 1 holds, 1/x = x^c.  Complex conjugation maps Z[zeta_n] onto
+    itself, so d x^c is integral iff d x is; as the power basis is a Z-basis
+    of Z[zeta_n], x^c has the same denominator as x and checking x suffices.
     """
     if x.is_zero():
         raise ZeroDivisionError("membership of zero")
     if x * x.conj() != x.field.one():
         return False
-    if _strip_prime(x.denominator(), p) != 1:
-        return False
-    return _strip_prime(x.inverse().denominator(), p) == 1
+    return _strip_prime(x.denominator(), p) == 1
 
 
 # ---------------------------------------------------------------------------

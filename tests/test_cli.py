@@ -160,3 +160,16 @@ def test_workers_flag(capsys, tmp_path):
         "--bound", "100", "--format", "csv", "--workers", "2")
     assert code == 0
     assert out.count("\n") >= 4
+
+
+def test_inconclusive_relation_search_is_one_error_line(capsys, tmp_path):
+    # 64 bits cannot decide a bound of 10^9: exit 1 with a message, no traceback
+    for argv in (["analyze", "--n", "13", "--p", "79"],
+                 ["scan", "--n-range", "5", "--p-max", "11"],
+                 ["scan", "--n-range", "5", "--p-max", "11", "--workers", "2",
+                  "--cache-dir", str(tmp_path)]):
+        code, out, err = run_cli(capsys, *argv, "--precision", "64", "--bound", "1000000000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "inconclusive" in err

@@ -3,15 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import bareiss_det, fraction_gs_norms, fraction_lll
+from pweil import lattice
 from pweil.arith import BallReal, PrecisionTooLow
 from pweil.lattice import (
     BoundTooLarge,
     DependentRows,
-    bareiss_det,
-    find_relation,
     find_simultaneous_relation,
     gs_norms,
-    hnf,
     kernel_basis_int,
     lll,
     rank_q,
@@ -19,6 +18,7 @@ from pweil.lattice import (
     short_vectors,
     short_vectors_gram,
     _canonical_sign,
+    _round_fraction,
 )
 
 
@@ -26,14 +26,12 @@ from pweil.lattice import (
 # HNF
 
 def test_hnf_identity_fixed():
-    L = hnf([(1, 0), (0, 1)])
-    assert L.rows == ((1, 0), (0, 1))
+    assert row_hnf([(1, 0), (0, 1)]) == ([[1, 0], [0, 1]], 2)
 
 
 def test_hnf_unimodular_is_identity():
     # {(1,0),(4,1)} spans all of Z^2
-    L = hnf([(1, 0), (4, 1)])
-    assert L.rows == ((1, 0), (0, 1))
+    assert row_hnf([(1, 0), (4, 1)]) == ([[1, 0], [0, 1]], 2)
 
 
 def test_hnf_diag_product_matches_det_oracle():
@@ -52,9 +50,9 @@ def test_hnf_diag_product_matches_det_oracle():
 
 
 def test_hnf_dependent_rows_reports_rank():
-    with pytest.raises(DependentRows) as err:
-        hnf([(1, 2, 3), (2, 4, 6), (0, 0, 1)])
-    assert err.value.rank == 2
+    h, rank = row_hnf([(1, 2, 3), (2, 4, 6), (0, 0, 1)])
+    assert rank == 2
+    assert h == [[1, 2, 0], [0, 0, 1]]
 
 
 def test_kernel_basis():
@@ -125,6 +123,63 @@ def test_lll_lovasz_condition_holds():
 def test_lll_rejects_dependent():
     with pytest.raises(DependentRows):
         lll([[1, 2], [2, 4]])
+
+
+def _random_gram(rng, dim):
+    # A^T A + I: positive definite with integer entries
+    a = [[rng.randint(-5, 5) for _ in range(dim)] for _ in range(dim)]
+    return [[sum(a[k][i] * a[k][j] for k in range(dim)) + (i == j) for j in range(dim)]
+            for i in range(dim)]
+
+
+def _random_basis(rng, n, cols, magnitude):
+    return [[rng.randint(-magnitude, magnitude) for _ in range(cols)] for _ in range(n)]
+
+
+def test_lll_matches_fraction_lll_oracle():
+    # integral LLL against the rational LLL: the same reduced basis and the
+    # same Gram-Schmidt norms, with and without a Gram matrix, for both deltas
+    rng = random.Random(61)
+    compared = dependent = 0
+    for trial in range(160):
+        n = rng.randint(2, 7)
+        cols = n + rng.randint(0, 2)
+        rows = _random_basis(rng, n, cols, 10 ** rng.choice((1, 3, 6, 12)))
+        if trial % 10 == 0:
+            rows[-1] = [x - 3 * y for x, y in zip(rows[0], rows[1])]
+        gram = _random_gram(rng, cols) if trial % 2 else None
+        delta = (Fraction(3, 4), Fraction(99, 100))[trial % 4 // 2]
+        try:
+            expected = fraction_lll(rows, delta, gram)
+        except DependentRows as err:
+            with pytest.raises(DependentRows) as got:
+                lll(rows, delta, gram)
+            assert got.value.rank == err.rank
+            dependent += 1
+            continue
+        reduced = lll(rows, delta, gram)
+        assert reduced == expected
+        assert gs_norms(reduced, gram) == fraction_gs_norms(expected, gram)
+        compared += 1
+    assert dependent >= 10 and compared >= 140
+
+
+def test_gs_norms_are_ratios_of_gram_minors():
+    # ||b_i*||^2 = d_i / d_{i-1}, d_i the leading i x i minor of the Gram matrix
+    rng = random.Random(67)
+    for trial in range(30):
+        n = rng.randint(1, 6)
+        cols = n + rng.randint(0, 2)
+        rows = _random_basis(rng, n, cols, 10 ** rng.choice((1, 4, 9)))
+        if bareiss_det([[sum(x * y for x, y in zip(u, v)) for v in rows] for u in rows]) == 0:
+            continue
+        gram = _random_gram(rng, cols) if trial % 2 else None
+        g = [[lattice._dot(u, v, gram) for v in rows] for u in rows]
+        norms = gs_norms(rows, gram)
+        minor = Fraction(1)
+        for i, norm in enumerate(norms, start=1):
+            minor *= norm
+            assert minor == bareiss_det([row[:i] for row in g[:i]])
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +304,26 @@ def test_short_vectors_budget():
 # ---------------------------------------------------------------------------
 # relation detection
 
+# A relation among plain reals is one whose modulus coefficient is 0, so the
+# single-coordinate cases search modulo pi and check that k = 0.
+
+def _mod_pi(values, bound, precision=None):
+    prec = max(v.prec for v in values)
+    return find_simultaneous_relation([[v] for v in values], BallReal.pi(prec), bound, precision)
+
+
 def test_relation_trivial_integs():
-    cert = find_relation([BallReal.from_int(1, 256), BallReal.from_int(2, 256)], 10)
+    cert = _mod_pi([BallReal.from_int(1, 256), BallReal.from_int(2, 256)], 10)
     assert cert.status == "found"
-    assert cert.relation == (2, -1)
+    assert cert.relation == (2, -1, 0)
 
 
 def test_relation_sqrt2_none():
     # oracle: continued fraction of sqrt(2) has no huge convergent jumps, so
-    # no relation c1 + c2 sqrt2 = 0 with |c| <= 1e6 exists; certified search
+    # no relation c1 + c2 sqrt2 = 0 with |c| <= 1e6 exists (nor one modulo
+    # pi, which is transcendental); certified search
     vals = [BallReal.from_int(1, 256), BallReal.from_int(2, 256).sqrt()]
-    cert = find_relation(vals, 10 ** 6)
+    cert = _mod_pi(vals, 10 ** 6)
     assert cert.status == "none-up-to-bound"
     assert Fraction(cert.sv_lower_bound_sq) > Fraction(cert.threshold_sq)
 
@@ -268,15 +332,15 @@ def test_relation_logs():
     prec = 256
     vals = [BallReal.from_int(2, prec).log(), BallReal.from_int(3, prec).log(),
             BallReal.from_int(6, prec).log()]
-    cert = find_relation(vals, 100)
+    cert = _mod_pi(vals, 100)
     assert cert.status == "found"
-    assert cert.relation == (1, 1, -1)
+    assert cert.relation == (1, 1, -1, 0)
 
 
 def test_relation_precondition():
     wide = BallReal.from_endpoints(Fraction(0), Fraction(1, 7), 64)
     with pytest.raises(PrecisionTooLow):
-        find_relation([wide, wide], 10, precision=256)
+        _mod_pi([wide, wide], 10, precision=256)
 
 
 def test_relation_planted_completeness():
@@ -293,10 +357,12 @@ def test_relation_planted_completeness():
         for c, v in zip(coeffs, vals):
             last = last + v * c
         vals.append(last)
-        cert = find_relation(vals, 1000)
+        cert = _mod_pi(vals, 1000)
         assert cert.status == "found", "missed planted relation in trial %d" % trial
-        mid = sum(ci * vi.midpoint for ci, vi in zip(cert.relation, vals))
-        err = sum(abs(ci) * vi.radius for ci, vi in zip(cert.relation, vals))
+        *c, k = cert.relation
+        pi = BallReal.pi(320)
+        mid = sum(ci * vi.midpoint for ci, vi in zip(c, vals)) + k * pi.midpoint
+        err = sum(abs(ci) * vi.radius for ci, vi in zip(c, vals)) + abs(k) * pi.radius
         assert abs(mid) <= err
 
 
@@ -323,3 +389,90 @@ def test_simultaneous_duplicate_found():
     assert cert.status == "found"
     assert cert.relation[:2] in ((1, -1), (-1, 1))
     assert cert.relation[2:] == (0, 0)
+
+
+def _full_scale_rows(vectors, modulus, precision):
+    # the one-shot search lattice [e_i | round(N t_i)], N = 2^(precision/2)
+    m, d = len(vectors), len(vectors[0])
+    scale = 1 << (precision // 2)
+    rows = []
+    for i, vec in enumerate(vectors):
+        row = [0] * (m + d) + [_round_fraction(scale * x.midpoint) for x in vec]
+        row[i] = 1
+        rows.append(row)
+    for v in range(d):
+        row = [0] * (2 * d + m)
+        row[m + v] = 1
+        row[m + d + v] = _round_fraction(scale * modulus.midpoint)
+        rows.append(row)
+    return rows
+
+
+def _final_reduction(monkeypatch, vectors, modulus, bound, precision):
+    calls = []
+
+    def recording_lll(rows, *args, **kwargs):
+        out = lll(rows, *args, **kwargs)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(lattice, "lll", recording_lll)
+    cert = find_simultaneous_relation(vectors, modulus, bound, precision)
+    monkeypatch.undo()
+    return cert, calls
+
+
+def test_progressive_reduction_spans_the_full_scale_lattice(monkeypatch):
+    # the last reduction of the gradual schedule is a basis of exactly the
+    # one-shot full-scale lattice, and its certificate bound is that basis's
+    # minimum Gram-Schmidt norm
+    rng = random.Random(71)
+    cases = []
+    # scales 2^32; 2^32, 2^64, 2^65; 2^32, 2^64, 2^128; 2^32, ..., 2^256
+    for precision, steps in ((64, 1), (130, 3), (256, 3), (512, 4)):
+        m, d = rng.randint(1, 4), rng.randint(1, 3)
+        vectors = [[BallReal.from_int(rng.randint(2, 10 ** 6), precision).sqrt()
+                    * Fraction(rng.randint(-50, 50), rng.randint(1, 50)) for _ in range(d)]
+                   for _ in range(m)]
+        cases.append((vectors, precision, steps))
+
+    from pweil.cyclo import CycloField
+    from pweil.regulators import arg_vector
+    from pweil.splitting import split_prime
+    from pweil.weilgroup import build_weil_basis
+
+    basis = build_weil_basis(split_prime(CycloField(13), 79))
+    cases.append(([arg_vector(basis.xi[idx], 256).values for idx in basis.split.S], 256, 3))
+
+    for vectors, precision, steps in cases:
+        two_pi = BallReal.pi(precision + 32) * 2
+        cert, calls = _final_reduction(monkeypatch, vectors, two_pi, 10, precision)
+        assert len(calls) == steps
+        full = _full_scale_rows(vectors, two_pi, precision)
+        assert row_hnf(calls[-1]) == row_hnf(full)
+        if cert.status == "none-up-to-bound":
+            assert Fraction(cert.sv_lower_bound_sq) == min(gs_norms(calls[-1]))
+            assert Fraction(cert.sv_lower_bound_sq) > Fraction(cert.threshold_sq)
+    assert cert.status == "none-up-to-bound"  # the (13,79) argument vectors
+
+
+def test_simultaneous_planted_relations_always_found():
+    # (log p_j, log q_j) for distinct primes have no relation modulo 2 pi;
+    # the planted twin sum_j c_j a_j + 2 pi k is the only one, so the found
+    # relation is the planted one up to sign
+    rng = random.Random(73)
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    for trial in range(30):
+        precision = (128, 256, 512)[trial % 3]
+        m, d = rng.randint(1, 4), rng.randint(1, 3)
+        chosen = rng.sample(primes, m * d)
+        vectors = [[BallReal.from_int(chosen[i * d + v], precision).log() for v in range(d)]
+                   for i in range(m)]
+        two_pi = BallReal.pi(precision + 32) * 2
+        c = [rng.randint(-9, 9) for _ in range(m)]
+        k = [rng.randint(-3, 3) for _ in range(d)]
+        twin = [two_pi * k[v] + sum((vec[v] * ci for ci, vec in zip(c, vectors)),
+                                    BallReal.zero(precision)) for v in range(d)]
+        cert = find_simultaneous_relation(vectors + [twin], two_pi, 1000, precision)
+        assert cert.status == "found", "missed planted relation in trial %d" % trial
+        assert cert.relation == _canonical_sign(tuple(c) + (-1,) + tuple(k))

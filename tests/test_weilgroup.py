@@ -22,8 +22,10 @@ from pweil.weilgroup import (
     verify_weil_basis,
     _generator_key,
     _iroot_ceil,
+    _strip_prime,
 )
 from pweil.lattice import short_vectors
+from oracles import bareiss_det
 from test_cyclo import norm_by_conjugates
 
 
@@ -48,12 +50,56 @@ def test_is_weil_unit_rejects_zero(k5):
         is_weil_unit(k5.zero(), 11)
 
 
+def _is_weil_unit_checking_inverse(x, p):
+    """The membership test with its former redundant check of 1/x."""
+    if x * x.conj() != x.field.one():
+        return False
+    if _strip_prime(x.denominator(), p) != 1:
+        return False
+    return _strip_prime(x.inverse().denominator(), p) == 1
+
+
+@pytest.mark.parametrize("which", ["5_11", "8_5"])
+def test_is_weil_unit_matches_the_inverse_check(which, request):
+    # units of E_p, quotients y^c / y (x x^c = 1, with denominators away from
+    # p as a rule), the same with y divisible by a generator x_P, and plain
+    # products (x x^c != 1)
+    basis = request.getfixturevalue("basis_" + which)
+    field, p = basis.split.field, basis.split.p
+    rng = random.Random(83)
+    xis = list(basis.xi.values())
+    gens = list(basis.x.values())
+
+    def small():
+        y = field.zero()
+        while y.is_zero():
+            y = field.elt([rng.randint(-3, 3) for _ in range(field.degree)])
+        return y
+
+    verdicts = {True: 0, False: 0}
+    for trial in range(60):
+        x = field.zeta() ** rng.randrange(field.n)
+        for xi in rng.choices(xis, k=rng.randint(0, 3)):
+            x = x * (xi if rng.random() < 0.5 else xi.conj())  # xi^c = 1/xi
+        kind = trial % 4
+        if kind == 1:
+            y = small()
+            x = x * y.conj() / y
+        elif kind == 2:
+            y = rng.choice(gens) * small()
+            x = x * y.conj() / y
+        elif kind == 3:
+            x = x * small()
+        verdict = is_weil_unit(x, p)
+        assert verdict == _is_weil_unit_checking_inverse(x, p)
+        verdicts[verdict] += 1
+    assert verdicts[True] >= 15 and verdicts[False] >= 15
+
+
 # ---------------------------------------------------------------------------
 # ideal lattices and generators
 
 def test_ideal_basis_has_index_norm(k5, split_5_11):
-    from pweil.lattice import bareiss_det
-
     pr = split_5_11.primes[0]
     for power in (1, 2, 3):
         rows = ideal_basis(pr, power)
@@ -129,8 +175,6 @@ def test_find_generator_matches_valuation_profile_search(n, p, power):
 
 
 def test_trace_gram_positive_definite(k5):
-    from pweil.lattice import bareiss_det
-
     g = trace_gram(k5)
     # leading principal minors positive
     for k in range(1, 5):
