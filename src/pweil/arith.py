@@ -1,8 +1,11 @@
-"""Exact rationals, certified ball arithmetic and truncated Galois-ring arithmetic.
+"""Exact integers, certified ball arithmetic and truncated Galois-ring arithmetic.
 
 Three layers, used by every other module:
 
-* exact scalars are ``fractions.Fraction`` (arbitrary precision, always reduced);
+* exact arithmetic runs on Python ints: ``split_p`` is the one p-adic
+  valuation of an integer and ``_zm_rem_monic`` the one remainder modulo a
+  monic polynomial, over Z/m or (m = 0) over Z; ``fractions.Fraction``
+  appears only at the edges, as ball endpoints and reconstructed rationals;
 * ``BallReal`` / ``BallComplex`` wrap mpmath's directed-rounding interval
   kernels, so every operation returns an enclosure of the exact result;
 * ``GaloisRing`` / ``PadicElt`` model the unramified local ring
@@ -521,22 +524,26 @@ def fp_pow_mod(a, e, mod_poly, p):
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over Z/m (monic reduction only, used by the Galois ring)
+# Polynomials over Z/m (monic reduction only, used by the Galois ring and,
+# with m = 0, by the integer arithmetic of Q(zeta_n))
 
-def _zm_rem_monic(a: list[int], h: Sequence[int], m: int) -> list[int]:
-    """Remainder of a modulo the monic polynomial h, coefficients mod m."""
-    r = [c % m for c in a]
+def _zm_rem_monic(a: Sequence[int], h: Sequence[int], m: int = 0) -> list[int]:
+    """Remainder of a modulo the monic polynomial h, padded to deg h entries.
+
+    Coefficients are reduced mod m; m = 0 keeps exact integers (Z/0 = Z).
+    """
+    r = list(a)
     deg_h = len(h) - 1
     while len(r) > deg_h:
-        lead = r[-1]
+        lead = r.pop()
+        if m:
+            lead %= m  # the rest is reduced once, at the end
         if lead:
-            shift = len(r) - 1 - deg_h
+            shift = len(r) - deg_h
             for i in range(deg_h):
-                r[shift + i] = (r[shift + i] - lead * h[i]) % m
-        r.pop()
-    while len(r) < deg_h:
-        r.append(0)
-    return r
+                r[shift + i] -= lead * h[i]
+    r += [0] * (deg_h - len(r))
+    return [c % m for c in r] if m else r
 
 
 # ---------------------------------------------------------------------------
@@ -654,10 +661,7 @@ class GaloisRing:
         for c in x.coeffs:
             if c == 0:
                 continue
-            v = 0
-            while c % self.p == 0:
-                c //= self.p
-                v += 1
+            v = split_p(c, self.p)[0]
             if best is None or v < best:
                 best = v
                 if best == 0:
@@ -790,14 +794,15 @@ class PadicElt:
         return "PadicElt(p=%d, K=%d, %r)" % (self.p, self.precision, list(self.coeffs))
 
 
-def _int_vp(n: int, p: int) -> int:
+def split_p(n: int, p: int) -> tuple[int, int]:
+    """(v, m) with n = p^v m and m prime to p, for a nonzero integer n."""
     if n == 0:
         raise ValueError("valuation of zero")
     v = 0
     while n % p == 0:
         n //= p
         v += 1
-    return v
+    return v, n
 
 
 def padic_log(u: PadicElt) -> PadicElt:
@@ -836,8 +841,7 @@ def padic_log(u: PadicElt) -> PadicElt:
     xpow = ring.one()
     for m in range(1, m_max + 1):
         xpow = xpow * x
-        a = _int_vp(m, p)
-        m_unit = m // (p ** a)
+        a, m_unit = split_p(m, p)
         inv_m = pow(m_unit, -1, pK)
         sign = 1 if m % 2 == 1 else -1
         for i, c in enumerate(xpow.coeffs):

@@ -2,9 +2,10 @@
 
 Exit codes: 0 all exact checks passed (relation certificates reporting
 "none-up-to-bound" are informational); 1 an exact identity failed, a
-relation was found, a reconstruction failed, or a certified computation
-(such as the relation search) was inconclusive at the given precision and
-bound; 2 invalid configuration.
+relation was found, a reconstruction failed, a certified computation (such
+as the relation search) was inconclusive at the given precision and bound
+(a scan still prints every row, with certificate "inconclusive" for such a
+cell), or an internal check failed; 2 invalid configuration.
 Reports embed their full configuration so reruns are byte-identical.
 """
 
@@ -22,9 +23,12 @@ from typing import Optional
 from . import __version__
 from .arith import PrecisionTooLow
 from .cyclo import CycloField
+from .lattice import DependentRows
 from .splitting import NotPrime, RamifiedPrime, is_prime, split_prime
-from .weilgroup import BadCharacterIndices, build_weil_basis, jacobi_weil_number, verify_weil_basis
+from .weilgroup import (BadCharacterIndices, MinusPartViolation, NotAWeilUnit, build_weil_basis,
+                        jacobi_weil_number, verify_weil_basis)
 from .regulators import (
+    BasisMismatch,
     argument_independence_certificate,
     closure_dimension,
     find_abelian_generator,
@@ -243,7 +247,12 @@ def _scan_row_csv(row: dict) -> str:
 def _scan_cell(params) -> dict:
     n, p, precision, bound, padic_prec = params
     cfg = RunConfig(precision=precision, bound=bound, padic_prec=padic_prec)
-    rep = analyze_report(n, p, cfg)
+    try:
+        rep = analyze_report(n, p, cfg)
+    except PrecisionTooLow as exc:
+        row = dict.fromkeys(_SCAN_COLUMNS, "n/a")
+        row.update(n=n, p=p, certificate="inconclusive", ok=False, error=str(exc))
+        return row
     return _row_from_analyze(rep)
 
 
@@ -298,6 +307,9 @@ def cmd_scan(args, cfg: RunConfig) -> int:
         sys.stdout.write(_scan_header() + "\n")
         for row in rows:
             sys.stdout.write(_scan_row_csv(row) + "\n")
+    for row in rows:
+        if "error" in row:
+            sys.stderr.write("error: n=%d p=%d: %s\n" % (row["n"], row["p"], row["error"]))
     return 0 if ok else 1
 
 
@@ -401,7 +413,8 @@ def main(argv=None) -> int:
         if args.command == "appendix":
             return cmd_appendix(args, cfg)
         raise ValueError("unknown command %r" % args.command)
-    except PrecisionTooLow as exc:
+    except (PrecisionTooLow, DependentRows, BasisMismatch, NotAWeilUnit,
+            MinusPartViolation) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
     except (ValueError, NotPrime, RamifiedPrime, BadCharacterIndices) as exc:

@@ -1,10 +1,15 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-Elements are rational coefficient vectors on the power basis
+An element is an integer numerator vector on the power basis
 1, zeta, ..., zeta^(phi(n)-1), reduced modulo the n-th cyclotomic
-polynomial.  The Galois group is (Z/n)* acting by zeta -> zeta^a, and
-complex conjugation is a = -1.  Conductors n = 2m with m odd are rejected
-(same field as Q(zeta_m)), so field labels are unique.
+polynomial, over one positive integer denominator; numerator and
+denominator are coprime, so the representation is canonical.  Ring
+operations, the Galois action, norm and trace work on integers;
+``fractions.Fraction`` appears only at the edges (``coeffs``,
+``as_rational``, JSON and embeddings).  The Galois group is (Z/n)* acting
+by zeta -> zeta^a, and complex conjugation is a = -1.  Conductors n = 2m
+with m odd are rejected (same field as Q(zeta_m)), so field labels are
+unique.
 """
 
 from __future__ import annotations
@@ -13,10 +18,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .arith import BallComplex, BallReal
+from .arith import BallComplex, BallReal, _zm_rem_monic
 
 
 # ---------------------------------------------------------------------------
@@ -131,17 +136,13 @@ class CycloField:
     # -- element constructors
 
     def elt(self, coeffs: Sequence) -> "CycloElt":
-        c = [Fraction(x) for x in coeffs]
-        if len(c) > self.degree:
-            c = _q_poly_rem(c, self.poly)
-        c += [Fraction(0)] * (self.degree - len(c))
-        return CycloElt(self, tuple(c))
+        q = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in q))
+        return CycloElt._make(self, [c.numerator * (den // c.denominator) for c in q], den)
 
     def zeta(self, k: int = 1) -> "CycloElt":
         k %= self.n
-        mono = [Fraction(0)] * (k + 1)
-        mono[k] = Fraction(1)
-        return self.elt(mono)
+        return CycloElt._make(self, [0] * k + [1], 1)
 
     def one(self) -> "CycloElt":
         return self.elt([1])
@@ -150,7 +151,7 @@ class CycloField:
         return self.elt([])
 
     def from_rational(self, q) -> "CycloElt":
-        return self.elt([Fraction(q)])
+        return self.elt([q])
 
     def aut(self, a: int) -> "GaloisAut":
         return GaloisAut(self.n, a)
@@ -161,18 +162,6 @@ class CycloField:
     def torsion_order(self) -> int:
         """Order of the group of roots of unity mu(Q(zeta_n))."""
         return self.n if self.n % 2 == 0 else 2 * self.n
-
-
-def _q_poly_rem(a: list[Fraction], mod: Sequence[int]) -> list[Fraction]:
-    deg = len(mod) - 1
-    r = a[:]
-    while len(r) > deg:
-        lead = r.pop()
-        if lead:
-            shift = len(r) - deg
-            for i in range(deg):
-                r[shift + i] -= lead * mod[i]
-    return r
 
 
 @dataclass(frozen=True)
@@ -206,13 +195,31 @@ class GaloisAut:
 # Elements
 
 class CycloElt:
-    """Element of Q(zeta_n) as an exact coefficient vector of length phi(n)."""
+    """Element num / den of Q(zeta_n): num is an int tuple of length phi(n)
+    on the power basis, den > 0 and gcd(den, *num) == 1."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: CycloField, coeffs: tuple[Fraction, ...]):
+    def __init__(self, field: CycloField, num: tuple[int, ...], den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @staticmethod
+    def _make(field: CycloField, num: Sequence[int], den: int) -> "CycloElt":
+        """num / den in canonical form: reduced modulo Phi_n, padded to
+        phi(n) entries, numerator and denominator divided by their gcd."""
+        num = _zm_rem_monic(num, field.poly)
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+        return CycloElt(field, tuple(num), den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as reduced fractions (the JSON and embedding edge)."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- ring operations
 
@@ -223,14 +230,15 @@ class CycloElt:
     def __add__(self, other):
         other = self._coerce(other)
         self._check(other)
-        return CycloElt(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return CycloElt._make(self.field, [a * sa + b * sb for a, b in zip(self.num, other.num)],
+                              den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        self._check(other)
-        return CycloElt(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
@@ -239,13 +247,13 @@ class CycloElt:
         other = self._coerce(other)
         self._check(other)
         n = self.field.degree
-        out = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
+        out = [0] * (2 * n - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other.num):
                     if b:
                         out[i + j] += a * b
-        return self.field.elt(out)
+        return CycloElt._make(self.field, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -257,17 +265,17 @@ class CycloElt:
         return self._coerce(other) * self.inverse()
 
     def __neg__(self):
-        return CycloElt(self.field, tuple(-a for a in self.coeffs))
+        return CycloElt(self.field, tuple(-a for a in self.num), self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self.field.from_rational(other)
         if not isinstance(other, CycloElt):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.field == other.field and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.field.n, self.coeffs))
+        return hash((self.field.n, self.num, self.den))
 
     def _coerce(self, other) -> "CycloElt":
         if isinstance(other, CycloElt):
@@ -277,7 +285,7 @@ class CycloElt:
         raise TypeError("cannot combine CycloElt with %r" % type(other))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def __pow__(self, e: int) -> "CycloElt":
         if e < 0:
@@ -292,26 +300,20 @@ class CycloElt:
         return result
 
     def inverse(self) -> "CycloElt":
-        """Inverse modulo Phi_n via the extended Euclidean algorithm in Q[x]."""
+        """x^(-1) = adj / N(x), where adj is the product of the conjugates
+        sigma_a(x) over a != 1 in (Z/n)*, so that x adj = N(x) is rational.
+        N(x) > 0: Q(zeta_n) is a CM field, so the conjugates pair off as
+        z and its complex conjugate."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        r0 = [Fraction(c) for c in self.field.poly]
-        r1 = list(self.coeffs)
-        _q_trim(r1)
-        s0: list[Fraction] = []
-        s1: list[Fraction] = [Fraction(1)]
-        while True:
-            q, r = _q_poly_divmod(r0, r1)
-            if not r:
-                break
-            r0, r1 = r1, r
-            s0, s1 = s1, _q_poly_sub(s0, _q_poly_mul(q, s1))
-        # r1 is a nonzero constant times gcd = constant (Phi_n irreducible)
-        if len(r1) != 1:
-            raise ZeroDivisionError("element not invertible modulo Phi_n")
-        scale = r1[0]
-        inv = [c / scale for c in s1]
-        return self.field.elt(inv)
+        field = self.field
+        adj = field.one()
+        for a in field.units[1:]:
+            adj = adj * self.apply(field.aut(a))
+        nrm = self * adj
+        c = nrm.num[0]
+        assert c > 0 and not any(nrm.num[1:]), "N(x) is not a positive rational"
+        return CycloElt._make(field, [nrm.den * a for a in adj.num], c * adj.den)
 
     # -- Galois action
 
@@ -319,28 +321,21 @@ class CycloElt:
         if aut.n != self.field.n:
             raise ValueError("automorphism of a different field")
         n = self.field.n
-        out = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
+        out = [0] * n
+        for i, c in enumerate(self.num):
             if c:
                 out[(aut.a * i) % n] += c
-        return self.field.elt(out)
+        return CycloElt._make(self.field, out, self.den)
 
     def conj(self) -> "CycloElt":
         return self.apply(self.field.conjugation())
 
-    # -- rational-ness and integrality
+    # -- rational-ness
 
     def as_rational(self) -> Fraction:
-        if any(c != 0 for c in self.coeffs[1:]):
+        if any(self.num[1:]):
             raise ValueError("element is not rational")
-        return self.coeffs[0]
-
-    def denominator(self) -> int:
-        """lcm of coefficient denominators; 1 iff integral (Z[zeta] is maximal)."""
-        d = 1
-        for c in self.coeffs:
-            d = d * c.denominator // gcd(d, c.denominator)
-        return d
+        return Fraction(self.num[0], self.den)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -366,52 +361,13 @@ class CycloElt:
         return "CycloElt(n=%d: %s)" % (self.field.n, " + ".join(terms) or "0")
 
 
-def _q_trim(a: list[Fraction]) -> list[Fraction]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _q_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _q_trim(out)
-
-
-def _q_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = list(a) + [Fraction(0)] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _q_trim(out)
-
-
-def _q_poly_divmod(a: list[Fraction], b: list[Fraction]):
-    if not b:
-        raise ZeroDivisionError
-    r = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(r) >= len(b) and r:
-        coef = r[-1] / b[-1]
-        deg = len(r) - len(b)
-        q[deg] = coef
-        for i, cb in enumerate(b):
-            r[deg + i] -= coef * cb
-        _q_trim(r)
-    return _q_trim(q), r
-
-
 # ---------------------------------------------------------------------------
 # Module-level operations
 
 def norm(x: CycloElt) -> Fraction:
     """The norm N(x), the product of all phi(n) conjugates of x, exactly.
 
-    With d the common denominator of x and a = d x in Z[zeta], N(x) is
+    With x = a / d (a = x.num in Z[zeta], d = x.den), N(x) is
     N(a) / d^phi(n), and N(a) = Res(Phi_n, a) is an integer.  Modulo a
     prime l = 1 (mod n), Phi_n splits as the product of (t - w^k) over k in
     (Z/n)*, where w has order n mod l, so N(a) = prod_k a(w^k) (mod l).
@@ -421,8 +377,7 @@ def norm(x: CycloElt) -> Fraction:
     The result is therefore exact for every input, with no rounding and no
     rational arithmetic before the final quotient.
     """
-    d = x.denominator()
-    a = [c.numerator * (d // c.denominator) for c in x.coeffs]
+    d, a = x.den, x.num
     deg = x.field.degree
     target = 2 * sum(abs(c) for c in a) ** deg
     if target == 0:
@@ -489,10 +444,7 @@ def _is_prime_mr(m: int) -> bool:
 
 
 def trace(x: CycloElt) -> Fraction:
-    return sum(
-        (c * ramanujan_sum(x.field.n, i) for i, c in enumerate(x.coeffs)),
-        Fraction(0),
-    )
+    return Fraction(sum(c * ramanujan_sum(x.field.n, i) for i, c in enumerate(x.num)), x.den)
 
 
 def embed(x: CycloElt, place: int, precision: int = 64) -> BallComplex:

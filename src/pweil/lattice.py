@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from .arith import BallReal, PrecisionTooLow
 
 
-class DependentRows(ValueError):
+class DependentRows(Exception):
     """Input rows are linearly dependent; the reported rank is attached."""
 
     def __init__(self, rank: int):

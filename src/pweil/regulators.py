@@ -34,6 +34,7 @@ from .arith import (
     ball_det,
     padic_log,
     rational_reconstruct,
+    split_p,
 )
 from .cyclo import CycloElt, GaloisAut, cyclotomic_polynomial, embed, is_root_of_unity
 from .lattice import RelationCertificate, find_simultaneous_relation, kernel_basis_int, rank_q
@@ -41,7 +42,7 @@ from .splitting import SplitData, hensel_lift_factor, ord_at
 from .weilgroup import WeilBasis, alpha_p_map
 
 
-class BasisMismatch(ValueError):
+class BasisMismatch(Exception):
     """The supplied automorphism does not turn the basis into a group orbit."""
 
 
@@ -349,20 +350,15 @@ def gross_row(x: CycloElt, split: SplitData, K: int = 50) -> list[PadicElt]:
     p = split.p
     f = split.f
     n = split.field.n
+    v_den, den = split_p(x.den, p)
     entries = []
     for pr in split.primes:
-        den = x.denominator()
-        num_coeffs = [int(c * den) for c in x.coeffs]
-        v_den = 0
-        while den % p == 0:
-            den //= p
-            v_den += 1
-        ord_num = ord_at(pr, x) + v_den  # valuation of the cleared numerator
+        ord_num = ord_at(pr, x) + v_den  # valuation of the numerator x.num
         K_big = K + f * ord_num
         ring = GaloisRing(p, K_big, f,
                           hensel_lift_factor(cyclotomic_polynomial(n), pr.h_bar, p, K_big)) \
             if K_big != pr.K else pr.ring
-        image = ring.from_int_poly(num_coeffs)
+        image = ring.from_int_poly(x.num)
         nrm = ring.norm(image)
         assert nrm % (p ** (f * ord_num)) == 0, "norm valuation mismatch"
         unit_num = nrm // (p ** (f * ord_num))
@@ -387,7 +383,7 @@ def gross_matrix(basis: WeilBasis, split: SplitData, K: int = 50) -> GrossMatrix
         total = 0
         for e in row:
             total = (total + e.coeffs[0]) % (split.p ** out_prec)
-        v = _int_valuation(total, split.p, out_prec)
+        v = split_p(total, split.p)[0] if total else out_prec
         min_val = min(min_val, v)
 
     rank = _padic_rank([[int(e.coeffs[0]) for e in row] for row in norm_rows],
@@ -402,16 +398,6 @@ def gross_matrix(basis: WeilBasis, split: SplitData, K: int = 50) -> GrossMatrix
     )
 
 
-def _int_valuation(c: int, p: int, cap: int) -> int:
-    if c == 0:
-        return cap
-    v = 0
-    while c % p == 0 and v < cap:
-        c //= p
-        v += 1
-    return v
-
-
 def _padic_rank(rows: list[list[int]], p: int, prec: int) -> int:
     """Rank over Q_p at finite precision: pivot on minimal valuation."""
     a = [row[:] for row in rows]
@@ -423,9 +409,11 @@ def _padic_rank(rows: list[list[int]], p: int, prec: int) -> int:
         best = None
         for i in live_rows:
             for j in live_cols:
-                v = _int_valuation(a[i][j] % (p ** prec_left), p, prec_left)
-                if v < prec_left and (best is None or v < best[0]):
-                    best = (v, i, j)
+                c = a[i][j] % (p ** prec_left)
+                if c:  # then v_p(c) < prec_left
+                    v = split_p(c, p)[0]
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
         if best is None:
             break
         v, pi, pj = best
@@ -437,7 +425,7 @@ def _padic_rank(rows: list[list[int]], p: int, prec: int) -> int:
             if i == pi:
                 continue
             c = a[i][pj] % mod
-            assert c % (p ** v) == 0 or _int_valuation(c, p, prec_left) >= v
+            assert c % (p ** v) == 0
             factor = ((c // (p ** v)) * inv_unit) % (p ** (prec_left - v))
             if factor:
                 for j in live_cols:
@@ -584,11 +572,7 @@ def weil_angle_identity(lam: CycloElt, split: SplitData, basis: WeilBasis,
     t_rat = t.as_rational()
     if t_rat.denominator != 1 or t_rat <= 0:
         raise ValueError("lambda lambda^c = %s is not a positive integer power of p" % t_rat)
-    w = 0
-    t_int = t_rat.numerator
-    while t_int % p == 0:
-        t_int //= p
-        w += 1
+    w, t_int = split_p(t_rat.numerator, p)
     if t_int != 1:
         raise ValueError("lambda lambda^c is not a power of p: residue %d" % t_int)
 

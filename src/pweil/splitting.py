@@ -19,7 +19,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .arith import (GaloisRing, _zm_rem_monic, fp_add, fp_divmod, fp_gcd, fp_mul, fp_pow_mod,
-                    fp_sub, fp_trim, fp_xgcd)
+                    fp_sub, fp_trim, fp_xgcd, split_p)
 from .cyclo import CycloElt, CycloField, GaloisAut, cyclotomic_polynomial
 
 
@@ -309,12 +309,12 @@ def ord_at(prime: PrimeAbove, x: CycloElt, max_precision: int = 6400) -> int:
     if x.is_zero():
         raise ZeroDivisionError("valuation of zero")
     p = prime.p
-    num_coeffs, v_den = _split_denominator(x, p)
+    v_den = split_p(x.den, p)[0]
     K = prime.K
     h = prime.h_lifted
     while True:
         ring = GaloisRing(p, K, prime.f, h)
-        image = ring.from_int_poly(num_coeffs)
+        image = ring.from_int_poly(x.num)
         v = image.valuation()
         if v is not None:
             return v - v_den
@@ -324,17 +324,6 @@ def ord_at(prime: PrimeAbove, x: CycloElt, max_precision: int = 6400) -> int:
                 "valuation exceeds precision cap %d at %r" % (max_precision, prime)
             )
         h = hensel_lift_factor(cyclotomic_polynomial(prime.field.n), prime.h_bar, p, K)
-
-
-def _split_denominator(x: CycloElt, p: int) -> tuple[list[int], int]:
-    """(numerator coefficients, p-valuation of the denominator)."""
-    den = x.denominator()
-    num_coeffs = [c.numerator * (den // c.denominator) for c in x.coeffs]
-    v_den = 0
-    while den % p == 0:
-        den //= p
-        v_den += 1
-    return num_coeffs, v_den
 
 
 def act_on_prime(aut: GaloisAut, prime: PrimeAbove) -> PrimeAbove:

@@ -13,20 +13,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Optional
 
+from .arith import split_p
 from .cyclo import CycloElt, CycloField, is_root_of_unity, norm, ramanujan_sum
 from .lattice import BoundTooLarge, row_hnf, short_vectors
 from .splitting import PrimeAbove, SplitData, is_prime, ord_at
 
 
-class NotAWeilUnit(ValueError):
+class NotAWeilUnit(Exception):
     """The element does not lie in E_p(k)."""
 
 
-class MinusPartViolation(ValueError):
+class MinusPartViolation(Exception):
     """Divisor vector is not in the -1 eigenspace of conjugation."""
 
 
@@ -41,19 +41,13 @@ class BadCharacterIndices(ValueError):
 # ---------------------------------------------------------------------------
 # Membership
 
-def _strip_prime(n: int, p: int) -> int:
-    while n % p == 0:
-        n //= p
-    return n
-
-
 def is_weil_unit(x: CycloElt, p: int) -> bool:
     """True iff x lies in E_p(k): all absolute values away from p are 1.
 
     In a CM field the archimedean conditions are equivalent to the exact
     identity x x^c = 1.  The finite conditions hold iff both x and 1/x are
     integral away from p; since Z[zeta_n] is the maximal order, that is the
-    statement that all coefficient denominators are powers of p.  Once
+    statement that the denominator x.den is a power of p.  Once
     x x^c = 1 holds, 1/x = x^c.  Complex conjugation maps Z[zeta_n] onto
     itself, so d x^c is integral iff d x is; as the power basis is a Z-basis
     of Z[zeta_n], x^c has the same denominator as x and checking x suffices.
@@ -62,7 +56,7 @@ def is_weil_unit(x: CycloElt, p: int) -> bool:
         raise ZeroDivisionError("membership of zero")
     if x * x.conj() != x.field.one():
         return False
-    return _strip_prime(x.denominator(), p) == 1
+    return split_p(x.den, p)[1] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +146,8 @@ def ideal_basis(prime: PrimeAbove, power: int = 1) -> list[list[int]]:
 
 
 def _int_coeffs(x: CycloElt) -> list[int]:
-    out = []
-    for c in x.coeffs:
-        assert c.denominator == 1
-        out.append(c.numerator)
-    return out
+    assert x.den == 1
+    return list(x.num)
 
 
 def trace_gram(field: CycloField) -> list[list[int]]:
@@ -221,9 +212,8 @@ def find_generator(prime: PrimeAbove, power: int,
 
 
 def _generator_key(x: CycloElt):
-    coeffs = [c.numerator for c in x.coeffs]
-    rev_abs = tuple(abs(c) for c in reversed(coeffs))
-    return (rev_abs, tuple(reversed(coeffs)))
+    rev = tuple(reversed(x.num))
+    return (tuple(abs(c) for c in rev), rev)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +296,7 @@ def build_weil_basis(split: SplitData, h_cap: int = 12,
     p = split.p
     for idx in split.T:
         elt = x[idx]
-        assert abs(norm(elt)) == Fraction(p) ** M, "generator norm != p^M"
+        assert abs(norm(elt)) == p ** M, "generator norm != p^M"
         for pr in split.primes:
             expected = M // f if pr.index == idx else 0
             assert ord_at(pr, elt) == expected, "generator valuation profile broken"

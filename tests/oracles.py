@@ -2,7 +2,9 @@
 
 ``fraction_lll`` and ``fraction_gs_norms`` are the rational-arithmetic LLL
 and Gram-Schmidt routines that ``pweil.lattice`` used before it moved to
-integral (fraction-free) LLL; they stay here as the differential oracle.
+integral (fraction-free) LLL; the ``fraction_*`` element functions are the
+rational arithmetic of Q(zeta_n) that ``pweil.cyclo`` used before it moved
+to integer numerators.  They stay here as the differential oracles.
 """
 
 import math
@@ -102,3 +104,132 @@ def fraction_gs_norms(rows, gram=None):
             mu[i][j] = s / B[j]
         B[i] = Fraction(_dot(b[i], b[i], gram)) - sum(mu[i][j] ** 2 * B[j] for j in range(i))
     return B
+
+
+# ---------------------------------------------------------------------------
+# The Fraction arithmetic of Q(zeta_n) that ``pweil.cyclo.CycloElt`` used
+# before it stored one integer numerator over one denominator.  Elements are
+# tuples of phi(n) Fractions on the power basis; ``fraction_mul`` and
+# ``fraction_inverse`` (extended Euclid in Q[x]) are the former method bodies.
+
+def fraction_elt(field, coeffs):
+    c = [Fraction(x) for x in coeffs]
+    if len(c) > field.degree:
+        c = _q_poly_rem(c, field.poly)
+    c += [Fraction(0)] * (field.degree - len(c))
+    return tuple(c)
+
+
+def fraction_add(field, a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def fraction_sub(field, a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def fraction_mul(field, a, b):
+    n = field.degree
+    out = [Fraction(0)] * (2 * n - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return fraction_elt(field, out)
+
+
+def fraction_inverse(field, a):
+    """Inverse modulo Phi_n via the extended Euclidean algorithm in Q[x]."""
+    if all(c == 0 for c in a):
+        raise ZeroDivisionError("inverse of zero")
+    r0 = [Fraction(c) for c in field.poly]
+    r1 = list(a)
+    _q_trim(r1)
+    s0 = []
+    s1 = [Fraction(1)]
+    while True:
+        q, r = _q_poly_divmod(r0, r1)
+        if not r:
+            break
+        r0, r1 = r1, r
+        s0, s1 = s1, _q_poly_sub(s0, _q_poly_mul(q, s1))
+    # r1 is a nonzero constant times gcd = constant (Phi_n irreducible)
+    if len(r1) != 1:
+        raise ZeroDivisionError("element not invertible modulo Phi_n")
+    scale = r1[0]
+    inv = [c / scale for c in s1]
+    return fraction_elt(field, inv)
+
+
+def fraction_apply(field, a, aut_a):
+    n = field.n
+    out = [Fraction(0)] * n
+    for i, c in enumerate(a):
+        if c:
+            out[(aut_a * i) % n] += c
+    return fraction_elt(field, out)
+
+
+def fraction_pow(field, a, e):
+    if e < 0:
+        return fraction_pow(field, fraction_inverse(field, a), -e)
+    result = fraction_elt(field, [1])
+    base = a
+    while e:
+        if e & 1:
+            result = fraction_mul(field, result, base)
+        base = fraction_mul(field, base, base)
+        e >>= 1
+    return result
+
+
+def _q_poly_rem(a, mod):
+    deg = len(mod) - 1
+    r = a[:]
+    while len(r) > deg:
+        lead = r.pop()
+        if lead:
+            shift = len(r) - deg
+            for i in range(deg):
+                r[shift + i] -= lead * mod[i]
+    return r
+
+
+def _q_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _q_poly_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return _q_trim(out)
+
+
+def _q_poly_sub(a, b):
+    out = list(a) + [Fraction(0)] * max(0, len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _q_trim(out)
+
+
+def _q_poly_divmod(a, b):
+    if not b:
+        raise ZeroDivisionError
+    r = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(r) >= len(b) and r:
+        coef = r[-1] / b[-1]
+        deg = len(r) - len(b)
+        q[deg] = coef
+        for i, cb in enumerate(b):
+            r[deg + i] -= coef * cb
+        _q_trim(r)
+    return _q_trim(q), r

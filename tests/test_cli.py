@@ -1,6 +1,12 @@
 import json
 
+import pytest
+
+import pweil.cli
 from pweil.cli import main
+from pweil.lattice import DependentRows
+from pweil.regulators import BasisMismatch
+from pweil.weilgroup import MinusPartViolation, NotAWeilUnit
 
 
 def run_cli(capsys, *argv):
@@ -163,13 +169,43 @@ def test_workers_flag(capsys, tmp_path):
 
 
 def test_inconclusive_relation_search_is_one_error_line(capsys, tmp_path):
-    # 64 bits cannot decide a bound of 10^9: exit 1 with a message, no traceback
+    # 64 bits cannot decide a bound of 10^9: exit 1 with a message, no
+    # traceback; a scan still prints every row and marks the undecided cell
+    scan_cached = ["scan", "--n-range", "5", "--p-max", "11", "--workers", "2",
+                   "--cache-dir", str(tmp_path)]
     for argv in (["analyze", "--n", "13", "--p", "79"],
                  ["scan", "--n-range", "5", "--p-max", "11"],
-                 ["scan", "--n-range", "5", "--p-max", "11", "--workers", "2",
-                  "--cache-dir", str(tmp_path)]):
+                 scan_cached, scan_cached):
         code, out, err = run_cli(capsys, *argv, "--precision", "64", "--bound", "1000000000")
         assert code == 1
-        assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "inconclusive" in err
+        if argv[0] == "analyze":
+            assert out == ""
+            continue
+        assert err.startswith("error: n=5 p=11: ")
+        lines = out.strip().split("\n")
+        rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+        # cells 2, 3 and 7 have S empty and finish; cell 11 is undecided
+        assert [(r["p"], r["S_size"], r["certificate"]) for r in rows] == [
+            ("2", "0", "n/a"), ("3", "0", "n/a"), ("7", "0", "n/a"),
+            ("11", "n/a", "inconclusive")]
+        assert all(v == "n/a" for k, v in rows[3].items() if k not in ("n", "p", "certificate"))
+
+
+@pytest.mark.parametrize("exc", [
+    NotAWeilUnit("alpha is only defined on E_p(k)"),
+    MinusPartViolation("pi_M is only defined on the minus part"),
+    BasisMismatch("conjugates do not span E_p(k) x Q"),
+    DependentRows(3),
+])
+def test_internal_failure_exits_1_not_2(capsys, monkeypatch, exc):
+    # an internal failure is not "invalid configuration" (exit 2)
+    def broken(split):
+        raise exc
+
+    monkeypatch.setattr(pweil.cli, "build_weil_basis", broken)
+    code, out, err = run_cli(capsys, "analyze", "--n", "5", "--p", "11")
+    assert code == 1
+    assert out == ""
+    assert err == "error: %s\n" % exc

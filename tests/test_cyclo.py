@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
@@ -15,6 +17,14 @@ from pweil.cyclo import (
     norm,
     ramanujan_sum,
     trace,
+)
+from oracles import (
+    fraction_add,
+    fraction_apply,
+    fraction_inverse,
+    fraction_mul,
+    fraction_pow,
+    fraction_sub,
 )
 
 
@@ -248,3 +258,67 @@ def test_trace_and_ramanujan(k5):
 def test_json_roundtrip(k5):
     x = k5.elt([Fraction(1, 3), Fraction(-2), 0, Fraction(7, 11)])
     assert CycloElt.from_json(x.to_json()) == x
+
+
+def _assert_canonical(x):
+    assert len(x.num) == x.field.degree and all(type(c) is int for c in x.num)
+    assert type(x.den) is int and x.den > 0
+    assert gcd(x.den, *x.num) == 1
+
+
+def test_integer_arithmetic_matches_fraction_oracle():
+    # denominators: integral, powers of a prime p not dividing n (as in
+    # x_P^c / x_P), and products of other primes
+    rng = random.Random(29)
+    for n in GRID_CONDUCTORS:
+        field = CycloField(n)
+        deg = field.degree
+        p = next(q for q in (3, 7, 11) if n % q)
+        dens = {"integral": (1,), "p-power": (1, p, p ** 2, p ** 5),
+                "non-p": (1, 2, 10, 2 * 5 * 13, 2 ** 3 * 17)}
+
+        def sample(kind):
+            while True:
+                x = field.elt([Fraction(rng.randint(-40, 40), rng.choice(dens[kind]))
+                               for _ in range(deg)])
+                if not x.is_zero():
+                    return x
+
+        kinds = list(dens)
+        for trial in range(6):
+            x, y = sample(kinds[trial % 3]), sample(kinds[(trial + 1) % 3])
+            for z in (x, y):
+                _assert_canonical(z)
+                assert all(isinstance(c, Fraction) for c in z.coeffs)
+                assert field.elt(z.coeffs) == z and hash(field.elt(z.coeffs)) == hash(z)
+            a, b = x.coeffs, y.coeffs
+            cases = [
+                (x + y, fraction_add(field, a, b)),
+                (x - y, fraction_sub(field, a, b)),
+                (x * y, fraction_mul(field, a, b)),
+                (x.inverse(), fraction_inverse(field, a)),
+                (y / x, fraction_mul(field, b, fraction_inverse(field, a))),
+                (x ** -2, fraction_pow(field, a, -2)),
+            ]
+            aut = rng.choice(field.units)
+            cases.append((x.apply(field.aut(aut)), fraction_apply(field, a, aut)))
+            for got, want in cases:
+                _assert_canonical(got)
+                assert got.coeffs == want
+                # equality and hashing depend only on the element: zeta^n = 1
+                same = field.elt(list(want) + [0] * (n - deg) + [Fraction(1, 3)])
+                same = same - Fraction(1, 3)
+                assert same == got and hash(same) == hash(got)
+                assert got.to_json() == json.dumps(
+                    {"n": n, "coeffs": [str(c) for c in want]})
+                assert CycloElt.from_json(got.to_json()) == got
+            assert x * x.inverse() == field.one()
+            assert x != x + 1 and x == x + 0
+
+
+def test_from_rational_and_trace_use_the_denominator(k5):
+    q = k5.from_rational(Fraction(-6, 4))
+    assert (q.num, q.den) == ((-3, 0, 0, 0), 2)
+    assert q.as_rational() == Fraction(-3, 2)
+    assert trace(k5.elt([Fraction(1, 2), Fraction(1, 3), 0, 0])) == Fraction(2) - Fraction(1, 3)
+    assert k5.zero().num == (0,) * 4 and k5.zero().den == 1

@@ -159,7 +159,7 @@ def test_membership_characterization(k5, split_5_11):
         assert is_weil_unit(elt, 11) is expected
         if expected:
             # both characterizations agree: norm of numerator is a p-power
-            den = elt.denominator()
+            den = elt.den
             num = elt * den
             nm = abs(norm(num))
             q = Fraction(nm)

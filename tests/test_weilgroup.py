@@ -1,8 +1,11 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pweil.arith import split_p
 from pweil.cyclo import CycloField, embed, is_root_of_unity, norm
 from pweil.splitting import ord_at, split_prime
 from pweil.weilgroup import (
@@ -22,10 +25,9 @@ from pweil.weilgroup import (
     verify_weil_basis,
     _generator_key,
     _iroot_ceil,
-    _strip_prime,
 )
 from pweil.lattice import short_vectors
-from oracles import bareiss_det
+from oracles import bareiss_det, fraction_elt, fraction_mul, fraction_pow
 from test_cyclo import norm_by_conjugates
 
 
@@ -54,9 +56,9 @@ def _is_weil_unit_checking_inverse(x, p):
     """The membership test with its former redundant check of 1/x."""
     if x * x.conj() != x.field.one():
         return False
-    if _strip_prime(x.denominator(), p) != 1:
+    if split_p(x.den, p)[1] != 1:
         return False
-    return _strip_prime(x.inverse().denominator(), p) == 1
+    return split_p(x.inverse().den, p)[1] == 1
 
 
 @pytest.mark.parametrize("which", ["5_11", "8_5"])
@@ -133,7 +135,7 @@ def test_generator_ambiguity_is_a_unit(k5, split_5_11):
     assert abs(norm(ratio)) == 1
     for pr in split_5_11.primes:
         assert ord_at(pr, ratio) == 0
-    assert ratio.denominator() == 1
+    assert ratio.den == 1
 
 
 def _generator_by_valuations(prime, power, max_doublings=6):
@@ -355,3 +357,42 @@ def test_grid_sample_invariants():
             vec = alpha_p_map(xi, sp)
             nonzero = [c for c in vec.coeffs if c]
             assert sorted(nonzero) == [-basis.M, basis.M]
+
+
+# ---------------------------------------------------------------------------
+# property test: alpha o pi and pi o alpha on random products of the xi_P
+
+@functools.lru_cache(maxsize=None)
+def _cell_basis(n, p):
+    return build_weil_basis(split_prime(CycloField(n), p))
+
+
+@pytest.mark.parametrize("n, p", [(5, 11), (13, 79), (20, 41)])
+@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_alpha_pi_identities_on_random_weil_units(n, p, data):
+    basis = _cell_basis(n, p)
+    split, field, M = basis.split, basis.split.field, basis.M
+    k = data.draw(st.integers(0, n - 1), label="k")
+    sign = data.draw(st.sampled_from((1, -1)), label="sign")
+    exps = data.draw(st.lists(st.integers(-3, 3), min_size=len(split.S),
+                              max_size=len(split.S)), label="exponents")
+
+    x = field.zeta(k) * sign
+    want = fraction_elt(field, x.coeffs)
+    nu = DivisorVec(split, (0,) * split.g)
+    for idx, vec, e in zip(split.S, minus_basis(split), exps):
+        x = x * basis.xi[idx] ** e
+        want = fraction_mul(field, want, fraction_pow(field, basis.xi[idx].coeffs, e))
+        nu = nu + e * vec
+    # the integer path and the Fraction oracle agree
+    assert x.coeffs == want
+
+    # alpha(pi(nu)) = -M nu, and pi(nu) is this product without the torsion
+    img = alpha_p_map(pi_m_map(nu, basis), split)
+    assert img.coeffs == (-M * nu).coeffs
+    assert alpha_p_map(x, split).coeffs == img.coeffs
+
+    # x^M pi(alpha(x)) is torsion
+    y = (x ** M) * pi_m_map(alpha_p_map(x, split), basis)
+    assert is_root_of_unity(y) is not None
