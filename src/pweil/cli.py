@@ -5,7 +5,9 @@ Exit codes: 0 all exact checks passed (relation certificates reporting
 relation was found, a reconstruction failed, a certified computation (such
 as the relation search) was inconclusive at the given precision and bound
 (a scan still prints every row, with certificate "inconclusive" for such a
-cell), or an internal check failed; 2 invalid configuration.
+cell, and "error" for a cell that raised), or an internal check failed;
+2 invalid configuration (``ConfigError``, a composite or ramified p, bad
+character indices).
 Reports embed their full configuration so reruns are byte-identical.
 """
 
@@ -41,6 +43,10 @@ SCAN_N_CAP = 20
 SCAN_P_CAP = 1000
 
 
+class ConfigError(ValueError):
+    """Invalid configuration: a bad option, conductor or range (exit 2)."""
+
+
 @dataclass
 class RunConfig:
     precision: int = 256
@@ -52,20 +58,20 @@ class RunConfig:
 
     def validate(self):
         if self.precision < 64:
-            raise ValueError("precision must be >= 64 bits")
+            raise ConfigError("precision must be >= 64 bits")
         if self.bound < 1:
-            raise ValueError("bound must be >= 1")
+            raise ConfigError("bound must be >= 1")
         if self.padic_prec < 5:
-            raise ValueError("padic precision must be >= 5")
+            raise ConfigError("padic precision must be >= 5")
         if self.fmt not in ("json", "csv", "text"):
-            raise ValueError("format must be json, csv or text")
+            raise ConfigError("format must be json, csv or text")
 
 
 def _validate_pair(n: int, p: int):
     if n < 3:
-        raise ValueError("conductor must be >= 3")
+        raise ConfigError("conductor must be >= 3")
     if n % 4 == 2:
-        raise ValueError("conductor %d = 2 mod 4: use conductor %d" % (n, n // 2))
+        raise ConfigError("conductor %d = 2 mod 4: use conductor %d" % (n, n // 2))
     if not is_prime(p):
         raise NotPrime("%d is not prime" % p)
     if n % p == 0:
@@ -249,9 +255,14 @@ def _scan_cell(params) -> dict:
     cfg = RunConfig(precision=precision, bound=bound, padic_prec=padic_prec)
     try:
         rep = analyze_report(n, p, cfg)
-    except PrecisionTooLow as exc:
+    except Exception as exc:
+        # one failing cell must not end the scan: it becomes a row
+        if isinstance(exc, PrecisionTooLow):
+            status, msg = "inconclusive", str(exc)
+        else:
+            status, msg = "error", "%s: %s" % (type(exc).__name__, exc)
         row = dict.fromkeys(_SCAN_COLUMNS, "n/a")
-        row.update(n=n, p=p, certificate="inconclusive", ok=False, error=str(exc))
+        row.update(n=n, p=p, certificate=status, ok=False, error=msg)
         return row
     return _row_from_analyze(rep)
 
@@ -260,14 +271,14 @@ def cmd_scan(args, cfg: RunConfig) -> int:
     try:
         n_list = sorted(set(int(x) for x in args.n_range.split(",")))
     except ValueError:
-        raise ValueError("--n-range must be a comma-separated list of conductors")
+        raise ConfigError("--n-range must be a comma-separated list of conductors")
     if any(n > SCAN_N_CAP for n in n_list):
-        raise ValueError("scan cap exceeded: conductors must be <= %d" % SCAN_N_CAP)
+        raise ConfigError("scan cap exceeded: conductors must be <= %d" % SCAN_N_CAP)
     if args.p_max >= SCAN_P_CAP:
-        raise ValueError("scan cap exceeded: p-max must be < %d" % SCAN_P_CAP)
+        raise ConfigError("scan cap exceeded: p-max must be < %d" % SCAN_P_CAP)
     for n in n_list:
         if n < 3 or n % 4 == 2:
-            raise ValueError("invalid conductor %d in range" % n)
+            raise ConfigError("invalid conductor %d in range" % n)
 
     cells = []
     for n in n_list:
@@ -295,7 +306,8 @@ def cmd_scan(args, cfg: RunConfig) -> int:
         else:
             fresh = [_scan_cell(c) for c, _ in pending]
         for (cell, key), row in zip(pending, fresh):
-            _cache_put(cfg.cache_dir, key, row)
+            if row["certificate"] != "error":  # an error row is retried on rerun
+                _cache_put(cfg.cache_dir, key, row)
             rows.append(row)
 
     rows.sort(key=lambda r: (r["n"], r["p"]))
@@ -319,7 +331,7 @@ def cmd_scan(args, cfg: RunConfig) -> int:
 def cmd_appendix(args, cfg: RunConfig) -> int:
     _validate_pair(args.n, args.p)
     if (args.p - 1) % args.n != 0:
-        raise ValueError("need p = 1 mod n to build character sums (p=%d, n=%d)"
+        raise ConfigError("need p = 1 mod n to build character sums (p=%d, n=%d)"
                          % (args.p, args.n))
     a, b = args.chars
     field = CycloField(args.n)
@@ -412,14 +424,14 @@ def main(argv=None) -> int:
             return cmd_scan(args, cfg)
         if args.command == "appendix":
             return cmd_appendix(args, cfg)
-        raise ValueError("unknown command %r" % args.command)
-    except (PrecisionTooLow, DependentRows, BasisMismatch, NotAWeilUnit,
-            MinusPartViolation) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 1
-    except (ValueError, NotPrime, RamifiedPrime, BadCharacterIndices) as exc:
+        raise ConfigError("unknown command %r" % args.command)
+    except (ConfigError, NotPrime, RamifiedPrime, BadCharacterIndices) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    except (PrecisionTooLow, DependentRows, BasisMismatch, NotAWeilUnit,
+            MinusPartViolation, ValueError) as exc:
+        sys.stderr.write("error: %s\n" % exc)
+        return 1
 
 
 if __name__ == "__main__":

@@ -6,10 +6,11 @@ polynomial, over one positive integer denominator; numerator and
 denominator are coprime, so the representation is canonical.  Ring
 operations, the Galois action, norm and trace work on integers;
 ``fractions.Fraction`` appears only at the edges (``coeffs``,
-``as_rational``, JSON and embeddings).  The Galois group is (Z/n)* acting
-by zeta -> zeta^a, and complex conjugation is a = -1.  Conductors n = 2m
-with m odd are rejected (same field as Q(zeta_m)), so field labels are
-unique.
+``as_rational``, JSON and embeddings).  Embeddings read cos and sin of
+2 pi k / n from a table kept per (n, k, working precision).  The Galois
+group is (Z/n)* acting by zeta -> zeta^a, and complex conjugation is
+a = -1.  Conductors n = 2m with m odd are rejected (same field as
+Q(zeta_m)), so field labels are unique.
 """
 
 from __future__ import annotations
@@ -453,7 +454,6 @@ def embed(x: CycloElt, place: int, precision: int = 64) -> BallComplex:
         raise ValueError("precision must be >= 16 bits")
     n = x.field.n
     wp = precision + 16
-    two_pi = BallReal.pi(wp) * 2
     re = BallReal.zero(wp)
     im = BallReal.zero(wp)
     for i, c in enumerate(x.coeffs):
@@ -463,10 +463,17 @@ def embed(x: CycloElt, place: int, precision: int = 64) -> BallComplex:
         if k == 0:
             re = re + BallReal.from_fraction(c, wp)
             continue
-        theta = two_pi * Fraction(k, n)
-        re = re + theta.cos() * Fraction(c)
-        im = im + theta.sin() * Fraction(c)
+        cos, sin = _cos_sin(n, k, wp)
+        re = re + cos * c
+        im = im + sin * c
     return BallComplex(re, im)
+
+
+@lru_cache(maxsize=None)
+def _cos_sin(n: int, k: int, wp: int) -> tuple[BallReal, BallReal]:
+    """Enclosures of cos and sin of 2 pi k / n at working precision wp."""
+    theta = BallReal.pi(wp) * 2 * Fraction(k, n)
+    return theta.cos(), theta.sin()
 
 
 def is_root_of_unity(x: CycloElt) -> Optional[int]:

@@ -36,9 +36,9 @@ from .arith import (
     rational_reconstruct,
     split_p,
 )
-from .cyclo import CycloElt, GaloisAut, cyclotomic_polynomial, embed, is_root_of_unity
+from .cyclo import CycloElt, GaloisAut, embed, is_root_of_unity
 from .lattice import RelationCertificate, find_simultaneous_relation, kernel_basis_int, rank_q
-from .splitting import SplitData, hensel_lift_factor, ord_at
+from .splitting import SplitData, ord_at
 from .weilgroup import WeilBasis, alpha_p_map
 
 
@@ -346,22 +346,21 @@ class GrossMatrix:
 
 
 def gross_row(x: CycloElt, split: SplitData, K: int = 50) -> list[PadicElt]:
-    """log_p of the modified absolute values of x at every prime above p."""
+    """log_p of the modified absolute values of x at every prime above p.
+
+    At P, x.num = p^ord_num u with u a local unit, known mod p^K from the
+    image at precision K + ord_num; the norm of u is taken at precision K.
+    """
     p = split.p
     f = split.f
-    n = split.field.n
     v_den, den = split_p(x.den, p)
     entries = []
     for pr in split.primes:
         ord_num = ord_at(pr, x) + v_den  # valuation of the numerator x.num
-        K_big = K + f * ord_num
-        ring = GaloisRing(p, K_big, f,
-                          hensel_lift_factor(cyclotomic_polynomial(n), pr.h_bar, p, K_big)) \
-            if K_big != pr.K else pr.ring
-        image = ring.from_int_poly(x.num)
-        nrm = ring.norm(image)
-        assert nrm % (p ** (f * ord_num)) == 0, "norm valuation mismatch"
-        unit_num = nrm // (p ** (f * ord_num))
+        image = pr.ring_at(K + ord_num).from_int_poly(x.num)
+        assert image.valuation() == ord_num, "valuation mismatch"
+        ring = pr.ring_at(K)
+        unit_num = ring.norm(ring.elt([c // p ** ord_num for c in image.coeffs]))
         qp = GaloisRing.qp(p, K)
         u = qp.from_int(unit_num) * qp.inverse(qp.from_int(pow(den, f)))
         entries.append(padic_log(u))

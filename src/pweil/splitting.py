@@ -3,7 +3,8 @@
 A prime above p is represented by a monic degree-f factor of Phi_n lifted
 to precision p^K (Hensel), together with its Frobenius coset in (Z/n)*.
 Valuations reduce to p-adic valuations of images in the Galois ring
-(Z/p^K)[t]/(h), so no general ideal factorization is ever needed.
+(Z/p^K)[t]/(h), so no general ideal factorization is ever needed.  A prime
+keeps one such ring per precision (``ring_at``), so no digit is lifted twice.
 
 Labelling is canonical: for f = 1 primes are sorted by the image root of
 zeta in [0, p), otherwise by the coefficient tuple of the factor mod p.
@@ -104,8 +105,10 @@ def _equal_degree_factor(poly: list[int], f: int, p: int, rng: random.Random) ->
 # ---------------------------------------------------------------------------
 # Hensel lifting: refine h | Phi_n from mod p to mod p^K
 
-def hensel_lift_factor(full: Sequence[int], h_bar: Sequence[int], p: int, K: int) -> tuple[int, ...]:
-    """Lift the monic factor h_bar of ``full`` mod p to a factor mod p^K."""
+def hensel_lift_factor(full: Sequence[int], h_bar: Sequence[int], p: int, K: int,
+                       start: Optional[tuple[Sequence[int], int]] = None) -> tuple[int, ...]:
+    """Lift the monic factor h_bar of ``full`` mod p to a factor mod p^K,
+    from h_bar or from ``start = (lift mod p^K0, K0)``: the lift is unique."""
     full = [int(c) for c in full]
     h = [c % p for c in h_bar]
     fdeg = len(h) - 1
@@ -114,9 +117,9 @@ def hensel_lift_factor(full: Sequence[int], h_bar: Sequence[int], p: int, K: int
     assert not rem, "h_bar does not divide the polynomial mod p"
     one, s, t = fp_xgcd(h, g_bar, p)
     assert one == [1], "factor and cofactor are not coprime mod p"
-    hk = h[:]
-    pk = p
-    for _ in range(K - 1):
+    hk, K0 = (list(start[0]), start[1]) if start else (h[:], 1)
+    pk = p ** K0
+    for _ in range(K - K0):
         pk_next = pk * p
         rem = _zm_rem_monic(full, hk, pk_next)
         assert all(c % pk == 0 for c in rem)
@@ -142,12 +145,23 @@ class PrimeAbove:
         self.p = p
         self.index = index
         self.h_bar = h_bar
-        self.h_lifted = h_lifted
         self.K = K
         self.coset = coset
         self.f = len(h_bar) - 1
-        self.ring = GaloisRing(p, K, self.f, h_lifted)
+        self._rings = {K: GaloisRing(p, K, self.f, h_lifted)}
         self.split: Optional["SplitData"] = None  # set by SplitData
+
+    def ring_at(self, prec: int) -> GaloisRing:
+        """GR(p^prec, f) on this prime's factor, kept once per precision and
+        Hensel-extended from the nearest lower one kept (else from h mod p)."""
+        ring = self._rings.get(prec)
+        if ring is None:
+            below = max((k for k in self._rings if k < prec), default=None)
+            start = (self._rings[below].modulus, below) if below else None
+            lifted = hensel_lift_factor(cyclotomic_polynomial(self.field.n), self.h_bar,
+                                        self.p, prec, start)
+            ring = self._rings[prec] = GaloisRing(self.p, prec, self.f, lifted)
+        return ring
 
     @property
     def label(self) -> str:
@@ -303,19 +317,15 @@ def ord_at(prime: PrimeAbove, x: CycloElt, max_precision: int = 6400) -> int:
 
     The numerator is mapped into GR(p^K, f) through zeta -> root of the
     lifted factor; its valuation there is the minimum p-adic valuation of
-    the reduced coefficients.  Precision escalates locally (never mutating
-    the prime) if the image vanishes mod p^K.
+    the reduced coefficients.  If the image vanishes mod p^K, the precision
+    doubles through ``PrimeAbove.ring_at``, which keeps each lift it makes.
     """
     if x.is_zero():
         raise ZeroDivisionError("valuation of zero")
-    p = prime.p
-    v_den = split_p(x.den, p)[0]
+    v_den = split_p(x.den, prime.p)[0]
     K = prime.K
-    h = prime.h_lifted
     while True:
-        ring = GaloisRing(p, K, prime.f, h)
-        image = ring.from_int_poly(x.num)
-        v = image.valuation()
+        v = prime.ring_at(K).from_int_poly(x.num).valuation()
         if v is not None:
             return v - v_den
         K *= 2
@@ -323,7 +333,6 @@ def ord_at(prime: PrimeAbove, x: CycloElt, max_precision: int = 6400) -> int:
             raise ArithmeticError(
                 "valuation exceeds precision cap %d at %r" % (max_precision, prime)
             )
-        h = hensel_lift_factor(cyclotomic_polynomial(prime.field.n), prime.h_bar, p, K)
 
 
 def act_on_prime(aut: GaloisAut, prime: PrimeAbove) -> PrimeAbove:

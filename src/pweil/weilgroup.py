@@ -3,7 +3,9 @@
 Membership, the valuation map alpha into the minus part of the divisor
 group at p, the section pi built from generators x_P of the principal
 powers P^(M/f), the basis xi_P = x_P^c / x_P, and Jacobi sums as explicit
-weight-1 Weil numbers.
+weight-1 Weil numbers.  One ideal-lattice search per (n, p) finds the
+generator at one prime; the Galois group carries its candidates to the
+generators at the other primes, the same elements a search there picks.
 
 The composition alpha o pi is multiplication by -M; pi o alpha is
 x -> x^(-M) up to roots of unity.  Both identities are verified exactly.
@@ -13,12 +15,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import lcm
 from typing import Optional
 
 from .arith import split_p
-from .cyclo import CycloElt, CycloField, is_root_of_unity, norm, ramanujan_sum
-from .lattice import BoundTooLarge, row_hnf, short_vectors
+from .cyclo import CycloElt, CycloField, GaloisAut, is_root_of_unity, norm, ramanujan_sum
+from .lattice import BoundTooLarge, _canonical_sign, row_hnf, short_vectors
 from .splitting import PrimeAbove, SplitData, is_prime, ord_at
 
 
@@ -170,7 +171,8 @@ def _iroot_ceil(n: int, k: int) -> int:
 
 def find_generator(prime: PrimeAbove, power: int,
                    node_budget: int = 5_000_000,
-                   max_doublings: int = 6) -> Optional[CycloElt]:
+                   max_doublings: int = 6,
+                   candidates: Optional[list] = None) -> Optional[CycloElt]:
     """A generator of the ideal P^power, canonically normalized, or None.
 
     Enumerates the ideal lattice under the trace form Tr(x x^c) starting at
@@ -184,7 +186,8 @@ def find_generator(prime: PrimeAbove, power: int,
     nonzero coefficient positive (this prefers generators supported on low
     powers of zeta).  Returning None is evidence, not proof, that P^power is
     non-principal: the search radius covers 1.5 * 2^max_doublings times the
-    minimum possible generator size.
+    minimum possible generator size.  A list passed as ``candidates``
+    receives every candidate of that radius (see ``transport_generator``).
     """
     field = prime.field
     if power == 0:
@@ -200,13 +203,15 @@ def find_generator(prime: PrimeAbove, power: int,
             vectors = short_vectors(basis, bound, gram=gram, node_budget=node_budget)
         except BoundTooLarge as exc:
             raise EnumerationBudgetExceeded(str(exc)) from exc
-        candidates = []
+        found = []
         for vec, _norm_sq in vectors:
             elt = field.elt(vec)
             if abs(norm(elt)) == n_target:
-                candidates.append(elt)
-        if candidates:
-            return min(candidates, key=_generator_key)
+                found.append(elt)
+        if found:
+            if candidates is not None:
+                candidates.extend(found)
+            return min(found, key=_generator_key)
         bound *= 2
     return None
 
@@ -214,6 +219,16 @@ def find_generator(prime: PrimeAbove, power: int,
 def _generator_key(x: CycloElt):
     rev = tuple(reversed(x.num))
     return (tuple(abs(c) for c in rev), rev)
+
+
+def transport_generator(candidates: list, aut: GaloisAut) -> CycloElt:
+    """The generator ``find_generator`` returns at sigma(P) (sigma = ``aut``),
+    from its candidates at P.  sigma keeps the trace form, the norm and the
+    radius schedule, so it maps the candidates at P onto those at sigma(P)
+    up to the sign the enumeration fixes; the same minimum is taken."""
+    images = [c.apply(aut) for c in candidates]
+    return min((y if _canonical_sign(y.num) == y.num else -y for y in images),
+               key=_generator_key)
 
 
 # ---------------------------------------------------------------------------
@@ -257,35 +272,30 @@ def build_weil_basis(split: SplitData, h_cap: int = 12,
                      node_budget: int = 5_000_000) -> WeilBasis:
     """Construct M, the generators x_P and the basis elements xi_P.
 
-    The class-order h of the primes in S is found by searching generators of
-    P^h for h = 1, 2, ...; M = lcm over S of f*h, and generators are raised
-    to the power M/(f h) so that (x_P) = P^(M/f) exactly.  All structural
-    identities are verified exactly before returning.
+    The primes above p form one Galois orbit, so they share the class order
+    h of P0 = S[0], found by searching generators of P0^h for h = 1, 2, ...;
+    M = f h.  For P = sigma_a(P0) in S, x_P is ``transport_generator`` of
+    P0's candidates (what a search at P returns) and x_{P^c} = x_P^c.  All
+    structural identities are verified exactly before returning.
     """
     if not split.T:
         return WeilBasis(split, M=1, h=0, x={}, xi={})
-    f = split.f
-    gens: dict[int, CycloElt] = {}
-    h_found: dict[int, int] = {}
-    for idx in split.S:
-        prime = split.primes[idx]
-        for h in range(1, h_cap + 1):
-            g = find_generator(prime, h, node_budget=node_budget)
-            if g is not None:
-                gens[idx] = g
-                h_found[idx] = h
-                break
-        else:
-            raise RuntimeError(
-                "no generator of %s^h found for h <= %d (class order too large "
-                "or search radius exhausted)" % (prime.label, h_cap)
-            )
-    h_common = max(h_found.values())
-    M = lcm(*(f * h for h in h_found.values()))
+    f, field = split.f, split.field
+    p0 = split.primes[split.S[0]]
+    for h in range(1, h_cap + 1):
+        candidates: list[CycloElt] = []
+        if find_generator(p0, h, node_budget=node_budget, candidates=candidates) is not None:
+            break
+    else:
+        raise RuntimeError(
+            "no generator of %s^h found for h <= %d (class order too large "
+            "or search radius exhausted)" % (p0.label, h_cap)
+        )
+    M = f * h
     x: dict[int, CycloElt] = {}
     for idx in split.S:
-        e = M // (f * h_found[idx])
-        x[idx] = gens[idx] ** e
+        a = next(a for a in field.units if split.act_index(a, p0.index) == idx)
+        x[idx] = transport_generator(candidates, field.aut(a))
     for idx in split.S:
         cidx = split.conj_index(idx)
         x[cidx] = x[idx].conj()
@@ -301,9 +311,9 @@ def build_weil_basis(split: SplitData, h_cap: int = 12,
             expected = M // f if pr.index == idx else 0
             assert ord_at(pr, elt) == expected, "generator valuation profile broken"
     for idx in split.S:
-        assert xi[idx] * xi[idx].conj() == split.field.one()
+        assert xi[idx] * xi[idx].conj() == field.one()
         assert is_weil_unit(xi[idx], p)
-    return WeilBasis(split, M=M, h=h_common, x=x, xi=xi)
+    return WeilBasis(split, M=M, h=h, x=x, xi=xi)
 
 
 def pi_m_map(nu: DivisorVec, basis: WeilBasis) -> CycloElt:

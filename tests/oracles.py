@@ -4,13 +4,23 @@
 and Gram-Schmidt routines that ``pweil.lattice`` used before it moved to
 integral (fraction-free) LLL; the ``fraction_*`` element functions are the
 rational arithmetic of Q(zeta_n) that ``pweil.cyclo`` used before it moved
-to integer numerators.  They stay here as the differential oracles.
+to integer numerators.  ``per_prime_generator``, ``gross_row_full_norm``
+and ``embed_uncached`` are the generator search that ``build_weil_basis``
+ran at every prime of S, the regulator row that lifted Phi_n afresh to
+K + f ord for each entry, and the embedding that evaluated cos and sin for
+every coefficient, before per-prime work was done once.  They stay here
+as the differential oracles.
 """
 
 import math
 from fractions import Fraction
 
-from pweil.lattice import DependentRows, _dot
+from pweil.arith import BallComplex, BallReal, GaloisRing, padic_log, split_p
+from pweil.cyclo import cyclotomic_polynomial, norm
+from pweil.lattice import BoundTooLarge, DependentRows, _dot, short_vectors
+from pweil.splitting import hensel_lift_factor, ord_at
+from pweil.weilgroup import (EnumerationBudgetExceeded, _generator_key, _iroot_ceil, ideal_basis,
+                             trace_gram)
 
 
 def bareiss_det(rows):
@@ -233,3 +243,75 @@ def _q_poly_divmod(a, b):
             r[deg + i] -= coef * cb
         _q_trim(r)
     return _q_trim(q), r
+
+
+def per_prime_generator(prime, power, node_budget=5_000_000, max_doublings=6):
+    """Generator of P^power from a search at P itself (``find_generator``
+    as it stood when ``build_weil_basis`` called it for every prime of S)."""
+    field = prime.field
+    if power == 0:
+        return field.one()
+    n_target = prime.p ** (prime.f * power)
+    deg = field.degree
+    basis = ideal_basis(prime, power)
+    gram = trace_gram(field)
+    floor = deg * _iroot_ceil(n_target * n_target, deg)
+    bound = floor + (floor + 1) // 2
+    for _ in range(max_doublings + 1):
+        try:
+            vectors = short_vectors(basis, bound, gram=gram, node_budget=node_budget)
+        except BoundTooLarge as exc:
+            raise EnumerationBudgetExceeded(str(exc)) from exc
+        candidates = []
+        for vec, _norm_sq in vectors:
+            elt = field.elt(vec)
+            if abs(norm(elt)) == n_target:
+                candidates.append(elt)
+        if candidates:
+            return min(candidates, key=_generator_key)
+        bound *= 2
+    return None
+
+
+def gross_row_full_norm(x, split, K=50):
+    """The regulator row with the full norm taken at K_big = K + f ord_num,
+    Phi_n Hensel-lifted from scratch to K_big whenever K_big != pr.K."""
+    p = split.p
+    f = split.f
+    n = split.field.n
+    v_den, den = split_p(x.den, p)
+    entries = []
+    for pr in split.primes:
+        ord_num = ord_at(pr, x) + v_den
+        K_big = K + f * ord_num
+        ring = GaloisRing(p, K_big, f,
+                          hensel_lift_factor(cyclotomic_polynomial(n), pr.h_bar, p, K_big)) \
+            if K_big != pr.K else pr.ring_at(pr.K)
+        image = ring.from_int_poly(x.num)
+        nrm = ring.norm(image)
+        assert nrm % (p ** (f * ord_num)) == 0, "norm valuation mismatch"
+        unit_num = nrm // (p ** (f * ord_num))
+        qp = GaloisRing.qp(p, K)
+        u = qp.from_int(unit_num) * qp.inverse(qp.from_int(pow(den, f)))
+        entries.append(padic_log(u))
+    return entries
+
+
+def embed_uncached(x, place, precision=64):
+    """Enclosure of sigma_v(x), with cos and sin evaluated per coefficient."""
+    n = x.field.n
+    wp = precision + 16
+    two_pi = BallReal.pi(wp) * 2
+    re = BallReal.zero(wp)
+    im = BallReal.zero(wp)
+    for i, c in enumerate(x.coeffs):
+        if not c:
+            continue
+        k = (place * i) % n
+        if k == 0:
+            re = re + BallReal.from_fraction(c, wp)
+            continue
+        theta = two_pi * Fraction(k, n)
+        re = re + theta.cos() * Fraction(c)
+        im = im + theta.sin() * Fraction(c)
+    return BallComplex(re, im)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import pweil.cli
-from pweil.cli import main
+from pweil.cli import ConfigError, RunConfig, main
 from pweil.lattice import DependentRows
 from pweil.regulators import BasisMismatch
 from pweil.weilgroup import MinusPartViolation, NotAWeilUnit
@@ -209,3 +209,52 @@ def test_internal_failure_exits_1_not_2(capsys, monkeypatch, exc):
     assert code == 1
     assert out == ""
     assert err == "error: %s\n" % exc
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_scan_cell_that_raises_is_an_uncached_error_row(capsys, monkeypatch, tmp_path, workers):
+    # a cell that raises becomes a row, the others finish, the scan exits 1
+    # with one error line, and a rerun computes the cell again
+    args = ["scan", "--n-range", "5", "--p-max", "11", "--precision", "128", "--bound", "100",
+            "--workers", workers, "--cache-dir", str(tmp_path)]
+    real = pweil.cli.analyze_report
+
+    def flaky(n, p, cfg):
+        if (n, p) == (5, 11):
+            raise RuntimeError("injected fault")
+        return real(n, p, cfg)
+
+    monkeypatch.setattr(pweil.cli, "analyze_report", flaky)
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1
+    assert err == "error: n=5 p=11: RuntimeError: injected fault\n"
+    lines = out.strip().split("\n")
+    rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+    assert [(r["p"], r["S_size"], r["certificate"]) for r in rows] == [
+        ("2", "0", "n/a"), ("3", "0", "n/a"), ("7", "0", "n/a"), ("11", "n/a", "error")]
+    assert all(v == "n/a" for k, v in rows[3].items() if k not in ("n", "p", "certificate"))
+
+    monkeypatch.setattr(pweil.cli, "analyze_report", real)
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0 and err == ""
+    assert out.strip().split("\n")[-1].split(",")[-1] == "none-up-to-bound"
+
+
+def test_value_error_inside_a_computation_exits_1(capsys, monkeypatch):
+    # only ConfigError, NotPrime, RamifiedPrime and BadCharacterIndices are
+    # "invalid configuration"; a ValueError from a computation is exit 1
+    def broken(split):
+        raise ValueError("internal value error")
+
+    monkeypatch.setattr(pweil.cli, "build_weil_basis", broken)
+    code, out, err = run_cli(capsys, "analyze", "--n", "5", "--p", "11")
+    assert code == 1
+    assert out == ""
+    assert err == "error: internal value error\n"
+
+
+def test_configuration_errors_are_config_error():
+    with pytest.raises(ConfigError):
+        RunConfig(precision=32).validate()
+    with pytest.raises(ConfigError):
+        pweil.cli._validate_pair(6, 5)

@@ -19,6 +19,7 @@ from pweil.cyclo import (
     trace,
 )
 from oracles import (
+    embed_uncached,
     fraction_add,
     fraction_apply,
     fraction_inverse,
@@ -215,6 +216,23 @@ def test_embed_aut_compatibility():
             else:
                 rhs = embed(x, n - a, 128).conj()
             assert lhs.re.overlaps(rhs.re) and lhs.im.overlaps(rhs.im)
+
+
+@pytest.mark.parametrize("precision", [64, 288, 1056])
+def test_embed_matches_the_uncached_formula(precision):
+    # the cos/sin table gives bit-identical enclosures: same endpoints, so
+    # the same midpoints and radii, at every place
+    rng = random.Random(precision)
+    for n in (5, 8, 12, 13, 15, 20):
+        field = CycloField(n)
+        for _ in range(3):
+            x = field.elt([Fraction(rng.randint(-9, 9), rng.choice((1, 3, 4)))
+                           for _ in range(field.degree)])
+            for a in field.places:
+                got, want = embed(x, a, precision), embed_uncached(x, a, precision)
+                for g, w in ((got.re, want.re), (got.im, want.im)):
+                    assert (g.midpoint, g.radius) == (w.midpoint, w.radius)
+                    assert g._v == w._v and g.prec == w.prec
 
 
 def test_root_of_unity_examples(k5):

@@ -9,6 +9,7 @@ from pweil.cyclo import CycloField, embed
 from pweil.lattice import find_simultaneous_relation
 from pweil.splitting import split_prime
 from pweil.weilgroup import build_weil_basis, jacobi_weil_number
+from oracles import gross_row_full_norm
 from pweil.regulators import (
     BasisMismatch,
     arg_vector,
@@ -204,6 +205,24 @@ def test_gross_row_invariant_under_torsion(k5, split_5_11, basis_5_11):
     a = gross_row(xi, split_5_11, 40)
     b = gross_row(k5.zeta() * xi, split_5_11, 40)
     assert [e.coeffs for e in a] == [e.coeffs for e in b]
+
+
+@pytest.mark.parametrize("n, p", [(13, 79), (11, 67), (15, 31)])
+def test_gross_row_matches_full_norm_oracle(n, p):
+    # the unit part of x.num at precision K + ord, normed at K, against the
+    # full norm at K + f ord on a fresh lift: basis elements (p in the
+    # denominator), generators (p-divisible numerators) and their products,
+    # at K = pr.K and at a K below and above it
+    split = split_prime(CycloField(n), p)
+    basis = build_weil_basis(split)
+    rng = random.Random(n * p)
+    elts = list(basis.xi.values()) + list(basis.x.values())
+    elts += [rng.choice(elts) * rng.choice(elts) ** 2 for _ in range(4)]
+    for K in (50, 20, 64):
+        for x in elts:
+            got, want = gross_row(x, split, K), gross_row_full_norm(x, split, K)
+            assert [(e.precision, e.coeffs) for e in got] == \
+                [(e.precision, e.coeffs) for e in want]
 
 
 def test_gross_matrix_nontrivial_residue_degree(basis_8_5):

@@ -1,15 +1,17 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from pweil.cyclo import CycloField, norm
+from pweil.cyclo import CycloField, cyclotomic_polynomial, norm
 from pweil.splitting import (
     NotPrime,
     RamifiedPrime,
     act_on_prime,
     conj_prime,
+    hensel_lift_factor,
     is_prime,
     ord_at,
     split_prime,
@@ -182,3 +184,25 @@ def test_deeper_precision_is_consistent(k5):
     for a, b in zip(sp20.primes, sp80.primes):
         assert a.root_mod_p() == b.root_mod_p()
         assert ord_at(a, x) == ord_at(b, x)
+
+
+@pytest.mark.parametrize("n, p", [(13, 79), (8, 3), (13, 3)])
+def test_ring_at_matches_a_fresh_lift_in_any_order(n, p):
+    # each ring is extended from the nearest lower lift kept (from h mod p
+    # below K); whatever the order of requests, its modulus is the factor a
+    # lift from scratch gives, and a repeated request returns the same ring
+    K = 10
+    field = CycloField(n)
+    phi = cyclotomic_polynomial(n)
+    precs = (K // 2, K, K + 1, K + 7, 2 * K)
+    fresh = {}
+    for order in itertools.permutations(precs):
+        split = split_prime(field, p, K)
+        for pr in (split.primes[0], split.primes[-1]):
+            for prec in order:
+                ring = pr.ring_at(prec)
+                if (pr.index, prec) not in fresh:
+                    fresh[pr.index, prec] = hensel_lift_factor(phi, pr.h_bar, p, prec)
+                assert (ring.p, ring.prec, ring.f) == (p, prec, pr.f)
+                assert ring.modulus == fresh[pr.index, prec]
+                assert pr.ring_at(prec) is ring

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pweil.arith import split_p
 from pweil.cyclo import CycloField, embed, is_root_of_unity, norm
-from pweil.splitting import ord_at, split_prime
+from pweil.splitting import is_prime, ord_at, split_prime
 from pweil.weilgroup import (
     BadCharacterIndices,
     DivisorVec,
@@ -22,12 +22,13 @@ from pweil.weilgroup import (
     minus_basis,
     pi_m_map,
     trace_gram,
+    transport_generator,
     verify_weil_basis,
     _generator_key,
     _iroot_ceil,
 )
 from pweil.lattice import short_vectors
-from oracles import bareiss_det, fraction_elt, fraction_mul, fraction_pow
+from oracles import bareiss_det, fraction_elt, fraction_mul, fraction_pow, per_prime_generator
 from test_cyclo import norm_by_conjugates
 
 
@@ -174,6 +175,45 @@ def test_find_generator_matches_valuation_profile_search(n, p, power):
     g = find_generator(prime, power)
     assert g is not None
     assert g == _generator_by_valuations(prime, power)
+
+
+def _check_transport(split, power):
+    """Transport P0's candidates by every a in (Z/n)* and compare with a
+    search at sigma_a(P0); every prime above p is reached."""
+    field = split.field
+    p0 = split.primes[split.S[0]]
+    candidates = []
+    assert find_generator(p0, power, candidates=candidates) is not None
+    oracle = {pr.index: per_prime_generator(pr, power) for pr in split.primes}
+    reached = set()
+    for a in field.units:
+        idx = split.act_index(a, p0.index)
+        assert transport_generator(candidates, field.aut(a)) == oracle[idx]
+        reached.add(idx)
+    assert reached == set(range(split.g))
+    return oracle
+
+
+def test_transported_generators_match_per_prime_search(split_5_11):
+    # all 128 acceptance-grid cells with T nonempty (there T is every prime
+    # above p), and (5, 11) at power 2
+    cells = 0
+    for n in (5, 7, 8, 11, 12, 13, 15, 16, 20):
+        field = CycloField(n)
+        for p in range(2, 100):
+            if not is_prime(p) or n % p == 0:
+                continue
+            split = split_prime(field, p)
+            if not split.T:
+                continue
+            assert len(split.T) == split.g
+            basis = build_weil_basis(split)
+            oracle = _check_transport(split, basis.h)
+            assert basis.M == split.f * basis.h
+            assert all(basis.x[idx] == oracle[idx] for idx in split.S)
+            cells += 1
+    assert cells == 128
+    _check_transport(split_5_11, 2)
 
 
 def test_trace_gram_positive_definite(k5):
