@@ -26,6 +26,7 @@ report = argument_independence_certificate(basis, bound=10_000, precision=512)
 cert = report.certificate
 print("\nrelation search up to |c| <=", cert.bound, "at", cert.precision, "bits:")
 print("  status:", cert.status)
+print("  settled at scale: 2^%d (largest 2^%d)" % (cert.scale_log2, cert.precision // 2))
 print("  shortest-vector bound^2:", cert.sv_lower_bound_sq[:40], "...")
 print("  threshold^2:           ", cert.threshold_sq)
 

@@ -48,4 +48,4 @@ from .regulators import (
     weil_angle_identity,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -124,7 +124,7 @@ def analyze_report(n: int, p: int, cfg: RunConfig) -> dict:
     split = split_prime(field, p, cfg.padic_prec)
     basis = build_weil_basis(split)
     report: dict = {
-        "schema": "pweil-analyze/2",
+        "schema": "pweil-analyze/3",
         "config": {
             "n": n, "p": p, "precision": cfg.precision, "bound": cfg.bound,
             "padic_prec": cfg.padic_prec, "version": __version__,
@@ -189,8 +189,9 @@ def _format_analyze_text(rep: dict) -> str:
                      % (gm["heuristic_rank"], gm["row_sum_min_valuation"]))
     if rep["argument_independence"] is not None:
         ai = rep["argument_independence"]
-        lines.append("argument relation search: %s (bound %d, %d bits)"
-                     % (ai["certificate"]["status"], ai["bound"], ai["precision"]))
+        cert = ai["certificate"]
+        lines.append("argument relation search: %s (bound %d, %d bits, settled at scale 2^%d)"
+                     % (cert["status"], ai["bound"], ai["precision"], cert["scale_log2"]))
         if ai["rank_one_exact"] is not None:
             lines.append("  rank-one case resolved exactly: xi is %sa root of unity"
                          % ("" if not ai["rank_one_exact"] else "not "))
@@ -341,7 +342,7 @@ def cmd_appendix(args, cfg: RunConfig) -> int:
     rep_obj = weil_angle_identity(lam, split, basis,
                                   den_bound=args.den_bound, precision=cfg.precision)
     report = {
-        "schema": "pweil-appendix/2",
+        "schema": "pweil-appendix/3",
         "config": {"n": args.n, "p": args.p, "chars": [a, b],
                    "den_bound": args.den_bound, "precision": cfg.precision,
                    "version": __version__},
@@ -387,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--padic-prec", type=int, default=50, help="p-adic digits K")
         sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
         sp.add_argument("--cache-dir", default=None)
-        sp.add_argument("--workers", type=int, default=1)
 
     a = sub.add_parser("analyze", help="full pipeline for a single (n, p)")
     a.add_argument("--n", type=int, required=True, help="conductor of Q(zeta_n)")
@@ -397,6 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("scan", help="grid scan over conductors and primes")
     s.add_argument("--n-range", required=True, help="comma-separated conductors, e.g. 5,8,12")
     s.add_argument("--p-max", type=int, default=100)
+    s.add_argument("--workers", type=int, default=1, help="worker processes for the cells")
     common(s)
 
     x = sub.add_parser("appendix",
@@ -415,7 +416,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     cfg = RunConfig(precision=args.precision, bound=args.bound,
                     padic_prec=args.padic_prec, fmt=args.format,
-                    cache_dir=args.cache_dir, workers=args.workers)
+                    cache_dir=args.cache_dir, workers=getattr(args, "workers", 1))
     try:
         cfg.validate()
         if args.command == "analyze":

@@ -3,10 +3,10 @@
 Hermite normal form, integral LLL reduction (fraction-free Gram-Schmidt
 data in integers, shared with ``gs_norms``), complete short-vector
 enumeration (Fincke-Pohst), and LLL-based detection of integer relations
-among certified reals, reduced at gradually fed scales.  A relation search
-never claims independence: a negative result is a certificate that no
-relation with coefficients below the stated bound exists at the stated
-precision.
+among certified reals, reduced at gradually fed scales and settled at the
+first scale that decides it.  A relation search never claims independence:
+a negative result is a certificate that no relation with coefficients
+below the stated bound exists at the stated precision.
 """
 
 from __future__ import annotations
@@ -403,13 +403,22 @@ def find_simultaneous_relation(vectors: Sequence[Sequence[BallReal]], modulus: B
     v, certified against the enclosures.  Coefficients of both blocks are
     bounded by ``bound``.
 
-    The search lattice has rows [e_i | round(N t_i)] with N = 2^(precision/2)
-    and t_i the midpoints of a_i, or modulus * e_v.  It is reduced with
-    gradually fed scales (van Hoeij-Novocin): at 2^32, 2^64, 2^128, ...
-    below N and finally at N itself.  The identity block of each reduced
-    basis is the accumulated unimodular transform U, and the next lattice is
-    U [I | round(N' t)], so the last reduction is of exactly the full-scale
-    lattice, only from a better basis.
+    The search lattice at scale 2^s has rows [e_i | round(2^s t_i)], with
+    t_i the midpoints of a_i, or modulus * e_v.  It is reduced with gradually
+    fed scales (van Hoeij-Novocin): s = 32, 64, 128, ... below precision/2
+    and finally precision/2 itself.  The identity block of each reduced basis
+    is the accumulated unimodular transform U, and the next lattice is
+    U [I | round(2^s' t)], a basis of exactly the lattice at scale 2^s'.
+
+    The search returns at the first scale that settles it.  A reduced row
+    with coefficients <= bound whose residual enclosure contains 0 is
+    ``found``.  Otherwise, a true relation with coefficients <= bound gives
+    a lattice vector whose tail entries are at most
+    t(s) = (m + 1) bound (1/2 + 2^s r_max), so its squared norm is at most
+    threshold_sq(s) = (m + d) bound^2 + d t(s)^2; since lambda_1^2 >=
+    min ||b_i*||^2 for any basis, a minimum Gram-Schmidt norm above that
+    certifies ``none-up-to-bound`` at scale 2^s.  If the full scale settles
+    neither way, the search is inconclusive (``PrecisionTooLow``).
     """
     m = len(vectors)
     if m == 0:
@@ -421,13 +430,15 @@ def find_simultaneous_relation(vectors: Sequence[Sequence[BallReal]], modulus: B
         precision = modulus.prec
     scale = precision // 2
     N = 1 << scale
-    all_rads = [x.radius for vec in vectors for x in vec] + [modulus.radius]
-    for r in all_rads:
+    # coordinate v of a relation (c, k) is its dot product with column v
+    tails = [[x.midpoint for x in vec] for vec in vectors]
+    tails += [[modulus.midpoint if w == v else 0 for w in range(d)] for v in range(d)]
+    rads = [[x.radius for x in vec] for vec in vectors]
+    rads += [[modulus.radius if w == v else 0 for w in range(d)] for v in range(d)]
+    r_max = max(max(row) for row in rads)
+    for r in (x for row in rads for x in row):
         if N * r >= Fraction(1, 2):
             raise PrecisionTooLow("radius %s too large for scale 2^%d" % (r, scale))
-    mids = [[x.midpoint for x in vec] for vec in vectors]
-    mu_mid = modulus.midpoint
-    tails = mids + [[mu_mid if w == v else 0 for w in range(d)] for v in range(d)]
 
     k_dim = m + d
     unimodular = [[int(i == j) for j in range(k_dim)] for i in range(k_dim)]
@@ -440,53 +451,37 @@ def find_simultaneous_relation(vectors: Sequence[Sequence[BallReal]], modulus: B
                 for u in unimodular]
         reduced = lll(rows)
         unimodular = [row[:k_dim] for row in reduced]
-
-    r_max = max(all_rads)
-    t_bound = (m + 1) * bound * (Fraction(1, 2) + N * r_max)
-    threshold_sq = (m + d) * bound * bound + d * t_bound * t_bound
-
-    for row in reduced:
-        c = tuple(row[:m])
-        k = tuple(row[m:m + d])
-        if not any(c):
-            continue
-        if max(abs(x) for x in c) > bound or (k and max(abs(x) for x in k) > bound):
-            continue
-        ok = True
-        residual = Fraction(0)
-        for v in range(d):
-            mid_v = sum(ci * mids[i][v] for i, ci in enumerate(c)) + k[v] * mu_mid
-            err_v = sum(abs(ci) * vectors[i][v].radius for i, ci in enumerate(c)) \
-                + abs(k[v]) * modulus.radius
-            if abs(mid_v) > err_v:
-                ok = False
-                break
-            residual = max(residual, abs(mid_v) + err_v)
-        if ok:
-            rel = _canonical_sign(c + k)
-            return RelationCertificate(
-                status="found",
-                relation=rel,
-                bound=bound,
-                precision=precision,
-                scale_log2=scale,
-                sv_lower_bound_sq="",
-                threshold_sq=str(threshold_sq),
-                residual_bound=str(float(residual)),
-                detail={"m": m, "d": d},
-            )
-    min_gs = min(gs_norms(reduced))
-    if min_gs > threshold_sq:
-        return RelationCertificate(
-            status="none-up-to-bound",
-            relation=None,
-            bound=bound,
-            precision=precision,
-            scale_log2=scale,
-            sv_lower_bound_sq=str(min_gs),
-            threshold_sq=str(threshold_sq),
-            detail={"m": m, "d": d},
-        )
+        t_bound = (m + 1) * bound * (Fraction(1, 2) + (1 << s) * r_max)
+        threshold_sq = (m + d) * bound * bound + d * t_bound * t_bound
+        settled = dict(bound=bound, precision=precision, scale_log2=s,
+                       threshold_sq=str(threshold_sq), detail={"m": m, "d": d})
+        for row in reduced:
+            residual = _relation_residual(row[:k_dim], m, tails, rads, bound)
+            if residual is not None:
+                return RelationCertificate(
+                    status="found", relation=_canonical_sign(tuple(row[:k_dim])),
+                    sv_lower_bound_sq="", residual_bound=str(float(residual)), **settled)
+        min_gs = min(gs_norms(reduced))
+        if min_gs > threshold_sq:
+            return RelationCertificate(status="none-up-to-bound", relation=None,
+                                       sv_lower_bound_sq=str(min_gs), **settled)
     raise PrecisionTooLow(
         "simultaneous relation search inconclusive: raise precision or lower the bound"
     )
+
+
+def _relation_residual(coeffs, m: int, tails, rads, bound: int) -> Optional[Fraction]:
+    """Largest residual bound |sum_j coeffs_j tails_jv| + error over the
+    coordinates v, or None unless the first m coefficients are not all 0,
+    every coefficient is at most ``bound`` in absolute value and every
+    residual enclosure contains 0."""
+    if not any(coeffs[:m]) or max(map(abs, coeffs)) > bound:
+        return None
+    residual = Fraction(0)
+    for v in range(len(tails[0])):
+        mid = sum(x * t[v] for x, t in zip(coeffs, tails) if x)
+        err = sum(abs(x) * r[v] for x, r in zip(coeffs, rads) if x)
+        if abs(mid) > err:
+            return None
+        residual = max(residual, abs(mid) + err)
+    return residual

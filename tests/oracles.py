@@ -8,16 +8,20 @@ to integer numerators.  ``per_prime_generator``, ``gross_row_full_norm``
 and ``embed_uncached`` are the generator search that ``build_weil_basis``
 ran at every prime of S, the regulator row that lifted Phi_n afresh to
 K + f ord for each entry, and the embedding that evaluated cos and sin for
-every coefficient, before per-prime work was done once.  They stay here
-as the differential oracles.
+every coefficient, before per-prime work was done once.
+``full_scale_relation`` is the relation search that always fed the lattice
+through every scale up to 2^(precision/2) and settled only there, before
+the search returned at the first scale that settles it.  They stay here as
+the differential oracles.
 """
 
 import math
 from fractions import Fraction
 
-from pweil.arith import BallComplex, BallReal, GaloisRing, padic_log, split_p
+from pweil.arith import BallComplex, BallReal, GaloisRing, PrecisionTooLow, padic_log, split_p
 from pweil.cyclo import cyclotomic_polynomial, norm
-from pweil.lattice import BoundTooLarge, DependentRows, _dot, short_vectors
+from pweil.lattice import (BoundTooLarge, DependentRows, RelationCertificate, _canonical_sign,
+                           _dot, _round_fraction, gs_norms, lll, short_vectors)
 from pweil.splitting import hensel_lift_factor, ord_at
 from pweil.weilgroup import (EnumerationBudgetExceeded, _generator_key, _iroot_ceil, ideal_basis,
                              trace_gram)
@@ -315,3 +319,87 @@ def embed_uncached(x, place, precision=64):
         re = re + theta.cos() * Fraction(c)
         im = im + theta.sin() * Fraction(c)
     return BallComplex(re, im)
+
+
+def full_scale_relation(vectors, modulus, bound, precision=None):
+    """``find_simultaneous_relation`` with every scale of the schedule
+    reduced and only the full-scale basis checked and certified."""
+    m = len(vectors)
+    if m == 0:
+        raise ValueError("no vectors given")
+    d = len(vectors[0])
+    if any(len(vec) != d for vec in vectors):
+        raise ValueError("vectors of unequal dimension")
+    if precision is None:
+        precision = modulus.prec
+    scale = precision // 2
+    N = 1 << scale
+    all_rads = [x.radius for vec in vectors for x in vec] + [modulus.radius]
+    for r in all_rads:
+        if N * r >= Fraction(1, 2):
+            raise PrecisionTooLow("radius %s too large for scale 2^%d" % (r, scale))
+    mids = [[x.midpoint for x in vec] for vec in vectors]
+    mu_mid = modulus.midpoint
+    tails = mids + [[mu_mid if w == v else 0 for w in range(d)] for v in range(d)]
+
+    k_dim = m + d
+    unimodular = [[int(i == j) for j in range(k_dim)] for i in range(k_dim)]
+    schedule = [min(32, scale)]
+    while schedule[-1] < scale:
+        schedule.append(min(2 * schedule[-1], scale))
+    for s in schedule:
+        scaled = [[_round_fraction(t * (1 << s)) for t in row] for row in tails]
+        rows = [u + [sum(c * tail[v] for c, tail in zip(u, scaled) if c) for v in range(d)]
+                for u in unimodular]
+        reduced = lll(rows)
+        unimodular = [row[:k_dim] for row in reduced]
+
+    r_max = max(all_rads)
+    t_bound = (m + 1) * bound * (Fraction(1, 2) + N * r_max)
+    threshold_sq = (m + d) * bound * bound + d * t_bound * t_bound
+
+    for row in reduced:
+        c = tuple(row[:m])
+        k = tuple(row[m:m + d])
+        if not any(c):
+            continue
+        if max(abs(x) for x in c) > bound or (k and max(abs(x) for x in k) > bound):
+            continue
+        ok = True
+        residual = Fraction(0)
+        for v in range(d):
+            mid_v = sum(ci * mids[i][v] for i, ci in enumerate(c)) + k[v] * mu_mid
+            err_v = sum(abs(ci) * vectors[i][v].radius for i, ci in enumerate(c)) \
+                + abs(k[v]) * modulus.radius
+            if abs(mid_v) > err_v:
+                ok = False
+                break
+            residual = max(residual, abs(mid_v) + err_v)
+        if ok:
+            rel = _canonical_sign(c + k)
+            return RelationCertificate(
+                status="found",
+                relation=rel,
+                bound=bound,
+                precision=precision,
+                scale_log2=scale,
+                sv_lower_bound_sq="",
+                threshold_sq=str(threshold_sq),
+                residual_bound=str(float(residual)),
+                detail={"m": m, "d": d},
+            )
+    min_gs = min(gs_norms(reduced))
+    if min_gs > threshold_sq:
+        return RelationCertificate(
+            status="none-up-to-bound",
+            relation=None,
+            bound=bound,
+            precision=precision,
+            scale_log2=scale,
+            sv_lower_bound_sq=str(min_gs),
+            threshold_sq=str(threshold_sq),
+            detail={"m": m, "d": d},
+        )
+    raise PrecisionTooLow(
+        "simultaneous relation search inconclusive: raise precision or lower the bound"
+    )

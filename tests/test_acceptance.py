@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 The grid is n in {5, 7, 8, 11, 12, 13, 15, 16, 20}, primes p < 100 with
-p not dividing n; points with T nonempty get a full basis build.
+p not dividing n; points with T nonempty get a full basis build (the
+``grid`` fixture in conftest.py, shared with the relation-search tests).
 """
 
 import json
@@ -10,13 +11,11 @@ import time
 from fractions import Fraction
 from math import gcd
 
-import pytest
-
 from pweil.arith import BallReal
 from pweil.cli import main as cli_main
 from pweil.cyclo import CycloField, is_root_of_unity, norm
 from pweil.lattice import find_simultaneous_relation
-from pweil.splitting import is_prime, ord_at, split_prime
+from pweil.splitting import ord_at, split_prime
 from pweil.weilgroup import (
     alpha_p_map,
     build_weil_basis,
@@ -36,9 +35,6 @@ from pweil.regulators import (
     weil_angle_identity,
 )
 
-GRID_N = (5, 7, 8, 11, 12, 13, 15, 16, 20)
-GRID_P_MAX = 100
-
 
 def _announce(num: int, name: str, ok: bool, detail: str = ""):
     line = "ACCEPTANCE %d (%s): %s" % (num, name, "PASS" if ok else "FAIL")
@@ -46,26 +42,6 @@ def _announce(num: int, name: str, ok: bool, detail: str = ""):
         line += " -- " + detail
     print(line)
     assert ok, line
-
-
-@pytest.fixture(scope="module")
-def grid():
-    """(field, split, basis) for every grid point with T nonempty."""
-    t0 = time.monotonic()
-    points = {}
-    for n in GRID_N:
-        field = CycloField(n)
-        for p in range(2, GRID_P_MAX):
-            if not is_prime(p) or n % p == 0:
-                continue
-            sp = split_prime(field, p)
-            if not sp.T:
-                points[(n, p)] = (field, sp, None)
-                continue
-            basis = build_weil_basis(sp)
-            points[(n, p)] = (field, sp, basis)
-    elapsed = time.monotonic() - t0
-    return points, elapsed
 
 
 def test_criterion_1_worked_example(capsys):

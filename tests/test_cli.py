@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -158,6 +160,32 @@ def test_appendix_small_bound_fails(capsys):
         "--den-bound", "1", "--precision", "320")
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--n", "5", "--p", "11"],
+    ["appendix", "--n", "5", "--p", "11", "--chars", "1", "1"],
+])
+def test_workers_is_a_scan_option_only(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+ANALYZE_DIGESTS = os.path.join(os.path.dirname(__file__), "analyze_digests.json")
+
+
+def test_analyze_report_bytes_match_recorded_digests(capsys):
+    # a report whose schema tag is unchanged stays byte-identical
+    with open(ANALYZE_DIGESTS) as fh:
+        digests = json.load(fh)
+    for cell, want in digests["pweil-analyze/3"].items():
+        n, p = cell.split(",")
+        code, out, _ = run_cli(capsys, "analyze", "--n", n, "--p", p, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["schema"] == "pweil-analyze/3"
+        assert hashlib.sha256(out.encode()).hexdigest() == want, cell
 
 
 def test_workers_flag(capsys, tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import bareiss_det, fraction_gs_norms, fraction_lll
+from oracles import bareiss_det, fraction_gs_norms, fraction_lll, full_scale_relation
 from pweil import lattice
 from pweil.arith import BallReal, PrecisionTooLow
 from pweil.lattice import (
@@ -20,6 +20,7 @@ from pweil.lattice import (
     _canonical_sign,
     _round_fraction,
 )
+from pweil.regulators import arg_vector
 
 
 # ---------------------------------------------------------------------------
@@ -391,24 +392,41 @@ def test_simultaneous_duplicate_found():
     assert cert.relation[2:] == (0, 0)
 
 
-def _full_scale_rows(vectors, modulus, precision):
-    # the one-shot search lattice [e_i | round(N t_i)], N = 2^(precision/2)
+def _schedule(precision):
+    # the scales s of the search lattices, 2^32, 2^64, ... up to 2^(precision/2)
+    scale = precision // 2
+    out = [min(32, scale)]
+    while out[-1] < scale:
+        out.append(min(2 * out[-1], scale))
+    return out
+
+
+def _scaled_rows(vectors, modulus, s):
+    # the one-shot search lattice [e_i | round(2^s t_i)]
     m, d = len(vectors), len(vectors[0])
-    scale = 1 << (precision // 2)
     rows = []
     for i, vec in enumerate(vectors):
-        row = [0] * (m + d) + [_round_fraction(scale * x.midpoint) for x in vec]
+        row = [0] * (m + d) + [_round_fraction(x.midpoint * 2 ** s) for x in vec]
         row[i] = 1
         rows.append(row)
     for v in range(d):
         row = [0] * (2 * d + m)
         row[m + v] = 1
-        row[m + d + v] = _round_fraction(scale * modulus.midpoint)
+        row[m + d + v] = _round_fraction(modulus.midpoint * 2 ** s)
         rows.append(row)
     return rows
 
 
-def _final_reduction(monkeypatch, vectors, modulus, bound, precision):
+def _threshold_sq(vectors, modulus, bound, s):
+    # squared norm bound of a true relation's vector in the lattice at scale 2^s
+    m, d = len(vectors), len(vectors[0])
+    r_max = max([x.radius for vec in vectors for x in vec] + [modulus.radius])
+    t = (m + 1) * bound * (Fraction(1, 2) + 2 ** s * r_max)
+    return (m + d) * bound ** 2 + d * t * t
+
+
+def _reductions(monkeypatch, vectors, modulus, bound, precision):
+    # the certificate (None when inconclusive) and every reduced basis, in order
     calls = []
 
     def recording_lll(rows, *args, **kwargs):
@@ -417,43 +435,105 @@ def _final_reduction(monkeypatch, vectors, modulus, bound, precision):
         return out
 
     monkeypatch.setattr(lattice, "lll", recording_lll)
-    cert = find_simultaneous_relation(vectors, modulus, bound, precision)
-    monkeypatch.undo()
+    try:
+        cert = find_simultaneous_relation(vectors, modulus, bound, precision)
+    except PrecisionTooLow:
+        cert = None
+    finally:
+        monkeypatch.undo()
     return cert, calls
 
 
-def test_progressive_reduction_spans_the_full_scale_lattice(monkeypatch):
-    # the last reduction of the gradual schedule is a basis of exactly the
-    # one-shot full-scale lattice, and its certificate bound is that basis's
-    # minimum Gram-Schmidt norm
+def test_progressive_reduction_spans_the_lattice_at_the_settling_scale(monkeypatch):
+    # the search stops at the first scale 2^s that settles it; its last
+    # reduction is a basis of exactly the one-shot lattice at 2^s, the
+    # certificate bound is that basis's minimum Gram-Schmidt norm, and no
+    # earlier scale could certify
     rng = random.Random(71)
     cases = []
-    # scales 2^32; 2^32, 2^64, 2^65; 2^32, 2^64, 2^128; 2^32, ..., 2^256
-    for precision, steps in ((64, 1), (130, 3), (256, 3), (512, 4)):
+    for precision in (64, 130, 256, 512):
         m, d = rng.randint(1, 4), rng.randint(1, 3)
         vectors = [[BallReal.from_int(rng.randint(2, 10 ** 6), precision).sqrt()
                     * Fraction(rng.randint(-50, 50), rng.randint(1, 50)) for _ in range(d)]
                    for _ in range(m)]
-        cases.append((vectors, precision, steps))
+        cases += [(vectors, precision, bound) for bound in (10, 10 ** 9, 10 ** 15, 10 ** 30)]
 
     from pweil.cyclo import CycloField
-    from pweil.regulators import arg_vector
     from pweil.splitting import split_prime
     from pweil.weilgroup import build_weil_basis
 
     basis = build_weil_basis(split_prime(CycloField(13), 79))
-    cases.append(([arg_vector(basis.xi[idx], 256).values for idx in basis.split.S], 256, 3))
+    args_13_79 = [arg_vector(basis.xi[idx], 256).values for idx in basis.split.S]
+    cases += [(args_13_79, 256, bound) for bound in (10, 10 ** 9)]
+    cases.append((args_13_79 + [args_13_79[0]], 256, 10))  # a planted twin
 
-    for vectors, precision, steps in cases:
+    settled = set()
+    for vectors, precision, bound in cases:
         two_pi = BallReal.pi(precision + 32) * 2
-        cert, calls = _final_reduction(monkeypatch, vectors, two_pi, 10, precision)
-        assert len(calls) == steps
-        full = _full_scale_rows(vectors, two_pi, precision)
-        assert row_hnf(calls[-1]) == row_hnf(full)
+        cert, calls = _reductions(monkeypatch, vectors, two_pi, bound, precision)
+        schedule = _schedule(precision)
+        s = schedule[-1] if cert is None else cert.scale_log2
+        assert len(calls) == schedule.index(s) + 1
+        assert row_hnf(calls[-1]) == row_hnf(_scaled_rows(vectors, two_pi, s))
+        for earlier, s_earlier in zip(calls[:-1], schedule):
+            assert min(gs_norms(earlier)) <= _threshold_sq(vectors, two_pi, bound, s_earlier)
+        if cert is None:
+            continue
+        threshold_sq = _threshold_sq(vectors, two_pi, bound, s)
+        assert Fraction(cert.threshold_sq) == threshold_sq
         if cert.status == "none-up-to-bound":
-            assert Fraction(cert.sv_lower_bound_sq) == min(gs_norms(calls[-1]))
-            assert Fraction(cert.sv_lower_bound_sq) > Fraction(cert.threshold_sq)
-    assert cert.status == "none-up-to-bound"  # the (13,79) argument vectors
+            assert Fraction(cert.sv_lower_bound_sq) == min(gs_norms(calls[-1])) > threshold_sq
+        else:
+            k_dim = len(vectors) + len(vectors[0])
+            assert cert.relation in {_canonical_sign(tuple(row[:k_dim])) for row in calls[-1]}
+        settled.add((cert.status, schedule.index(s) + 1, s == schedule[-1]))
+    # settled at the first, second, third and fourth scale, and at the full one
+    assert {pos for _, pos, _ in settled} == {1, 2, 3, 4}
+    assert ("none-up-to-bound", 3, True) in settled  # (13,79) at 10^9: 2^32, 2^64, 2^128
+    assert ("found", 1, False) in settled
+
+
+def _encloses_relation(vectors, modulus, relation):
+    # ball arithmetic: every coordinate of sum_i c_i a_i + k modulus contains 0
+    m = len(vectors)
+    c, k = relation[:m], relation[m:]
+    for v, kv in enumerate(k):
+        total = modulus * kv
+        for ci, vec in zip(c, vectors):
+            total = total + vec[v] * ci
+        if not total.contains_zero():
+            return False
+    return True
+
+
+@pytest.mark.parametrize("bound", [10 ** 4, 10 ** 9])
+def test_relation_search_matches_full_scale_oracle_on_the_grid(grid, bound):
+    # the 128 acceptance-grid cells with T nonempty at 256 bits, alone and
+    # with a planted twin v_0 + 2 pi k: the status of the search that always
+    # reduces up to the full scale, every found relation enclosed, and the
+    # oracle's certificate whenever the search reaches the full scale
+    points, _ = grid
+    two_pi = BallReal.pi(256 + 32) * 2
+    rng = random.Random(bound)
+    cells = full = 0
+    for (n, p), (field, split, basis) in sorted(points.items()):
+        if basis is None:
+            continue
+        vectors = [arg_vector(basis.xi[idx], 256).values for idx in split.S]
+        twin = [x + two_pi * rng.randint(-3, 3) for x in vectors[0]]
+        for vecs in (vectors, vectors + [twin]):
+            cert = find_simultaneous_relation(vecs, two_pi, bound, 256)
+            oracle = full_scale_relation(vecs, two_pi, bound, 256)
+            assert cert.status == oracle.status, (n, p)
+            if cert.status == "found":
+                assert cert.relation[len(vectors)] != 0
+                assert _encloses_relation(vecs, two_pi, cert.relation), (n, p)
+            if cert.scale_log2 == 128:
+                assert cert == oracle, (n, p)
+                full += 1
+        cells += 1
+    assert cells == 128
+    assert full == (0 if bound == 10 ** 4 else 5)
 
 
 def test_simultaneous_planted_relations_always_found():
