@@ -7,6 +7,8 @@
 # tested here at a bounded scale: an LLL search for integer relations
 # among the argument enclosures, modulo 2 pi, with certified arithmetic.
 
+from fractions import Fraction
+
 from pweil.cyclo import CycloField
 from pweil.splitting import split_prime
 from pweil.weilgroup import build_weil_basis
@@ -27,8 +29,9 @@ cert = report.certificate
 print("\nrelation search up to |c| <=", cert.bound, "at", cert.precision, "bits:")
 print("  status:", cert.status)
 print("  settled at scale: 2^%d (largest 2^%d)" % (cert.scale_log2, cert.precision // 2))
-print("  shortest-vector bound^2:", cert.sv_lower_bound_sq[:40], "...")
-print("  threshold^2:           ", cert.threshold_sq)
+# both are exact rationals; six significant digits show that one exceeds the other
+print("  shortest-vector bound^2: %.6e" % Fraction(cert.sv_lower_bound_sq))
+print("  threshold^2:             %.6e" % Fraction(cert.threshold_sq))
 
 # branch choices only shift by lattice vectors already modded out, so the
 # certificate is stable under arbitrary 2pi offsets

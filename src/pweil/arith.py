@@ -9,7 +9,9 @@ Three layers, used by every other module:
 * ``BallReal`` / ``BallComplex`` wrap mpmath's directed-rounding interval
   kernels, so every operation returns an enclosure of the exact result;
 * ``GaloisRing`` / ``PadicElt`` model the unramified local ring
-  Z_p[t]/(h(t)) truncated at precision p^K.
+  Z_p[t]/(h(t)) truncated at precision p^K; the norm to Z/p^K is the
+  determinant of multiplication by an element, taken fraction-free over Z,
+  so it holds for non-units and any monic h.
 
 All values are immutable; precision is carried per value, never global.
 """
@@ -565,7 +567,6 @@ class GaloisRing:
         if modulus[-1] % self.pK != 1:
             raise ValueError("modulus must be monic")
         self.modulus = tuple(c % self.pK for c in modulus)
-        self._frob_root: Optional[tuple[int, ...]] = None
 
     @staticmethod
     def qp(p: int, prec: int) -> "GaloisRing":
@@ -668,57 +669,31 @@ class GaloisRing:
                     return 0
         return best
 
-    # -- Frobenius and norm
-
-    def frobenius_root(self) -> tuple[int, ...]:
-        """The root of the modulus congruent to t^p mod p, Newton-lifted to p^K.
-
-        Substituting t by this root is the ring's Frobenius automorphism.
-        """
-        if self._frob_root is not None:
-            return self._frob_root
-        if self.f == 1:
-            self._frob_root = tuple([(-self.modulus[0]) % self.pK])
-            return self._frob_root
-        p, pK = self.p, self.pK
-        h = list(self.modulus)
-        dh = [(i * h[i]) % pK for i in range(1, len(h))]
-        r = self.elt(fp_pow_mod([0, 1], p, [c % p for c in h], p))
-        for _ in range(self.prec.bit_length() + 2):
-            hr = self._eval_poly(h, r)
-            if all(c == 0 for c in hr.coeffs):
-                break
-            dhr = self._eval_poly(dh, r)
-            r = r - hr * self.inverse(dhr)
-        hr = self._eval_poly(h, r)
-        if any(c != 0 for c in hr.coeffs):
-            raise ArithmeticError("Frobenius root lifting failed")
-        self._frob_root = r.coeffs
-        return r.coeffs
-
-    def _eval_poly(self, poly: Sequence[int], x: "PadicElt") -> "PadicElt":
-        acc = self.zero()
-        for c in reversed(list(poly)):
-            acc = acc * x + self.from_int(c)
-        return acc
-
-    def frobenius(self, x: "PadicElt") -> "PadicElt":
-        root = PadicElt(self, self.frobenius_root())
-        acc = self.zero()
-        for c in reversed(x.coeffs):
-            acc = acc * root + self.from_int(c)
-        return acc
+    # -- norm
 
     def norm(self, x: "PadicElt") -> int:
-        """Product of the f Frobenius conjugates; lands in Z/p^K."""
-        acc = x
-        prod = x
-        for _ in range(self.f - 1):
-            acc = self.frobenius(acc)
-            prod = prod * acc
-        if any(c != 0 for c in prod.coeffs[1:]):
-            raise ArithmeticError("norm did not land in the base ring")
-        return prod.coeffs[0]
+        """The norm to Z/p^K: the determinant of multiplication by x on the
+        basis 1, t, ..., t^(f-1).  Fraction-free (Bareiss) elimination over Z
+        on the representatives in [0, p^K), reduced mod p^K once at the end,
+        so x need not be a unit nor the modulus irreducible."""
+        f, pK = self.f, self.pK
+        # row j holds the coefficients of x t^j; the transpose has the same det
+        a = [list(x.coeffs)]
+        for _ in range(f - 1):
+            a.append(_zm_rem_monic([0] + a[-1], self.modulus, pK))
+        sign, prev = 1, 1
+        for k in range(f - 1):
+            if a[k][k] == 0:
+                piv = next((i for i in range(k + 1, f) if a[i][k]), None)
+                if piv is None:
+                    return 0
+                a[k], a[piv] = a[piv], a[k]
+                sign = -sign
+            for i in range(k + 1, f):
+                for j in range(k + 1, f):
+                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            prev = a[k][k]
+        return sign * a[-1][-1] % pK
 
     def at_precision(self, prec: int) -> "GaloisRing":
         if prec == self.prec:

@@ -86,16 +86,20 @@ def _cache_path(cache_dir: str, key_obj: dict) -> str:
     return os.path.join(cache_dir, hashlib.sha256(blob).hexdigest() + ".json")
 
 
-def _cache_get(cache_dir: Optional[str], key_obj: dict) -> Optional[dict]:
-    if not cache_dir:
-        return None
-    path = _cache_path(cache_dir, key_obj)
-    if os.path.exists(path):
+def _cache_get(cache_dir: Optional[str], key_obj: dict, fields: frozenset) -> Optional[dict]:
+    """The cached entry, or None for a miss (rewritten by _cache_put): no file,
+    a JSON or UTF-8 decode error, or not a dict with ``fields`` and the key's n, p."""
+    path = _cache_path(cache_dir, key_obj) if cache_dir else None
+    if path and os.path.exists(path):
         with open(path) as fh:
             try:
-                return json.load(fh)
+                entry = json.load(fh)
             except ValueError:
-                return None  # JSON or UTF-8 decode error: a miss, rewritten by _cache_put
+                return None
+        cell = entry.get("config", entry) if isinstance(entry, dict) else None  # analyze: in config
+        if isinstance(cell, dict) and fields <= entry.keys() \
+                and (cell.get("n"), cell.get("p")) == (key_obj["n"], key_obj["p"]):
+            return entry
     return None
 
 
@@ -208,7 +212,7 @@ def _format_analyze_text(rep: dict) -> str:
 def cmd_analyze(args, cfg: RunConfig) -> int:
     key = {"cmd": "analyze", "n": args.n, "p": args.p, "precision": cfg.precision,
            "bound": cfg.bound, "K": cfg.padic_prec, "version": __version__}
-    rep = _cache_get(cfg.cache_dir, key)
+    rep = _cache_get(cfg.cache_dir, key, _ANALYZE_FIELDS)
     if rep is None:
         rep = analyze_report(args.n, args.p, cfg)
         _cache_put(cfg.cache_dir, key, rep)
@@ -226,6 +230,10 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
 
 _SCAN_COLUMNS = ["n", "p", "f", "g", "T_size", "S_size", "rank", "M",
                  "closure_dim", "dense", "certificate"]
+# what cmd_scan and cmd_analyze read of a cached row or report
+_SCAN_FIELDS = frozenset(_SCAN_COLUMNS + ["ok"])
+_ANALYZE_FIELDS = frozenset("config split weil_basis structure_checks closure gross_matrix "
+                            "argument_independence group_determinant ok".split())
 
 
 def _scan_header() -> str:
@@ -292,7 +300,7 @@ def cmd_scan(args, cfg: RunConfig) -> int:
     for cell in cells:
         key = {"cmd": "scan-cell", "n": cell[0], "p": cell[1], "precision": cfg.precision,
                "bound": cfg.bound, "K": cfg.padic_prec, "version": __version__}
-        cached = _cache_get(cfg.cache_dir, key)
+        cached = _cache_get(cfg.cache_dir, key, _SCAN_FIELDS)
         if cached is not None:
             rows.append(cached)
         else:

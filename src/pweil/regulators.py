@@ -8,8 +8,8 @@
 * the group determinant built from the conjugates of a basis element under
   a cyclic Galois action, evaluated both directly and through its character
   factorization;
-* the Z_p-valued regulator matrix log_p of the modified local absolute
-  values at the primes above p, with a heuristic rank;
+* the Z_p-valued regulator matrix, log_p of the modified local absolute
+  values at the primes above p: one row, Galois-permuted, and a heuristic rank;
 * the exact dimension of the closure of the argument image in the torus
   (span of the place-incidence vectors eps);
 * the consistency identity tying the imaginary part of a Weil number's
@@ -317,6 +317,7 @@ class GrossMatrix:
     Entries are log_p of the modified local absolute value (Nv)^(-ord_v)
     times the local norm, each a p-adic integer at the stated precision.
     Row sums vanish (product formula); torsion elements give zero rows.
+    The rows are permutations of one row (see ``gross_matrix``).
     """
 
     split: SplitData
@@ -368,12 +369,23 @@ def gross_row(x: CycloElt, split: SplitData, K: int = 50) -> list[PadicElt]:
 
 
 def gross_matrix(basis: WeilBasis, split: SplitData, K: int = 50) -> GrossMatrix:
-    """The regulator matrix of the basis with heuristic p-adic rank."""
+    """The regulator matrix of the basis with heuristic p-adic rank.
+
+    Only the row of xi_{P0}, P0 = S[0], is computed.  For P = sigma_a(P0)
+    in S, xi_P / sigma_a(xi_{P0}) is asserted to be a root of unity (log_p of
+    its local norms is 0) and |sigma_a x|_{sigma_a Q} = |x|_Q, so the row of
+    xi_P is that row permuted: its entry at Q is row0[sigma_a^-1 Q].
+    """
+    field, S = split.field, split.S
+    row0 = gross_row(basis.xi[S[0]], split, K) if S else []
     rows = []
-    labels = []
-    for idx in split.S:
-        rows.append(gross_row(basis.xi[idx], split, K))
-        labels.append(split.primes[idx].label)
+    for idx in S:
+        a = next(a for a in field.units if split.act_index(a, S[0]) == idx)
+        moved = basis.xi[S[0]].apply(field.aut(a))
+        assert is_root_of_unity(basis.xi[idx] * moved.conj()) is not None, \
+            "xi_P is not sigma_a(xi_P0) up to a root of unity"
+        a_inv = pow(a, -1, field.n)
+        rows.append([row0[split.act_index(a_inv, j)] for j in range(split.g)])
     out_prec = min((e.precision for row in rows for e in row), default=K)
     norm_rows = [[e.at_precision(out_prec) for e in row] for row in rows]
 
@@ -389,7 +401,7 @@ def gross_matrix(basis: WeilBasis, split: SplitData, K: int = 50) -> GrossMatrix
                        split.p, out_prec)
     return GrossMatrix(
         split=split,
-        row_labels=tuple(labels),
+        row_labels=tuple(split.primes[idx].label for idx in S),
         entries=tuple(tuple(row) for row in norm_rows),
         precision=out_prec,
         heuristic_rank=rank,

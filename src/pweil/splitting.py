@@ -1,7 +1,8 @@
 """Decomposition of an unramified rational prime p in Q(zeta_n).
 
 A prime above p is represented by a monic degree-f factor of Phi_n lifted
-to precision p^K (Hensel), together with its Frobenius coset in (Z/n)*.
+to precision p^K (by Hensel for the first factor, whose root t gives every
+other as a product of (X - t^b)), together with its Frobenius coset in (Z/n)*.
 Valuations reduce to p-adic valuations of images in the Galois ring
 (Z/p^K)[t]/(h), so no general ideal factorization is ever needed.  A prime
 keeps one such ring per precision (``ring_at``), so no digit is lifted twice.
@@ -255,9 +256,10 @@ class SplitData:
 def split_prime(field: CycloField, p: int, K: int = 50) -> SplitData:
     """Decompose the unramified prime p in Q(zeta_n).
 
-    Builds F_{p^f} from a canonical factor of Phi_n mod p, identifies each
-    factor's set of roots among the powers of the chosen primitive n-th root
-    of unity, and Hensel-lifts every factor to precision p^K.
+    Factors Phi_n mod p, sorts and labels the factors and Hensel-lifts only
+    the first, h0, to p^K.  In GR(p^K, f) on that lift the roots of Phi_n are
+    the t^b; each prime's lifted factor is the product of (X - t^b) over one
+    orbit b<p>, named by its residue mod p, with the orbit's inverses as coset.
     """
     if not is_prime(p):
         raise NotPrime("%d is not prime" % p)
@@ -265,48 +267,50 @@ def split_prime(field: CycloField, p: int, K: int = 50) -> SplitData:
     if n % p == 0:
         raise RamifiedPrime("p = %d divides the conductor %d" % (p, n))
     f = multiplicative_order(p, n)
-    phi_mod = [c % p for c in cyclotomic_polynomial(n)]
+    phi_int = cyclotomic_polynomial(n)
     rng = random.Random(1000003 * n + p)
-    factors = _equal_degree_factor(phi_mod, f, p, rng)
+    factors = _equal_degree_factor([c % p for c in phi_int], f, p, rng)
     assert len(factors) == field.degree // f
 
     if f == 1:
         factors.sort(key=lambda h: (-h[0]) % p)
     else:
         factors.sort(key=lambda h: tuple(h))
+    label = {tuple(h): idx for idx, h in enumerate(factors)}
 
-    # residue field F_{p^f} presented on the first factor; zeta bar = t
-    h0 = factors[0]
-    zeta_powers: dict[int, list[int]] = {}
+    ring = GaloisRing(p, K, f, hensel_lift_factor(phi_int, factors[0], p, K))
+    t, t_pow = ring.elt([0, 1]), [ring.one()]
+    for _ in range(n - 1):
+        t_pow.append(t_pow[-1] * t)
+    lifted: list = [None] * len(factors)
+    cosets: list = lifted[:]
     for b in field.units:
-        zeta_powers[b] = fp_pow_mod([0, 1], b, h0, p)
+        orbit = [(b * p ** i) % n for i in range(f)]
+        if min(orbit) != b:
+            continue
+        # the orbit of t itself belongs to the lift of h0
+        h = ring.modulus if b == 1 else _poly_from_roots(ring, [t_pow[c] for c in orbit])
+        assert not any(_zm_rem_monic(phi_int, h, ring.pK)), "factor does not divide Phi_n"
+        idx = label.get(tuple(c % p for c in h))
+        assert idx is not None and lifted[idx] is None, "factor mod p is not a new h_bar"
+        lifted[idx] = h
+        cosets[idx] = frozenset(pow(c, -1, n) for c in orbit)
 
-    phi_int = cyclotomic_polynomial(n)
-    primes = []
-    for idx, h in enumerate(factors):
-        roots = [b for b in field.units if _fq_eval(h, zeta_powers[b], h0, p) == []]
-        assert len(roots) == f, "factor does not have f roots among zeta-bar powers"
-        coset = frozenset(pow(b, -1, n) for b in roots)
-        lifted = hensel_lift_factor(phi_int, h, p, K)
-        primes.append(PrimeAbove(field, p, idx, tuple(h), lifted, K, coset))
-
-    split = SplitData(field, p, primes, K)
+    primes = [PrimeAbove(field, p, idx, tuple(h), lifted[idx], K, cosets[idx])
+              for idx, h in enumerate(factors)]
     # Frobenius cosets partition the unit group
-    union = set()
-    for pr in primes:
-        union.update(pr.coset)
-    assert union == set(field.units)
-    return split
+    assert set().union(*cosets) == set(field.units)
+    return SplitData(field, p, primes, K)
 
 
-def _fq_eval(poly: Sequence[int], x: list[int], modulus: list[int], p: int) -> list[int]:
-    """Evaluate poly (coeffs in F_p) at x in F_q = F_p[t]/(modulus)."""
-    acc: list[int] = []
-    for c in reversed(list(poly)):
-        acc = fp_divmod(fp_mul(acc, x, p), modulus, p)[1]
-        if c % p:
-            acc = fp_add(acc, [c % p], p)
-    return acc
+def _poly_from_roots(ring: GaloisRing, roots: Sequence) -> tuple[int, ...]:
+    """prod (X - r) over the roots, in GR[X]; every coefficient must lie in Z/p^K."""
+    poly = [ring.one()]
+    for r in roots:
+        poly = [-(r * poly[0])] + [poly[i - 1] - r * poly[i] for i in range(1, len(poly))] \
+            + [poly[-1]]
+    assert not any(c for e in poly for c in e.coeffs[1:]), "factor not defined over Z/p^K"
+    return tuple(e.coeffs[0] for e in poly)
 
 
 # ---------------------------------------------------------------------------

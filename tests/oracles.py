@@ -9,6 +9,12 @@ and ``embed_uncached`` are the generator search that ``build_weil_basis``
 ran at every prime of S, the regulator row that lifted Phi_n afresh to
 K + f ord for each entry, and the embedding that evaluated cos and sin for
 every coefficient, before per-prime work was done once.
+``fq_coset`` is the root test over F_{p^f} that ``split_prime`` used to
+find each factor's coset, before the factors above p were transported from
+one Hensel lift; ``per_row_gross_matrix`` is the regulator matrix with one
+``gross_row`` per prime of S, before the rows were permutations of one;
+``frobenius`` and ``frobenius_norm`` are the Galois-ring Frobenius and the
+norm as the product of its f conjugates, before the norm was a determinant.
 ``full_scale_relation`` is the relation search that always fed the lattice
 through every scale up to 2^(precision/2) and settled only there, before
 the search returned at the first scale that settles it.  They stay here as
@@ -18,8 +24,10 @@ the differential oracles.
 import math
 from fractions import Fraction
 
-from pweil.arith import BallComplex, BallReal, GaloisRing, PrecisionTooLow, padic_log, split_p
+from pweil.arith import (BallComplex, BallReal, GaloisRing, PadicElt, PrecisionTooLow, fp_add,
+                         fp_divmod, fp_mul, fp_pow_mod, padic_log, split_p)
 from pweil.cyclo import cyclotomic_polynomial, norm
+from pweil.regulators import GrossMatrix, _padic_rank, gross_row
 from pweil.lattice import (BoundTooLarge, DependentRows, RelationCertificate, _canonical_sign,
                            _dot, _round_fraction, gs_norms, lll, short_vectors)
 from pweil.splitting import hensel_lift_factor, ord_at
@@ -403,3 +411,82 @@ def full_scale_relation(vectors, modulus, bound, precision=None):
     raise PrecisionTooLow(
         "simultaneous relation search inconclusive: raise precision or lower the bound"
     )
+
+
+def fq_coset(prime):
+    """The coset of ``prime`` from the roots t^b of its factor mod p in
+    F_p[t]/(h0), h0 the factor of label 0: {b^-1 : h(t^b) = 0}."""
+    split, field, p = prime.split, prime.field, prime.p
+    h0 = list(split.primes[0].h_bar)
+
+    def fq_eval(poly, x):
+        acc = []
+        for c in reversed(list(poly)):
+            acc = fp_divmod(fp_mul(acc, x, p), h0, p)[1]
+            if c % p:
+                acc = fp_add(acc, [c % p], p)
+        return acc
+
+    roots = [b for b in field.units
+             if fq_eval(prime.h_bar, fp_pow_mod([0, 1], b, h0, p)) == []]
+    assert len(roots) == prime.f
+    return frozenset(pow(b, -1, field.n) for b in roots)
+
+
+def per_row_gross_matrix(basis, split, K=50):
+    """``gross_matrix`` with ``gross_row`` evaluated at every xi_P, P in S."""
+    rows = [gross_row(basis.xi[idx], split, K) for idx in split.S]
+    labels = [split.primes[idx].label for idx in split.S]
+    out_prec = min((e.precision for row in rows for e in row), default=K)
+    norm_rows = [[e.at_precision(out_prec) for e in row] for row in rows]
+    min_val = out_prec
+    for row in norm_rows:
+        total = sum(e.coeffs[0] for e in row) % (split.p ** out_prec)
+        min_val = min(min_val, split_p(total, split.p)[0] if total else out_prec)
+    rank = _padic_rank([[int(e.coeffs[0]) for e in row] for row in norm_rows],
+                       split.p, out_prec)
+    return GrossMatrix(split, tuple(labels), tuple(tuple(row) for row in norm_rows),
+                       out_prec, rank, min_val)
+
+
+def _frobenius_root(ring):
+    """The root of the modulus congruent to t^p mod p, Newton-lifted to p^K."""
+    if ring.f == 1:
+        return ((-ring.modulus[0]) % ring.pK,)
+    p, pK = ring.p, ring.pK
+    h = list(ring.modulus)
+    dh = [(i * h[i]) % pK for i in range(1, len(h))]
+
+    def ev(poly, x):
+        acc = ring.zero()
+        for c in reversed(poly):
+            acc = acc * x + ring.from_int(c)
+        return acc
+
+    r = ring.elt(fp_pow_mod([0, 1], p, [c % p for c in h], p))
+    for _ in range(ring.prec.bit_length() + 2):
+        hr = ev(h, r)
+        if hr.is_zero():
+            break
+        r = r - hr * ring.inverse(ev(dh, r))
+    assert ev(h, r).is_zero(), "Frobenius root lifting failed"
+    return r.coeffs
+
+
+def frobenius(ring, x):
+    """The Frobenius automorphism t -> (root of h congruent to t^p) of x."""
+    root = PadicElt(ring, _frobenius_root(ring))
+    acc = ring.zero()
+    for c in reversed(x.coeffs):
+        acc = acc * root + ring.from_int(c)
+    return acc
+
+
+def frobenius_norm(ring, x):
+    """Product of the f Frobenius conjugates of x; lands in Z/p^K."""
+    acc = prod = x
+    for _ in range(ring.f - 1):
+        acc = frobenius(ring, acc)
+        prod = prod * acc
+    assert not any(prod.coeffs[1:]), "norm did not land in the base ring"
+    return prod.coeffs[0]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
 
 from pweil.arith import (
     BallComplex,
@@ -16,6 +17,9 @@ from pweil.arith import (
     padic_log,
     rational_reconstruct,
 )
+from pweil.cyclo import CycloField
+from pweil.splitting import split_prime
+from oracles import frobenius, frobenius_norm
 
 
 # ---------------------------------------------------------------------------
@@ -260,5 +264,48 @@ def test_galois_ring_inverse_and_norm():
         assert R.norm(u * v) == (R.norm(u) * R.norm(v)) % R.pK
     # Frobenius has order f and fixes the base ring
     u = R.elt([3, 7])
-    assert R.frobenius(R.frobenius(u)) == u
-    assert R.frobenius(R.from_int(13)) == R.from_int(13)
+    assert frobenius(R, frobenius(R, u)) == u
+    assert frobenius(R, R.from_int(13)) == R.from_int(13)
+
+
+def _norm_rings(case):
+    if case == "t^2+2 mod 5^20":
+        return [GaloisRing(5, 20, 2, (2, 0, 1))]
+    if case == "t^3+t+1 mod 2^25":
+        return [GaloisRing(2, 25, 3, (1, 1, 0, 1))]
+    n, p, K = case
+    split = split_prime(CycloField(n), p, K)
+    return [split.primes[0].ring_at(K), split.primes[-1].ring_at(K)]
+
+
+@pytest.mark.parametrize("case", ["t^2+2 mod 5^20", "t^3+t+1 mod 2^25", (13, 79, 50),
+                                  (8, 5, 40), (7, 2, 60), (13, 3, 30), (11, 3, 30),
+                                  (17, 2, 40), (19, 2, 25)], ids=str)
+def test_galois_ring_norm_is_the_resultant_and_the_frobenius_product(case):
+    # the determinant norm against Res(h, a) mod p^K (sympy) and against the
+    # product of the f Frobenius conjugates, on units, on non-units (p | x,
+    # including 0) and on x = t, whose first pivot is zero, for two moduli
+    # that are not cyclotomic and for factors of Phi_n (f = 1, 2, 3, 5, 8, 18)
+    X = sympy.Symbol("X")
+    for R in _norm_rings(case):
+        rng = random.Random(R.pK % 1000003)
+        elts = [R.zero(), R.one(), R.elt([0, 1]), R.elt([0, R.p]), R.from_int(R.p ** 3)]
+        for _ in range(4):
+            u = R.elt([rng.randrange(R.pK) for _ in range(R.f)])
+            elts += [u, u * R.from_int(R.p), R.elt([0] + list(u.coeffs[1:]))]
+        h = sympy.Poly(list(reversed(R.modulus)), X)
+        for x in elts:
+            res = sympy.resultant(h, sympy.Poly(list(reversed(x.coeffs)), X))
+            assert R.norm(x) == int(res) % R.pK
+            assert R.norm(x) == frobenius_norm(R, x)
+        assert any(x.is_unit() for x in elts) and any(not x.is_unit() for x in elts)
+
+
+def test_galois_ring_norm_accepts_a_reducible_modulus():
+    # t^2 + 3t + 2 = (t + 1)(t + 2): the determinant needs no field
+    X = sympy.Symbol("X")
+    R = GaloisRing(7, 10, 2, (2, 3, 1))
+    h = sympy.Poly([1, 3, 2], X)
+    for c in ([0, 1], [1, 1], [2, 1], [5, 3], [7, 0], [0, 0]):
+        res = sympy.resultant(h, sympy.Poly(list(reversed(c)), X))
+        assert R.norm(R.elt(c)) == int(res) % R.pK

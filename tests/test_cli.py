@@ -117,6 +117,44 @@ def test_scan_truncated_cache_file_is_a_miss(capsys, tmp_path):
     assert json.loads(victim.read_text()) == json.loads(intact)
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("junk", ["{}", "[]", '"x"', "other cell"])
+def test_scan_cache_entry_of_the_wrong_shape_is_a_miss(capsys, tmp_path, workers, junk):
+    # valid JSON that is not a row with this cell's n and p is recomputed
+    # and rewritten, never read as the cell's row
+    args = ["scan", "--n-range", "5", "--p-max", "11", "--precision", "128", "--bound", "100",
+            "--workers", workers, "--format", "csv", "--cache-dir", str(tmp_path)]
+    code1, out1, _ = run_cli(capsys, *args)
+    assert code1 == 0
+    files = sorted(f for f in tmp_path.iterdir() if f.suffix == ".json")
+    victim, other = files[0], files[1]
+    intact = victim.read_text()
+    victim.write_text(other.read_text() if junk == "other cell" else junk)
+    code2, out2, err2 = run_cli(capsys, *args)
+    assert (code2, out2, err2) == (0, out1, "")
+    assert json.loads(victim.read_text()) == json.loads(intact)
+
+
+@pytest.mark.parametrize("junk", ["{}", "[]", '"x"', "other cell"])
+def test_analyze_cache_entry_of_the_wrong_shape_is_a_miss(capsys, tmp_path, junk):
+    def args(p):
+        return ["analyze", "--n", "5", "--p", p, "--precision", "128", "--bound", "100",
+                "--cache-dir", str(tmp_path / p)]
+
+    code1, out1, _ = run_cli(capsys, *args("11"))
+    assert code1 == 0
+    (victim,) = (tmp_path / "11").iterdir()
+    intact = victim.read_text()
+    if junk == "other cell":
+        assert run_cli(capsys, *args("19"))[0] == 0
+        (donor,) = (tmp_path / "19").iterdir()
+        junk = donor.read_text()
+    victim.write_text(junk)
+    code2, out2, err2 = run_cli(capsys, *args("11"))
+    assert (code2, out2, err2) == (0, out1, "")
+    assert json.loads(victim.read_text()) == json.loads(intact)
+
+
 def test_analyze_cache(capsys, tmp_path):
     args = ["analyze", "--n", "5", "--p", "19", "--format", "json",
             "--cache-dir", str(tmp_path)]

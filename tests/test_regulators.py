@@ -9,7 +9,7 @@ from pweil.cyclo import CycloField, embed
 from pweil.lattice import find_simultaneous_relation
 from pweil.splitting import split_prime
 from pweil.weilgroup import build_weil_basis, jacobi_weil_number
-from oracles import gross_row_full_norm
+from oracles import gross_row_full_norm, per_row_gross_matrix
 from pweil.regulators import (
     BasisMismatch,
     arg_vector,
@@ -223,6 +223,16 @@ def test_gross_row_matches_full_norm_oracle(n, p):
             got, want = gross_row(x, split, K), gross_row_full_norm(x, split, K)
             assert [(e.precision, e.coeffs) for e in got] == \
                 [(e.precision, e.coeffs) for e in want]
+
+
+def test_gross_matrix_rows_match_the_per_row_loop(grid, basis_5_11):
+    # each S-row is the row of xi_{S[0]} permuted by sigma_a^-1 on the
+    # columns; entries, precision, rank and row-sum valuation are those of
+    # one gross_row per prime of S, on every grid cell with T nonempty
+    cells = [(sp, basis) for _field, sp, basis in grid[0].values() if basis is not None]
+    assert len(cells) == 128
+    for sp, basis in cells + [(basis_5_11.split, basis_5_11)]:
+        assert gross_matrix(basis, sp) == per_row_gross_matrix(basis, sp)
 
 
 def test_gross_matrix_nontrivial_residue_degree(basis_8_5):

@@ -16,6 +16,7 @@ from pweil.splitting import (
     ord_at,
     split_prime,
 )
+from oracles import fq_coset
 
 
 def _phi(n):
@@ -206,3 +207,26 @@ def test_ring_at_matches_a_fresh_lift_in_any_order(n, p):
                 assert (ring.p, ring.prec, ring.f) == (p, prec, pr.f)
                 assert ring.modulus == fresh[pr.index, prec]
                 assert pr.ring_at(prec) is ring
+
+
+FULL_RANGE_N = (3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 17, 19, 20)
+
+
+@pytest.mark.parametrize("n", FULL_RANGE_N)
+def test_transported_factors_are_the_hensel_lifts(n):
+    # only h0 is Hensel-lifted; every other factor is a product of (X - t^b)
+    # over a Frobenius orbit in GR(p^K, f) on h0.  By uniqueness of Hensel
+    # lifts it is the lift of its own h_bar, and its coset is the one the
+    # root test over F_{p^f} gives; a ring above K extends it like a fresh lift
+    field = CycloField(n)
+    phi = cyclotomic_polynomial(n)
+    for p in range(2, 200):
+        if not is_prime(p) or n % p == 0:
+            continue
+        for K in (1, 2, 7, 50):
+            split = split_prime(field, p, K)
+            for pr in split.primes:
+                assert pr.ring_at(K).modulus == hensel_lift_factor(phi, pr.h_bar, p, K)
+                if K == 7:
+                    assert pr.coset == fq_coset(pr)
+                    assert pr.ring_at(K + 5).modulus == hensel_lift_factor(phi, pr.h_bar, p, K + 5)
