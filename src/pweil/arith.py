@@ -11,7 +11,9 @@ Three layers, used by every other module:
 * ``GaloisRing`` / ``PadicElt`` model the unramified local ring
   Z_p[t]/(h(t)) truncated at precision p^K; the norm to Z/p^K is the
   determinant of multiplication by an element, taken fraction-free over Z,
-  so it holds for non-units and any monic h.
+  so it holds for non-units and any monic h.  Of the ring operations only
+  ``inverse`` needs h irreducible mod p, so they also serve F_p[t]/(h) for
+  a product h of factors, as in the Cantor-Zassenhaus split of Phi_n mod p.
 
 All values are immutable; precision is carried per value, never global.
 """
@@ -432,16 +434,6 @@ def fp_trim(a: list[int]) -> list[int]:
     return a
 
 
-def fp_add(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return fp_trim(out)
-
-
 def fp_sub(a, b, p):
     n = max(len(a), len(b))
     out = [0] * n
@@ -514,17 +506,6 @@ def fp_xgcd(a, b, p):
     return r0, s0, t0
 
 
-def fp_pow_mod(a, e, mod_poly, p):
-    result = [1]
-    base = fp_divmod(a, mod_poly, p)[1]
-    while e:
-        if e & 1:
-            result = fp_divmod(fp_mul(result, base, p), mod_poly, p)[1]
-        base = fp_divmod(fp_mul(base, base, p), mod_poly, p)[1]
-        e >>= 1
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Polynomials over Z/m (monic reduction only, used by the Galois ring and,
 # with m = 0, by the integer arithmetic of Q(zeta_n))
@@ -549,11 +530,13 @@ def _zm_rem_monic(a: Sequence[int], h: Sequence[int], m: int = 0) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Galois rings GR(p^K, f) = (Z/p^K)[t]/(h) with h monic of degree f,
-# irreducible mod p.
+# Galois rings GR(p^K, f) = (Z/p^K)[t]/(h) with h monic of degree f
 
 class GaloisRing:
-    """Truncated unramified local ring of residue degree f at precision p^K."""
+    """Truncated unramified local ring of residue degree f at precision p^K
+    when h is irreducible mod p.  Of the ring operations only ``inverse``
+    needs that (``is_unit`` and ``padic_log`` read the residue ring as the
+    field F_{p^f}); sums, products, powers and the norm hold for any monic h."""
 
     def __init__(self, p: int, prec: int, f: int, modulus: Sequence[int]):
         if prec < 1 or f < 1:
@@ -586,21 +569,11 @@ class GaloisRing:
     def from_int(self, n: int) -> "PadicElt":
         return self.elt([n])
 
-    def from_fraction(self, q) -> "PadicElt":
-        q = Fraction(q)
-        if q.denominator % self.p == 0:
-            raise NotAUnit("denominator divisible by p")
-        inv = pow(q.denominator, -1, self.pK)
-        return self.elt([q.numerator * inv])
-
     def one(self) -> "PadicElt":
         return self.from_int(1)
 
     def zero(self) -> "PadicElt":
         return self.from_int(0)
-
-    def from_int_poly(self, coeffs: Sequence[int]) -> "PadicElt":
-        return self.elt(list(coeffs))
 
     # -- internal coefficient ops
 
@@ -615,8 +588,8 @@ class GaloisRing:
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
-                    out[i + j] = (out[i + j] + ca * cb) % self.pK
-        return tuple(_zm_rem_monic(out, self.modulus, self.pK))
+                    out[i + j] += ca * cb
+        return tuple(_zm_rem_monic(out, self.modulus, self.pK))  # reduces mod p^K once
 
     # -- ring structure
 

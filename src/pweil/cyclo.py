@@ -177,16 +177,8 @@ class GaloisAut:
         if gcd(self.a, self.n) != 1:
             raise ValueError("automorphism index %d not coprime to %d" % (self.a, self.n))
 
-    def __mul__(self, other: "GaloisAut") -> "GaloisAut":
-        if self.n != other.n:
-            raise ValueError("automorphisms of different fields")
-        return GaloisAut(self.n, self.a * other.a % self.n)
-
     def inverse(self) -> "GaloisAut":
         return GaloisAut(self.n, pow(self.a, -1, self.n))
-
-    def is_conjugation(self) -> bool:
-        return self.a == self.n - 1
 
     def __repr__(self) -> str:
         return "GaloisAut(zeta -> zeta^%d mod %d)" % (self.a, self.n)

@@ -35,32 +35,6 @@ class BoundTooLarge(RuntimeError):
 # ---------------------------------------------------------------------------
 # Exact integer/rational matrix utilities
 
-def rank_q(rows: Sequence[Sequence]) -> int:
-    """Exact rank over Q by fraction elimination."""
-    a = [[Fraction(x) for x in r] for r in rows]
-    if not a:
-        return 0
-    ncols = len(a[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = next((i for i in range(row, len(a)) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for i in range(len(a)):
-            if i != row and a[i][col] != 0:
-                c = a[i][col]
-                a[i] = [x - c * y for x, y in zip(a[i], a[row])]
-        row += 1
-        rank += 1
-        if row == len(a):
-            break
-    return rank
-
-
 def row_hnf(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     """Row Hermite normal form; returns (nonzero rows, rank).
 

@@ -37,7 +37,7 @@ from .arith import (
     split_p,
 )
 from .cyclo import CycloElt, GaloisAut, embed, is_root_of_unity
-from .lattice import RelationCertificate, find_simultaneous_relation, kernel_basis_int, rank_q
+from .lattice import RelationCertificate, find_simultaneous_relation, kernel_basis_int, row_hnf
 from .splitting import SplitData, ord_at
 from .weilgroup import WeilBasis, alpha_p_map
 
@@ -224,7 +224,7 @@ def conjugate_orbit(basis: WeilBasis, sigma: GaloisAut) -> list[CycloElt]:
             "sigma^%d does not fix xi (the orbit does not close into a group)" % m
         )
     rows = [alpha_p_map(e, split).coeffs for e in orbit]
-    if rank_q(rows) != m:
+    if row_hnf(rows)[1] != m:
         raise BasisMismatch("conjugates do not span E_p(k) x Q")
     return orbit
 
@@ -349,18 +349,19 @@ class GrossMatrix:
 def gross_row(x: CycloElt, split: SplitData, K: int = 50) -> list[PadicElt]:
     """log_p of the modified absolute values of x at every prime above p.
 
-    At P, x.num = p^ord_num u with u a local unit, known mod p^K from the
-    image at precision K + ord_num; the norm of u is taken at precision K.
+    At P, the image of x.num under zeta -> w^e (``PrimeAbove.image``) is
+    p^ord_num u with u a local unit, known mod p^K from the image at
+    precision K + ord_num; the norm of u is taken at precision K.
     """
     p = split.p
     f = split.f
     v_den, den = split_p(x.den, p)
+    ring = split.ring_at(K)[0]
     entries = []
     for pr in split.primes:
         ord_num = ord_at(pr, x) + v_den  # valuation of the numerator x.num
-        image = pr.ring_at(K + ord_num).from_int_poly(x.num)
+        image = pr.image(x.num, K + ord_num)
         assert image.valuation() == ord_num, "valuation mismatch"
-        ring = pr.ring_at(K)
         unit_num = ring.norm(ring.elt([c // p ** ord_num for c in image.coeffs]))
         qp = GaloisRing.qp(p, K)
         u = qp.from_int(unit_num) * qp.inverse(qp.from_int(pow(den, f)))
@@ -513,7 +514,7 @@ def closure_dimension(split: SplitData,
         dim = 0
         c_hat = [tuple(1 if i == j else 0 for j in range(r2)) for i in range(r2)]
     else:
-        dim = rank_q(vectors)
+        dim = row_hnf(vectors)[1]
         transpose = [[vec[v] for vec in vectors] for v in range(r2)]
         c_hat = [tuple(row) for row in kernel_basis_int(transpose)]
     return ClosureReport(

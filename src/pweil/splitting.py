@@ -1,11 +1,13 @@
 """Decomposition of an unramified rational prime p in Q(zeta_n).
 
-A prime above p is represented by a monic degree-f factor of Phi_n lifted
-to precision p^K (by Hensel for the first factor, whose root t gives every
-other as a product of (X - t^b)), together with its Frobenius coset in (Z/n)*.
-Valuations reduce to p-adic valuations of images in the Galois ring
-(Z/p^K)[t]/(h), so no general ideal factorization is ever needed.  A prime
-keeps one such ring per precision (``ring_at``), so no digit is lifted twice.
+Cantor-Zassenhaus finds one degree-f factor h of Phi_n mod p; in F_p[t]/(h)
+the roots of Phi_n are the t^b, so each Frobenius orbit b<p> gives one
+factor of Phi_n mod p and its coset in (Z/n)*.  The p-adic side needs only
+one unramified completion: ``SplitData.ring_at`` keeps GR(p^K, f) on the
+factor of P0 mod p with the root w = t of Phi_n Newton-lifted to p^K, and
+a prime above p is an exponent e, the embedding zeta -> w^e.  Valuations
+reduce to p-adic valuations of images in that ring, so no general ideal
+factorization and no lifted factor per prime is ever needed.
 
 Labelling is canonical: for f = 1 primes are sorted by the image root of
 zeta in [0, p), otherwise by the coefficient tuple of the factor mod p.
@@ -20,8 +22,7 @@ import random
 from math import gcd
 from typing import Optional, Sequence
 
-from .arith import (GaloisRing, _zm_rem_monic, fp_add, fp_divmod, fp_gcd, fp_mul, fp_pow_mod,
-                    fp_sub, fp_trim, fp_xgcd, split_p)
+from .arith import GaloisRing, PadicElt, fp_divmod, fp_gcd, fp_mul, split_p
 from .cyclo import CycloElt, CycloField, GaloisAut, cyclotomic_polynomial
 
 
@@ -55,122 +56,64 @@ def multiplicative_order(a: int, n: int) -> int:
     return order
 
 
-# ---------------------------------------------------------------------------
-# Equal-degree factorization of Phi_n mod p (all factors have degree f)
-
-def _equal_degree_factor(poly: list[int], f: int, p: int, rng: random.Random) -> list[list[int]]:
-    deg = len(poly) - 1
-    if deg == f:
-        inv_lead = pow(poly[-1], -1, p)
-        return [[(c * inv_lead) % p for c in poly]]
-    out: list[list[int]] = []
-    stack = [poly]
-    while stack:
-        cur = stack.pop()
-        d = len(cur) - 1
-        if d == f:
-            inv_lead = pow(cur[-1], -1, p)
-            out.append([(c * inv_lead) % p for c in cur])
-            continue
-        split = None
-        while split is None:
-            a = [rng.randrange(p) for _ in range(d)]
-            fp_trim(a)
-            if not a:
-                continue
-            g = fp_gcd(a, cur, p)
-            if 1 <= len(g) - 1 < d:
-                split = g
-                break
-            if p == 2:
-                # additive trace map of F_{2^f} splits products of degree-f factors
-                t = fp_divmod(a, cur, 2)[1]
-                acc = t[:]
-                for _ in range(f - 1):
-                    acc = fp_divmod(fp_mul(acc, acc, 2), cur, 2)[1]
-                    t = fp_add(t, acc, 2)
-                g = fp_gcd(t, cur, 2)
-            else:
-                b = fp_pow_mod(a, (p ** f - 1) // 2, cur, p)
-                b = fp_sub(b, [1], p)
-                g = fp_gcd(b, cur, p)
-            if 1 <= len(g) - 1 < d:
-                split = g
-        q, r = fp_divmod(cur, split, p)
-        assert not r
-        stack.append(split)
-        stack.append(q)
-    return out
-
 
 # ---------------------------------------------------------------------------
-# Hensel lifting: refine h | Phi_n from mod p to mod p^K
+# One degree-f factor of Phi_n mod p (all its factors have degree f)
 
-def hensel_lift_factor(full: Sequence[int], h_bar: Sequence[int], p: int, K: int,
-                       start: Optional[tuple[Sequence[int], int]] = None) -> tuple[int, ...]:
-    """Lift the monic factor h_bar of ``full`` mod p to a factor mod p^K,
-    from h_bar or from ``start = (lift mod p^K0, K0)``: the lift is unique."""
-    full = [int(c) for c in full]
-    h = [c % p for c in h_bar]
-    fdeg = len(h) - 1
-    # cofactor and Bezout data mod p, fixed for every linear step
-    g_bar, rem = fp_divmod([c % p for c in full], h, p)
-    assert not rem, "h_bar does not divide the polynomial mod p"
-    one, s, t = fp_xgcd(h, g_bar, p)
-    assert one == [1], "factor and cofactor are not coprime mod p"
-    hk, K0 = (list(start[0]), start[1]) if start else (h[:], 1)
-    pk = p ** K0
-    for _ in range(K - K0):
-        pk_next = pk * p
-        rem = _zm_rem_monic(full, hk, pk_next)
-        assert all(c % pk == 0 for c in rem)
-        r_bar = fp_trim([(c // pk) % p for c in rem])
-        delta = fp_divmod(fp_mul(t, r_bar, p), h, p)[1]
-        delta += [0] * (fdeg - len(delta))
-        hk = [(hc + pk * dc) % pk_next for hc, dc in zip(hk, delta + [0])]
-        pk = pk_next
-    check = _zm_rem_monic(full, hk, p ** K)
-    assert all(c == 0 for c in check), "Hensel lifting failed"
-    return tuple(hk)
+def _one_factor(poly: list[int], f: int, p: int, rng: random.Random) -> list[int]:
+    """A monic degree-f factor of ``poly``, a monic product of distinct
+    degree-f irreducibles mod p: Cantor-Zassenhaus splitting that keeps the
+    smaller piece of each split."""
+    cur = poly
+    while len(cur) - 1 > f:
+        ring = GaloisRing(p, 1, len(cur) - 1, cur)
+        a = ring.elt([rng.randrange(p) for _ in range(ring.f)])
+        if p == 2:
+            # the additive trace map of F_{2^f} splits products of degree-f factors
+            b = acc = a
+            for _ in range(f - 1):
+                acc = acc * acc
+                b = b + acc
+        else:
+            b = a ** ((p ** f - 1) // 2) - ring.one()
+        g = fp_gcd(b.coeffs, cur, p)
+        if 1 <= len(g) - 1 < ring.f:
+            cur = min(g, fp_divmod(cur, g, p)[0], key=len)
+    return cur
 
 
 # ---------------------------------------------------------------------------
 # Primes above p
 
 class PrimeAbove:
-    """A prime of Q(zeta_n) over p: lifted local factor plus Frobenius coset."""
+    """A prime of Q(zeta_n) over p: its factor of Phi_n mod p, its Frobenius
+    coset and the exponent e of its embedding zeta -> w^e (see SplitData)."""
 
     def __init__(self, field: CycloField, p: int, index: int, h_bar: tuple[int, ...],
-                 h_lifted: tuple[int, ...], K: int, coset: frozenset[int]):
+                 coset: frozenset[int], e: int):
         self.field = field
         self.p = p
         self.index = index
         self.h_bar = h_bar
-        self.K = K
         self.coset = coset
+        self.e = e
         self.f = len(h_bar) - 1
-        self._rings = {K: GaloisRing(p, K, self.f, h_lifted)}
         self.split: Optional["SplitData"] = None  # set by SplitData
 
-    def ring_at(self, prec: int) -> GaloisRing:
-        """GR(p^prec, f) on this prime's factor, kept once per precision and
-        Hensel-extended from the nearest lower one kept (else from h mod p)."""
-        ring = self._rings.get(prec)
-        if ring is None:
-            below = max((k for k in self._rings if k < prec), default=None)
-            start = (self._rings[below].modulus, below) if below else None
-            lifted = hensel_lift_factor(cyclotomic_polynomial(self.field.n), self.h_bar,
-                                        self.p, prec, start)
-            ring = self._rings[prec] = GaloisRing(self.p, prec, self.f, lifted)
-        return ring
+    def image(self, num: Sequence[int], prec: int) -> PadicElt:
+        """num(zeta) under zeta -> w^e, in ``split.ring_at(prec)``."""
+        ring, w_pow = self.split.ring_at(prec)
+        n, e = self.field.n, self.e
+        acc = [0] * self.f
+        for k, c in enumerate(num):
+            if c:
+                for i, wc in enumerate(w_pow[e * k % n].coeffs):
+                    acc[i] += c * wc
+        return ring.elt(acc)
 
     @property
     def label(self) -> str:
         return "P%d" % self.index
-
-    @property
-    def residue_norm(self) -> int:
-        return self.p ** self.f
 
     def root_mod_p(self) -> Optional[int]:
         """Image of zeta in F_p when f = 1."""
@@ -208,6 +151,7 @@ class SplitData:
             prime.split = self
         self.f = self.primes[0].f
         self.g = len(self.primes)
+        self._rings: dict[int, tuple[GaloisRing, tuple[PadicElt, ...]]] = {}
         self._coset_index = {prime.coset: prime.index for prime in self.primes}
         self.T = tuple(pr.index for pr in self.primes if not pr.is_conj_stable())
         S = []
@@ -221,6 +165,32 @@ class SplitData:
             S.append(min(idx, cidx))
         self.S = tuple(sorted(S))
 
+    def ring_at(self, prec: int) -> tuple[GaloisRing, tuple[PadicElt, ...]]:
+        """GR(p^prec, f) on h_bar of P0 (monic and irreducible mod p, so a
+        modulus at every precision) and the powers w^k, k < n, of the root
+        w = t of Phi_n; kept once per precision, w Newton-lifted from the
+        nearest lower precision kept (else from t).
+
+        X^n - 1 is separable mod p, so its root lifting t is that of Phi_n;
+        its Newton step w - (w^n - 1) / (n w^(n-1)) equals w (n + 1 - w^n) / n
+        to the doubled precision, since w^n = 1 to the current one."""
+        lift = self._rings.get(prec)
+        if lift is None:
+            n = self.field.n
+            ring = GaloisRing(self.p, prec, self.f, self.primes[0].h_bar)
+            below = max((k for k in self._rings if k < prec), default=1)
+            w = ring.elt(self._rings[below][1][1].coeffs if below in self._rings else [0, 1])
+            n_plus_1, inv_n = ring.from_int(n + 1), ring.from_int(pow(n, -1, ring.pK))
+            while below < prec:
+                w = w * (n_plus_1 - w ** n) * inv_n
+                below *= 2
+            w_pow = [ring.one()]
+            for _ in range(n - 1):
+                w_pow.append(w_pow[-1] * w)
+            assert w_pow[-1] * w == ring.one(), "w is not an n-th root of unity"
+            lift = self._rings[prec] = (ring, tuple(w_pow))
+        return lift
+
     def act_index(self, a: int, index: int) -> int:
         n = self.field.n
         target = frozenset((a * b) % n for b in self.primes[index].coset)
@@ -228,9 +198,6 @@ class SplitData:
 
     def conj_index(self, index: int) -> int:
         return self.act_index(self.field.n - 1, index)
-
-    def rank(self) -> int:
-        return len(self.S)
 
     def __repr__(self) -> str:
         return "SplitData(n=%d, p=%d, f=%d, g=%d, |T|=%d)" % (
@@ -256,10 +223,12 @@ class SplitData:
 def split_prime(field: CycloField, p: int, K: int = 50) -> SplitData:
     """Decompose the unramified prime p in Q(zeta_n).
 
-    Factors Phi_n mod p, sorts and labels the factors and Hensel-lifts only
-    the first, h0, to p^K.  In GR(p^K, f) on that lift the roots of Phi_n are
-    the t^b; each prime's lifted factor is the product of (X - t^b) over one
-    orbit b<p>, named by its residue mod p, with the orbit's inverses as coset.
+    Finds one degree-f factor h of Phi_n mod p.  In F_p[t]/(h) the roots of
+    Phi_n are the t^b, and each Frobenius orbit b<p> gives the factor
+    prod (X - t^b); the factors must multiply to Phi_n mod p.  They are
+    sorted and labelled; if the factor of label 0 has orbit c0<p>, the one
+    of orbit b<p> has coset c0 b^-1 <p> and exponent e in b c0^-1 <p>.
+    K is the precision at which ``ord_at`` starts.
     """
     if not is_prime(p):
         raise NotPrime("%d is not prime" % p)
@@ -267,39 +236,30 @@ def split_prime(field: CycloField, p: int, K: int = 50) -> SplitData:
     if n % p == 0:
         raise RamifiedPrime("p = %d divides the conductor %d" % (p, n))
     f = multiplicative_order(p, n)
-    phi_int = cyclotomic_polynomial(n)
-    rng = random.Random(1000003 * n + p)
-    factors = _equal_degree_factor([c % p for c in phi_int], f, p, rng)
-    assert len(factors) == field.degree // f
-
-    if f == 1:
-        factors.sort(key=lambda h: (-h[0]) % p)
-    else:
-        factors.sort(key=lambda h: tuple(h))
-    label = {tuple(h): idx for idx, h in enumerate(factors)}
-
-    ring = GaloisRing(p, K, f, hensel_lift_factor(phi_int, factors[0], p, K))
+    phi_bar = [c % p for c in cyclotomic_polynomial(n)]
+    ring = GaloisRing(p, 1, f, _one_factor(phi_bar, f, p, random.Random(1000003 * n + p)))
     t, t_pow = ring.elt([0, 1]), [ring.one()]
     for _ in range(n - 1):
         t_pow.append(t_pow[-1] * t)
-    lifted: list = [None] * len(factors)
-    cosets: list = lifted[:]
+    frob = [p ** i % n for i in range(f)]
+    orbit_of = {}
     for b in field.units:
-        orbit = [(b * p ** i) % n for i in range(f)]
-        if min(orbit) != b:
-            continue
-        # the orbit of t itself belongs to the lift of h0
-        h = ring.modulus if b == 1 else _poly_from_roots(ring, [t_pow[c] for c in orbit])
-        assert not any(_zm_rem_monic(phi_int, h, ring.pK)), "factor does not divide Phi_n"
-        idx = label.get(tuple(c % p for c in h))
-        assert idx is not None and lifted[idx] is None, "factor mod p is not a new h_bar"
-        lifted[idx] = h
-        cosets[idx] = frozenset(pow(c, -1, n) for c in orbit)
+        if min(b * q % n for q in frob) == b:
+            roots = [t_pow[b * q % n] for q in frob]
+            # the orbit of t itself gives h
+            orbit_of[ring.modulus if b == 1 else _poly_from_roots(ring, roots)] = b
+    product = [1]
+    for h in orbit_of:
+        product = fp_mul(product, list(h), p)
+    assert product == phi_bar, "orbit factors do not multiply to Phi_n mod p"
 
-    primes = [PrimeAbove(field, p, idx, tuple(h), lifted[idx], K, cosets[idx])
-              for idx, h in enumerate(factors)]
-    # Frobenius cosets partition the unit group
-    assert set().union(*cosets) == set(field.units)
+    factors = sorted(orbit_of, key=(lambda h: (-h[0]) % p) if f == 1 else None)
+    c0 = orbit_of[factors[0]]
+    primes = []
+    for idx, h in enumerate(factors):
+        b = orbit_of[h]
+        coset = frozenset(c0 * pow(b * q, -1, n) % n for q in frob)
+        primes.append(PrimeAbove(field, p, idx, h, coset, min(pow(a, -1, n) for a in coset)))
     return SplitData(field, p, primes, K)
 
 
@@ -319,17 +279,18 @@ def _poly_from_roots(ring: GaloisRing, roots: Sequence) -> tuple[int, ...]:
 def ord_at(prime: PrimeAbove, x: CycloElt, max_precision: int = 6400) -> int:
     """The exact valuation ord_P(x) for nonzero x in Q(zeta_n).
 
-    The numerator is mapped into GR(p^K, f) through zeta -> root of the
-    lifted factor; its valuation there is the minimum p-adic valuation of
-    the reduced coefficients.  If the image vanishes mod p^K, the precision
-    doubles through ``PrimeAbove.ring_at``, which keeps each lift it makes.
+    The numerator is mapped into GR(p^K, f) through zeta -> w^e
+    (``PrimeAbove.image``); its valuation there is the minimum p-adic
+    valuation of the coefficients.  If the image vanishes mod p^K, the
+    precision doubles through ``SplitData.ring_at``, which keeps each lift
+    of w it makes.
     """
     if x.is_zero():
         raise ZeroDivisionError("valuation of zero")
     v_den = split_p(x.den, prime.p)[0]
-    K = prime.K
+    K = prime.split.K
     while True:
-        v = prime.ring_at(K).from_int_poly(x.num).valuation()
+        v = prime.image(x.num, K).valuation()
         if v is not None:
             return v - v_den
         K *= 2

@@ -11,7 +11,10 @@ K + f ord for each entry, and the embedding that evaluated cos and sin for
 every coefficient, before per-prime work was done once.
 ``fq_coset`` is the root test over F_{p^f} that ``split_prime`` used to
 find each factor's coset, before the factors above p were transported from
-one Hensel lift; ``per_row_gross_matrix`` is the regulator matrix with one
+one Hensel lift; ``equal_degree_factor`` and ``hensel_lift_factor`` are the
+complete factorization of Phi_n mod p and the Hensel lift of a factor to
+p^K that ``split_prime`` used before a prime above p became an exponent of
+one lifted root of Phi_n; ``per_row_gross_matrix`` is the regulator matrix with one
 ``gross_row`` per prime of S, before the rows were permutations of one;
 ``frobenius`` and ``frobenius_norm`` are the Galois-ring Frobenius and the
 norm as the product of its f conjugates, before the norm was a determinant.
@@ -24,13 +27,14 @@ the differential oracles.
 import math
 from fractions import Fraction
 
-from pweil.arith import (BallComplex, BallReal, GaloisRing, PadicElt, PrecisionTooLow, fp_add,
-                         fp_divmod, fp_mul, fp_pow_mod, padic_log, split_p)
+from pweil.arith import (BallComplex, BallReal, GaloisRing, PadicElt, PrecisionTooLow,
+                         _zm_rem_monic, fp_divmod, fp_gcd, fp_mul, fp_sub, fp_trim, fp_xgcd,
+                         padic_log, split_p)
 from pweil.cyclo import cyclotomic_polynomial, norm
 from pweil.regulators import GrossMatrix, _padic_rank, gross_row
 from pweil.lattice import (BoundTooLarge, DependentRows, RelationCertificate, _canonical_sign,
                            _dot, _round_fraction, gs_norms, lll, short_vectors)
-from pweil.splitting import hensel_lift_factor, ord_at
+from pweil.splitting import ord_at
 from pweil.weilgroup import (EnumerationBudgetExceeded, _generator_key, _iroot_ceil, ideal_basis,
                              trace_gram)
 
@@ -287,7 +291,8 @@ def per_prime_generator(prime, power, node_budget=5_000_000, max_doublings=6):
 
 def gross_row_full_norm(x, split, K=50):
     """The regulator row with the full norm taken at K_big = K + f ord_num,
-    Phi_n Hensel-lifted from scratch to K_big whenever K_big != pr.K."""
+    in GR(p^K_big, f) on each prime's factor of Phi_n Hensel-lifted from
+    scratch to K_big."""
     p = split.p
     f = split.f
     n = split.field.n
@@ -297,9 +302,8 @@ def gross_row_full_norm(x, split, K=50):
         ord_num = ord_at(pr, x) + v_den
         K_big = K + f * ord_num
         ring = GaloisRing(p, K_big, f,
-                          hensel_lift_factor(cyclotomic_polynomial(n), pr.h_bar, p, K_big)) \
-            if K_big != pr.K else pr.ring_at(pr.K)
-        image = ring.from_int_poly(x.num)
+                          hensel_lift_factor(cyclotomic_polynomial(n), pr.h_bar, p, K_big))
+        image = ring.elt(x.num)
         nrm = ring.norm(image)
         assert nrm % (p ** (f * ord_num)) == 0, "norm valuation mismatch"
         unit_num = nrm // (p ** (f * ord_num))
@@ -411,6 +415,101 @@ def full_scale_relation(vectors, modulus, bound, precision=None):
     raise PrecisionTooLow(
         "simultaneous relation search inconclusive: raise precision or lower the bound"
     )
+
+
+def fp_add(a, b, p):
+    n = max(len(a), len(b))
+    out = [0] * n
+    for i, c in enumerate(a):
+        out[i] = c
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % p
+    return fp_trim(out)
+
+
+def fp_pow_mod(a, e, mod_poly, p):
+    result = [1]
+    base = fp_divmod(a, mod_poly, p)[1]
+    while e:
+        if e & 1:
+            result = fp_divmod(fp_mul(result, base, p), mod_poly, p)[1]
+        base = fp_divmod(fp_mul(base, base, p), mod_poly, p)[1]
+        e >>= 1
+    return result
+
+
+def equal_degree_factor(poly, f, p, rng):
+    """Every monic factor of ``poly``, a product of distinct degree-f
+    irreducibles mod p (Cantor-Zassenhaus, splitting every piece)."""
+    deg = len(poly) - 1
+    if deg == f:
+        inv_lead = pow(poly[-1], -1, p)
+        return [[(c * inv_lead) % p for c in poly]]
+    out = []
+    stack = [poly]
+    while stack:
+        cur = stack.pop()
+        d = len(cur) - 1
+        if d == f:
+            inv_lead = pow(cur[-1], -1, p)
+            out.append([(c * inv_lead) % p for c in cur])
+            continue
+        split = None
+        while split is None:
+            a = [rng.randrange(p) for _ in range(d)]
+            fp_trim(a)
+            if not a:
+                continue
+            g = fp_gcd(a, cur, p)
+            if 1 <= len(g) - 1 < d:
+                split = g
+                break
+            if p == 2:
+                # additive trace map of F_{2^f} splits products of degree-f factors
+                t = fp_divmod(a, cur, 2)[1]
+                acc = t[:]
+                for _ in range(f - 1):
+                    acc = fp_divmod(fp_mul(acc, acc, 2), cur, 2)[1]
+                    t = fp_add(t, acc, 2)
+                g = fp_gcd(t, cur, 2)
+            else:
+                b = fp_pow_mod(a, (p ** f - 1) // 2, cur, p)
+                b = fp_sub(b, [1], p)
+                g = fp_gcd(b, cur, p)
+            if 1 <= len(g) - 1 < d:
+                split = g
+        q, r = fp_divmod(cur, split, p)
+        assert not r
+        stack.append(split)
+        stack.append(q)
+    return out
+
+
+def hensel_lift_factor(full, h_bar, p, K):
+    """Lift the monic factor h_bar of ``full`` mod p to the unique monic
+    factor mod p^K, one p-adic digit per step."""
+    full = [int(c) for c in full]
+    h = [c % p for c in h_bar]
+    fdeg = len(h) - 1
+    # cofactor and Bezout data mod p, fixed for every linear step
+    g_bar, rem = fp_divmod([c % p for c in full], h, p)
+    assert not rem, "h_bar does not divide the polynomial mod p"
+    one, s, t = fp_xgcd(h, g_bar, p)
+    assert one == [1], "factor and cofactor are not coprime mod p"
+    hk = h[:]
+    pk = p
+    for _ in range(K - 1):
+        pk_next = pk * p
+        rem = _zm_rem_monic(full, hk, pk_next)
+        assert all(c % pk == 0 for c in rem)
+        r_bar = fp_trim([(c // pk) % p for c in rem])
+        delta = fp_divmod(fp_mul(t, r_bar, p), h, p)[1]
+        delta += [0] * (fdeg - len(delta))
+        hk = [(hc + pk * dc) % pk_next for hc, dc in zip(hk, delta + [0])]
+        pk = pk_next
+    check = _zm_rem_monic(full, hk, p ** K)
+    assert all(c == 0 for c in check), "Hensel lifting failed"
+    return tuple(hk)
 
 
 def fq_coset(prime):

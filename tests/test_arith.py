@@ -17,9 +17,9 @@ from pweil.arith import (
     padic_log,
     rational_reconstruct,
 )
-from pweil.cyclo import CycloField
+from pweil.cyclo import CycloField, cyclotomic_polynomial
 from pweil.splitting import split_prime
-from oracles import frobenius, frobenius_norm
+from oracles import frobenius, frobenius_norm, hensel_lift_factor
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +275,9 @@ def _norm_rings(case):
         return [GaloisRing(2, 25, 3, (1, 1, 0, 1))]
     n, p, K = case
     split = split_prime(CycloField(n), p, K)
-    return [split.primes[0].ring_at(K), split.primes[-1].ring_at(K)]
+    phi = cyclotomic_polynomial(n)
+    return [GaloisRing(p, K, split.f, hensel_lift_factor(phi, pr.h_bar, p, K))
+            for pr in (split.primes[0], split.primes[-1])] + [split.ring_at(K)[0]]
 
 
 @pytest.mark.parametrize("case", ["t^2+2 mod 5^20", "t^3+t+1 mod 2^25", (13, 79, 50),
@@ -285,7 +287,8 @@ def test_galois_ring_norm_is_the_resultant_and_the_frobenius_product(case):
     # the determinant norm against Res(h, a) mod p^K (sympy) and against the
     # product of the f Frobenius conjugates, on units, on non-units (p | x,
     # including 0) and on x = t, whose first pivot is zero, for two moduli
-    # that are not cyclotomic and for factors of Phi_n (f = 1, 2, 3, 5, 8, 18)
+    # that are not cyclotomic, for factors of Phi_n (f = 1, 2, 3, 5, 8, 18)
+    # and for the factor mod p that ``split_prime`` keeps as its modulus
     X = sympy.Symbol("X")
     for R in _norm_rings(case):
         rng = random.Random(R.pK % 1000003)

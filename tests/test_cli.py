@@ -1,9 +1,11 @@
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
+import pweil
 import pweil.cli
 from pweil.cli import ConfigError, RunConfig, main
 from pweil.lattice import DependentRows
@@ -224,6 +226,14 @@ def test_analyze_report_bytes_match_recorded_digests(capsys):
         assert code == 0
         assert json.loads(out)["schema"] == "pweil-analyze/3"
         assert hashlib.sha256(out.encode()).hexdigest() == want, cell
+
+
+def test_package_version_matches_pyproject():
+    # the scan cache key embeds __version__; a bump must edit both
+    pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(pyproject) as fh:
+        version = re.search(r'^version = "([^"]+)"$', fh.read(), re.MULTILINE).group(1)
+    assert version == pweil.__version__
 
 
 def test_workers_flag(capsys, tmp_path):

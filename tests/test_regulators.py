@@ -212,7 +212,7 @@ def test_gross_row_matches_full_norm_oracle(n, p):
     # the unit part of x.num at precision K + ord, normed at K, against the
     # full norm at K + f ord on a fresh lift: basis elements (p in the
     # denominator), generators (p-divisible numerators) and their products,
-    # at K = pr.K and at a K below and above it
+    # at the split's K = 50 and at a K below and above it
     split = split_prime(CycloField(n), p)
     basis = build_weil_basis(split)
     rng = random.Random(n * p)

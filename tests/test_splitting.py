@@ -5,18 +5,18 @@ from math import gcd
 
 import pytest
 
+from pweil.arith import GaloisRing
 from pweil.cyclo import CycloField, cyclotomic_polynomial, norm
 from pweil.splitting import (
     NotPrime,
     RamifiedPrime,
     act_on_prime,
     conj_prime,
-    hensel_lift_factor,
     is_prime,
     ord_at,
     split_prime,
 )
-from oracles import fq_coset
+from oracles import equal_degree_factor, fq_coset, hensel_lift_factor
 
 
 def _phi(n):
@@ -187,26 +187,55 @@ def test_deeper_precision_is_consistent(k5):
         assert ord_at(a, x) == ord_at(b, x)
 
 
+@pytest.mark.parametrize("n, p", [(5, 11), (13, 3)])
+def test_ord_at_escalates_past_the_start_precision_up_to_the_cap(n, p):
+    # at K = 3 the image of h_P(zeta)^7, of valuation >= 7 = 2K + 1 at P,
+    # vanishes mod p^3 and mod p^6, so ord_at doubles the precision at least
+    # twice; it agrees with a K = 50 split at every prime, succeeds with the
+    # cap at the precision it needs and raises with the cap one below
+    field = CycloField(n)
+    low, high = split_prime(field, p, 3), split_prime(field, p, 50)
+    for pr in low.primes:
+        x = field.elt(list(pr.h_bar)) ** 7
+        assert pr.image(x.num, 6).valuation() is None
+        want = [ord_at(q, x) for q in high.primes]
+        assert [ord_at(q, x) for q in low.primes] == want
+        needed = 3
+        while needed <= want[pr.index]:
+            needed *= 2
+        assert needed >= 12
+        assert ord_at(pr, x, max_precision=needed) == want[pr.index]
+        with pytest.raises(ArithmeticError):
+            ord_at(pr, x, max_precision=needed - 1)
+
+
 @pytest.mark.parametrize("n, p", [(13, 79), (8, 3), (13, 3)])
 def test_ring_at_matches_a_fresh_lift_in_any_order(n, p):
-    # each ring is extended from the nearest lower lift kept (from h mod p
-    # below K); whatever the order of requests, its modulus is the factor a
-    # lift from scratch gives, and a repeated request returns the same ring
+    # each precision's root w of Phi_n is Newton-lifted from the nearest
+    # lower one kept (from t below K); whatever the order of requests, the
+    # ring is GR(p^prec, f) on h_bar of P0, w is a root of Phi_n mod p^prec
+    # congruent to t, equal to a lift from scratch, the powers are those of
+    # w, and a repeated request returns the same object
     K = 10
     field = CycloField(n)
     phi = cyclotomic_polynomial(n)
     precs = (K // 2, K, K + 1, K + 7, 2 * K)
-    fresh = {}
+    fresh = {prec: split_prime(field, p, K).ring_at(prec)[1][1] for prec in precs}
     for order in itertools.permutations(precs):
         split = split_prime(field, p, K)
-        for pr in (split.primes[0], split.primes[-1]):
-            for prec in order:
-                ring = pr.ring_at(prec)
-                if (pr.index, prec) not in fresh:
-                    fresh[pr.index, prec] = hensel_lift_factor(phi, pr.h_bar, p, prec)
-                assert (ring.p, ring.prec, ring.f) == (p, prec, pr.f)
-                assert ring.modulus == fresh[pr.index, prec]
-                assert pr.ring_at(prec) is ring
+        h0 = split.primes[0].h_bar
+        t = GaloisRing(p, 1, split.f, h0).elt([0, 1])
+        for prec in order:
+            lift = split.ring_at(prec)
+            ring, w_pow = lift
+            w = w_pow[1]
+            assert (ring.p, ring.prec, ring.f, ring.modulus) == (p, prec, split.f, h0)
+            assert tuple(c % p for c in w.coeffs) == t.coeffs
+            phi_w = sum((ring.from_int(c) * w ** i for i, c in enumerate(phi)), ring.zero())
+            assert phi_w.is_zero()
+            assert w == fresh[prec]
+            assert all(w_pow[k] == w ** k for k in range(n))
+            assert split.ring_at(prec) is lift
 
 
 FULL_RANGE_N = (3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 17, 19, 20)
@@ -214,19 +243,36 @@ FULL_RANGE_N = (3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 17, 19, 20)
 
 @pytest.mark.parametrize("n", FULL_RANGE_N)
 def test_transported_factors_are_the_hensel_lifts(n):
-    # only h0 is Hensel-lifted; every other factor is a product of (X - t^b)
-    # over a Frobenius orbit in GR(p^K, f) on h0.  By uniqueness of Hensel
-    # lifts it is the lift of its own h_bar, and its coset is the one the
-    # root test over F_{p^f} gives; a ring above K extends it like a fresh lift
+    # one factor of Phi_n mod p is found and the others come from Frobenius
+    # orbits in F_p[t]/(h): they are the complete factorization, in the same
+    # labelling, and each coset is the one the root test over F_{p^f} gives.
+    # A prime is the embedding zeta -> w^e into GR on h_bar of P0; at a
+    # split started at K = 2, ord_at and the norm of the image equal those
+    # in GR(p^7, f) on the prime's own factor Hensel-lifted to p^7, at every
+    # prime, for y and for the h_Q(zeta)^4 y, whose valuation >= 4 at Q
+    # makes ord_at double the precision through 4 and 8
     field = CycloField(n)
     phi = cyclotomic_polynomial(n)
+    K = 7
     for p in range(2, 200):
         if not is_prime(p) or n % p == 0:
             continue
-        for K in (1, 2, 7, 50):
-            split = split_prime(field, p, K)
-            for pr in split.primes:
-                assert pr.ring_at(K).modulus == hensel_lift_factor(phi, pr.h_bar, p, K)
-                if K == 7:
-                    assert pr.coset == fq_coset(pr)
-                    assert pr.ring_at(K + 5).modulus == hensel_lift_factor(phi, pr.h_bar, p, K + 5)
+        split = split_prime(field, p, 2)
+        rng = random.Random(1000003 * n + p)
+        full = equal_degree_factor([c % p for c in phi], split.f, p, rng)
+        full.sort(key=(lambda h: (-h[0]) % p) if split.f == 1 else None)
+        assert [list(pr.h_bar) for pr in split.primes] == full
+        rng = random.Random(n * p)
+        y = field.elt([rng.randint(-3, 3) for _ in range(field.degree - 1)] + [1])
+        # h_Q(zeta) is 0 when Phi_n mod p is Phi_n itself
+        elts = [y] + [x for x in (field.elt(list(q.h_bar)) ** 4 * y for q in split.primes)
+                      if not x.is_zero()]
+        norm_ring = split.ring_at(K)[0]
+        for pr in split.primes:
+            assert pr.coset == fq_coset(pr)
+            oracle = GaloisRing(p, K, pr.f, hensel_lift_factor(phi, pr.h_bar, p, K))
+            for x in elts:
+                want = oracle.elt(x.num)
+                v = want.valuation()
+                assert ord_at(pr, x) == v if v is not None else ord_at(pr, x) >= K
+                assert norm_ring.norm(pr.image(x.num, K)) == oracle.norm(want)
