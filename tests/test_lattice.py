@@ -53,9 +53,6 @@ def test_hnf_dependent_rows_reports_rank():
     h, rank = row_hnf([(1, 2, 3), (2, 4, 6), (0, 0, 1)])
     assert rank == 2
     assert h == [[1, 2, 0], [0, 0, 1]]
-    assert row_hnf([[1, 2], [2, 4]])[1] == 1
-    assert row_hnf([[1, 0], [0, 1]])[1] == 2
-    assert row_hnf([]) == ([], 0)
 
 
 def test_kernel_basis():
@@ -65,6 +62,13 @@ def test_kernel_basis():
     assert len(ker) == 1
     v = ker[0]
     assert [v[0] * 1 + v[1] * 2 + v[2] * 0, v[0] * 2 + v[1] * 4 + v[2] * 1] == [0, 0]
+
+
+def test_rank_q():
+    # the rank over Q of integer rows is the rank row_hnf returns
+    assert row_hnf([[1, 2], [2, 4]])[1] == 1
+    assert row_hnf([[1, 0], [0, 1]])[1] == 2
+    assert row_hnf([]) == ([], 0)
 
 
 # ---------------------------------------------------------------------------
