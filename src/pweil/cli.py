@@ -65,6 +65,8 @@ class RunConfig:
             raise ConfigError("padic precision must be >= 5")
         if self.fmt not in ("json", "csv", "text"):
             raise ConfigError("format must be json, csv or text")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
 
 
 def _validate_pair(n: int, p: int):
@@ -307,10 +309,12 @@ def cmd_scan(args, cfg: RunConfig) -> int:
             pending.append((cell, key))
 
     if pending:
-        if cfg.workers > 1:
+        # the pool starts all its processes at once: no more than there are cells or cores
+        workers = min(cfg.workers, len(pending), os.cpu_count() or 1)
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 fresh = list(pool.map(_scan_cell, [c for c, _ in pending]))
         else:
             fresh = [_scan_cell(c) for c, _ in pending]

@@ -6,11 +6,12 @@ polynomial, over one positive integer denominator; numerator and
 denominator are coprime, so the representation is canonical.  Ring
 operations, the Galois action, norm and trace work on integers;
 ``fractions.Fraction`` appears only at the edges (``coeffs``,
-``as_rational``, JSON and embeddings).  Embeddings read cos and sin of
-2 pi k / n from a table kept per (n, k, working precision).  The Galois
-group is (Z/n)* acting by zeta -> zeta^a, and complex conjugation is
-a = -1.  Conductors n = 2m with m odd are rejected (same field as
-Q(zeta_m)), so field labels are unique.
+``as_rational``, JSON and the embedding of a non-integral element).
+Embeddings read cos and sin of 2 pi k / n from a table kept per (n, k,
+working precision); torsion is a lookup in a table of the lcm(2, n) roots
+of unity kept per n.  The Galois group is (Z/n)* acting by zeta -> zeta^a,
+and complex conjugation is a = -1.  Conductors n = 2m with m odd are
+rejected (same field as Q(zeta_m)), so field labels are unique.
 """
 
 from __future__ import annotations
@@ -233,9 +234,6 @@ class CycloElt:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         self._check(other)
@@ -253,9 +251,6 @@ class CycloElt:
     def __truediv__(self, other):
         other = self._coerce(other)
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
 
     def __neg__(self):
         return CycloElt(self.field, tuple(-a for a in self.num), self.den)
@@ -283,14 +278,14 @@ class CycloElt:
     def __pow__(self, e: int) -> "CycloElt":
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one()
-        base = self
-        while e:
+        result, base = self.field.one(), self
+        while True:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def inverse(self) -> "CycloElt":
         """x^(-1) = adj / N(x), where adj is the product of the conjugates
@@ -441,19 +436,23 @@ def trace(x: CycloElt) -> Fraction:
 
 
 def embed(x: CycloElt, place: int, precision: int = 64) -> BallComplex:
-    """Certified enclosure of sigma_v(x) where zeta -> exp(2 pi i a_v / n)."""
+    """Certified enclosure of sigma_v(x) where zeta -> exp(2 pi i a_v / n).
+
+    An integral x multiplies by its int coefficients, any other x by its
+    ``Fraction`` ones (the same endpoints for ints below 2^(precision+16)).
+    """
     if precision < 16:
         raise ValueError("precision must be >= 16 bits")
     n = x.field.n
     wp = precision + 16
     re = BallReal.zero(wp)
     im = BallReal.zero(wp)
-    for i, c in enumerate(x.coeffs):
+    for i, c in enumerate(x.num if x.den == 1 else x.coeffs):
         if not c:
             continue
         k = (place * i) % n
         if k == 0:
-            re = re + BallReal.from_fraction(c, wp)
+            re = re + c
             continue
         cos, sin = _cos_sin(n, k, wp)
         re = re + cos * c
@@ -471,32 +470,18 @@ def _cos_sin(n: int, k: int, wp: int) -> tuple[BallReal, BallReal]:
 def is_root_of_unity(x: CycloElt) -> Optional[int]:
     """Order of x in mu(Q(zeta_n)), or None when x is not a root of unity.
 
-    Decided exactly: mu(k) has order w = lcm(2, n), so x is torsion iff
-    x^w = 1.  The cheap necessary condition x x^c = 1 is tested first to
-    keep coefficient growth of the powering bounded.
+    Decided exactly by lookup: mu(k) is cyclic of order w = lcm(2, n),
+    generated by g = -zeta for odd n and g = zeta for even n, and
+    ``_torsion_orders(n)`` holds each g^k with its order w / gcd(k, w).
     """
     if x.is_zero():
         raise ZeroDivisionError("zero is not a root of unity candidate")
-    if x * x.conj() != x.field.one():
-        return None
-    w = x.field.torsion_order()
-    if (x ** w) != x.field.one():
-        return None
-    order = w
-    for d in sorted(_divisors(w)):
-        if (x ** d) == x.field.one():
-            order = d
-            break
-    return order
+    return _torsion_orders(x.field.n).get(x)
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
+@lru_cache(maxsize=None)
+def _torsion_orders(n: int) -> dict[CycloElt, int]:
+    field = CycloField(n)
+    w = field.torsion_order()
+    g = -field.zeta() if n % 2 else field.zeta()
+    return {g ** k: w // gcd(k, w) for k in range(w)}

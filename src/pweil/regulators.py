@@ -36,7 +36,7 @@ from .arith import (
     rational_reconstruct,
     split_p,
 )
-from .cyclo import CycloElt, GaloisAut, embed, is_root_of_unity
+from .cyclo import CycloElt, GaloisAut, _cos_sin, embed, is_root_of_unity
 from .lattice import RelationCertificate, find_simultaneous_relation, kernel_basis_int, row_hnf
 from .splitting import SplitData, ord_at
 from .weilgroup import WeilBasis, alpha_p_map
@@ -86,16 +86,19 @@ class ArgVector:
 def certified_arg(x: CycloElt, place: int, precision: int, max_attempts: int = 6) -> BallReal:
     """Principal argument of sigma_v(x) with radius below 2^(-precision/2).
 
+    The integral numerator is embedded in place of x: x = x.num / x.den with
+    x.den > 0, so sigma_v(x) and sigma_v(x.num) have the same argument.
     Retries at doubled working precision near the branch cut instead of
     silently picking a side; an element exactly on the negative real axis
     (only x = -1) resolves exactly.
     """
     target = Fraction(1, 1 << (precision // 2))
     wp = precision + 32
+    num = CycloElt(x.field, x.num, 1)
     last: Optional[Exception] = None
     for _ in range(max_attempts):
         try:
-            val = arg_principal(embed(x, place, wp))
+            val = arg_principal(embed(num, place, wp))
             if val.radius < target:
                 return val
         except (BranchCutHit, PrecisionTooLow) as exc:
@@ -234,21 +237,21 @@ def circulant_group_delta(thetas: Sequence[BallReal]) -> tuple[BallReal, BallRea
 
     For the cyclic group of order m the group determinant factors as the
     product over the m-th roots of unity omega of |sum_i theta_i omega^i|;
-    both enclosures are returned (they must overlap).
+    both enclosures are returned (they must overlap).  cos and sin of
+    2 pi k / m come from the table ``embed`` uses: m angles, not m^2.
     """
     m = len(thetas)
     prec = max(t.prec for t in thetas)
     rows = [[thetas[(c - r) % m] for c in range(m)] for r in range(m)]
     delta = abs(ball_det(rows))
-    two_pi = BallReal.pi(prec) * 2
     fact = BallReal.from_int(1, prec)
     for j in range(m):
         re = BallReal.zero(prec)
         im = BallReal.zero(prec)
         for i, t in enumerate(thetas):
-            angle = two_pi * Fraction((i * j) % m, m)
-            re = re + t * angle.cos()
-            im = im + t * angle.sin()
+            cos, sin = _cos_sin(m, (i * j) % m, prec)
+            re = re + t * cos
+            im = im + t * sin
         fact = fact * abs(BallComplex(re, im))
     return delta, fact
 

@@ -20,23 +20,31 @@ one lifted root of Phi_n; ``per_row_gross_matrix`` is the regulator matrix with 
 norm as the product of its f conjugates, before the norm was a determinant.
 ``full_scale_relation`` is the relation search that always fed the lattice
 through every scale up to 2^(precision/2) and settled only there, before
-the search returned at the first scale that settles it.  They stay here as
-the differential oracles.
+the search returned at the first scale that settles it.
+``powering_is_root_of_unity`` is the torsion test that raised x to the
+torsion order w and then to each divisor of w, before torsion was a table
+lookup; ``inverse_pi_m_map`` is pi_M as the product of the x_P^(nu_P) over
+T, before it was a product of powers of the xi_P with no inverse;
+``powering_circulant_group_delta`` is the character product that evaluated
+cos and sin of all m^2 angles, before it read them from one table; and
+``fraction_certified_arg`` is the argument of sigma_v(x) itself through the
+``Fraction`` embedding ``embed_uncached``, before the integral numerator was
+embedded.  They stay here as the differential oracles.
 """
 
 import math
 from fractions import Fraction
 
-from pweil.arith import (BallComplex, BallReal, GaloisRing, PadicElt, PrecisionTooLow,
-                         _zm_rem_monic, fp_divmod, fp_gcd, fp_mul, fp_sub, fp_trim, fp_xgcd,
-                         padic_log, split_p)
+from pweil.arith import (BallComplex, BallReal, BranchCutHit, GaloisRing, PadicElt,
+                         PrecisionTooLow, _zm_rem_monic, arg_principal, ball_det, fp_divmod,
+                         fp_gcd, fp_mul, fp_sub, fp_trim, fp_xgcd, padic_log, split_p)
 from pweil.cyclo import cyclotomic_polynomial, norm
 from pweil.regulators import GrossMatrix, _padic_rank, gross_row
 from pweil.lattice import (BoundTooLarge, DependentRows, RelationCertificate, _canonical_sign,
                            _dot, _round_fraction, gs_norms, lll, short_vectors)
 from pweil.splitting import ord_at
-from pweil.weilgroup import (EnumerationBudgetExceeded, _generator_key, _iroot_ceil, ideal_basis,
-                             trace_gram)
+from pweil.weilgroup import (EnumerationBudgetExceeded, MinusPartViolation, _generator_key,
+                             _iroot_ceil, ideal_basis, trace_gram)
 
 
 def bareiss_det(rows):
@@ -314,7 +322,8 @@ def gross_row_full_norm(x, split, K=50):
 
 
 def embed_uncached(x, place, precision=64):
-    """Enclosure of sigma_v(x), with cos and sin evaluated per coefficient."""
+    """Enclosure of sigma_v(x) with the ``Fraction`` coefficients of x, and
+    cos and sin evaluated per coefficient."""
     n = x.field.n
     wp = precision + 16
     two_pi = BallReal.pi(wp) * 2
@@ -589,3 +598,68 @@ def frobenius_norm(ring, x):
         prod = prod * acc
     assert not any(prod.coeffs[1:]), "norm did not land in the base ring"
     return prod.coeffs[0]
+
+
+def powering_is_root_of_unity(x):
+    """Order of x in mu(Q(zeta_n)) or None: x x^c = 1, then x^w = 1 for
+    w = lcm(2, n), then the least divisor d of w with x^d = 1."""
+    if x.is_zero():
+        raise ZeroDivisionError("zero is not a root of unity candidate")
+    one = x.field.one()
+    if x * x.conj() != one:
+        return None
+    w = x.field.torsion_order()
+    if x ** w != one:
+        return None
+    return min(d for d in range(1, w + 1) if w % d == 0 and x ** d == one)
+
+
+def inverse_pi_m_map(nu, basis):
+    """pi_M(nu) as the product over T of x_P^(nu_P), negative powers by inverses."""
+    if not nu.is_minus_part():
+        raise MinusPartViolation("pi_M is only defined on the minus part")
+    out = basis.split.field.one()
+    for idx in basis.split.T:
+        e = nu.coeffs[idx]
+        if e:
+            out = out * (basis.x[idx].inverse() ** -e if e < 0 else basis.x[idx] ** e)
+    return out
+
+
+def powering_circulant_group_delta(thetas):
+    """``circulant_group_delta`` with cos and sin of 2 pi (i j mod m) / m
+    evaluated afresh for each of the m^2 pairs (i, j)."""
+    m = len(thetas)
+    prec = max(t.prec for t in thetas)
+    rows = [[thetas[(c - r) % m] for c in range(m)] for r in range(m)]
+    delta = abs(ball_det(rows))
+    two_pi = BallReal.pi(prec) * 2
+    fact = BallReal.from_int(1, prec)
+    for j in range(m):
+        re = BallReal.zero(prec)
+        im = BallReal.zero(prec)
+        for i, t in enumerate(thetas):
+            angle = two_pi * Fraction((i * j) % m, m)
+            re = re + t * angle.cos()
+            im = im + t * angle.sin()
+        fact = fact * abs(BallComplex(re, im))
+    return delta, fact
+
+
+def fraction_certified_arg(x, place, precision, max_attempts=6):
+    """``certified_arg`` on sigma_v(x) itself, embedded with ``Fraction``
+    coefficients."""
+    target = Fraction(1, 1 << (precision // 2))
+    wp = precision + 32
+    last = None
+    for _ in range(max_attempts):
+        try:
+            val = arg_principal(embed_uncached(x, place, wp))
+            if val.radius < target:
+                return val
+        except (BranchCutHit, PrecisionTooLow) as exc:
+            last = exc
+        wp *= 2
+    if last is not None:
+        raise last
+    raise PrecisionTooLow("argument radius did not reach 2^-%d" % (precision // 2))

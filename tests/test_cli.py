@@ -244,6 +244,51 @@ def test_workers_flag(capsys, tmp_path):
     assert out.count("\n") >= 4
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_scan_rejects_workers_below_one(capsys, workers):
+    code, out, err = run_cli(capsys, "scan", "--n-range", "5", "--p-max", "11",
+                             "--workers", workers)
+    assert (code, out, err) == (2, "", "error: workers must be >= 1\n")
+
+
+@pytest.mark.parametrize("workers, cores, p_cached, want", [
+    ("64", 8, None, 4), ("64", 2, None, 2), ("3", 8, None, 3), ("64", None, None, None),
+    ("64", 8, "7", None),
+])
+def test_scan_pool_is_no_larger_than_the_cells_and_cores(capsys, monkeypatch, tmp_path, workers,
+                                                          cores, p_cached, want):
+    # --workers N starts min(N, pending cells, cores) processes, none for one,
+    # and the rows do not depend on it; the pool is an in-process stand-in
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(pweil.cli.os, "cpu_count", lambda: cores)
+    args = ["scan", "--n-range", "5", "--precision", "128", "--bound", "100", "--format", "csv"]
+    code, serial, _ = run_cli(capsys, *args, "--p-max", "11")
+    assert code == 0 and sizes == []
+    cache = ["--cache-dir", str(tmp_path)]
+    if p_cached:  # cells 2, 3 and 7 come from the cache: one cell is pending
+        assert run_cli(capsys, *args, *cache, "--p-max", p_cached)[0] == 0
+    code, out, _ = run_cli(capsys, *args, *cache, "--p-max", "11", "--workers", workers)
+    assert code == 0 and out == serial
+    assert sizes == ([want] if want else [])
+
+
 def test_inconclusive_relation_search_is_one_error_line(capsys, tmp_path):
     # 64 bits cannot decide a bound of 10^9: exit 1 with a message, no
     # traceback; a scan still prints every row and marks the undecided cell

@@ -13,6 +13,7 @@ from pweil.cyclo import (
     _norm_prime,
     cyclotomic_polynomial,
     embed,
+    euler_phi,
     is_root_of_unity,
     norm,
     ramanujan_sum,
@@ -26,6 +27,7 @@ from oracles import (
     fraction_mul,
     fraction_pow,
     fraction_sub,
+    powering_is_root_of_unity,
 )
 
 
@@ -115,6 +117,7 @@ def test_norm_multiplicative_random():
 
 
 GRID_CONDUCTORS = (5, 7, 8, 11, 12, 13, 15, 16, 20)
+ADMISSIBLE_CONDUCTORS = (3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 17, 19, 20)
 
 
 def norm_by_conjugates(x):
@@ -235,6 +238,22 @@ def test_embed_matches_the_uncached_formula(precision):
                     assert g._v == w._v and g.prec == w.prec
 
 
+@pytest.mark.parametrize("precision", [64, 288, 1056])
+def test_embed_of_an_integral_element_matches_the_fraction_path(precision):
+    # an integral element multiplies by its int coefficients; an int below
+    # 2^(precision + 16) rounds exactly as a Fraction, so the endpoints agree
+    rng = random.Random(precision + 1)
+    for n in ADMISSIBLE_CONDUCTORS:
+        field = CycloField(n)
+        for bits in (4, 40, precision):
+            x = field.elt([rng.randint(-2 ** bits, 2 ** bits) for _ in range(field.degree)])
+            assert x.den == 1
+            for a in field.places:
+                got, want = embed(x, a, precision), embed_uncached(x, a, precision)
+                assert (got.re._v, got.im._v) == (want.re._v, want.im._v)
+                assert got.re.prec == want.re.prec
+
+
 def test_root_of_unity_examples(k5):
     z = k5.zeta()
     assert is_root_of_unity(-(z ** 3)) == 10
@@ -247,6 +266,32 @@ def test_root_of_unity_examples(k5):
     xi = x.conj() / x
     assert is_root_of_unity(xi) is None
     assert is_root_of_unity(1 + 2 * z) is None
+
+
+@pytest.mark.parametrize("n", ADMISSIBLE_CONDUCTORS)
+def test_root_of_unity_lookup_matches_powering(n):
+    # the w = lcm(2, n) roots +-zeta^k: the lookup gives the order the
+    # powering oracle finds, and phi(d) of them have order d for each d | w
+    field = CycloField(n)
+    w = field.torsion_order()
+    roots = sorted({s * field.zeta(k) for s in (1, -1) for k in range(n)}, key=lambda x: x.num)
+    assert len(roots) == w
+    orders = [is_root_of_unity(x) for x in roots]
+    assert orders == [powering_is_root_of_unity(x) for x in roots]
+    assert sorted(orders) == sorted(d for d in range(1, w + 1) if w % d == 0
+                                    for _ in range(euler_phi(d)))
+    # not torsion, or torsion only for small n (1 + zeta_3 = -zeta_3^2):
+    # den != 1, modulus one with den != 1, integral units and non-units
+    z = field.zeta()
+    rng = random.Random(n)
+    others = [roots[0] / 2, (1 + z) / 3, (1 + 2 * z).conj() / (1 + 2 * z), 2 * z, 1 + 2 * z]
+    others += [1 + field.zeta(k) for k in range(1, n)]
+    others += [field.elt([rng.randint(-2, 2) for _ in range(field.degree)]) for _ in range(5)]
+    for x in others:
+        if not x.is_zero():
+            assert is_root_of_unity(x) == powering_is_root_of_unity(x), x
+    with pytest.raises(ZeroDivisionError):
+        is_root_of_unity(field.zero())
 
 
 def test_cm_identity_on_unit_circle_elements(k5):

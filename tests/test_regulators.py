@@ -9,11 +9,13 @@ from pweil.cyclo import CycloField, embed
 from pweil.lattice import find_simultaneous_relation
 from pweil.splitting import split_prime
 from pweil.weilgroup import build_weil_basis, jacobi_weil_number
-from oracles import gross_row_full_norm, per_row_gross_matrix
+from oracles import (fraction_certified_arg, gross_row_full_norm, per_row_gross_matrix,
+                     powering_circulant_group_delta)
 from pweil.regulators import (
     BasisMismatch,
     arg_vector,
     argument_independence_certificate,
+    certified_arg,
     circulant_group_delta,
     closure_dimension,
     conjugate_orbit,
@@ -163,6 +165,38 @@ def test_group_determinant_scaling_property(basis_8_5):
     target = rep.delta * (n_scale ** rep.size)
     assert delta_scaled.overlaps(target)
     assert fact_scaled.overlaps(target)
+
+
+def test_circulant_group_delta_matches_the_m2_angle_oracle(basis_8_5):
+    # one cos/sin table gives bit-identical enclosures: random balls of every
+    # size m <= 8 at three precisions, and the thetas of a real orbit
+    rng = random.Random(8)
+    cases = [list(group_determinant(basis_8_5, 1, 192).thetas)]
+    for prec in (64, 256, 544):
+        for m in range(1, 9):
+            cases.append([BallReal.from_endpoints(Fraction(c, 10 ** 6), Fraction(c + r, 10 ** 6),
+                                                  prec)
+                          for c, r in ((rng.randint(-10 ** 7, 10 ** 7), rng.randint(0, 9))
+                                       for _ in range(m))])
+    for thetas in cases:
+        got, want = circulant_group_delta(thetas), powering_circulant_group_delta(thetas)
+        assert [(b._v, b.prec) for b in got] == [(b._v, b.prec) for b in want]
+
+
+@pytest.mark.parametrize("n, p", [(13, 79), (11, 67), (15, 31)])
+def test_certified_arg_of_the_numerator_overlaps_the_fraction_oracle(n, p):
+    # arg sigma_v(xi) = arg sigma_v(xi.num): both enclosures hold the same
+    # number, and the numerator's meets the radius target
+    basis = build_weil_basis(split_prime(CycloField(n), p))
+    precision = 512
+    target = Fraction(1, 1 << (precision // 2))
+    for idx in basis.split.S:
+        xi = basis.xi[idx]
+        assert xi.den > 1
+        for v in xi.field.places:
+            got = certified_arg(xi, v, precision)
+            assert got.radius < target
+            assert got.overlaps(fraction_certified_arg(xi, v, precision))
 
 
 def test_find_abelian_generator_none_for_zeta5_11(basis_5_11):

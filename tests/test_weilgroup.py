@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 from fractions import Fraction
@@ -28,7 +29,8 @@ from pweil.weilgroup import (
     _iroot_ceil,
 )
 from pweil.lattice import short_vectors
-from oracles import bareiss_det, fraction_elt, fraction_mul, fraction_pow, per_prime_generator
+from oracles import (bareiss_det, fraction_elt, fraction_mul, fraction_pow, inverse_pi_m_map,
+                     per_prime_generator, powering_is_root_of_unity)
 from test_cyclo import norm_by_conjugates
 
 
@@ -339,6 +341,56 @@ def test_kernel_is_torsion(k5, split_5_11):
 def test_verify_reports_pass(basis_5_11, basis_8_5):
     assert verify_weil_basis(basis_5_11)["ok"]
     assert verify_weil_basis(basis_8_5)["ok"]
+
+
+def test_pi_m_map_matches_the_inverse_oracle_over_the_grid(grid):
+    # the product of the xi_P^(nu_{P^c}) over S is the product of the
+    # x_P^(nu_P) over T, on random minus-part divisors of every grid cell
+    points, _ = grid
+    rng = random.Random(12)
+    cells = 0
+    for (n, p), (field, sp, basis) in sorted(points.items()):
+        if basis is None:
+            continue
+        cells += 1
+        for _ in range(2):
+            nu = DivisorVec(sp, (0,) * sp.g)
+            for vec in minus_basis(sp):
+                nu = nu + rng.randint(-3, 3) * vec
+            assert pi_m_map(nu, basis) == inverse_pi_m_map(nu, basis), (n, p, nu.coeffs)
+    assert cells == 128
+
+
+@pytest.mark.parametrize("n, p", [(5, 11), (13, 79), (11, 67), (15, 31), (20, 41)])
+def test_root_of_unity_lookup_on_products_of_xi(n, p):
+    # xi_P and xi_P xi_Q are not torsion; xi_P / sigma_a(xi_P0) (the
+    # gross_matrix check) and zeta^k xi_P xi_P^c are
+    basis = _cell_basis(n, p)
+    split, field = basis.split, basis.split.field
+    xi0 = basis.xi[split.S[0]]
+    elements = []
+    for idx in split.S:
+        a = next(a for a in field.units if split.act_index(a, split.S[0]) == idx)
+        elements += [basis.xi[idx], basis.xi[idx] * basis.xi[split.S[-1]],
+                     basis.xi[idx] * xi0.apply(field.aut(a)).conj(),
+                     -field.zeta(idx) * basis.xi[idx] * basis.xi[idx].conj()]
+    orders = [is_root_of_unity(x) for x in elements]
+    assert orders == [powering_is_root_of_unity(x) for x in elements]
+    assert orders[0::4] == [None] * len(split.S)
+    assert None not in orders[2::4] + orders[3::4]
+
+
+def test_verify_checks_the_generators(basis_5_11):
+    # pi_M reads only the xi_P, so check (i) fails with x_P when
+    # xi_P x_P != x_P^c, and every other check still passes
+    split = basis_5_11.split
+    good = verify_weil_basis(basis_5_11)
+    for idx, check in zip(split.S, good["checks"]):
+        x = dict(basis_5_11.x)
+        x[idx] = -x[idx]
+        rep = verify_weil_basis(dataclasses.replace(basis_5_11, x=x))
+        assert not rep["ok"]
+        assert [c["name"] for c in rep["checks"] if not c["ok"]] == [check["name"]]
 
 
 def test_verify_vacuous_for_empty_T(k5):
