@@ -10,8 +10,6 @@ certificates for independence statements about the argument vectors.
 from .arith import (
     BallReal,
     BallComplex,
-    GaloisRing,
-    PadicElt,
     PrecisionTooLow,
     BranchCutHit,
     NotAUnit,

@@ -3,17 +3,20 @@
 Three layers, used by every other module:
 
 * exact arithmetic runs on Python ints: ``split_p`` is the one p-adic
-  valuation of an integer and ``_zm_rem_monic`` the one remainder modulo a
-  monic polynomial, over Z/m or (m = 0) over Z; ``fractions.Fraction``
-  appears only at the edges, as ball endpoints and reconstructed rationals;
+  valuation of an integer, ``prime_factors`` the one factorization and
+  ``_zm_rem_monic`` the one remainder modulo a monic polynomial, over Z/m or
+  (m = 0) over Z; Z/p^K is ints too, and ``padic_log`` the logarithm of a
+  unit of it; ``fractions.Fraction`` appears only at the edges, as ball
+  endpoints and reconstructed rationals;
 * ``BallReal`` / ``BallComplex`` wrap mpmath's directed-rounding interval
   kernels, so every operation returns an enclosure of the exact result;
+  their sign and order predicates compare the mpf endpoints exactly;
 * ``GaloisRing`` / ``PadicElt`` model the unramified local ring
   Z_p[t]/(h(t)) truncated at precision p^K; the norm to Z/p^K is the
   determinant of multiplication by an element, taken fraction-free over Z,
-  so it holds for non-units and any monic h.  Of the ring operations only
-  ``inverse`` needs h irreducible mod p, so they also serve F_p[t]/(h) for
-  a product h of factors, as in the Cantor-Zassenhaus split of Phi_n mod p.
+  so it holds for non-units and any monic h.  No ring operation needs h
+  irreducible mod p, so they also serve F_p[t]/(h) for a product h of
+  factors, as in the Cantor-Zassenhaus split of Phi_n mod p.
 
 All values are immutable; precision is carried per value, never global.
 """
@@ -29,6 +32,8 @@ from mpmath.libmp import (
     from_int as _mpf_from_int,
     from_rational as _mpf_from_rational,
     fzero as _fzero,
+    mpf_le as _mpf_le,
+    mpf_sign as _mpf_sign,
     round_ceiling as _r_ceil,
     round_floor as _r_floor,
 )
@@ -234,19 +239,20 @@ class BallReal:
     def sin(self) -> "BallReal":
         return BallReal(libmpi.mpi_sin(self._v, self.prec), self.prec)
 
-    # -- predicates (certified; True only when provable from the enclosure)
+    # -- predicates (certified; True only when provable from the enclosure),
+    # exact comparisons of the mpf endpoints, infinite ones included
 
     def contains_zero(self) -> bool:
-        return self.lower <= 0 <= self.upper
+        return _mpf_sign(self._v[0]) <= 0 <= _mpf_sign(self._v[1])
 
     def excludes_zero(self) -> bool:
-        return self.lower > 0 or self.upper < 0
+        return self.is_positive() or self.is_negative()
 
     def is_positive(self) -> bool:
-        return self.lower > 0
+        return _mpf_sign(self._v[0]) > 0
 
     def is_negative(self) -> bool:
-        return self.upper < 0
+        return _mpf_sign(self._v[1]) < 0
 
     def is_exact_zero(self) -> bool:
         return self._v[0] == _fzero and self._v[1] == _fzero
@@ -256,7 +262,7 @@ class BallReal:
         return self.lower <= q <= self.upper
 
     def overlaps(self, other: "BallReal") -> bool:
-        return self.lower <= other.upper and other.lower <= self.upper
+        return _mpf_le(self._v[0], other._v[1]) and _mpf_le(other._v[0], self._v[1])
 
     def mignitude(self) -> Fraction:
         """Certified lower bound for the absolute value (0 if 0 is enclosed)."""
@@ -434,16 +440,6 @@ def fp_trim(a: list[int]) -> list[int]:
     return a
 
 
-def fp_sub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return fp_trim(out)
-
-
 def fp_mul(a, b, p):
     if not a or not b:
         return []
@@ -488,24 +484,6 @@ def fp_gcd(a, b, p):
     return a
 
 
-def fp_xgcd(a, b, p):
-    """Extended gcd in F_p[x]: returns (g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = a[:], b[:]
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = fp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, fp_sub(s0, fp_mul(q, s1, p), p)
-        t0, t1 = t1, fp_sub(t0, fp_mul(q, t1, p), p)
-    if r0:
-        inv_lead = pow(r0[-1], -1, p)
-        r0 = [(c * inv_lead) % p for c in r0]
-        s0 = [(c * inv_lead) % p for c in s0]
-        t0 = [(c * inv_lead) % p for c in t0]
-    return r0, s0, t0
-
-
 # ---------------------------------------------------------------------------
 # Polynomials over Z/m (monic reduction only, used by the Galois ring and,
 # with m = 0, by the integer arithmetic of Q(zeta_n))
@@ -533,10 +511,10 @@ def _zm_rem_monic(a: Sequence[int], h: Sequence[int], m: int = 0) -> list[int]:
 # Galois rings GR(p^K, f) = (Z/p^K)[t]/(h) with h monic of degree f
 
 class GaloisRing:
-    """Truncated unramified local ring of residue degree f at precision p^K
-    when h is irreducible mod p.  Of the ring operations only ``inverse``
-    needs that (``is_unit`` and ``padic_log`` read the residue ring as the
-    field F_{p^f}); sums, products, powers and the norm hold for any monic h."""
+    """(Z/p^K)[t]/(h) for a monic h of degree f: the truncated unramified local
+    ring of residue degree f when h is irreducible mod p.  Its operations
+    (sums, products, powers, valuations and the norm; there is no inverse)
+    hold for any monic h.  Z/p^K itself is plain ints (see ``padic_log``)."""
 
     def __init__(self, p: int, prec: int, f: int, modulus: Sequence[int]):
         if prec < 1 or f < 1:
@@ -550,11 +528,6 @@ class GaloisRing:
         if modulus[-1] % self.pK != 1:
             raise ValueError("modulus must be monic")
         self.modulus = tuple(c % self.pK for c in modulus)
-
-    @staticmethod
-    def qp(p: int, prec: int) -> "GaloisRing":
-        """The degree-1 ring Z/p^K (modulus t)."""
-        return GaloisRing(p, prec, 1, (0, 1))
 
     # -- element constructors
 
@@ -571,9 +544,6 @@ class GaloisRing:
 
     def one(self) -> "PadicElt":
         return self.from_int(1)
-
-    def zero(self) -> "PadicElt":
-        return self.from_int(0)
 
     # -- internal coefficient ops
 
@@ -593,33 +563,7 @@ class GaloisRing:
 
     # -- ring structure
 
-    def is_unit(self, x: "PadicElt") -> bool:
-        return any(c % self.p for c in x.coeffs)
-
-    def inverse(self, x: "PadicElt") -> "PadicElt":
-        if not self.is_unit(x):
-            raise NotAUnit("element is divisible by p")
-        p = self.p
-        res = [c % p for c in x.coeffs]
-        hbar = [c % p for c in self.modulus]
-        g, s, _ = fp_xgcd(fp_trim(res[:]), hbar, p)
-        if g != [1]:
-            raise NotAUnit("residue is not invertible (modulus not irreducible?)")
-        v = self.elt(s)
-        # Newton lifting v <- v(2 - x v); quadratic convergence to x^{-1}
-        two = self.from_int(2)
-        for _ in range(self.prec.bit_length() + 2):
-            prod = x * v
-            if prod == self.one():
-                return v
-            v = v * (two - prod)
-        if x * v != self.one():
-            raise NotAUnit("inverse lifting failed")
-        return v
-
     def power(self, x: "PadicElt", e: int) -> "PadicElt":
-        if e < 0:
-            return self.power(self.inverse(x), -e)
         result = self.one()
         base = x
         while e:
@@ -668,12 +612,6 @@ class GaloisRing:
             prev = a[k][k]
         return sign * a[-1][-1] % pK
 
-    def at_precision(self, prec: int) -> "GaloisRing":
-        if prec == self.prec:
-            return self
-        pK = self.p ** prec
-        return GaloisRing(self.p, prec, self.f, tuple(c % pK for c in self.modulus))
-
     def __repr__(self) -> str:
         return "GaloisRing(p=%d, prec=%d, f=%d)" % (self.p, self.prec, self.f)
 
@@ -695,18 +633,6 @@ class PadicElt:
     ring: GaloisRing
     coeffs: tuple[int, ...]
 
-    @property
-    def p(self) -> int:
-        return self.ring.p
-
-    @property
-    def precision(self) -> int:
-        return self.ring.prec
-
-    @property
-    def f(self) -> int:
-        return self.ring.f
-
     def __add__(self, other: "PadicElt") -> "PadicElt":
         return PadicElt(self.ring, self.ring._add(self.coeffs, other.coeffs))
 
@@ -722,24 +648,24 @@ class PadicElt:
     def __pow__(self, e: int) -> "PadicElt":
         return self.ring.power(self, e)
 
-    def inverse(self) -> "PadicElt":
-        return self.ring.inverse(self)
-
-    def is_unit(self) -> bool:
-        return self.ring.is_unit(self)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def valuation(self) -> Optional[int]:
         return self.ring.valuation(self)
 
-    def at_precision(self, prec: int) -> "PadicElt":
-        ring = self.ring.at_precision(prec)
-        return ring.elt(list(self.coeffs))
-
     def __repr__(self) -> str:
-        return "PadicElt(p=%d, K=%d, %r)" % (self.p, self.precision, list(self.coeffs))
+        return "PadicElt(p=%d, K=%d, %r)" % (self.ring.p, self.ring.prec, list(self.coeffs))
+
+
+def prime_factors(n: int) -> dict[int, int]:
+    """{q: v_q(n)} over the primes q dividing the integer n >= 1, by trial division."""
+    out = {}
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out[d], n = split_p(n, d)
+        d += 1
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 def split_p(n: int, p: int) -> tuple[int, int]:
@@ -753,54 +679,41 @@ def split_p(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
-def padic_log(u: PadicElt) -> PadicElt:
-    """Iwasawa-normalized p-adic logarithm of a unit of GR(p^K, f).
+def padic_log(u: int, p: int, K: int) -> tuple[int, int]:
+    """Iwasawa-normalized p-adic logarithm of a unit u of Z/p^K.
 
-    The Teichmueller part is killed by raising to the power p^f - 1, the
-    series log(1+x) is summed to precision, and the result divided back.
-    The output precision is K - g where g <= ceil(log_p K) + 1 accounts for
-    the divisions by p inside the series; g is computed exactly below.
+    Returns (log_p u mod p^K', K').  The Teichmueller part is killed by
+    raising to the power p - 1, the series log(1+x) is summed to precision
+    and the result divided back.  K' = K - g, where g <= ceil(log_p K) + 1
+    accounts for the divisions by p inside the series; a Teichmueller unit
+    has logarithm exactly 0, at full precision K.
     """
-    ring = u.ring
-    if not ring.is_unit(u):
+    pK = p ** K
+    if u % p == 0:
         raise NotAUnit("padic_log requires a unit")
-    p, K, f = ring.p, ring.prec, ring.f
-    e_kill = p ** f - 1
-    w = ring.power(u, e_kill)
-    x = w - ring.one()
-    if x.is_zero():
-        # Teichmueller element: logarithm is exactly zero at full precision
-        return ring.zero()
+    x = pow(u, p - 1, pK) - 1
+    if x == 0:
+        return 0, K
 
     # last series index with term valuation possibly below K
     m_max = 1
-    while True:
-        if m_max - _ilog(m_max, p) >= K:
-            break
+    while m_max - _ilog(m_max, p) < K:
         m_max += 1
-    loss = _ilog(m_max, p)
-    K_out = K - loss
+    K_out = K - _ilog(m_max, p)
     if K_out <= 0:
         raise PrecisionTooLow("precision %d too small for padic_log at p=%d" % (K, p))
 
-    pK = ring.pK
     p_out = p ** K_out
-    acc = [0] * f  # accumulates sum of (-1)^(m+1) x^m / m, valid mod p^K_out
-    xpow = ring.one()
+    acc = 0  # the sum of (-1)^(m+1) x^m / m, valid mod p^K_out
+    xpow = 1
     for m in range(1, m_max + 1):
-        xpow = xpow * x
+        xpow = xpow * x % pK
         a, m_unit = split_p(m, p)
-        inv_m = pow(m_unit, -1, pK)
-        sign = 1 if m % 2 == 1 else -1
-        for i, c in enumerate(xpow.coeffs):
-            c = (c * inv_m) % pK
-            # true coefficient divisible by p^a and known mod p^K, so the
-            # stored representative is divisible by p^a as well
-            c //= p ** a
-            acc[i] = (acc[i] + sign * c) % p_out
-    inv_kill = pow(e_kill % p_out, -1, p_out)
-    out_ring = ring.at_precision(K_out)
-    return out_ring.elt([(c * inv_kill) % p_out for c in acc])
+        # x^m / m_unit is divisible by p^a and known mod p^K, so its
+        # representative in [0, p^K) is divisible by p^a as well
+        term = xpow * pow(m_unit, -1, pK) % pK // p ** a
+        acc = acc + term if m % 2 else acc - term
+    return acc * pow(p - 1, -1, p_out) % p_out, K_out
 
 
 def _ilog(n: int, p: int) -> int:

@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .arith import BallComplex, BallReal, _zm_rem_monic
+from .arith import BallComplex, BallReal, _zm_rem_monic, prime_factors
 
 
 # ---------------------------------------------------------------------------
@@ -31,35 +31,14 @@ from .arith import BallComplex, BallReal, _zm_rem_monic
 
 def euler_phi(n: int) -> int:
     result = n
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                m //= d
-            result -= result // d
-        d += 1
-    if m > 1:
-        result -= result // m
+    for q in prime_factors(n):
+        result -= result // q
     return result
 
 
 def moebius(n: int) -> int:
-    if n == 1:
-        return 1
-    m = n
-    k = 0
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            m //= d
-            if m % d == 0:
-                return 0
-            k += 1
-        d += 1
-    if m > 1:
-        k += 1
-    return (-1) ** k
+    exps = prime_factors(n).values()
+    return 0 if any(e > 1 for e in exps) else (-1) ** len(exps)
 
 
 def ramanujan_sum(n: int, k: int) -> int:
@@ -396,10 +375,10 @@ def _norm_prime(n: int, i: int) -> tuple[int, tuple[int, ...]]:
     ell = _norm_prime(n, i - 1)[0] + n if i else (2 ** 62 // n + 1) * n + 1
     while not _is_prime_mr(ell):
         ell += n
-    prime_factors = [q for q in range(2, n + 1) if n % q == 0 and euler_phi(q) == q - 1]
+    qs = prime_factors(n)
     for c in range(2, ell):
         w = pow(c, (ell - 1) // n, ell)
-        if all(pow(w, n // q, ell) != 1 for q in prime_factors):
+        if all(pow(w, n // q, ell) != 1 for q in qs):
             break  # w has order exactly n
     units = [k for k in range(1, n) if gcd(k, n) == 1]
     return ell, tuple(pow(w, k, ell) for k in units)

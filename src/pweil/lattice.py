@@ -90,30 +90,14 @@ def _hnf_with_transform(rows, want_transform: bool):
 
 
 def kernel_basis_int(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis of the left integer kernel {v : v . rows = 0} (saturated)."""
-    a = [list(map(int, r)) for r in rows]
-    if not a:
+    """Basis of the left integer kernel {v : v . rows = 0} (saturated).
+
+    U A = H with U unimodular, and the rows of H from the rank on are the
+    zero rows, so the rows of U from the rank on span the kernel."""
+    if not rows:
         return []
-    _, u, rank = _hnf_with_transform(a, want_transform=True)
-    # rows of u mapping to zero rows of the HNF span the kernel
-    m = len(a)
-    h_full = _apply_transform(u, a)
-    return [u[i] for i in range(m) if not any(h_full[i])]
-
-
-def _apply_transform(u, a):
-    m = len(a)
-    ncols = len(a[0])
-    out = []
-    for i in range(m):
-        row = [0] * ncols
-        for k in range(m):
-            c = u[i][k]
-            if c:
-                for j in range(ncols):
-                    row[j] += c * a[k][j]
-        out.append(row)
-    return out
+    _, u, rank = _hnf_with_transform(rows, want_transform=True)
+    return u[rank:]
 
 
 # ---------------------------------------------------------------------------

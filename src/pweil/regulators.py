@@ -27,8 +27,6 @@ from .arith import (
     BallComplex,
     BallReal,
     BranchCutHit,
-    GaloisRing,
-    PadicElt,
     PrecisionTooLow,
     arg_principal,
     ball_det,
@@ -83,7 +81,10 @@ class ArgVector:
         }
 
 
-def certified_arg(x: CycloElt, place: int, precision: int, max_attempts: int = 6) -> BallReal:
+ARG_ATTEMPTS = 6  # working precisions certified_arg tries, doubling from precision + 32
+
+
+def certified_arg(x: CycloElt, place: int, precision: int) -> BallReal:
     """Principal argument of sigma_v(x) with radius below 2^(-precision/2).
 
     The integral numerator is embedded in place of x: x = x.num / x.den with
@@ -96,7 +97,7 @@ def certified_arg(x: CycloElt, place: int, precision: int, max_attempts: int = 6
     wp = precision + 32
     num = CycloElt(x.field, x.num, 1)
     last: Optional[Exception] = None
-    for _ in range(max_attempts):
+    for _ in range(ARG_ATTEMPTS):
         try:
             val = arg_principal(embed(num, place, wp))
             if val.radius < target:
@@ -318,14 +319,14 @@ class GrossMatrix:
     """Rows: basis elements xi_P (P in S); columns: all primes above p.
 
     Entries are log_p of the modified local absolute value (Nv)^(-ord_v)
-    times the local norm, each a p-adic integer at the stated precision.
+    times the local norm, each an int: a p-adic integer mod p^precision.
     Row sums vanish (product formula); torsion elements give zero rows.
     The rows are permutations of one row (see ``gross_matrix``).
     """
 
     split: SplitData
     row_labels: tuple[str, ...]
-    entries: tuple[tuple[PadicElt, ...], ...]
+    entries: tuple[tuple[int, ...], ...]
     precision: int
     heuristic_rank: int
     row_sum_min_valuation: int
@@ -335,9 +336,7 @@ class GrossMatrix:
             "rows": list(self.row_labels),
             "columns": [pr.label for pr in self.split.primes],
             "precision": self.precision,
-            "entries": [
-                [int(e.coeffs[0]) for e in row] for row in self.entries
-            ],
+            "entries": [list(row) for row in self.entries],
             "heuristic_rank": self.heuristic_rank,
             "row_sum_min_valuation": self.row_sum_min_valuation,
         }
@@ -345,31 +344,32 @@ class GrossMatrix:
     def to_csv(self) -> str:
         lines = ["row," + ",".join(pr.label for pr in self.split.primes)]
         for label, row in zip(self.row_labels, self.entries):
-            lines.append(label + "," + ",".join(str(int(e.coeffs[0])) for e in row))
+            lines.append(label + "," + ",".join(map(str, row)))
         return "\n".join(lines) + "\n"
 
 
-def gross_row(x: CycloElt, split: SplitData, K: int = 50) -> list[PadicElt]:
-    """log_p of the modified absolute values of x at every prime above p.
+def gross_row(x: CycloElt, split: SplitData, K: int = 50) -> tuple[list[int], int]:
+    """log_p of the modified absolute values of x at every prime above p,
+    as (row mod p^K', K') with K' the least precision among the logs.
 
     At P, the image of x.num under zeta -> w^e (``PrimeAbove.image``) is
     p^ord_num u with u a local unit, known mod p^K from the image at
-    precision K + ord_num; the norm of u is taken at precision K.
+    precision K + ord_num; the norm of u is taken at precision K and
+    divided by den^f in Z/p^K.
     """
     p = split.p
-    f = split.f
     v_den, den = split_p(x.den, p)
     ring = split.ring_at(K)[0]
-    entries = []
+    inv_den = pow(den ** split.f, -1, ring.pK)
+    logs = []
     for pr in split.primes:
         ord_num = ord_at(pr, x) + v_den  # valuation of the numerator x.num
         image = pr.image(x.num, K + ord_num)
         assert image.valuation() == ord_num, "valuation mismatch"
         unit_num = ring.norm(ring.elt([c // p ** ord_num for c in image.coeffs]))
-        qp = GaloisRing.qp(p, K)
-        u = qp.from_int(unit_num) * qp.inverse(qp.from_int(pow(den, f)))
-        entries.append(padic_log(u))
-    return entries
+        logs.append(padic_log(unit_num * inv_den, p, K))
+    prec = min((k for _, k in logs), default=K)
+    return [v % p ** prec for v, _ in logs], prec
 
 
 def gross_matrix(basis: WeilBasis, split: SplitData, K: int = 50) -> GrossMatrix:
@@ -378,10 +378,11 @@ def gross_matrix(basis: WeilBasis, split: SplitData, K: int = 50) -> GrossMatrix
     Only the row of xi_{P0}, P0 = S[0], is computed.  For P = sigma_a(P0)
     in S, xi_P / sigma_a(xi_{P0}) is asserted to be a root of unity (log_p of
     its local norms is 0) and |sigma_a x|_{sigma_a Q} = |x|_Q, so the row of
-    xi_P is that row permuted: its entry at Q is row0[sigma_a^-1 Q].
+    xi_P is that row permuted: its entry at Q is row0[sigma_a^-1 Q], and the
+    matrix precision is that of row 0 (K when S is empty).
     """
-    field, S = split.field, split.S
-    row0 = gross_row(basis.xi[S[0]], split, K) if S else []
+    field, S, p = split.field, split.S, split.p
+    row0, prec = gross_row(basis.xi[S[0]], split, K) if S else ([], K)
     rows = []
     for idx in S:
         a = next(a for a in field.units if split.act_index(a, S[0]) == idx)
@@ -389,33 +390,26 @@ def gross_matrix(basis: WeilBasis, split: SplitData, K: int = 50) -> GrossMatrix
         assert is_root_of_unity(basis.xi[idx] * moved.conj()) is not None, \
             "xi_P is not sigma_a(xi_P0) up to a root of unity"
         a_inv = pow(a, -1, field.n)
-        rows.append([row0[split.act_index(a_inv, j)] for j in range(split.g)])
-    out_prec = min((e.precision for row in rows for e in row), default=K)
-    norm_rows = [[e.at_precision(out_prec) for e in row] for row in rows]
+        rows.append(tuple(row0[split.act_index(a_inv, j)] for j in range(split.g)))
 
-    min_val = out_prec
-    for row in norm_rows:
-        total = 0
-        for e in row:
-            total = (total + e.coeffs[0]) % (split.p ** out_prec)
-        v = split_p(total, split.p)[0] if total else out_prec
-        min_val = min(min_val, v)
-
-    rank = _padic_rank([[int(e.coeffs[0]) for e in row] for row in norm_rows],
-                       split.p, out_prec)
+    min_val = prec
+    for row in rows:
+        total = sum(row) % p ** prec
+        if total:
+            min_val = min(min_val, split_p(total, p)[0])
     return GrossMatrix(
         split=split,
         row_labels=tuple(split.primes[idx].label for idx in S),
-        entries=tuple(tuple(row) for row in norm_rows),
-        precision=out_prec,
-        heuristic_rank=rank,
+        entries=tuple(rows),
+        precision=prec,
+        heuristic_rank=_padic_rank(rows, p, prec),
         row_sum_min_valuation=min_val,
     )
 
 
-def _padic_rank(rows: list[list[int]], p: int, prec: int) -> int:
+def _padic_rank(rows: Sequence[Sequence[int]], p: int, prec: int) -> int:
     """Rank over Q_p at finite precision: pivot on minimal valuation."""
-    a = [row[:] for row in rows]
+    a = [list(row) for row in rows]
     prec_left = prec
     rank = 0
     live_rows = list(range(len(a)))

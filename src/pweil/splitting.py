@@ -22,7 +22,7 @@ import random
 from math import gcd
 from typing import Optional, Sequence
 
-from .arith import GaloisRing, PadicElt, fp_divmod, fp_gcd, fp_mul, split_p
+from .arith import GaloisRing, PadicElt, fp_divmod, fp_gcd, fp_mul, prime_factors, split_p
 from .cyclo import CycloElt, CycloField, GaloisAut, cyclotomic_polynomial
 
 
@@ -35,14 +35,7 @@ class RamifiedPrime(ValueError):
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and prime_factors(p) == {p: 1}
 
 
 def multiplicative_order(a: int, n: int) -> int:

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import split_p
+from .arith import prime_factors, split_p
 from .cyclo import CycloElt, CycloField, GaloisAut, is_root_of_unity, norm, ramanujan_sum
 from .lattice import BoundTooLarge, _canonical_sign, row_hnf, short_vectors
 from .splitting import PrimeAbove, SplitData, is_prime, ord_at
@@ -169,9 +169,14 @@ def _iroot_ceil(n: int, k: int) -> int:
     return r
 
 
+# enumeration nodes per short_vectors call, radius doublings per search,
+# largest class order h tried by build_weil_basis
+NODE_BUDGET = 5_000_000
+MAX_DOUBLINGS = 6
+H_CAP = 12
+
+
 def find_generator(prime: PrimeAbove, power: int,
-                   node_budget: int = 5_000_000,
-                   max_doublings: int = 6,
                    candidates: Optional[list] = None) -> Optional[CycloElt]:
     """A generator of the ideal P^power, canonically normalized, or None.
 
@@ -185,7 +190,7 @@ def find_generator(prime: PrimeAbove, power: int,
     highest power of zeta down is returned, sign fixed by making the first
     nonzero coefficient positive (this prefers generators supported on low
     powers of zeta).  Returning None is evidence, not proof, that P^power is
-    non-principal: the search radius covers 1.5 * 2^max_doublings times the
+    non-principal: the search radius covers 1.5 * 2^MAX_DOUBLINGS times the
     minimum possible generator size.  A list passed as ``candidates``
     receives every candidate of that radius (see ``transport_generator``).
     """
@@ -198,9 +203,9 @@ def find_generator(prime: PrimeAbove, power: int,
     gram = trace_gram(field)
     floor = deg * _iroot_ceil(n_target * n_target, deg)
     bound = floor + (floor + 1) // 2
-    for _ in range(max_doublings + 1):
+    for _ in range(MAX_DOUBLINGS + 1):
         try:
-            vectors = short_vectors(basis, bound, gram=gram, node_budget=node_budget)
+            vectors = short_vectors(basis, bound, gram=gram, node_budget=NODE_BUDGET)
         except BoundTooLarge as exc:
             raise EnumerationBudgetExceeded(str(exc)) from exc
         found = []
@@ -268,8 +273,7 @@ class WeilBasis:
         return json.dumps(self.to_jsonable(), sort_keys=True)
 
 
-def build_weil_basis(split: SplitData, h_cap: int = 12,
-                     node_budget: int = 5_000_000) -> WeilBasis:
+def build_weil_basis(split: SplitData) -> WeilBasis:
     """Construct M, the generators x_P and the basis elements xi_P.
 
     The primes above p form one Galois orbit, so they share the class order
@@ -282,14 +286,14 @@ def build_weil_basis(split: SplitData, h_cap: int = 12,
         return WeilBasis(split, M=1, h=0, x={}, xi={})
     f, field = split.f, split.field
     p0 = split.primes[split.S[0]]
-    for h in range(1, h_cap + 1):
+    for h in range(1, H_CAP + 1):
         candidates: list[CycloElt] = []
-        if find_generator(p0, h, node_budget=node_budget, candidates=candidates) is not None:
+        if find_generator(p0, h, candidates=candidates) is not None:
             break
     else:
         raise RuntimeError(
             "no generator of %s^h found for h <= %d (class order too large "
-            "or search radius exhausted)" % (p0.label, h_cap)
+            "or search radius exhausted)" % (p0.label, H_CAP)
         )
     M = f * h
     x: dict[int, CycloElt] = {}
@@ -341,7 +345,12 @@ def _unit_pow(xi: CycloElt, e: int) -> CycloElt:
 # ---------------------------------------------------------------------------
 # Structure verification
 
-def verify_weil_basis(basis: WeilBasis, samples: int = 5, seed: int = 0) -> dict:
+# sample Weil units in check (ii) of verify_weil_basis, and their seed
+VERIFY_SAMPLES = 5
+VERIFY_SEED = 0
+
+
+def verify_weil_basis(basis: WeilBasis) -> dict:
     """Exact verification of the structural identities of E_p(k).
 
     Checks (i) alpha o pi = -M id on the minus-part basis, each with
@@ -369,9 +378,9 @@ def verify_weil_basis(basis: WeilBasis, samples: int = 5, seed: int = 0) -> dict
         profile.append({"name": "alpha(xi_%s) = M*(%s) - M*(%s^c)" % (label, label, label),
                         "ok": profile_ok})
 
-    rng = random.Random(seed)
+    rng = random.Random(VERIFY_SEED)
     w = field.torsion_order()
-    for trial in range(samples if split.S else 0):
+    for trial in range(VERIFY_SAMPLES if split.S else 0):
         xel = field.zeta(rng.randrange(field.n))
         if rng.random() < 0.5:
             xel = -xel
@@ -401,17 +410,7 @@ def verify_weil_basis(basis: WeilBasis, samples: int = 5, seed: int = 0) -> dict
 # Jacobi sums: explicit weight-1 Weil numbers for p = 1 mod n
 
 def _primitive_root(p: int) -> int:
-    fac = []
-    m = p - 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            fac.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        fac.append(m)
+    fac = prime_factors(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
             return g

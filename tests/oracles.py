@@ -29,19 +29,31 @@ T, before it was a product of powers of the xi_P with no inverse;
 cos and sin of all m^2 angles, before it read them from one table; and
 ``fraction_certified_arg`` is the argument of sigma_v(x) itself through the
 ``Fraction`` embedding ``embed_uncached``, before the integral numerator was
-embedded.  They stay here as the differential oracles.
+embedded.  ``ring_padic_log`` and ``galois_ring_inverse`` are the logarithm
+of a unit of GR(p^K, f) and the Newton inverse (from the extended gcd
+``fp_xgcd``) that the regulator used in the degree-1 ring, before Z/p^K was
+plain ints; ``gross_row_full_norm`` runs on them.  The ``fraction_*``
+predicates are the ``BallReal`` sign and order tests on ``Fraction``
+endpoints, before they compared the mpf endpoints, and
+``transform_kernel_basis_int`` is the integer kernel read off a second
+product U A, before it was the rows of U from the rank on.  They stay here
+as the differential oracles.
 """
 
 import math
 from fractions import Fraction
 
-from pweil.arith import (BallComplex, BallReal, BranchCutHit, GaloisRing, PadicElt,
-                         PrecisionTooLow, _zm_rem_monic, arg_principal, ball_det, fp_divmod,
-                         fp_gcd, fp_mul, fp_sub, fp_trim, fp_xgcd, padic_log, split_p)
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_gcdex
+
+from pweil.arith import (BallComplex, BallReal, BranchCutHit, GaloisRing, NotAUnit, PadicElt,
+                         PrecisionTooLow, _ilog, _zm_rem_monic, arg_principal, ball_det,
+                         fp_divmod, fp_gcd, fp_mul, fp_trim, padic_log, split_p)
 from pweil.cyclo import cyclotomic_polynomial, norm
 from pweil.regulators import GrossMatrix, _padic_rank, gross_row
 from pweil.lattice import (BoundTooLarge, DependentRows, RelationCertificate, _canonical_sign,
-                           _dot, _round_fraction, gs_norms, lll, short_vectors)
+                           _dot, _hnf_with_transform, _round_fraction, gs_norms, lll,
+                           short_vectors)
 from pweil.splitting import ord_at
 from pweil.weilgroup import (EnumerationBudgetExceeded, MinusPartViolation, _generator_key,
                              _iroot_ceil, ideal_basis, trace_gram)
@@ -300,11 +312,13 @@ def per_prime_generator(prime, power, node_budget=5_000_000, max_doublings=6):
 def gross_row_full_norm(x, split, K=50):
     """The regulator row with the full norm taken at K_big = K + f ord_num,
     in GR(p^K_big, f) on each prime's factor of Phi_n Hensel-lifted from
-    scratch to K_big."""
+    scratch to K_big, divided by den^f with the Newton inverse and logged in
+    the degree-1 ring; (row, precision) as ``gross_row`` returns it."""
     p = split.p
     f = split.f
     n = split.field.n
     v_den, den = split_p(x.den, p)
+    qp = GaloisRing(p, K, 1, (0, 1))
     entries = []
     for pr in split.primes:
         ord_num = ord_at(pr, x) + v_den
@@ -315,10 +329,10 @@ def gross_row_full_norm(x, split, K=50):
         nrm = ring.norm(image)
         assert nrm % (p ** (f * ord_num)) == 0, "norm valuation mismatch"
         unit_num = nrm // (p ** (f * ord_num))
-        qp = GaloisRing.qp(p, K)
-        u = qp.from_int(unit_num) * qp.inverse(qp.from_int(pow(den, f)))
-        entries.append(padic_log(u))
-    return entries
+        u = qp.from_int(unit_num) * galois_ring_inverse(qp, qp.from_int(pow(den, f)))
+        entries.append(ring_padic_log(u))
+    prec = min((e.ring.prec for e in entries), default=K)
+    return [e.coeffs[0] % p ** prec for e in entries], prec
 
 
 def embed_uncached(x, place, precision=64):
@@ -483,7 +497,7 @@ def equal_degree_factor(poly, f, p, rng):
                 g = fp_gcd(t, cur, 2)
             else:
                 b = fp_pow_mod(a, (p ** f - 1) // 2, cur, p)
-                b = fp_sub(b, [1], p)
+                b = fp_add(b, [p - 1], p)
                 g = fp_gcd(b, cur, p)
             if 1 <= len(g) - 1 < d:
                 split = g
@@ -545,14 +559,13 @@ def per_row_gross_matrix(basis, split, K=50):
     """``gross_matrix`` with ``gross_row`` evaluated at every xi_P, P in S."""
     rows = [gross_row(basis.xi[idx], split, K) for idx in split.S]
     labels = [split.primes[idx].label for idx in split.S]
-    out_prec = min((e.precision for row in rows for e in row), default=K)
-    norm_rows = [[e.at_precision(out_prec) for e in row] for row in rows]
+    out_prec = min((prec for _, prec in rows), default=K)
+    norm_rows = [[e % split.p ** out_prec for e in row] for row, _ in rows]
     min_val = out_prec
     for row in norm_rows:
-        total = sum(e.coeffs[0] for e in row) % (split.p ** out_prec)
+        total = sum(row) % (split.p ** out_prec)
         min_val = min(min_val, split_p(total, split.p)[0] if total else out_prec)
-    rank = _padic_rank([[int(e.coeffs[0]) for e in row] for row in norm_rows],
-                       split.p, out_prec)
+    rank = _padic_rank(norm_rows, split.p, out_prec)
     return GrossMatrix(split, tuple(labels), tuple(tuple(row) for row in norm_rows),
                        out_prec, rank, min_val)
 
@@ -566,7 +579,7 @@ def _frobenius_root(ring):
     dh = [(i * h[i]) % pK for i in range(1, len(h))]
 
     def ev(poly, x):
-        acc = ring.zero()
+        acc = ring.from_int(0)
         for c in reversed(poly):
             acc = acc * x + ring.from_int(c)
         return acc
@@ -574,17 +587,17 @@ def _frobenius_root(ring):
     r = ring.elt(fp_pow_mod([0, 1], p, [c % p for c in h], p))
     for _ in range(ring.prec.bit_length() + 2):
         hr = ev(h, r)
-        if hr.is_zero():
+        if not any(hr.coeffs):
             break
-        r = r - hr * ring.inverse(ev(dh, r))
-    assert ev(h, r).is_zero(), "Frobenius root lifting failed"
+        r = r - hr * galois_ring_inverse(ring, ev(dh, r))
+    assert not any(ev(h, r).coeffs), "Frobenius root lifting failed"
     return r.coeffs
 
 
 def frobenius(ring, x):
     """The Frobenius automorphism t -> (root of h congruent to t^p) of x."""
     root = PadicElt(ring, _frobenius_root(ring))
-    acc = ring.zero()
+    acc = ring.from_int(0)
     for c in reversed(x.coeffs):
         acc = acc * root + ring.from_int(c)
     return acc
@@ -663,3 +676,98 @@ def fraction_certified_arg(x, place, precision, max_attempts=6):
     if last is not None:
         raise last
     raise PrecisionTooLow("argument radius did not reach 2^-%d" % (precision // 2))
+
+
+def fp_xgcd(a, b, p):
+    """Extended gcd in F_p[x] (sympy's ``gf_gcdex``, little-endian lists):
+    (g, s, t) with s a + t b = g, g monic."""
+    s, t, g = gf_gcdex(list(reversed(a)), list(reversed(b)), p, ZZ)
+    return tuple(fp_trim([int(c) for c in reversed(x)]) for x in (g, s, t))
+
+
+def galois_ring_inverse(ring, x):
+    """x^-1 in GR(p^K, f), h irreducible mod p: the inverse mod p from the
+    extended gcd, Newton-lifted by v <- v (2 - x v)."""
+    p = ring.p
+    if not any(c % p for c in x.coeffs):
+        raise NotAUnit("element is divisible by p")
+    g, s, _ = fp_xgcd(fp_trim([c % p for c in x.coeffs]), [c % p for c in ring.modulus], p)
+    if g != [1]:
+        raise NotAUnit("residue is not invertible (modulus not irreducible?)")
+    v, one, two = ring.elt(s), ring.one(), ring.from_int(2)
+    for _ in range(ring.prec.bit_length() + 2):
+        prod = x * v
+        if prod == one:
+            return v
+        v = v * (two - prod)
+    assert x * v == one, "inverse lifting failed"
+    return v
+
+
+def ring_padic_log(u):
+    """log_p of a unit u of GR(p^K, f), an element of GR(p^K', f): the
+    Teichmueller part killed by the power p^f - 1, the series summed
+    coefficientwise and divided back."""
+    ring = u.ring
+    p, K, f, pK = ring.p, ring.prec, ring.f, ring.pK
+    if not any(c % p for c in u.coeffs):
+        raise NotAUnit("padic_log requires a unit")
+    e_kill = p ** f - 1
+    x = ring.power(u, e_kill) - ring.one()
+    if not any(x.coeffs):
+        return ring.from_int(0)
+    m_max = 1
+    while m_max - _ilog(m_max, p) < K:
+        m_max += 1
+    K_out = K - _ilog(m_max, p)
+    if K_out <= 0:
+        raise PrecisionTooLow("precision %d too small for padic_log at p=%d" % (K, p))
+    p_out = p ** K_out
+    acc = [0] * f
+    xpow = ring.one()
+    for m in range(1, m_max + 1):
+        xpow = xpow * x
+        a, m_unit = split_p(m, p)
+        inv_m = pow(m_unit, -1, pK)
+        sign = 1 if m % 2 == 1 else -1
+        for i, c in enumerate(xpow.coeffs):
+            acc[i] = (acc[i] + sign * ((c * inv_m) % pK // p ** a)) % p_out
+    inv_kill = pow(e_kill % p_out, -1, p_out)
+    out_ring = GaloisRing(p, K_out, f, ring.modulus)
+    return out_ring.elt([(c * inv_kill) % p_out for c in acc])
+
+
+# ``BallReal`` predicates on the ``Fraction`` endpoints, before they compared
+# the mpf endpoints directly; an infinite endpoint raises OverflowError
+
+def fraction_contains_zero(x):
+    return x.lower <= 0 <= x.upper
+
+
+def fraction_excludes_zero(x):
+    return x.lower > 0 or x.upper < 0
+
+
+def fraction_is_positive(x):
+    return x.lower > 0
+
+
+def fraction_is_negative(x):
+    return x.upper < 0
+
+
+def fraction_overlaps(x, y):
+    return x.lower <= y.upper and y.lower <= x.upper
+
+
+def transform_kernel_basis_int(rows):
+    """The left integer kernel as the rows of U whose image U A is zero,
+    with U A formed by a second matrix product."""
+    a = [list(map(int, r)) for r in rows]
+    if not a:
+        return []
+    _, u, _ = _hnf_with_transform(a, want_transform=True)
+    m, ncols = len(a), len(a[0])
+    h_full = [[sum(u[i][k] * a[k][j] for k in range(m)) for j in range(ncols)]
+              for i in range(m)]
+    return [u[i] for i in range(m) if not any(h_full[i])]

@@ -15,11 +15,15 @@ from pweil.arith import (
     arg_principal,
     ball_det,
     padic_log,
+    prime_factors,
     rational_reconstruct,
 )
-from pweil.cyclo import CycloField, cyclotomic_polynomial
-from pweil.splitting import split_prime
-from oracles import frobenius, frobenius_norm, hensel_lift_factor
+from pweil.cyclo import CycloField, cyclotomic_polynomial, euler_phi, moebius
+from pweil.splitting import is_prime, split_prime
+from pweil.weilgroup import _primitive_root
+from oracles import (fraction_contains_zero, fraction_excludes_zero, fraction_is_negative,
+                     fraction_is_positive, fraction_overlaps, frobenius, frobenius_norm,
+                     galois_ring_inverse, hensel_lift_factor, ring_padic_log)
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +54,53 @@ def test_ball_pow_and_sqrt_enclose():
     assert (x ** 3).contains(Fraction(343, 27))
     s = BallReal.from_int(2, 128).sqrt()
     assert (s * s).contains(2)
+
+
+def _predicate_balls(rng):
+    """Random balls, exact zeros, balls touching at an endpoint and rounded
+    results of arithmetic at a low precision."""
+    balls = [BallReal.zero(64), BallReal.from_int(0, 53), BallReal.from_endpoints(0, 0, 64),
+             BallReal.from_endpoints(-1, 0, 64), BallReal.from_endpoints(0, 1, 64)]
+    for _ in range(60):
+        lo, hi = sorted((_random_fraction(rng), _random_fraction(rng)))
+        prec = rng.choice([16, 53, 128])
+        x = BallReal.from_endpoints(lo, hi, prec)
+        balls += [x, BallReal.from_endpoints(hi, hi + 1, prec), BallReal.from_fraction(lo, prec),
+                  (x * BallReal.from_fraction(Fraction(1, 3), 8)) - Fraction(1, 7)]
+    return balls
+
+
+def test_ball_predicates_match_the_fraction_endpoints():
+    # the mpf comparisons against the Fraction ones on every ball and pair
+    balls = _predicate_balls(random.Random(5))
+    for x in balls:
+        assert x.contains_zero() == fraction_contains_zero(x)
+        assert x.excludes_zero() == fraction_excludes_zero(x)
+        assert x.is_positive() == fraction_is_positive(x)
+        assert x.is_negative() == fraction_is_negative(x)
+    touching = 0
+    for x in balls[:80]:
+        for y in balls[:80]:
+            assert x.overlaps(y) == fraction_overlaps(x, y)
+            touching += x.upper == y.lower
+    assert touching > 0
+
+
+def test_ball_predicates_on_an_unbounded_ball():
+    # the Fraction endpoints raise there; the mpf comparisons stay sound
+    whole = BallReal.from_int(1, 64) / BallReal.from_endpoints(-1, 1, 64)
+    right = BallReal.from_int(1, 64) / BallReal.from_endpoints(0, 1, 64)
+    left = -right
+    assert not whole.is_finite() and not right.is_finite()
+    with pytest.raises(OverflowError):
+        fraction_contains_zero(whole)
+    assert whole.contains_zero() and not whole.excludes_zero()
+    assert not whole.is_positive() and not whole.is_negative()
+    assert right.is_positive() and right.excludes_zero() and not right.contains_zero()
+    assert left.is_negative() and left.excludes_zero() and not left.is_positive()
+    one = BallReal.from_int(1, 64)
+    assert whole.overlaps(one) and right.overlaps(one) and one.overlaps(right)
+    assert not left.overlaps(one) and not one.overlaps(left) and not left.overlaps(right)
 
 
 # ---------------------------------------------------------------------------
@@ -190,22 +241,21 @@ def test_reconstruct_precondition():
 
 
 # ---------------------------------------------------------------------------
-# Galois rings and the p-adic logarithm
+# The p-adic logarithm on Z/p^K, and Galois rings
 
 def test_padic_log_of_one_is_exactly_zero():
-    R = GaloisRing(7, 30, 1, (0, 1))
-    val = padic_log(R.one())
-    assert val.is_zero() and val.precision == 30
+    assert padic_log(1, 7, 30) == (0, 30)
 
 
 def test_padic_log_kills_teichmueller():
-    # the Teichmueller lift of a residue is the limit of u^(p^(f j))
-    R = GaloisRing(5, 20, 2, (2, 0, 1))
-    t = R.elt([0, 1])
+    # the Teichmueller lift of a residue is the limit of a^(p^j); its
+    # logarithm is exactly 0, at full precision
+    pK = 5 ** 20
+    t = 2
     for _ in range(40):
-        t = R.power(t, 25)
-    assert R.power(t, 24) == R.one()
-    assert padic_log(t).is_zero()
+        t = pow(t, 5, pK)
+    assert pow(t, 4, pK) == 1
+    assert padic_log(t, 5, 20) == (0, 20)
 
 
 def test_padic_log_series_value_p11():
@@ -219,47 +269,77 @@ def test_padic_log_series_value_p11():
     oracle = total.numerator * pow(total.denominator, -1, p ** K) % (p ** K)
     assert oracle == 12599164094
 
-    R = GaloisRing(p, K, 1, (0, 1))
-    got = padic_log(R.from_int(1 + p))
-    assert got.coeffs[0] == oracle % (p ** got.precision)
+    got, prec = padic_log(1 + p, p, K)
+    assert got == oracle % (p ** prec)
 
 
-@pytest.mark.parametrize("p,f,K", [(3, 1, 30), (3, 2, 20), (11, 1, 12), (2, 3, 25), (7, 2, 40)])
-def test_padic_log_homomorphism(p, f, K):
-    # moduli irreducible mod p: t, t^2+1 (3), t, t^3+t+1 (2), t^2+4 (7)
-    moduli = {
-        (3, 1): (0, 1), (3, 2): (1, 0, 1),
-        (11, 1): (0, 1), (2, 3): (1, 1, 0, 1), (7, 2): (4, 0, 1),
-    }
-    R = GaloisRing(p, K, f, moduli[(p, f)])
-    rng = random.Random(p * 100 + f)
+# (p, K) on Z/p^K, residue degree 1 in the ids
+HOMOMORPHISM_CASES = [(3, 30), (11, 12), (2, 25), (7, 40), (79, 50)]
+
+
+@pytest.mark.parametrize("p,K", HOMOMORPHISM_CASES,
+                         ids=["%d-1-%d" % case for case in HOMOMORPHISM_CASES])
+def test_padic_log_homomorphism(p, K):
+    pK = p ** K
+    rng = random.Random(p * 100 + 1)
     for _ in range(20):
-        u = R.elt([rng.randrange(R.pK) for _ in range(f)])
-        v = R.elt([rng.randrange(R.pK) for _ in range(f)])
-        if not (u.is_unit() and v.is_unit()):
+        u, v = rng.randrange(pK), rng.randrange(pK)
+        if u % p == 0 or v % p == 0:
             continue
-        lu, lv, luv = padic_log(u), padic_log(v), padic_log(u * v)
-        prec = min(lu.precision, lv.precision, luv.precision)
-        resid = (lu.at_precision(prec) + lv.at_precision(prec)) - luv.at_precision(prec)
-        assert resid.is_zero()
+        (lu, ku), (lv, kv), (luv, kuv) = (padic_log(w, p, K) for w in (u, v, u * v))
+        assert (lu + lv - luv) % p ** min(ku, kv, kuv) == 0
 
 
 def test_padic_log_rejects_non_units():
-    R = GaloisRing(5, 10, 1, (0, 1))
     with pytest.raises(NotAUnit):
-        padic_log(R.from_int(10))
+        padic_log(10, 5, 10)
+
+
+def _log_cases(p, K, rng):
+    """Seven random units, -1, 1 + p, a Teichmueller lift and a non-unit of Z/p^K."""
+    pK = p ** K
+    units = []
+    while len(units) < 7:
+        u = rng.randrange(pK)
+        if u % p:
+            units.append(u)
+    teich = pow(rng.randrange(1, p), p ** (K - 1), pK)
+    return units + [-1, 1 + p, teich, p * rng.randrange(1, pK)]
+
+
+def test_padic_log_matches_the_ring_oracle():
+    # the int logarithm against the degree-1 Galois-ring one, value,
+    # precision and exception alike, on 8 primes x 15 precisions x 11 cases
+    rng = random.Random(1320)
+    cases = 0
+    for p in (2, 3, 5, 7, 11, 13, 79, 97):
+        for K in list(range(1, 12)) + [20, 40, 50, 64]:
+            ring = GaloisRing(p, K, 1, (0, 1))
+            for u in _log_cases(p, K, rng):
+                cases += 1
+                try:
+                    want = ring_padic_log(ring.from_int(u))
+                    want = (want.coeffs[0], want.ring.prec)
+                except (NotAUnit, PrecisionTooLow) as exc:
+                    with pytest.raises(type(exc)):
+                        padic_log(u, p, K)
+                    continue
+                assert padic_log(u, p, K) == want, (p, K, u)
+    assert cases == 1320
 
 
 def test_galois_ring_inverse_and_norm():
+    # the norm is multiplicative; the Newton inverse the Frobenius oracle
+    # lifts its root with inverts
     R = GaloisRing(5, 20, 2, (2, 0, 1))
     rng = random.Random(2)
     for _ in range(10):
         u = R.elt([rng.randrange(R.pK) for _ in range(2)])
-        if not u.is_unit():
+        if not any(c % 5 for c in u.coeffs):
             continue
-        assert u * u.inverse() == R.one()
+        assert u * galois_ring_inverse(R, u) == R.one()
         v = R.elt([rng.randrange(R.pK), rng.randrange(R.pK)])
-        if not v.is_unit():
+        if not any(c % 5 for c in v.coeffs):
             continue
         assert R.norm(u * v) == (R.norm(u) * R.norm(v)) % R.pK
     # Frobenius has order f and fixes the base ring
@@ -292,7 +372,7 @@ def test_galois_ring_norm_is_the_resultant_and_the_frobenius_product(case):
     X = sympy.Symbol("X")
     for R in _norm_rings(case):
         rng = random.Random(R.pK % 1000003)
-        elts = [R.zero(), R.one(), R.elt([0, 1]), R.elt([0, R.p]), R.from_int(R.p ** 3)]
+        elts = [R.from_int(0), R.one(), R.elt([0, 1]), R.elt([0, R.p]), R.from_int(R.p ** 3)]
         for _ in range(4):
             u = R.elt([rng.randrange(R.pK) for _ in range(R.f)])
             elts += [u, u * R.from_int(R.p), R.elt([0] + list(u.coeffs[1:]))]
@@ -301,7 +381,8 @@ def test_galois_ring_norm_is_the_resultant_and_the_frobenius_product(case):
             res = sympy.resultant(h, sympy.Poly(list(reversed(x.coeffs)), X))
             assert R.norm(x) == int(res) % R.pK
             assert R.norm(x) == frobenius_norm(R, x)
-        assert any(x.is_unit() for x in elts) and any(not x.is_unit() for x in elts)
+        units = [any(c % R.p for c in x.coeffs) for x in elts]
+        assert any(units) and not all(units)
 
 
 def test_galois_ring_norm_accepts_a_reducible_modulus():
@@ -312,3 +393,17 @@ def test_galois_ring_norm_accepts_a_reducible_modulus():
     for c in ([0, 1], [1, 1], [2, 1], [5, 3], [7, 0], [0, 0]):
         res = sympy.resultant(h, sympy.Poly(list(reversed(c)), X))
         assert R.norm(R.elt(c)) == int(res) % R.pK
+
+
+# ---------------------------------------------------------------------------
+# Trial-division factorization and its callers
+
+def test_prime_factors_and_its_callers_match_sympy():
+    for n in range(1, 3000):
+        assert prime_factors(n) == sympy.factorint(n), n
+        assert euler_phi(n) == sympy.totient(n), n
+        assert moebius(n) == sympy.mobius(n), n
+        assert is_prime(n) == sympy.isprime(n), n
+    assert not is_prime(0) and not is_prime(-7)
+    for p in sympy.primerange(3, 3000):
+        assert _primitive_root(p) == sympy.primitive_root(p), p

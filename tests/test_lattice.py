@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import bareiss_det, fraction_gs_norms, fraction_lll, full_scale_relation
+from oracles import (bareiss_det, fraction_gs_norms, fraction_lll, full_scale_relation,
+                     transform_kernel_basis_int)
 from pweil import lattice
 from pweil.arith import BallReal, PrecisionTooLow
 from pweil.lattice import (
@@ -19,7 +20,7 @@ from pweil.lattice import (
     _canonical_sign,
     _round_fraction,
 )
-from pweil.regulators import arg_vector
+from pweil.regulators import arg_vector, epsilon_vector
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +63,33 @@ def test_kernel_basis():
     assert len(ker) == 1
     v = ker[0]
     assert [v[0] * 1 + v[1] * 2 + v[2] * 0, v[0] * 2 + v[1] * 4 + v[2] * 1] == [0, 0]
+
+
+def test_kernel_basis_matches_the_transform_product_oracle(grid):
+    # the rows of U from the rank on against the rows of U with U A = 0, on
+    # random matrices (1-7 x 1-7, some with repeated or combined rows) and
+    # on the transposed incidence vectors closure_dimension takes the kernel of
+    rng = random.Random(3000)
+    cases = []
+    for _ in range(400):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.5:
+            i, j = rng.sample(range(m), 2)
+            c = rng.randint(-3, 3)
+            rows[i] = [x + c * y for x, y in zip(rows[j], rows[rng.randrange(m)])]
+        cases.append(rows)
+    for _field, sp, basis in grid[0].values():
+        if basis is not None:
+            vectors = [epsilon_vector(sp, i, j) for i in sp.S for j in sp.S]
+            cases.append([[vec[v] for vec in vectors] for v in range(len(sp.field.places))])
+    assert len(cases) == 400 + 128
+    dependent = 0
+    for rows in cases:
+        ker = kernel_basis_int(rows)
+        assert ker == transform_kernel_basis_int(rows), rows
+        dependent += bool(ker)
+    assert dependent > 100
 
 
 def test_rank_q():

@@ -227,10 +227,9 @@ def test_gross_matrix_5_11(basis_5_11):
 
 
 def test_gross_torsion_row_is_zero(k5, split_5_11):
-    row = gross_row(k5.zeta(), split_5_11, 50)
-    assert all(e.is_zero() for e in row)
-    row2 = gross_row(-k5.one(), split_5_11, 50)
-    assert all(e.is_zero() for e in row2)
+    # Teichmueller logarithms are exactly 0, at full precision
+    assert gross_row(k5.zeta(), split_5_11, 50) == ([0] * 4, 50)
+    assert gross_row(-k5.one(), split_5_11, 50) == ([0] * 4, 50)
 
 
 def test_gross_row_invariant_under_torsion(k5, split_5_11, basis_5_11):
@@ -238,25 +237,26 @@ def test_gross_row_invariant_under_torsion(k5, split_5_11, basis_5_11):
     xi = basis_5_11.xi[idx]
     a = gross_row(xi, split_5_11, 40)
     b = gross_row(k5.zeta() * xi, split_5_11, 40)
-    assert [e.coeffs for e in a] == [e.coeffs for e in b]
+    assert a == b and any(a[0])
 
 
 @pytest.mark.parametrize("n, p", [(13, 79), (11, 67), (15, 31)])
 def test_gross_row_matches_full_norm_oracle(n, p):
     # the unit part of x.num at precision K + ord, normed at K, against the
     # full norm at K + f ord on a fresh lift: basis elements (p in the
-    # denominator), generators (p-divisible numerators) and their products,
-    # at the split's K = 50 and at a K below and above it
+    # denominator), generators (p-divisible numerators), their products and
+    # quotients by 6 (a denominator prime to p, divided out as den^f), at the
+    # split's K = 50 and at a K below and above it
     split = split_prime(CycloField(n), p)
     basis = build_weil_basis(split)
     rng = random.Random(n * p)
     elts = list(basis.xi.values()) + list(basis.x.values())
     elts += [rng.choice(elts) * rng.choice(elts) ** 2 for _ in range(4)]
+    sixth = split.field.from_rational(Fraction(1, 6))
+    elts += [x * sixth for x in elts[:3]]
     for K in (50, 20, 64):
         for x in elts:
-            got, want = gross_row(x, split, K), gross_row_full_norm(x, split, K)
-            assert [(e.precision, e.coeffs) for e in got] == \
-                [(e.precision, e.coeffs) for e in want]
+            assert gross_row(x, split, K) == gross_row_full_norm(x, split, K)
 
 
 def test_gross_matrix_rows_match_the_per_row_loop(grid, basis_5_11):
