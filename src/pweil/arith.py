@@ -10,7 +10,8 @@ Three layers, used by every other module:
   endpoints and reconstructed rationals;
 * ``BallReal`` / ``BallComplex`` wrap mpmath's directed-rounding interval
   kernels, so every operation returns an enclosure of the exact result;
-  their sign and order predicates compare the mpf endpoints exactly;
+  their sign, order and radius tests compare the mpf endpoints exactly, and
+  the endpoints convert to and from ints over a power of 2, exactly or outward;
 * ``GaloisRing`` / ``PadicElt`` model the unramified local ring
   Z_p[t]/(h(t)) truncated at precision p^K; the norm to Z/p^K is the
   determinant of multiplication by an element, taken fraction-free over Z,
@@ -30,12 +31,17 @@ from typing import Optional, Sequence
 from mpmath.libmp import libmpi
 from mpmath.libmp import (
     from_int as _mpf_from_int,
+    from_man_exp as _mpf_from_man_exp,
     from_rational as _mpf_from_rational,
     fzero as _fzero,
     mpf_le as _mpf_le,
+    mpf_lt as _mpf_lt,
     mpf_sign as _mpf_sign,
+    mpf_shift as _mpf_shift,
+    mpf_sub as _mpf_sub,
     round_ceiling as _r_ceil,
     round_floor as _r_floor,
+    to_int as _mpf_to_int,
 )
 
 
@@ -54,29 +60,17 @@ class NotAUnit(ArithmeticError):
 # ---------------------------------------------------------------------------
 # mpf helpers
 
-def _mpf_to_fraction(x) -> Fraction:
+def _mpf_man_exp(x) -> tuple[int, int]:
+    """(m, e) with x = m 2^e exactly; an infinite or NaN x raises."""
     sign, man, exp, bc = x
-    if man == 0:
-        if exp == 0:
-            return Fraction(0)
+    if not man and exp:
         raise OverflowError("interval endpoint is infinite")
-    man = int(man)
-    if exp >= 0:
-        val = Fraction(man << exp)
-    else:
-        val = Fraction(man, 1 << (-exp))
-    return -val if sign else val
+    return (-int(man) if sign else int(man)), exp
 
 
-def _mpf_is_finite(x) -> bool:
-    sign, man, exp, bc = x
-    return man != 0 or exp == 0
-
-
-def _fraction_to_interval(q: Fraction, prec: int):
-    lo = _mpf_from_rational(q.numerator, q.denominator, prec, _r_floor)
-    hi = _mpf_from_rational(q.numerator, q.denominator, prec, _r_ceil)
-    return (lo, hi)
+def _mpf_to_fraction(x) -> Fraction:
+    man, exp = _mpf_man_exp(x)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +99,7 @@ class BallReal:
 
     @staticmethod
     def from_fraction(q, prec: int = 53) -> "BallReal":
-        q = Fraction(q)
-        return BallReal(_fraction_to_interval(q, prec), prec)
+        return BallReal.from_endpoints(q, q, prec)
 
     @staticmethod
     def from_endpoints(lo, hi, prec: int = 53) -> "BallReal":
@@ -117,6 +110,11 @@ class BallReal:
         a = _mpf_from_rational(lo.numerator, lo.denominator, prec, _r_floor)
         b = _mpf_from_rational(hi.numerator, hi.denominator, prec, _r_ceil)
         return BallReal((a, b), prec)
+
+    @staticmethod
+    def from_scaled_ints(lo: int, hi: int, e: int, prec: int = 53) -> "BallReal":
+        """The exact ball [lo 2^-e, hi 2^-e]."""
+        return BallReal((_mpf_from_man_exp(lo, -e), _mpf_from_man_exp(hi, -e)), prec)
 
     @staticmethod
     def pi(prec: int) -> "BallReal":
@@ -144,8 +142,21 @@ class BallReal:
     def radius(self) -> Fraction:
         return (self.upper - self.lower) / 2
 
+    def man_exp(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Both endpoints as exact (m, e) pairs, m 2^e; infinite ones raise."""
+        return _mpf_man_exp(self._v[0]), _mpf_man_exp(self._v[1])
+
+    def int_bounds(self, e: int) -> tuple[int, int]:
+        """floor(2^e lower) and ceil(2^e upper)."""
+        return (_mpf_to_int(_mpf_shift(self._v[0], e), _r_floor),
+                _mpf_to_int(_mpf_shift(self._v[1], e), _r_ceil))
+
+    def radius_below(self, k: int) -> bool:
+        """radius < 2^-k, that is upper - lower < 2^(1-k), exactly on the mpf endpoints."""
+        return _mpf_lt(_mpf_sub(self._v[1], self._v[0]), _mpf_from_man_exp(1, 1 - k))
+
     def is_finite(self) -> bool:
-        return _mpf_is_finite(self._v[0]) and _mpf_is_finite(self._v[1])
+        return all(man or not exp for _, man, exp, _ in self._v)
 
     def __repr__(self) -> str:
         return "BallReal(%s)" % libmpi.mpi_str(self._v, self.prec)
@@ -284,15 +295,8 @@ class BallComplex:
     re: BallReal
     im: BallReal
 
-    @staticmethod
-    def from_fractions(re, im, prec: int = 53) -> "BallComplex":
-        return BallComplex(BallReal.from_fraction(re, prec), BallReal.from_fraction(im, prec))
-
     def __add__(self, other: "BallComplex") -> "BallComplex":
         return BallComplex(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "BallComplex") -> "BallComplex":
-        return BallComplex(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other) -> "BallComplex":
         if isinstance(other, BallComplex):
@@ -304,14 +308,6 @@ class BallComplex:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "BallComplex") -> "BallComplex":
-        d = other.abs2()
-        num = self * other.conj()
-        return BallComplex(num.re / d, num.im / d)
-
-    def __neg__(self) -> "BallComplex":
-        return BallComplex(-self.re, -self.im)
-
     def conj(self) -> "BallComplex":
         return BallComplex(self.re, -self.im)
 
@@ -320,9 +316,6 @@ class BallComplex:
 
     def __abs__(self) -> BallReal:
         return self.abs2().sqrt()
-
-    def to_str(self, dps: int = 20) -> str:
-        return "(%s) + (%s)i" % (self.re.to_str(dps), self.im.to_str(dps))
 
 
 def arg_principal(z: BallComplex) -> BallReal:

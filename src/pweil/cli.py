@@ -342,6 +342,8 @@ def cmd_scan(args, cfg: RunConfig) -> int:
 # the angle-valuation identity report
 
 def cmd_appendix(args, cfg: RunConfig) -> int:
+    if args.den_bound < 1:
+        raise ConfigError("den_bound must be >= 1")
     _validate_pair(args.n, args.p)
     if (args.p - 1) % args.n != 0:
         raise ConfigError("need p = 1 mod n to build character sums (p=%d, n=%d)"

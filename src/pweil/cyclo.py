@@ -6,10 +6,10 @@ polynomial, over one positive integer denominator; numerator and
 denominator are coprime, so the representation is canonical.  Ring
 operations, the Galois action, norm and trace work on integers;
 ``fractions.Fraction`` appears only at the edges (``coeffs``,
-``as_rational``, JSON and the embedding of a non-integral element).
-Embeddings read cos and sin of 2 pi k / n from a table kept per (n, k,
-working precision); torsion is a lookup in a table of the lcm(2, n) roots
-of unity kept per n.  The Galois group is (Z/n)* acting by zeta -> zeta^a,
+``as_rational`` and JSON).  An embedding is one exact int dot product of
+the numerator with a fixed-point table of cos and sin of 2 pi k / n, kept
+per (n, working precision); torsion is a lookup in a table of the lcm(2, n)
+roots of unity kept per n.  The Galois group is (Z/n)* acting by zeta -> zeta^a,
 and complex conjugation is a = -1.  Conductors n = 2m with m odd are
 rejected (same field as Q(zeta_m)), so field labels are unique.
 """
@@ -191,7 +191,7 @@ class CycloElt:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as reduced fractions (the JSON and embedding edge)."""
+        """The coefficients as reduced fractions (the JSON edge)."""
         return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- ring operations
@@ -417,26 +417,39 @@ def trace(x: CycloElt) -> Fraction:
 def embed(x: CycloElt, place: int, precision: int = 64) -> BallComplex:
     """Certified enclosure of sigma_v(x) where zeta -> exp(2 pi i a_v / n).
 
-    An integral x multiplies by its int coefficients, any other x by its
-    ``Fraction`` ones (the same endpoints for ints below 2^(precision+16)).
+    One exact int dot product at wp = precision + 16 bits: the ends of re
+    and im of sigma_v(x.num) are the sums of c_i L_k or c_i H_k, k = a_v i,
+    by the sign of c_i, over 2^wp, with L_k <= 2^wp cos(2 pi k / n) <= H_k
+    (and sin) from ``_cos_sin_table``.  A non-integral x then divides once
+    by x.den, outward on the grid 2^-(wp + g), g the bit length of x.den.
     """
     if precision < 16:
         raise ValueError("precision must be >= 16 bits")
     n = x.field.n
-    wp = precision + 16
-    re = BallReal.zero(wp)
-    im = BallReal.zero(wp)
-    for i, c in enumerate(x.num if x.den == 1 else x.coeffs):
-        if not c:
-            continue
-        k = (place * i) % n
-        if k == 0:
-            re = re + c
-            continue
-        cos, sin = _cos_sin(n, k, wp)
-        re = re + cos * c
-        im = im + sin * c
-    return BallComplex(re, im)
+    e = wp = precision + 16
+    table = _cos_sin_table(n, wp)
+    rl = ru = il = iu = 0  # 2^e times the lower and upper ends of re and im
+    for i, c in enumerate(x.num):
+        if c:
+            a, b, s, t = table[(place * i) % n][c < 0]
+            rl, ru, il, iu = rl + c * a, ru + c * b, il + c * s, iu + c * t
+    if x.den != 1:
+        g, d = x.den.bit_length(), x.den
+        e += g
+        rl, ru, il, iu = (rl << g) // d, -(-(ru << g) // d), (il << g) // d, -(-(iu << g) // d)
+    return BallComplex(BallReal.from_scaled_ints(rl, ru, e, wp),
+                       BallReal.from_scaled_ints(il, iu, e, wp))
+
+
+@lru_cache(maxsize=None)
+def _cos_sin_table(n: int, wp: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """For each k, (L_c, H_c, L_s, H_s) with L <= 2^wp cos or sin of 2 pi k / n
+    <= H, and the same ends swapped for a negative coefficient: the
+    ``_cos_sin`` balls at wp + 8 bits, a few ulps wide, widened to the grid
+    2^-wp, so H - L <= 2."""
+    balls = (_cos_sin(n, k, wp + 8) for k in range(n))
+    ends = ((c.int_bounds(wp), s.int_bounds(wp)) for c, s in balls)
+    return tuple(((cl, ch, sl, sh), (ch, cl, sh, sl)) for (cl, ch), (sl, sh) in ends)
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,6 @@ below the stated bound exists at the stated precision.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -344,13 +343,6 @@ class RelationCertificate:
             "detail": self.detail,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True)
-
-
-def _round_fraction(x: Fraction) -> int:
-    return math.floor(x + Fraction(1, 2))
-
 
 def find_simultaneous_relation(vectors: Sequence[Sequence[BallReal]], modulus: BallReal,
                                bound: int, precision: Optional[int] = None) -> RelationCertificate:
@@ -367,6 +359,8 @@ def find_simultaneous_relation(vectors: Sequence[Sequence[BallReal]], modulus: B
     and finally precision/2 itself.  The identity block of each reduced basis
     is the accumulated unimodular transform U, and the next lattice is
     U [I | round(2^s' t)], a basis of exactly the lattice at scale 2^s'.
+    All ball endpoints are ints over one 2^E, so the midpoints, radii and
+    residuals are exact ints; ``Fraction`` appears only in the certificate.
 
     The search returns at the first scale that settles it.  A reduced row
     with coefficients <= bound whose residual enclosure contains 0 is
@@ -387,16 +381,18 @@ def find_simultaneous_relation(vectors: Sequence[Sequence[BallReal]], modulus: B
     if precision is None:
         precision = modulus.prec
     scale = precision // 2
-    N = 1 << scale
+    # 2^E times every endpoint is an even int, so midpoints and radii are ints
+    E = 1 - min(0, *(e for vec in vectors + [[modulus]] for x in vec for _, e in x.man_exp()))
+    ends = [[x.int_bounds(E) for x in vec] for vec in vectors]
+    ends += [[modulus.int_bounds(E) if w == v else (0, 0) for w in range(d)] for v in range(d)]
     # coordinate v of a relation (c, k) is its dot product with column v
-    tails = [[x.midpoint for x in vec] for vec in vectors]
-    tails += [[modulus.midpoint if w == v else 0 for w in range(d)] for v in range(d)]
-    rads = [[x.radius for x in vec] for vec in vectors]
-    rads += [[modulus.radius if w == v else 0 for w in range(d)] for v in range(d)]
-    r_max = max(max(row) for row in rads)
+    tails = [[(lo + hi) >> 1 for lo, hi in row] for row in ends]
+    rads = [[(hi - lo) >> 1 for lo, hi in row] for row in ends]
+    half = 1 << E
     for r in (x for row in rads for x in row):
-        if N * r >= Fraction(1, 2):
-            raise PrecisionTooLow("radius %s too large for scale 2^%d" % (r, scale))
+        if r << (scale + 1) >= half:  # 2^scale r >= 1/2
+            raise PrecisionTooLow("radius %s too large for scale 2^%d" % (Fraction(r, half), scale))
+    r_max = Fraction(max(max(row) for row in rads), half)
 
     k_dim = m + d
     unimodular = [[int(i == j) for j in range(k_dim)] for i in range(k_dim)]
@@ -404,7 +400,8 @@ def find_simultaneous_relation(vectors: Sequence[Sequence[BallReal]], modulus: B
     while schedule[-1] < scale:
         schedule.append(min(2 * schedule[-1], scale))
     for s in schedule:
-        scaled = [[_round_fraction(t * (1 << s)) for t in row] for row in tails]
+        # round(2^s t) = floor((2^(s+1) T + 2^E) / 2^(E+1))
+        scaled = [[((t << (s + 1)) + half) >> (E + 1) for t in row] for row in tails]
         rows = [u + [sum(c * tail[v] for c, tail in zip(u, scaled) if c) for v in range(d)]
                 for u in unimodular]
         reduced = lll(rows)
@@ -418,7 +415,8 @@ def find_simultaneous_relation(vectors: Sequence[Sequence[BallReal]], modulus: B
             if residual is not None:
                 return RelationCertificate(
                     status="found", relation=_canonical_sign(tuple(row[:k_dim])),
-                    sv_lower_bound_sq="", residual_bound=str(float(residual)), **settled)
+                    sv_lower_bound_sq="", residual_bound=str(float(Fraction(residual, half))),
+                    **settled)
         min_gs = min(gs_norms(reduced))
         if min_gs > threshold_sq:
             return RelationCertificate(status="none-up-to-bound", relation=None,
@@ -428,14 +426,14 @@ def find_simultaneous_relation(vectors: Sequence[Sequence[BallReal]], modulus: B
     )
 
 
-def _relation_residual(coeffs, m: int, tails, rads, bound: int) -> Optional[Fraction]:
+def _relation_residual(coeffs, m: int, tails, rads, bound: int) -> Optional[int]:
     """Largest residual bound |sum_j coeffs_j tails_jv| + error over the
     coordinates v, or None unless the first m coefficients are not all 0,
     every coefficient is at most ``bound`` in absolute value and every
     residual enclosure contains 0."""
     if not any(coeffs[:m]) or max(map(abs, coeffs)) > bound:
         return None
-    residual = Fraction(0)
+    residual = 0
     for v in range(len(tails[0])):
         mid = sum(x * t[v] for x, t in zip(coeffs, tails) if x)
         err = sum(abs(x) * r[v] for x, r in zip(coeffs, rads) if x)

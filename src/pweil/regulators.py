@@ -85,29 +85,30 @@ ARG_ATTEMPTS = 6  # working precisions certified_arg tries, doubling from precis
 
 
 def certified_arg(x: CycloElt, place: int, precision: int) -> BallReal:
-    """Principal argument of sigma_v(x) with radius below 2^(-precision/2).
+    """Principal argument of sigma_v(x) with radius below 2^-(precision//2 + 1),
+    as ``find_simultaneous_relation`` needs at its full scale 2^(precision//2).
 
     The integral numerator is embedded in place of x: x = x.num / x.den with
     x.den > 0, so sigma_v(x) and sigma_v(x.num) have the same argument.
-    Retries at doubled working precision near the branch cut instead of
-    silently picking a side; an element exactly on the negative real axis
-    (only x = -1) resolves exactly.
+    Retries at doubled working precision when the radius is too large or
+    near the branch cut instead of silently picking a side; an element
+    exactly on the negative real axis (only x = -1) resolves exactly.
     """
-    target = Fraction(1, 1 << (precision // 2))
+    target = precision // 2 + 1
     wp = precision + 32
     num = CycloElt(x.field, x.num, 1)
     last: Optional[Exception] = None
     for _ in range(ARG_ATTEMPTS):
         try:
             val = arg_principal(embed(num, place, wp))
-            if val.radius < target:
+            if val.radius_below(target):
                 return val
         except (BranchCutHit, PrecisionTooLow) as exc:
             last = exc
         wp *= 2
     if last is not None:
         raise last
-    raise PrecisionTooLow("argument radius did not reach 2^-%d" % (precision // 2))
+    raise PrecisionTooLow("argument radius did not reach 2^-%d" % target)
 
 
 def arg_vector(xi: CycloElt, precision: int = 128) -> ArgVector:
@@ -239,7 +240,7 @@ def circulant_group_delta(thetas: Sequence[BallReal]) -> tuple[BallReal, BallRea
     For the cyclic group of order m the group determinant factors as the
     product over the m-th roots of unity omega of |sum_i theta_i omega^i|;
     both enclosures are returned (they must overlap).  cos and sin of
-    2 pi k / m come from the table ``embed`` uses: m angles, not m^2.
+    2 pi k / m come from ``_cos_sin``, as embed's table: m angles, not m^2.
     """
     m = len(thetas)
     prec = max(t.prec for t in thetas)

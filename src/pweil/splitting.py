@@ -17,7 +17,6 @@ label 0's reduction onto this prime's; sigma_a then multiplies cosets by a.
 
 from __future__ import annotations
 
-import json
 import random
 from math import gcd
 from typing import Optional, Sequence
@@ -208,9 +207,6 @@ class SplitData:
             "T": [self.primes[i].label for i in self.T],
             "S": [self.primes[i].label for i in self.S],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True)
 
 
 def split_prime(field: CycloField, p: int, K: int = 50) -> SplitData:

@@ -13,7 +13,6 @@ x -> x^(-M) up to roots of unity.  Both identities are verified exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -268,9 +267,6 @@ class WeilBasis:
                 for i, elt in sorted(self.xi.items())
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True)
 
 
 def build_weil_basis(split: SplitData) -> WeilBasis:

@@ -8,7 +8,8 @@ to integer numerators.  ``per_prime_generator``, ``gross_row_full_norm``
 and ``embed_uncached`` are the generator search that ``build_weil_basis``
 ran at every prime of S, the regulator row that lifted Phi_n afresh to
 K + f ord for each entry, and the embedding that evaluated cos and sin for
-every coefficient, before per-prime work was done once.
+every coefficient, before per-prime work was done once.  ``embed_uncached``
+is also the high-precision reference for the int dot product of ``embed``.
 ``fq_coset`` is the root test over F_{p^f} that ``split_prime`` used to
 find each factor's coset, before the factors above p were transported from
 one Hensel lift; ``equal_degree_factor`` and ``hensel_lift_factor`` are the
@@ -20,7 +21,10 @@ one lifted root of Phi_n; ``per_row_gross_matrix`` is the regulator matrix with 
 norm as the product of its f conjugates, before the norm was a determinant.
 ``full_scale_relation`` is the relation search that always fed the lattice
 through every scale up to 2^(precision/2) and settled only there, before
-the search returned at the first scale that settles it.
+the search returned at the first scale that settles it, and
+``fraction_relation`` is the search on ``Fraction`` midpoints and radii
+(``round_fraction`` the tail rounding), before they were ints over one
+common power of 2.
 ``powering_is_root_of_unity`` is the torsion test that raised x to the
 torsion order w and then to each divisor of w, before torsion was a table
 lookup; ``inverse_pi_m_map`` is pi_M as the product of the x_P^(nu_P) over
@@ -52,8 +56,7 @@ from pweil.arith import (BallComplex, BallReal, BranchCutHit, GaloisRing, NotAUn
 from pweil.cyclo import cyclotomic_polynomial, norm
 from pweil.regulators import GrossMatrix, _padic_rank, gross_row
 from pweil.lattice import (BoundTooLarge, DependentRows, RelationCertificate, _canonical_sign,
-                           _dot, _hnf_with_transform, _round_fraction, gs_norms, lll,
-                           short_vectors)
+                           _dot, _hnf_with_transform, gs_norms, lll, short_vectors)
 from pweil.splitting import ord_at
 from pweil.weilgroup import (EnumerationBudgetExceeded, MinusPartViolation, _generator_key,
                              _iroot_ceil, ideal_basis, trace_gram)
@@ -356,6 +359,71 @@ def embed_uncached(x, place, precision=64):
     return BallComplex(re, im)
 
 
+def round_fraction(x):
+    return math.floor(x + Fraction(1, 2))
+
+
+def fraction_relation(vectors, modulus, bound, precision=None):
+    """``find_simultaneous_relation`` with ``Fraction`` midpoints and radii,
+    the tail ``round_fraction(2^s t)`` and a ``Fraction`` residual."""
+    m = len(vectors)
+    if m == 0:
+        raise ValueError("no vectors given")
+    d = len(vectors[0])
+    if any(len(vec) != d for vec in vectors):
+        raise ValueError("vectors of unequal dimension")
+    if precision is None:
+        precision = modulus.prec
+    scale = precision // 2
+    N = 1 << scale
+    tails = [[x.midpoint for x in vec] for vec in vectors]
+    tails += [[modulus.midpoint if w == v else 0 for w in range(d)] for v in range(d)]
+    rads = [[x.radius for x in vec] for vec in vectors]
+    rads += [[modulus.radius if w == v else 0 for w in range(d)] for v in range(d)]
+    r_max = max(max(row) for row in rads)
+    for r in (x for row in rads for x in row):
+        if N * r >= Fraction(1, 2):
+            raise PrecisionTooLow("radius %s too large for scale 2^%d" % (r, scale))
+
+    k_dim = m + d
+    unimodular = [[int(i == j) for j in range(k_dim)] for i in range(k_dim)]
+    schedule = [min(32, scale)]
+    while schedule[-1] < scale:
+        schedule.append(min(2 * schedule[-1], scale))
+    for s in schedule:
+        scaled = [[round_fraction(t * (1 << s)) for t in row] for row in tails]
+        rows = [u + [sum(c * tail[v] for c, tail in zip(u, scaled) if c) for v in range(d)]
+                for u in unimodular]
+        reduced = lll(rows)
+        unimodular = [row[:k_dim] for row in reduced]
+        t_bound = (m + 1) * bound * (Fraction(1, 2) + (1 << s) * r_max)
+        threshold_sq = (m + d) * bound * bound + d * t_bound * t_bound
+        settled = dict(bound=bound, precision=precision, scale_log2=s,
+                       threshold_sq=str(threshold_sq), detail={"m": m, "d": d})
+        for row in reduced:
+            coeffs = row[:k_dim]
+            if not any(coeffs[:m]) or max(map(abs, coeffs)) > bound:
+                continue
+            residual = Fraction(0)
+            for v in range(d):
+                mid = sum(x * t[v] for x, t in zip(coeffs, tails) if x)
+                err = sum(abs(x) * r[v] for x, r in zip(coeffs, rads) if x)
+                if abs(mid) > err:
+                    break
+                residual = max(residual, abs(mid) + err)
+            else:
+                return RelationCertificate(
+                    status="found", relation=_canonical_sign(tuple(coeffs)),
+                    sv_lower_bound_sq="", residual_bound=str(float(residual)), **settled)
+        min_gs = min(gs_norms(reduced))
+        if min_gs > threshold_sq:
+            return RelationCertificate(status="none-up-to-bound", relation=None,
+                                       sv_lower_bound_sq=str(min_gs), **settled)
+    raise PrecisionTooLow(
+        "simultaneous relation search inconclusive: raise precision or lower the bound"
+    )
+
+
 def full_scale_relation(vectors, modulus, bound, precision=None):
     """``find_simultaneous_relation`` with every scale of the schedule
     reduced and only the full-scale basis checked and certified."""
@@ -383,7 +451,7 @@ def full_scale_relation(vectors, modulus, bound, precision=None):
     while schedule[-1] < scale:
         schedule.append(min(2 * schedule[-1], scale))
     for s in schedule:
-        scaled = [[_round_fraction(t * (1 << s)) for t in row] for row in tails]
+        scaled = [[round_fraction(t * (1 << s)) for t in row] for row in tails]
         rows = [u + [sum(c * tail[v] for c, tail in zip(u, scaled) if c) for v in range(d)]
                 for u in unimodular]
         reduced = lll(rows)

@@ -174,13 +174,13 @@ def test_arg_quadrants():
     ]
     pi = _pi_fraction()
     for (re, im), mult in cases:
-        z = BallComplex.from_fractions(re, im, prec)
+        z = BallComplex(BallReal.from_fraction(re, prec), BallReal.from_fraction(im, prec))
         val = arg_principal(z)
         assert abs(val.midpoint - pi * mult) < Fraction(1, 10 ** 30)
 
 
 def test_arg_negative_real_axis_exact_is_pi():
-    z = BallComplex.from_fractions(-2, 0, 128)
+    z = BallComplex(BallReal.from_fraction(-2, 128), BallReal.zero(128))
     val = arg_principal(z)
     assert abs(val.midpoint - _pi_fraction()) < Fraction(1, 10 ** 30)
     assert val.radius < Fraction(1, 10 ** 30)

@@ -202,6 +202,18 @@ def test_appendix_small_bound_fails(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("den_bound", ["0", "-3"])
+def test_appendix_rejects_den_bound_below_one(capsys, monkeypatch, den_bound):
+    # a bad option is a configuration error, found before the basis is built
+    def no_split(*args, **kwargs):
+        raise AssertionError("split_prime called before the options were checked")
+
+    monkeypatch.setattr(pweil.cli, "split_prime", no_split)
+    code, out, err = run_cli(capsys, "appendix", "--n", "5", "--p", "11", "--chars", "1", "1",
+                             "--den-bound", den_bound)
+    assert (code, out, err) == (2, "", "error: den_bound must be >= 1\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--n", "5", "--p", "11"],
     ["appendix", "--n", "5", "--p", "11", "--chars", "1", "1"],
@@ -217,15 +229,21 @@ ANALYZE_DIGESTS = os.path.join(os.path.dirname(__file__), "analyze_digests.json"
 
 
 def test_analyze_report_bytes_match_recorded_digests(capsys):
-    # a report whose schema tag is unchanged stays byte-identical
+    # a report whose schema tag is unchanged stays byte-identical, at the
+    # default 256 bits and at the 1024 bits of the certificate workload
     with open(ANALYZE_DIGESTS) as fh:
         digests = json.load(fh)
-    for cell, want in digests["pweil-analyze/3"].items():
-        n, p = cell.split(",")
-        code, out, _ = run_cli(capsys, "analyze", "--n", n, "--p", p, "--format", "json")
-        assert code == 0
-        assert json.loads(out)["schema"] == "pweil-analyze/3"
-        assert hashlib.sha256(out.encode()).hexdigest() == want, cell
+    checked = 0
+    for precision, cells in digests["pweil-analyze/3"].items():
+        for cell, want in cells.items():
+            n, p = cell.split(",")
+            code, out, _ = run_cli(capsys, "analyze", "--n", n, "--p", p,
+                                   "--precision", precision, "--format", "json")
+            assert code == 0
+            assert json.loads(out)["schema"] == "pweil-analyze/3"
+            assert hashlib.sha256(out.encode()).hexdigest() == want, (precision, cell)
+            checked += 1
+    assert checked == 8
 
 
 def test_package_version_matches_pyproject():

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (bareiss_det, fraction_gs_norms, fraction_lll, full_scale_relation,
-                     transform_kernel_basis_int)
+from oracles import (bareiss_det, fraction_gs_norms, fraction_lll, fraction_relation,
+                     full_scale_relation, round_fraction, transform_kernel_basis_int)
 from pweil import lattice
 from pweil.arith import BallReal, PrecisionTooLow
 from pweil.lattice import (
@@ -18,7 +18,6 @@ from pweil.lattice import (
     short_vectors,
     short_vectors_gram,
     _canonical_sign,
-    _round_fraction,
 )
 from pweil.regulators import arg_vector, epsilon_vector
 
@@ -372,6 +371,72 @@ def test_relation_precondition():
         _mod_pi([wide, wide], 10, precision=256)
 
 
+def _outcome(search, vectors, modulus, bound, precision):
+    # the certificate, or the message of an inconclusive search
+    try:
+        return search(vectors, modulus, bound, precision)
+    except PrecisionTooLow as exc:
+        return "PrecisionTooLow: %s" % exc
+
+
+def test_relation_precondition_boundary_matches_fraction_oracle():
+    # 2^scale r = 1/2 exactly is rejected, one grid step below it is not;
+    # the int endpoints and the Fraction oracle agree on both sides
+    for precision in (64, 256, 1024):
+        scale = precision // 2
+        pi = BallReal.pi(precision + 32)
+        for e, r in ((scale + 1, 1), (scale + 61, 2 ** 60), (scale + 61, 2 ** 60 - 1)):
+            mid = (7 << e) // 5  # about 1.4 on the grid 2^-e
+            ball = BallReal.from_scaled_ints(mid - r, mid + r, e, precision)
+            got = _outcome(find_simultaneous_relation, [[ball]], pi, 10, precision)
+            assert got == _outcome(fraction_relation, [[ball]], pi, 10, precision)
+            assert isinstance(got, str) == (r << (scale + 1) >= 1 << e), (precision, e, r)
+
+
+def _random_ball(rng, precision):
+    # exact zeros, exact ints, and balls on grids 2^-e of mixed e (from_man_exp
+    # also strips trailing zero bits) with radii below 2^-(precision/2 + 2)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return BallReal.zero(precision)
+    if kind == 1:
+        return BallReal.from_int(rng.randint(-9, 9), precision)
+    e = rng.randint(precision // 2 + 8, precision + 200)
+    mid = rng.randint(-10 << e, 10 << e) >> rng.randint(0, 40) << rng.randint(0, 40)
+    r = rng.choice((0, rng.randint(0, 1 << (e - precision // 2 - 3))))
+    return BallReal.from_scaled_ints(mid - r, mid + r, e, precision)
+
+
+def test_relation_search_matches_fraction_oracle_on_random_balls():
+    rng = random.Random(79)
+    statuses = set()
+    for trial in range(60):
+        precision = (64, 128, 256, 512)[trial % 4]
+        m, d = rng.randint(1, 4), rng.randint(1, 3)
+        vectors = [[_random_ball(rng, precision) for _ in range(d)] for _ in range(m)]
+        modulus = BallReal.pi(precision + 32) * rng.choice((1, 2))
+        if trial % 3 == 0:  # a planted twin
+            c, k = [rng.randint(-5, 5) for _ in range(m)], [rng.randint(-3, 3) for _ in range(d)]
+            vectors.append([modulus * k[v] + sum((vec[v] * ci for ci, vec in zip(c, vectors)),
+                                                 BallReal.zero(precision)) for v in range(d)])
+        for bound in (10, 10 ** 6):
+            got = _outcome(find_simultaneous_relation, vectors, modulus, bound, precision)
+            assert got == _outcome(fraction_relation, vectors, modulus, bound, precision), trial
+            statuses.add(got if isinstance(got, str) else got.status)
+    assert {"found", "none-up-to-bound"} <= statuses
+
+
+def test_relation_search_raises_on_an_infinite_endpoint():
+    from mpmath.libmp import finf, fninf
+    unbounded = BallReal((fninf, finf), 64)
+    pi, one = BallReal.pi(96), BallReal.from_int(1, 64)
+    for vectors, modulus in (([[unbounded]], pi), ([[one]], unbounded)):
+        with pytest.raises(OverflowError):
+            find_simultaneous_relation(vectors, modulus, 10, 64)
+        with pytest.raises(OverflowError):
+            fraction_relation(vectors, modulus, 10, 64)
+
+
 def test_relation_planted_completeness():
     rng = random.Random(53)
     for trial in range(25):
@@ -434,13 +499,13 @@ def _scaled_rows(vectors, modulus, s):
     m, d = len(vectors), len(vectors[0])
     rows = []
     for i, vec in enumerate(vectors):
-        row = [0] * (m + d) + [_round_fraction(x.midpoint * 2 ** s) for x in vec]
+        row = [0] * (m + d) + [round_fraction(x.midpoint * 2 ** s) for x in vec]
         row[i] = 1
         rows.append(row)
     for v in range(d):
         row = [0] * (2 * d + m)
         row[m + v] = 1
-        row[m + d + v] = _round_fraction(modulus.midpoint * 2 ** s)
+        row[m + d + v] = round_fraction(modulus.midpoint * 2 ** s)
         rows.append(row)
     return rows
 
@@ -562,6 +627,28 @@ def test_relation_search_matches_full_scale_oracle_on_the_grid(grid, bound):
         cells += 1
     assert cells == 128
     assert full == (0 if bound == 10 ** 4 else 5)
+
+
+@pytest.mark.parametrize("precision", [256, 1024])
+def test_relation_search_matches_fraction_oracle_on_the_grid(grid, precision):
+    # every certificate field on the int endpoints equals the Fraction
+    # oracle's: the 128 grid cells with T nonempty, alone and with a planted
+    # twin v_0 + 2 pi k
+    points, _ = grid
+    two_pi = BallReal.pi(precision + 32) * 2
+    rng = random.Random(precision)
+    cells = found = 0
+    for (n, p), (field, split, basis) in sorted(points.items()):
+        if basis is None:
+            continue
+        vectors = [arg_vector(basis.xi[idx], precision).values for idx in split.S]
+        twin = [x + two_pi * rng.randint(-3, 3) for x in vectors[0]]
+        for vecs in (vectors, vectors + [twin]):
+            cert = find_simultaneous_relation(vecs, two_pi, 10 ** 4, precision)
+            assert cert == fraction_relation(vecs, two_pi, 10 ** 4, precision), (n, p)
+            found += cert.status == "found"
+        cells += 1
+    assert cells == found == 128
 
 
 def test_simultaneous_planted_relations_always_found():

@@ -11,6 +11,7 @@ from pweil.splitting import split_prime
 from pweil.weilgroup import build_weil_basis, jacobi_weil_number
 from oracles import (fraction_certified_arg, gross_row_full_norm, per_row_gross_matrix,
                      powering_circulant_group_delta)
+from pweil import regulators
 from pweil.regulators import (
     BasisMismatch,
     arg_vector,
@@ -189,7 +190,7 @@ def test_certified_arg_of_the_numerator_overlaps_the_fraction_oracle(n, p):
     # number, and the numerator's meets the radius target
     basis = build_weil_basis(split_prime(CycloField(n), p))
     precision = 512
-    target = Fraction(1, 1 << (precision // 2))
+    target = Fraction(1, 1 << (precision // 2 + 1))
     for idx in basis.split.S:
         xi = basis.xi[idx]
         assert xi.den > 1
@@ -197,6 +198,39 @@ def test_certified_arg_of_the_numerator_overlaps_the_fraction_oracle(n, p):
             got = certified_arg(xi, v, precision)
             assert got.radius < target
             assert got.overlaps(fraction_certified_arg(xi, v, precision))
+
+
+def test_certified_arg_meets_the_radius_the_relation_search_needs(basis_5_11, monkeypatch):
+    # a first attempt of radius 0.75 2^-(precision/2) is below 2^-(precision/2)
+    # but the search at scale 2^(precision/2) rejects it (2^scale r >= 1/2):
+    # certified_arg retries at doubled working precision, and the search
+    # accepts the arguments it returns
+    precision = 256
+    first = precision + 32 + 16  # the precision of the first embedding
+    principal = regulators.arg_principal
+    calls = []
+
+    def widened(z):
+        calls.append(z.re.prec)
+        val = principal(z)
+        if z.re.prec != first:
+            return val
+        r = Fraction(3, 4) / (1 << (precision // 2))
+        return BallReal.from_endpoints(val.midpoint - r, val.midpoint + r, z.re.prec)
+
+    monkeypatch.setattr(regulators, "arg_principal", widened)
+    split = basis_5_11.split
+    vectors = []
+    for idx in split.S:
+        vectors.append([])
+        for v in split.field.places:
+            calls.clear()
+            val = certified_arg(basis_5_11.xi[idx], v, precision)
+            assert calls == [first, first + precision + 32]
+            assert val.radius < Fraction(1, 1 << (precision // 2 + 1))
+            vectors[-1].append(val)
+    cert = find_simultaneous_relation(vectors, BallReal.pi(precision + 32) * 2, 10 ** 4, precision)
+    assert cert.status == "none-up-to-bound"
 
 
 def test_find_abelian_generator_none_for_zeta5_11(basis_5_11):
