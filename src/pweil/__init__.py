@@ -18,7 +18,7 @@ from .arith import (
     rational_reconstruct,
 )
 from .cyclo import CycloField, CycloElt, GaloisAut, norm, embed, is_root_of_unity
-from .splitting import PrimeAbove, SplitData, split_prime, ord_at, act_on_prime, conj_prime
+from .splitting import PrimeAbove, SplitData, split_prime, ord_at, conj_prime
 from .lattice import (
     RelationCertificate,
     lll,

@@ -5,7 +5,8 @@ Exit codes: 0 all exact checks passed (relation certificates reporting
 relation was found, a reconstruction failed, a certified computation (such
 as the relation search) was inconclusive at the given precision and bound
 (a scan still prints every row, with certificate "inconclusive" for such a
-cell, and "error" for a cell that raised), or an internal check failed;
+cell, and "error" for a cell that raised), a generator search gave up (its
+node budget or class-order cap was exhausted), or an internal check failed;
 2 invalid configuration (``ConfigError``, a composite or ramified p, bad
 character indices).
 Reports embed their full configuration so reruns are byte-identical.
@@ -27,8 +28,8 @@ from .arith import PrecisionTooLow
 from .cyclo import CycloField
 from .lattice import DependentRows
 from .splitting import NotPrime, RamifiedPrime, is_prime, split_prime
-from .weilgroup import (BadCharacterIndices, MinusPartViolation, NotAWeilUnit, build_weil_basis,
-                        jacobi_weil_number, verify_weil_basis)
+from .weilgroup import (BadCharacterIndices, EnumerationBudgetExceeded, MinusPartViolation,
+                        NotAWeilUnit, build_weil_basis, jacobi_weil_number, verify_weil_basis)
 from .regulators import (
     BasisMismatch,
     argument_independence_certificate,
@@ -444,7 +445,7 @@ def main(argv=None) -> int:
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except (PrecisionTooLow, DependentRows, BasisMismatch, NotAWeilUnit,
-            MinusPartViolation, ValueError) as exc:
+            MinusPartViolation, EnumerationBudgetExceeded, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
 

@@ -4,9 +4,9 @@ An element is an integer numerator vector on the power basis
 1, zeta, ..., zeta^(phi(n)-1), reduced modulo the n-th cyclotomic
 polynomial, over one positive integer denominator; numerator and
 denominator are coprime, so the representation is canonical.  Ring
-operations, the Galois action, norm and trace work on integers;
-``fractions.Fraction`` appears only at the edges (``coeffs``,
-``as_rational`` and JSON).  An embedding is one exact int dot product of
+operations, the Galois action and the norm work on integers;
+``fractions.Fraction`` appears only at the edges (``coeffs`` and
+``as_rational``).  An embedding is one exact int dot product of
 the numerator with a fixed-point table of cos and sin of 2 pi k / n, kept
 per (n, working precision); torsion is a lookup in a table of the lcm(2, n)
 roots of unity kept per n.  The Galois group is (Z/n)* acting by zeta -> zeta^a,
@@ -16,7 +16,6 @@ rejected (same field as Q(zeta_m)), so field labels are unique.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -156,9 +155,6 @@ class GaloisAut:
         object.__setattr__(self, "a", self.a % self.n)
         if gcd(self.a, self.n) != 1:
             raise ValueError("automorphism index %d not coprime to %d" % (self.a, self.n))
-
-    def inverse(self) -> "GaloisAut":
-        return GaloisAut(self.n, pow(self.a, -1, self.n))
 
     def __repr__(self) -> str:
         return "GaloisAut(zeta -> zeta^%d mod %d)" % (self.a, self.n)
@@ -304,17 +300,6 @@ class CycloElt:
             raise ValueError("element is not rational")
         return Fraction(self.num[0], self.den)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"n": self.field.n, "coeffs": [str(c) for c in self.coeffs]}
-        )
-
-    @staticmethod
-    def from_json(s: str) -> "CycloElt":
-        data = json.loads(s)
-        field = CycloField(data["n"])
-        return field.elt([Fraction(c) for c in data["coeffs"]])
-
     def __repr__(self) -> str:
         terms = []
         for i, c in enumerate(self.coeffs):
@@ -408,10 +393,6 @@ def _is_prime_mr(m: int) -> bool:
         else:
             return False
     return True
-
-
-def trace(x: CycloElt) -> Fraction:
-    return Fraction(sum(c * ramanujan_sum(x.field.n, i) for i, c in enumerate(x.num)), x.den)
 
 
 def embed(x: CycloElt, place: int, precision: int = 64) -> BallComplex:

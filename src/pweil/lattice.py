@@ -1,12 +1,16 @@
 """Integer-lattice algorithms over exact arithmetic.
 
-Hermite normal form, integral LLL reduction (fraction-free Gram-Schmidt
-data in integers, shared with ``gs_norms``), complete short-vector
+Hermite normal form, integral LLL reduction, complete short-vector
 enumeration (Fincke-Pohst), and LLL-based detection of integer relations
 among certified reals, reduced at gradually fed scales and settled at the
 first scale that decides it.  A relation search never claims independence:
 a negative result is a certificate that no relation with coefficients
 below the stated bound exists at the stated precision.
+
+One Gram-Schmidt code serves the layer: the fraction-free integers d_i and
+lambda_ij of ``_gs_row`` (de Weger 1987; Cohen, Alg. 2.6.7), which LLL
+updates in place and ``gs_norms`` and the enumeration read through
+``_gs_data``.
 """
 
 from __future__ import annotations
@@ -192,90 +196,25 @@ def lll(rows: Sequence[Sequence[int]], delta: Fraction = Fraction(3, 4),
     return b
 
 
-def gs_norms(rows: Sequence[Sequence[int]],
-             gram: Optional[Sequence[Sequence[int]]] = None) -> list[Fraction]:
-    """Squared Gram-Schmidt norms ||b_i*||^2 = d_i / d_{i-1} of the row basis."""
-    b = [list(map(int, r)) for r in rows]
-    n = len(b)
+def _gs_data(rows, gram) -> tuple[list[list[int]], list[int]]:
+    """The integers lambda and d of ``_gs_row`` for every row."""
+    n = len(rows)
     lam = [[0] * n for _ in range(n)]
     d = [1] + [0] * n
     for k in range(n):
-        _gs_row(b, k, lam, d, gram)
-    return [Fraction(d[i + 1], d[i]) for i in range(n)]
+        _gs_row(rows, k, lam, d, gram)
+    return lam, d
+
+
+def gs_norms(rows: Sequence[Sequence[int]],
+             gram: Optional[Sequence[Sequence[int]]] = None) -> list[Fraction]:
+    """Squared Gram-Schmidt norms ||b_i*||^2 = d_i / d_{i-1} of the row basis."""
+    _, d = _gs_data([list(map(int, r)) for r in rows], gram)
+    return [Fraction(d[i + 1], d[i]) for i in range(len(rows))]
 
 
 # ---------------------------------------------------------------------------
 # Short-vector enumeration (Fincke-Pohst)
-
-def short_vectors_gram(gram: Sequence[Sequence], bound,
-                       node_budget: int = 5_000_000) -> list[tuple[tuple[int, ...], Fraction]]:
-    """All coefficient vectors x != 0 with x^T G x <= bound, up to sign.
-
-    Complete enumeration; raises BoundTooLarge when the visited node count
-    exceeds ``node_budget``.  Results are (vector, squared norm), sorted.
-
-    The Cholesky data q is exact and rational, computed once.  The recursion
-    itself runs in integers: with D the lcm of the denominators of the
-    off-diagonal q[i][j], E that of the diagonal d_i = q[i][i] and b that of
-    the bound, every node quantity is scaled by S = D^2 E b, so the partial
-    sums u, the terms d_i (x_i + u)^2 and the remaining budget are all
-    integers and the pruning test is exact.  Floats only size the range of
-    x_i, with a margin of 2 on each side.
-    """
-    n = len(gram)
-    bound = Fraction(bound)
-    g = [[Fraction(x) for x in row] for row in gram]
-    # rational Cholesky: q[i][i] = d_i, q[i][j] for j > i
-    q = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        q[i][i] = g[i][i] - sum(q[k][k] * q[k][i] ** 2 for k in range(i))
-        if q[i][i] <= 0:
-            raise ValueError("gram matrix is not positive definite")
-        for j in range(i + 1, n):
-            q[i][j] = (g[i][j] - sum(q[k][k] * q[k][i] * q[k][j] for k in range(i))) / q[i][i]
-
-    D = math.lcm(1, *(q[i][j].denominator for i in range(n) for j in range(i + 1, n)))
-    E = math.lcm(*(q[i][i].denominator for i in range(n)))
-    b = bound.denominator
-    scale = D * D * E * b
-    qD = [[int(q[i][j] * D) if j > i else 0 for j in range(n)] for i in range(n)]
-    d_s = [int(q[i][i] * E) * b for i in range(n)]  # d_i S / D^2
-    d_full = [di * D * D for di in d_s]  # d_i S
-    full = bound.numerator * D * D * E  # bound S
-
-    found: dict[tuple[int, ...], int] = {}  # vector up to sign -> scaled norm
-    x = [0] * n
-    nodes = 0
-
-    def recurse(i: int, remaining: int):
-        nonlocal nodes
-        row = qD[i]
-        U = sum(row[j] * x[j] for j in range(i + 1, n))  # D u
-        di = d_s[i]
-        approx = math.sqrt(remaining / d_full[i]) if remaining > 0 else 0.0
-        center = -U / D
-        lo = math.floor(center - approx) - 2
-        hi = math.ceil(center + approx) + 2
-        for xi in range(lo, hi + 1):
-            t = D * xi + U
-            term = di * t * t
-            if term > remaining:
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                raise BoundTooLarge("enumeration exceeded %d nodes" % node_budget)
-            x[i] = xi
-            if i == 0:
-                if any(x):
-                    found[_canonical_sign(tuple(x))] = full - remaining + term
-            else:
-                recurse(i - 1, remaining - term)
-        x[i] = 0
-
-    recurse(n - 1, full)
-    out = [(vec, Fraction(norm_scaled, scale)) for vec, norm_scaled in found.items()]
-    return sorted(out, key=lambda item: (item[1], item[0]))
-
 
 def _canonical_sign(vec: tuple[int, ...]) -> tuple[int, ...]:
     for c in vec:
@@ -289,21 +228,61 @@ def short_vectors(basis: Sequence[Sequence[int]], bound,
                   node_budget: int = 5_000_000) -> list[tuple[tuple[int, ...], Fraction]]:
     """Ambient vectors v != 0 of the lattice with <v, v> <= bound, up to sign.
 
-    The basis is LLL-preprocessed for enumeration efficiency; completeness
-    is unaffected.  ``gram`` gives the ambient bilinear form (default dot).
+    Complete Fincke-Pohst enumeration on the LLL-reduced basis, which only
+    makes it cheaper; ``gram`` gives the ambient bilinear form (default dot).
+    Results are (vector, squared norm), sorted by norm, then vector.  Raises
+    BoundTooLarge when the visited node count exceeds ``node_budget``.
+
+    The recursion reads the integers lambda and d of ``_gs_row``: the squared
+    norm of the coefficient vector x is sum_i t_i^2 / (d_i d_{i+1}) with
+    t_i = d_{i+1} x_i + sum_{j>i} lambda_ji x_j.  Scaled by S, the lcm of the
+    d_i d_{i+1} times the denominator of the bound, every term, partial sum
+    and remaining budget is an int, and the range of each x_i is cut exactly
+    by an integer square root: every x_i in it is a node.
     """
     reduced = lll(list(basis), gram=gram)
-    g = [[_dot(u, v, gram) for v in reduced] for u in reduced]
-    found = short_vectors_gram(g, bound, node_budget)
+    n = len(reduced)
+    lam, d = _gs_data(reduced, gram)
+    bound = Fraction(bound)
+    lcm = math.lcm(*(d[i] * d[i + 1] for i in range(n)))
+    scale = lcm * bound.denominator
+    weight = [scale // (d[i] * d[i + 1]) for i in range(n)]  # S / (d_i d_{i+1})
+    full = bound.numerator * lcm  # bound S
+
+    found: dict[tuple[int, ...], int] = {}  # coefficients up to sign -> scaled norm
+    x = [0] * n
+    nodes = 0
+
+    def recurse(i: int, remaining: int):
+        nonlocal nodes
+        U = sum(lam[j][i] * x[j] for j in range(i + 1, n))
+        di = d[i + 1]
+        t_max = math.isqrt(remaining // weight[i])  # weight_i t^2 <= remaining
+        lo, hi = -((U + t_max) // di), (t_max - U) // di
+        nodes += hi - lo + 1
+        if nodes > node_budget:
+            raise BoundTooLarge("enumeration exceeded %d nodes" % node_budget)
+        for xi in range(lo, hi + 1):
+            t = di * xi + U
+            x[i] = xi
+            rest = remaining - weight[i] * t * t
+            if i:
+                recurse(i - 1, rest)
+            elif any(x):
+                found[_canonical_sign(tuple(x))] = full - rest
+        x[i] = 0
+
+    if full >= 0:
+        recurse(n - 1, full)
     out = []
-    for coeffs, norm_sq in found:
+    for coeffs, norm_scaled in found.items():
         amb = [0] * len(reduced[0])
         for c, row in zip(coeffs, reduced):
             if c:
                 for j, rj in enumerate(row):
                     amb[j] += c * rj
-        out.append((_canonical_sign(tuple(amb)), norm_sq))
-    return sorted(set(out), key=lambda item: (item[1], item[0]))
+        out.append((_canonical_sign(tuple(amb)), Fraction(norm_scaled, scale)))
+    return sorted(out, key=lambda item: (item[1], item[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -377,8 +377,9 @@ def gross_matrix(basis: WeilBasis, split: SplitData, K: int = 50) -> GrossMatrix
     """The regulator matrix of the basis with heuristic p-adic rank.
 
     Only the row of xi_{P0}, P0 = S[0], is computed.  For P = sigma_a(P0)
-    in S, xi_P / sigma_a(xi_{P0}) is asserted to be a root of unity (log_p of
-    its local norms is 0) and |sigma_a x|_{sigma_a Q} = |x|_Q, so the row of
+    in S (a = min coset of P, as 1 lies in the coset of P0),
+    xi_P / sigma_a(xi_{P0}) is asserted to be a root of unity (log_p of its
+    local norms is 0) and |sigma_a x|_{sigma_a Q} = |x|_Q, so the row of
     xi_P is that row permuted: its entry at Q is row0[sigma_a^-1 Q], and the
     matrix precision is that of row 0 (K when S is empty).
     """
@@ -386,7 +387,7 @@ def gross_matrix(basis: WeilBasis, split: SplitData, K: int = 50) -> GrossMatrix
     row0, prec = gross_row(basis.xi[S[0]], split, K) if S else ([], K)
     rows = []
     for idx in S:
-        a = next(a for a in field.units if split.act_index(a, S[0]) == idx)
+        a = min(split.primes[idx].coset)
         moved = basis.xi[S[0]].apply(field.aut(a))
         assert is_root_of_unity(basis.xi[idx] * moved.conj()) is not None, \
             "xi_P is not sigma_a(xi_P0) up to a root of unity"

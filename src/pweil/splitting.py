@@ -22,7 +22,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .arith import GaloisRing, PadicElt, fp_divmod, fp_gcd, fp_mul, prime_factors, split_p
-from .cyclo import CycloElt, CycloField, GaloisAut, cyclotomic_polynomial
+from .cyclo import CycloElt, CycloField, cyclotomic_polynomial
 
 
 class NotPrime(ValueError):
@@ -144,7 +144,7 @@ class SplitData:
         self.f = self.primes[0].f
         self.g = len(self.primes)
         self._rings: dict[int, tuple[GaloisRing, tuple[PadicElt, ...]]] = {}
-        self._coset_index = {prime.coset: prime.index for prime in self.primes}
+        self._prime_of = {a: prime.index for prime in self.primes for a in prime.coset}
         self.T = tuple(pr.index for pr in self.primes if not pr.is_conj_stable())
         S = []
         seen = set()
@@ -184,9 +184,8 @@ class SplitData:
         return lift
 
     def act_index(self, a: int, index: int) -> int:
-        n = self.field.n
-        target = frozenset((a * b) % n for b in self.primes[index].coset)
-        return self._coset_index[target]
+        """Index of sigma_a(P_index): its coset is a times that of P_index."""
+        return self._prime_of[a * min(self.primes[index].coset) % self.field.n]
 
     def conj_index(self, index: int) -> int:
         return self.act_index(self.field.n - 1, index)
@@ -287,14 +286,6 @@ def ord_at(prime: PrimeAbove, x: CycloElt, max_precision: int = 6400) -> int:
             raise ArithmeticError(
                 "valuation exceeds precision cap %d at %r" % (max_precision, prime)
             )
-
-
-def act_on_prime(aut: GaloisAut, prime: PrimeAbove) -> PrimeAbove:
-    """sigma_a(P): the prime whose coset is a times the coset of P."""
-    split = prime.split
-    if split is None:
-        raise ValueError("prime is not attached to split data")
-    return split.primes[split.act_index(aut.a, prime.index)]
 
 
 def conj_prime(prime: PrimeAbove) -> PrimeAbove:

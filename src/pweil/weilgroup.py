@@ -31,7 +31,7 @@ class MinusPartViolation(Exception):
 
 
 class EnumerationBudgetExceeded(RuntimeError):
-    """Generator search ran out of enumeration nodes."""
+    """Generator search ran out of enumeration nodes or class orders h."""
 
 
 class BadCharacterIndices(ValueError):
@@ -78,18 +78,6 @@ class DivisorVec:
             self.coeffs[i] + self.coeffs[self.split.conj_index(i)] == 0
             for i in range(self.split.g)
         )
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __add__(self, other: "DivisorVec") -> "DivisorVec":
-        return DivisorVec(self.split, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "DivisorVec":
-        return DivisorVec(self.split, tuple(-a for a in self.coeffs))
-
-    def __rmul__(self, scalar: int) -> "DivisorVec":
-        return DivisorVec(self.split, tuple(scalar * a for a in self.coeffs))
 
     def to_jsonable(self) -> dict:
         return {self.split.primes[i].label: c for i, c in enumerate(self.coeffs)}
@@ -274,8 +262,9 @@ def build_weil_basis(split: SplitData) -> WeilBasis:
 
     The primes above p form one Galois orbit, so they share the class order
     h of P0 = S[0], found by searching generators of P0^h for h = 1, 2, ...;
-    M = f h.  For P = sigma_a(P0) in S, x_P is ``transport_generator`` of
-    P0's candidates (what a search at P returns) and x_{P^c} = x_P^c.  All
+    M = f h.  P0 has label 0 and 1 in its coset, so P = sigma_a(P0) for a
+    = min coset of P; for P in S, x_P is ``transport_generator`` of P0's
+    candidates (what a search at P returns) and x_{P^c} = x_P^c.  All
     structural identities are verified exactly before returning.
     """
     if not split.T:
@@ -287,15 +276,14 @@ def build_weil_basis(split: SplitData) -> WeilBasis:
         if find_generator(p0, h, candidates=candidates) is not None:
             break
     else:
-        raise RuntimeError(
+        raise EnumerationBudgetExceeded(
             "no generator of %s^h found for h <= %d (class order too large "
             "or search radius exhausted)" % (p0.label, H_CAP)
         )
     M = f * h
     x: dict[int, CycloElt] = {}
     for idx in split.S:
-        a = next(a for a in field.units if split.act_index(a, p0.index) == idx)
-        x[idx] = transport_generator(candidates, field.aut(a))
+        x[idx] = transport_generator(candidates, field.aut(min(split.primes[idx].coset)))
     for idx in split.S:
         cidx = split.conj_index(idx)
         x[cidx] = x[idx].conj()

@@ -2,7 +2,9 @@
 
 ``fraction_lll`` and ``fraction_gs_norms`` are the rational-arithmetic LLL
 and Gram-Schmidt routines that ``pweil.lattice`` used before it moved to
-integral (fraction-free) LLL; the ``fraction_*`` element functions are the
+integral (fraction-free) LLL, and ``cholesky_short_vectors`` is the
+Fincke-Pohst enumeration on a rational Cholesky decomposition, before it
+read the integral Gram-Schmidt data of LLL; the ``fraction_*`` element functions are the
 rational arithmetic of Q(zeta_n) that ``pweil.cyclo`` used before it moved
 to integer numerators.  ``per_prime_generator``, ``gross_row_full_norm``
 and ``embed_uncached`` are the generator search that ``build_weil_basis``
@@ -153,6 +155,65 @@ def fraction_gs_norms(rows, gram=None):
             mu[i][j] = s / B[j]
         B[i] = Fraction(_dot(b[i], b[i], gram)) - sum(mu[i][j] ** 2 * B[j] for j in range(i))
     return B
+
+
+def cholesky_short_vectors(basis, bound, gram=None, node_budget=5_000_000):
+    """``short_vectors`` on a rational Cholesky decomposition of the Gram
+    matrix of the LLL-reduced basis, rescaled to ints by the lcm D of the
+    off-diagonal denominators, E of the diagonal ones and b of the bound;
+    returns (vectors, visited node count).  Floats size the range of each
+    x_i with a margin of 2 on each side, and the exact test prunes it."""
+    reduced = lll(list(basis), gram=gram)
+    n = len(reduced)
+    g = [[Fraction(_dot(u, v, gram)) for v in reduced] for u in reduced]
+    bound = Fraction(bound)
+    q = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        q[i][i] = g[i][i] - sum(q[k][k] * q[k][i] ** 2 for k in range(i))
+        if q[i][i] <= 0:
+            raise ValueError("gram matrix is not positive definite")
+        for j in range(i + 1, n):
+            q[i][j] = (g[i][j] - sum(q[k][k] * q[k][i] * q[k][j] for k in range(i))) / q[i][i]
+    D = math.lcm(1, *(q[i][j].denominator for i in range(n) for j in range(i + 1, n)))
+    E = math.lcm(*(q[i][i].denominator for i in range(n)))
+    b = bound.denominator
+    scale = D * D * E * b
+    qD = [[int(q[i][j] * D) if j > i else 0 for j in range(n)] for i in range(n)]
+    d_s = [int(q[i][i] * E) * b for i in range(n)]  # d_i S / D^2
+    d_full = [di * D * D for di in d_s]  # d_i S
+    full = bound.numerator * D * D * E  # bound S
+
+    found = {}
+    x = [0] * n
+    nodes = 0
+
+    def recurse(i, remaining):
+        nonlocal nodes
+        U = sum(qD[i][j] * x[j] for j in range(i + 1, n))  # D u
+        approx = math.sqrt(remaining / d_full[i]) if remaining > 0 else 0.0
+        center = -U / D
+        for xi in range(math.floor(center - approx) - 2, math.ceil(center + approx) + 3):
+            t = D * xi + U
+            term = d_s[i] * t * t
+            if term > remaining:
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                raise BoundTooLarge("enumeration exceeded %d nodes" % node_budget)
+            x[i] = xi
+            if i == 0:
+                if any(x):
+                    found[_canonical_sign(tuple(x))] = full - remaining + term
+            else:
+                recurse(i - 1, remaining - term)
+        x[i] = 0
+
+    recurse(n - 1, full)
+    out = set()
+    for coeffs, norm_scaled in found.items():
+        amb = [sum(c * row[j] for c, row in zip(coeffs, reduced)) for j in range(len(reduced[0]))]
+        out.add((_canonical_sign(tuple(amb)), Fraction(norm_scaled, scale)))
+    return sorted(out, key=lambda item: (item[1], item[0])), nodes
 
 
 # ---------------------------------------------------------------------------

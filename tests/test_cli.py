@@ -10,6 +10,7 @@ import pweil.cli
 from pweil.cli import ConfigError, RunConfig, main
 from pweil.lattice import DependentRows
 from pweil.regulators import BasisMismatch
+from pweil import weilgroup
 from pweil.weilgroup import MinusPartViolation, NotAWeilUnit
 
 
@@ -348,6 +349,23 @@ def test_internal_failure_exits_1_not_2(capsys, monkeypatch, exc):
     assert code == 1
     assert out == ""
     assert err == "error: %s\n" % exc
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--n", "5", "--p", "11"],
+    ["appendix", "--n", "5", "--p", "11", "--chars", "1", "1"],
+])
+@pytest.mark.parametrize("cap, message", [
+    ("NODE_BUDGET", "error: enumeration exceeded 10 nodes\n"),
+    ("H_CAP", "error: no generator of P0^h found for h <= 0 (class order too large "
+              "or search radius exhausted)\n"),
+])
+def test_generator_search_failure_exits_1_without_traceback(capsys, monkeypatch, command,
+                                                            cap, message):
+    # an exhausted node budget or class-order cap is one error line and exit 1
+    monkeypatch.setattr(weilgroup, cap, {"NODE_BUDGET": 10, "H_CAP": 0}[cap])
+    code, out, err = run_cli(capsys, *command)
+    assert (code, out, err) == (1, "", message)
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -1,11 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import (bareiss_det, fraction_gs_norms, fraction_lll, fraction_relation,
-                     full_scale_relation, round_fraction, transform_kernel_basis_int)
-from pweil import lattice
+from oracles import (bareiss_det, cholesky_short_vectors, fraction_gs_norms, fraction_lll,
+                     fraction_relation, full_scale_relation, round_fraction,
+                     transform_kernel_basis_int)
+from pweil import lattice, weilgroup
 from pweil.arith import BallReal, PrecisionTooLow
 from pweil.lattice import (
     BoundTooLarge,
@@ -16,7 +18,6 @@ from pweil.lattice import (
     lll,
     row_hnf,
     short_vectors,
-    short_vectors_gram,
     _canonical_sign,
 )
 from pweil.regulators import arg_vector, epsilon_vector
@@ -224,8 +225,6 @@ def test_short_vectors_scaled_empty():
 
 def _coefficient_box(gram, norm_bound):
     # c^T Q c <= r forces |c_i| <= sqrt(r (Q^-1)_ii), for Q positive definite
-    import math
-
     n = len(gram)
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(gram)]
@@ -305,8 +304,10 @@ def test_short_vectors_complete_vs_box_oracle():
             assert dict(got) == expected
             assert any(nsq == bound for _, nsq in got)
 
-    # diagonally dominant rational Grams, so that the Cholesky entries have
-    # nontrivial denominators; a half-integer bound and an attained one
+    # diagonally dominant rational Grams, so that the Gram-Schmidt data have
+    # nontrivial denominators, on an identity basis with the Gram and the
+    # bound scaled by the lcm L of the Gram denominators; a half-integer
+    # bound and an attained one
     rng = random.Random(43)
     for dim in (2, 3, 3, 4, 4):
         gram = [[Fraction(0)] * dim for _ in range(dim)]
@@ -316,12 +317,55 @@ def test_short_vectors_complete_vs_box_oracle():
         for i in range(dim):
             slack = Fraction(rng.randint(1, 9), rng.choice((2, 3, 4)))
             gram[i][i] = sum(abs(x) for x in gram[i]) + slack
+        L = math.lcm(*(x.denominator for row in gram for x in row))
+        int_gram = [[int(L * x) for x in row] for row in gram]
+        identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
         attained = max(_box_oracle(gram, Fraction(10)).values())
         for bound in (Fraction(2 * rng.randint(6, 16) + 1, 2), attained):
-            got = short_vectors_gram(gram, bound)
+            got = [(v, nsq / L) for v, nsq in short_vectors(identity, L * bound, gram=int_gram)]
             assert dict(got) == _box_oracle(gram, bound)
             assert all(nsq == _form(gram, v) for v, nsq in got)
         assert any(nsq == attained for _, nsq in got)
+
+
+def test_short_vectors_match_cholesky_oracle(grid, monkeypatch):
+    # every search find_generator makes on the acceptance grid, then random
+    # lattices with and without a Gram matrix and with fractional bounds:
+    # the same list as the rational-Cholesky enumeration, and BoundTooLarge
+    # exactly when the budget is below its node count
+    searches = []
+
+    def recording(basis, bound, gram=None, node_budget=5_000_000):
+        searches.append((basis, bound, gram))
+        return short_vectors(basis, bound, gram, node_budget)
+
+    monkeypatch.setattr(weilgroup, "short_vectors", recording)
+    for field, split, basis in grid[0].values():
+        if basis is not None:
+            for h in range(1, basis.h + 1):
+                weilgroup.find_generator(split.primes[split.S[0]], h)
+    monkeypatch.undo()
+    assert len(searches) >= 128
+
+    rng = random.Random(71)
+    while len(searches) < 128 + 200:
+        n = rng.randint(1, 6)
+        cols = n + rng.randint(0, 2)
+        rows = _random_basis(rng, n, cols, 9)
+        gram = _random_gram(rng, cols) if len(searches) % 2 else None
+        try:
+            shortest = min(gs_norms(rows, gram))
+        except DependentRows:
+            continue
+        bound = rng.randint(1, 8) * shortest / rng.choice((1, 2, 3)) \
+            + Fraction(rng.randint(0, 5), rng.choice((1, 2, 7)))
+        searches.append((rows, bound, gram))
+
+    for basis, bound, gram in searches:
+        expected, nodes = cholesky_short_vectors(basis, bound, gram)
+        assert short_vectors(basis, bound, gram, node_budget=nodes) == expected
+        with pytest.raises(BoundTooLarge):
+            short_vectors(basis, bound, gram, node_budget=nodes - 1)
 
 
 def test_short_vectors_budget():

@@ -10,7 +10,6 @@ from pweil.cyclo import CycloField, cyclotomic_polynomial, norm
 from pweil.splitting import (
     NotPrime,
     RamifiedPrime,
-    act_on_prime,
     conj_prime,
     is_prime,
     ord_at,
@@ -108,9 +107,9 @@ def test_galois_equivariance(k5, split_5_11):
         if x.is_zero():
             continue
         for a in k5.units:
-            aut = k5.aut(a)
             for pr in split_5_11.primes:
-                assert ord_at(act_on_prime(aut, pr), x.apply(aut)) == ord_at(pr, x)
+                moved = split_5_11.primes[split_5_11.act_index(a, pr.index)]
+                assert ord_at(moved, x.apply(k5.aut(a))) == ord_at(pr, x)
 
 
 def test_action_examples(k5, split_5_11):
@@ -119,14 +118,30 @@ def test_action_examples(k5, split_5_11):
     # conjugation: roots r and r' with r r' = 1 mod 11 pair up (5 * 9 = 45 = 1)
     assert conj_prime(pr5).root_mod_p() == 9
     # identity acts trivially
-    assert act_on_prime(k5.aut(1), pr5) is pr5
+    assert sp.act_index(1, pr5.index) == pr5.index
     # the full unit group acts transitively
-    orbit = {act_on_prime(k5.aut(a), pr5).index for a in k5.units}
+    orbit = {sp.act_index(a, pr5.index) for a in k5.units}
     assert orbit == set(range(sp.g))
     # coset consistency: sigma_a multiplies the coset by a
     for a in k5.units:
-        img = act_on_prime(k5.aut(a), pr5)
+        img = sp.primes[sp.act_index(a, pr5.index)]
         assert img.coset == frozenset((a * b) % 5 for b in pr5.coset)
+
+
+def test_transporters_are_coset_minima(grid):
+    # S[0] is P0, 1 lies in its coset, so the least a with sigma_a(P0) = P
+    # is the least element of the coset of P; act_index is coset arithmetic
+    for field, sp, _ in grid[0].values():
+        n = field.n
+        for a in field.units:
+            for pr in sp.primes:
+                target = frozenset(a * b % n for b in pr.coset)
+                assert sp.primes[sp.act_index(a, pr.index)].coset == target
+        if sp.S:
+            assert sp.S[0] == 0 and 1 in sp.primes[0].coset
+            for idx in sp.S:
+                searched = next(a for a in field.units if sp.act_index(a, 0) == idx)
+                assert min(sp.primes[idx].coset) == searched
 
 
 def test_fg_equals_phi_on_grid():

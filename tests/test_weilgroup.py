@@ -273,7 +273,7 @@ def test_xi_properties(basis_5_11):
 
 def test_alpha_examples(k5, split_5_11, basis_5_11):
     z = k5.zeta()
-    assert alpha_p_map(z, split_5_11).is_zero()
+    assert not any(alpha_p_map(z, split_5_11).coeffs)
     r5 = next(i for i, pr in enumerate(split_5_11.primes) if pr.root_mod_p() == 5)
     vec = alpha_p_map(basis_5_11.xi[r5], split_5_11)
     expected = [0, 0, 0, 0]
@@ -334,7 +334,7 @@ def test_kernel_is_torsion(k5, split_5_11):
     z = k5.zeta()
     for x in (z, -z ** 2, k5.one(), -k5.one()):
         assert is_weil_unit(x, 11)
-        assert alpha_p_map(x, split_5_11).is_zero()
+        assert not any(alpha_p_map(x, split_5_11).coeffs)
         assert is_root_of_unity(x) is not None
 
 
@@ -354,9 +354,11 @@ def test_pi_m_map_matches_the_inverse_oracle_over_the_grid(grid):
             continue
         cells += 1
         for _ in range(2):
-            nu = DivisorVec(sp, (0,) * sp.g)
+            coeffs = [0] * sp.g
             for vec in minus_basis(sp):
-                nu = nu + rng.randint(-3, 3) * vec
+                e = rng.randint(-3, 3)
+                coeffs = [c + e * v for c, v in zip(coeffs, vec.coeffs)]
+            nu = DivisorVec(sp, tuple(coeffs))
             assert pi_m_map(nu, basis) == inverse_pi_m_map(nu, basis), (n, p, nu.coeffs)
     assert cells == 128
 
@@ -370,7 +372,7 @@ def test_root_of_unity_lookup_on_products_of_xi(n, p):
     xi0 = basis.xi[split.S[0]]
     elements = []
     for idx in split.S:
-        a = next(a for a in field.units if split.act_index(a, split.S[0]) == idx)
+        a = min(split.primes[idx].coset)
         elements += [basis.xi[idx], basis.xi[idx] * basis.xi[split.S[-1]],
                      basis.xi[idx] * xi0.apply(field.aut(a)).conj(),
                      -field.zeta(idx) * basis.xi[idx] * basis.xi[idx].conj()]
@@ -472,17 +474,18 @@ def test_alpha_pi_identities_on_random_weil_units(n, p, data):
 
     x = field.zeta(k) * sign
     want = fraction_elt(field, x.coeffs)
-    nu = DivisorVec(split, (0,) * split.g)
+    coeffs = [0] * split.g
     for idx, vec, e in zip(split.S, minus_basis(split), exps):
         x = x * basis.xi[idx] ** e
         want = fraction_mul(field, want, fraction_pow(field, basis.xi[idx].coeffs, e))
-        nu = nu + e * vec
+        coeffs = [c + e * v for c, v in zip(coeffs, vec.coeffs)]
+    nu = DivisorVec(split, tuple(coeffs))
     # the integer path and the Fraction oracle agree
     assert x.coeffs == want
 
     # alpha(pi(nu)) = -M nu, and pi(nu) is this product without the torsion
     img = alpha_p_map(pi_m_map(nu, basis), split)
-    assert img.coeffs == (-M * nu).coeffs
+    assert img.coeffs == tuple(-M * c for c in nu.coeffs)
     assert alpha_p_map(x, split).coeffs == img.coeffs
 
     # x^M pi(alpha(x)) is torsion
