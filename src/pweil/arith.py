@@ -34,6 +34,7 @@ from mpmath.libmp import (
     from_man_exp as _mpf_from_man_exp,
     from_rational as _mpf_from_rational,
     fzero as _fzero,
+    mpf_atan as _mpf_atan,
     mpf_le as _mpf_le,
     mpf_lt as _mpf_lt,
     mpf_sign as _mpf_sign,
@@ -41,6 +42,7 @@ from mpmath.libmp import (
     mpf_sub as _mpf_sub,
     round_ceiling as _r_ceil,
     round_floor as _r_floor,
+    round_nearest as _r_near,
     to_int as _mpf_to_int,
 )
 
@@ -242,7 +244,34 @@ class BallReal:
         return BallReal(libmpi.mpi_log(self._v, self.prec), self.prec)
 
     def atan(self) -> "BallReal":
-        return BallReal(libmpi.mpi_atan(self._v, self.prec), self.prec)
+        """One ``mpf_atan`` at the exact midpoint, widened by rad / (1 + m^2)
+        (mean value theorem; m the endpoint of least magnitude, 0 if the ball
+        contains 0) and by one ulp for the evaluation's own rounding: mpmath
+        sums with at least 30 guard bits and rounds once to nearest, an error
+        below 1/2 ulp + 2^-25 ulp.  The widening is an int on the grid of
+        1/16 ulp, rounded up; the ends are rounded outward.  A ball centred
+        on 0 is its own enclosure (|atan x| <= |x|), so exact zero stays
+        exact; an unbounded ball takes ``mpi_atan``, an evaluation at each end.
+        """
+        prec = self.prec
+        if not self.is_finite():
+            return BallReal(libmpi.mpi_atan(self._v, prec), prec)
+        (a, ea), (b, eb) = self.man_exp()
+        e = min(ea, eb)
+        a, b = a << (ea - e), b << (eb - e)  # the ball is [a 2^e, b 2^e]
+        if a + b == 0:
+            return self
+        val = _mpf_atan(_mpf_from_man_exp(a + b, e - 1), prec, _r_near)
+        sign, man, vexp, vbc = val
+        g = vexp + vbc - prec - 4  # 2^g = 1/16 ulp of val
+        m = 0 if a <= 0 <= b else min(abs(a), abs(b))
+        t = max(0, -e)  # rad / (1 + m^2) = (b - a) 2^(e - 1 + 2t) / (2^2t + (m 2^(e+t))^2)
+        num, den, shift = b - a, (1 << 2 * t) + (m << (e + t)) ** 2, e - 1 + 2 * t - g
+        num, den = (num << shift, den) if shift >= 0 else (num, den << -shift)
+        widen = 16 - (-num // den)
+        mid = (-man if sign else man) << (vexp - g)
+        return BallReal((_mpf_from_man_exp(mid - widen, g, prec, _r_floor),
+                         _mpf_from_man_exp(mid + widen, g, prec, _r_ceil)), prec)
 
     def cos(self) -> "BallReal":
         return BallReal(libmpi.mpi_cos(self._v, self.prec), self.prec)

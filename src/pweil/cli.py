@@ -68,6 +68,9 @@ class RunConfig:
             raise ConfigError("format must be json, csv or text")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.cache_dir is not None and os.path.exists(self.cache_dir) \
+                and not os.path.isdir(self.cache_dir):
+            raise ConfigError("cache dir %s exists and is not a directory" % self.cache_dir)
 
 
 def _validate_pair(n: int, p: int):
@@ -106,20 +109,26 @@ def _cache_get(cache_dir: Optional[str], key_obj: dict, fields: frozenset) -> Op
     return None
 
 
-def _cache_put(cache_dir: Optional[str], key_obj: dict, report: dict):
+def _cache_put(cache_dir: Optional[str], key_obj: dict, report: dict) -> bool:
+    """Write the entry atomically; False, after a warning on stderr, when the
+    write fails with an OSError: the caller still has the report it computed."""
     if not cache_dir:
-        return
-    os.makedirs(cache_dir, exist_ok=True)
-    path = _cache_path(cache_dir, key_obj)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        return True
+    tmp = None
     try:
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             json.dump(report, fh, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        os.replace(tmp, _cache_path(cache_dir, key_obj))
+        tmp = None
+        return True
+    except OSError as exc:
+        sys.stderr.write("warning: not cached: %s\n" % exc)
+        return False
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +140,7 @@ def analyze_report(n: int, p: int, cfg: RunConfig) -> dict:
     split = split_prime(field, p, cfg.padic_prec)
     basis = build_weil_basis(split)
     report: dict = {
-        "schema": "pweil-analyze/3",
+        "schema": "pweil-analyze/4",
         "config": {
             "n": n, "p": p, "precision": cfg.precision, "bound": cfg.bound,
             "padic_prec": cfg.padic_prec, "version": __version__,
@@ -319,9 +328,11 @@ def cmd_scan(args, cfg: RunConfig) -> int:
                 fresh = list(pool.map(_scan_cell, [c for c, _ in pending]))
         else:
             fresh = [_scan_cell(c) for c, _ in pending]
+        cache_dir = cfg.cache_dir
         for (cell, key), row in zip(pending, fresh):
-            if row["certificate"] != "error":  # an error row is retried on rerun
-                _cache_put(cfg.cache_dir, key, row)
+            # an error row is retried on rerun; after one failed write, warned, no more tries
+            if row["certificate"] != "error" and not _cache_put(cache_dir, key, row):
+                cache_dir = None
             rows.append(row)
 
     rows.sort(key=lambda r: (r["n"], r["p"]))
@@ -357,7 +368,7 @@ def cmd_appendix(args, cfg: RunConfig) -> int:
     rep_obj = weil_angle_identity(lam, split, basis,
                                   den_bound=args.den_bound, precision=cfg.precision)
     report = {
-        "schema": "pweil-appendix/3",
+        "schema": "pweil-appendix/4",
         "config": {"n": args.n, "p": args.p, "chars": [a, b],
                    "den_bound": args.den_bound, "precision": cfg.precision,
                    "version": __version__},

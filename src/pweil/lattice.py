@@ -9,8 +9,8 @@ below the stated bound exists at the stated precision.
 
 One Gram-Schmidt code serves the layer: the fraction-free integers d_i and
 lambda_ij of ``_gs_row`` (de Weger 1987; Cohen, Alg. 2.6.7), which LLL
-updates in place and ``gs_norms`` and the enumeration read through
-``_gs_data``.
+updates in place and hands to the enumeration, and ``gs_norms`` reads
+through ``_gs_data``.
 """
 
 from __future__ import annotations
@@ -149,13 +149,20 @@ def lll(rows: Sequence[Sequence[int]], delta: Fraction = Fraction(3, 4),
     the size reduction and the Lovasz test are exactly those of rational
     LLL, so the reduced basis is the same.
     """
-    num, den = delta.numerator, delta.denominator
-    if not den < 4 * num < 4 * den:
+    if not delta.denominator < 4 * delta.numerator < 4 * delta.denominator:
         raise ValueError("delta must lie in (1/4, 1)")
+    if len(rows) <= 1:
+        return [list(map(int, r)) for r in rows]
+    return _lll(rows, delta, gram)[0]
+
+
+def _lll(rows, delta: Fraction, gram):
+    """``lll`` on at least one row, returning (reduced rows, lambda, d): the
+    ``_gs_row`` integers of the reduced rows, which LLL keeps up to date
+    through every swap and size reduction."""
+    num, den = delta.numerator, delta.denominator
     b = [list(map(int, r)) for r in rows]
     n = len(b)
-    if n <= 1:
-        return b
     lam = [[0] * n for _ in range(n)]
     d = [1] + [0] * n
 
@@ -193,7 +200,7 @@ def lll(rows: Sequence[Sequence[int]], delta: Fraction = Fraction(3, 4),
             for l in range(k - 2, -1, -1):
                 red(k, l)
             k += 1
-    return b
+    return b, lam, d
 
 
 def _gs_data(rows, gram) -> tuple[list[list[int]], list[int]]:
@@ -233,16 +240,16 @@ def short_vectors(basis: Sequence[Sequence[int]], bound,
     Results are (vector, squared norm), sorted by norm, then vector.  Raises
     BoundTooLarge when the visited node count exceeds ``node_budget``.
 
-    The recursion reads the integers lambda and d of ``_gs_row``: the squared
+    The recursion reads the integers lambda and d of ``_gs_row`` as LLL
+    leaves them for the reduced basis, with no second pass: the squared
     norm of the coefficient vector x is sum_i t_i^2 / (d_i d_{i+1}) with
     t_i = d_{i+1} x_i + sum_{j>i} lambda_ji x_j.  Scaled by S, the lcm of the
     d_i d_{i+1} times the denominator of the bound, every term, partial sum
     and remaining budget is an int, and the range of each x_i is cut exactly
     by an integer square root: every x_i in it is a node.
     """
-    reduced = lll(list(basis), gram=gram)
+    reduced, lam, d = _lll(basis, Fraction(3, 4), gram)
     n = len(reduced)
-    lam, d = _gs_data(reduced, gram)
     bound = Fraction(bound)
     lcm = math.lcm(*(d[i] * d[i + 1] for i in range(n)))
     scale = lcm * bound.denominator

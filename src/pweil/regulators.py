@@ -81,21 +81,30 @@ class ArgVector:
         }
 
 
-ARG_ATTEMPTS = 6  # working precisions certified_arg tries, doubling from precision + 32
+# Guard bits of certified_arg above precision // 2.  An argument ball at wp
+# bits has a radius of at most about 2^(4 - wp - 16) (embed adds 16 bits), so
+# 32 leaves more than 43 bits to spare: the first attempt suffices for every
+# xi_P, x_P and Jacobi sum of the grid at 256 bits and of the analyze and
+# certify benchmark cells at 1,024.
+ARG_GUARD = 32
+ARG_ATTEMPTS = 6  # working precisions certified_arg tries, doubling from precision // 2 + ARG_GUARD
 
 
 def certified_arg(x: CycloElt, place: int, precision: int) -> BallReal:
     """Principal argument of sigma_v(x) with radius below 2^-(precision//2 + 1),
     as ``find_simultaneous_relation`` needs at its full scale 2^(precision//2).
 
-    The integral numerator is embedded in place of x: x = x.num / x.den with
+    The first attempt embeds at wp = precision // 2 + ARG_GUARD bits, the
+    precision that radius needs plus guard bits; wp depends on precision
+    only, so ``embed`` reads one cos/sin table per (n, precision).  The
+    integral numerator is embedded in place of x: x = x.num / x.den with
     x.den > 0, so sigma_v(x) and sigma_v(x.num) have the same argument.
     Retries at doubled working precision when the radius is too large or
     near the branch cut instead of silently picking a side; an element
     exactly on the negative real axis (only x = -1) resolves exactly.
     """
     target = precision // 2 + 1
-    wp = precision + 32
+    wp = precision // 2 + ARG_GUARD
     num = CycloElt(x.field, x.num, 1)
     last: Optional[Exception] = None
     for _ in range(ARG_ATTEMPTS):
@@ -161,6 +170,14 @@ def argument_independence_certificate(
     candidate and is returned with full provenance.  With a single basis
     element the question degenerates to "xi is not a root of unity", which
     is additionally decided exactly.
+
+    For the xi_P "none-up-to-bound" must hold, whatever the bound: integers
+    c with sum_i c_i arg_v(xi_i) = 2 pi k_v at every infinite place v make
+    prod xi_i^(c_i) an element of modulus 1 and argument 0 at every place,
+    that is 1; but its divisor is sum_i c_i (M/f)(e_{P_i^c} - e_{P_i}),
+    nonzero for c != 0, as the exact structure checks verify.  So the
+    search checks the certified arguments and the lattice code against the
+    exact divisor structure, and a found relation signals a fault in them.
     """
     split = basis.split
     if not split.S:

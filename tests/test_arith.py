@@ -155,6 +155,64 @@ def test_det_nonsquare_rejected():
 
 
 # ---------------------------------------------------------------------------
+# atan: one evaluation at the midpoint against mpi_atan at both ends
+
+def _random_atan_ball(rng, kind: str):
+    """(lo, hi, e, prec): the exact ball [lo 2^-e, hi 2^-e] at prec bits."""
+    prec = rng.randint(64, 1100)
+    scale = {"tiny": -40, "huge": 40}.get(kind, rng.randint(-8, 8))
+    e = prec - scale  # |mid| near 2^scale
+    mid = rng.randint(1 << (prec - 1), 1 << prec) * rng.choice((-1, 1))
+    if kind == "negative":
+        mid = -abs(mid)
+    if kind == "point":
+        return mid, mid, e, prec
+    if kind == "zero":
+        return 0, 0, e, prec
+    # radii from about the precision the caller needs down to an ulp
+    rad = rng.randint(0, 1 << rng.randint(0, prec // 2))
+    if kind == "straddle":  # contains 0, off centre, |x| <= 2^-(2 prec/3) as an
+        # argument quotient near 0 is; atan x = x - x^3/3 + ..., and the cubic
+        # term is below an ulp only for such x
+        e, rad = prec, rng.randint(1, 1 << prec // 3)
+        mid = rng.randint(-rad, rad)
+    return mid - rad, mid + rad, e, prec
+
+
+@pytest.mark.parametrize("kind", ["point", "zero", "straddle", "negative", "tiny", "huge",
+                                  "random"])
+def test_atan_one_evaluation_matches_mpi_atan(kind):
+    # the new ball contains the exact image [atan lo, atan hi] (mpi_atan 64 bits
+    # finer) and is at most a few ulps wider than mpi_atan at the same
+    # precision: one ulp each side for the evaluation, one for the outward
+    # rounding of each end, and the second-order term of the mean value bound,
+    # below an ulp each side for radii below 2^-(prec/2) |x|
+    from mpmath.libmp import libmpi
+
+    rng = random.Random("atan-" + kind)
+    for _ in range(60):
+        lo, hi, e, prec = _random_atan_ball(rng, kind)
+        ball = BallReal.from_scaled_ints(lo, hi, e, prec)
+        got = ball.atan()
+        exact = BallReal(libmpi.mpi_atan(ball._v, prec + 64), prec + 64)
+        old = BallReal(libmpi.mpi_atan(ball._v, prec), prec)
+        assert got.lower <= exact.lower and exact.upper <= got.upper
+        size = max(abs(old.lower), abs(old.upper))
+        if size == 0:
+            assert got.lower == got.upper == 0
+            continue
+        ulp = Fraction(2) ** (size.numerator.bit_length() - size.denominator.bit_length() - prec)
+        assert (got.upper - got.lower) - (old.upper - old.lower) <= 6 * ulp
+
+
+def test_atan_of_exact_zero_stays_exact():
+    # the argument of 1 is [0, 0]
+    assert BallReal.zero(128).atan().lower == BallReal.zero(128).atan().upper == 0
+    val = arg_principal(BallComplex(BallReal.from_int(1, 128), BallReal.zero(128)))
+    assert val.lower == val.upper == 0
+
+
+# ---------------------------------------------------------------------------
 # arg_principal
 
 def _pi_fraction(dps: int = 50) -> Fraction:

@@ -167,6 +167,37 @@ def test_analyze_cache(capsys, tmp_path):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("command", [
+    ["analyze", "--n", "5", "--p", "11"],
+    ["scan", "--n-range", "5", "--p-max", "11"],
+])
+def test_cache_dir_that_is_a_file_is_a_config_error(capsys, tmp_path, command):
+    # rejected before any cell is computed: one error line, exit 2, no output
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    code, out, err = run_cli(capsys, *command, "--cache-dir", str(blocker))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cache dir ") and err.count("\n") == 1
+    assert blocker.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--n", "5", "--p", "11", "--format", "csv"],
+    ["scan", "--n-range", "5", "--p-max", "11", "--format", "csv", "--workers", "2"],
+])
+def test_failing_cache_write_warns_and_keeps_the_report(capsys, tmp_path, command):
+    # a cache dir below a file cannot be made: every write fails with an
+    # OSError, which is one warning on stderr, and the rows are still printed
+    common = ["--precision", "128", "--bound", "100"]
+    code0, want, _ = run_cli(capsys, *command, *common)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run_cli(capsys, *command, *common,
+                             "--cache-dir", str(blocker / "cache"))
+    assert (code, out) == (code0, want) and code == 0
+    assert err.startswith("warning: not cached: ") and err.count("\n") == 1
+
+
 def test_appendix_pass(capsys):
     code, out, _ = run_cli(
         capsys, "appendix", "--n", "5", "--p", "11", "--chars", "1", "1",
@@ -235,16 +266,28 @@ def test_analyze_report_bytes_match_recorded_digests(capsys):
     with open(ANALYZE_DIGESTS) as fh:
         digests = json.load(fh)
     checked = 0
-    for precision, cells in digests["pweil-analyze/3"].items():
+    for precision, cells in digests["pweil-analyze/4"].items():
         for cell, want in cells.items():
             n, p = cell.split(",")
             code, out, _ = run_cli(capsys, "analyze", "--n", n, "--p", p,
                                    "--precision", precision, "--format", "json")
             assert code == 0
-            assert json.loads(out)["schema"] == "pweil-analyze/3"
+            assert json.loads(out)["schema"] == "pweil-analyze/4"
             assert hashlib.sha256(out.encode()).hexdigest() == want, (precision, cell)
             checked += 1
     assert checked == 8
+
+
+GRID_SCAN_SHA256 = "53b2af9c3dd960c27b54d92959ec9cea7f146d1d790b886697ab40d14f3bb36c"
+
+
+def test_grid_scan_bytes_match_the_recorded_digest(capsys):
+    # the 213-cell acceptance grid under pweil-scan/1, as the benchmark runs it
+    code, out, err = run_cli(capsys, "scan", "--n-range", "5,7,8,11,12,13,15,16,20",
+                             "--p-max", "99", "--format", "json", "--workers", "2")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["rows"]) == 213
+    assert hashlib.sha256(out.encode()).hexdigest() == GRID_SCAN_SHA256
 
 
 def test_package_version_matches_pyproject():

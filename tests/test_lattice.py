@@ -193,6 +193,32 @@ def test_lll_matches_fraction_lll_oracle():
     assert dependent >= 10 and compared >= 140
 
 
+def test_lll_core_returns_the_gram_schmidt_data_of_its_output(monkeypatch):
+    # the lambda and d that LLL keeps through its swaps and size reductions
+    # are those a fresh pass computes on the reduced rows, so the enumeration
+    # reads them and makes no second pass
+    rng = random.Random(71)
+    for trial in range(120):
+        n = rng.randint(1, 7)
+        cols = n + rng.randint(0, 2)
+        rows = _random_basis(rng, n, cols, 10 ** rng.choice((1, 3, 6)))
+        gram = _random_gram(rng, cols) if trial % 2 else None
+        try:
+            reduced, lam, d = lattice._lll(rows, Fraction(3, 4), gram)
+        except DependentRows:
+            continue
+        assert reduced == lll(rows, gram=gram)
+        fresh_lam, fresh_d = lattice._gs_data(reduced, gram)
+        assert d == fresh_d
+        assert all(lam[k][:k] == fresh_lam[k][:k] for k in range(n))
+
+    def no_second_pass(rows, gram):
+        raise AssertionError("short_vectors recomputed Gram-Schmidt data")
+
+    monkeypatch.setattr(lattice, "_gs_data", no_second_pass)
+    assert short_vectors([[1, 0], [0, 1]], 1) == [((0, 1), 1), ((1, 0), 1)]
+
+
 def test_gs_norms_are_ratios_of_gram_minors():
     # ||b_i*||^2 = d_i / d_{i-1}, d_i the leading i x i minor of the Gram matrix
     rng = random.Random(67)

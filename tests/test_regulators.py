@@ -38,10 +38,15 @@ def test_arg_vector_trivial_one(k5):
 
 
 def test_arg_vector_minus_one(k5):
-    av = arg_vector(-k5.one(), 64)
-    with mpmath.workdps(40):
-        pi = Fraction(mpmath.nstr(mpmath.mp.pi, 35))
-    for v in av.values:
+    # the contract is a radius below 2^-(precision/2 + 1): at 64 bits that is
+    # 2^-33, so pi is in the ball and no closer; 200 bits imply 1e-30
+    with mpmath.workdps(60):
+        pi = Fraction(mpmath.nstr(mpmath.mp.pi, 55))
+    eps = Fraction(1, 10 ** 54)
+    for v in arg_vector(-k5.one(), 64).values:
+        assert v.lower <= pi - eps and pi + eps <= v.upper
+        assert v.radius < Fraction(1, 1 << 33)
+    for v in arg_vector(-k5.one(), 200).values:
         assert abs(v.midpoint - pi) < Fraction(1, 10 ** 30)
 
 
@@ -206,7 +211,8 @@ def test_certified_arg_meets_the_radius_the_relation_search_needs(basis_5_11, mo
     # certified_arg retries at doubled working precision, and the search
     # accepts the arguments it returns
     precision = 256
-    first = precision + 32 + 16  # the precision of the first embedding
+    wp = precision // 2 + regulators.ARG_GUARD  # the first working precision
+    first = wp + 16  # the precision of the first embedding
     principal = regulators.arg_principal
     calls = []
 
@@ -226,11 +232,63 @@ def test_certified_arg_meets_the_radius_the_relation_search_needs(basis_5_11, mo
         for v in split.field.places:
             calls.clear()
             val = certified_arg(basis_5_11.xi[idx], v, precision)
-            assert calls == [first, first + precision + 32]
+            assert calls == [first, 2 * wp + 16]
             assert val.radius < Fraction(1, 1 << (precision // 2 + 1))
             vectors[-1].append(val)
     cert = find_simultaneous_relation(vectors, BallReal.pi(precision + 32) * 2, 10 ** 4, precision)
     assert cert.status == "none-up-to-bound"
+
+
+HARD_AND_CERTIFY_CELLS = ((13, 79), (11, 67), (15, 31), (7, 29), (7, 43), (7, 71), (15, 61),
+                          (16, 17), (16, 97), (20, 41), (20, 61))
+
+
+def _mp_arg_fraction(x, place: int) -> Fraction:
+    """arg sigma_v(x.num) at 2,000 bits, as a Fraction (error below 2^-1990)."""
+    n = x.field.n
+    with mpmath.workprec(2000):
+        z = mpmath.fsum(c * mpmath.expjpi(mpmath.mpf(2 * (place * i % n)) / n)
+                        for i, c in enumerate(x.num) if c)
+        return Fraction(*mpmath.libmp.to_rational(mpmath.arg(z)._mpf_))
+
+
+def test_certified_arg_needs_one_embedding_on_the_grid(grid, monkeypatch):
+    # every argument the reports take (xi_P at every place; x_P and a Jacobi
+    # sum at the base place, as the angle identity does) meets the radius
+    # 2^-(precision/2 + 1) at the first working precision, precision // 2 +
+    # ARG_GUARD, and contains the 2,000-bit value: every grid basis at 256
+    # bits, the analyze-hard and certify cells at 1,024
+    embeddings = []
+    real_embed = regulators.embed
+
+    def counting_embed(x, place, precision):
+        embeddings.append(precision)
+        return real_embed(x, place, precision)
+
+    monkeypatch.setattr(regulators, "embed", counting_embed)
+    points, _ = grid
+    runs = [(256, [c for c, (_, _, b) in sorted(points.items()) if b is not None]),
+            (1024, HARD_AND_CERTIFY_CELLS)]
+    eps = Fraction(1, 1 << 1990)
+    checked = 0
+    for precision, cells in runs:
+        wp = precision // 2 + regulators.ARG_GUARD
+        for n, p in cells:
+            basis = points[(n, p)][2]
+            field = basis.split.field
+            args = [(basis.xi[i], v) for i in basis.split.S for v in field.places]
+            args += [(basis.x[i], field.places[0]) for i in basis.split.S]
+            if (p - 1) % n == 0:
+                args.append((jacobi_weil_number(p, n, 1, 1), field.places[0]))
+            for x, v in args:
+                embeddings.clear()
+                val = certified_arg(x, v, precision)
+                assert embeddings == [wp], (n, p, v)
+                assert val.radius_below(precision // 2 + 1)
+                want = _mp_arg_fraction(x, v)
+                assert val.lower <= want - eps and want + eps <= val.upper, (n, p, v)
+                checked += 1
+    assert checked > 1200
 
 
 def test_find_abelian_generator_none_for_zeta5_11(basis_5_11):
