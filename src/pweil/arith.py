@@ -3,10 +3,11 @@
 Three layers, used by every other module:
 
 * exact arithmetic runs on Python ints: ``split_p`` is the one p-adic
-  valuation of an integer, ``prime_factors`` the one factorization and
-  ``_zm_rem_monic`` the one remainder modulo a monic polynomial, over Z/m or
-  (m = 0) over Z; Z/p^K is ints too, and ``padic_log`` the logarithm of a
-  unit of it; ``fractions.Fraction`` appears only at the edges, as ball
+  valuation of an integer, ``prime_factors`` the one factorization,
+  ``is_prime`` the one primality test, ``binary_power`` the one
+  square-and-multiply and ``_zm_rem_monic`` the one remainder modulo a
+  monic polynomial, over Z/m or (m = 0) over Z; Z/p^K is ints too, and
+  ``padic_log`` the logarithm of a unit of it; ``fractions.Fraction`` appears only at the edges, as ball
   endpoints and reconstructed rationals;
 * ``BallReal`` / ``BallComplex`` wrap mpmath's directed-rounding interval
   kernels, so every operation returns an enclosure of the exact result;
@@ -585,16 +586,6 @@ class GaloisRing:
 
     # -- ring structure
 
-    def power(self, x: "PadicElt", e: int) -> "PadicElt":
-        result = self.one()
-        base = x
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def valuation(self, x: "PadicElt") -> Optional[int]:
         """min p-adic valuation of the coefficients; None when x = 0 mod p^K."""
         best: Optional[int] = None
@@ -668,13 +659,52 @@ class PadicElt:
         return PadicElt(self.ring, tuple((-c) % self.ring.pK for c in self.coeffs))
 
     def __pow__(self, e: int) -> "PadicElt":
-        return self.ring.power(self, e)
+        return binary_power(self, e, self.ring.one())
 
     def valuation(self) -> Optional[int]:
         return self.ring.valuation(self)
 
     def __repr__(self) -> str:
         return "PadicElt(p=%d, K=%d, %r)" % (self.ring.p, self.ring.prec, list(self.coeffs))
+
+
+def binary_power(x, e: int, one):
+    """x^e for an int e >= 0 by square-and-multiply from the identity ``one``;
+    x is anything with an exact, associative ``*``."""
+    result = one
+    while True:
+        if e & 1:
+            result = result * x
+        e >>= 1
+        if not e:
+            return result
+        x = x * x
+
+
+# Miller-Rabin bases of is_prime, the first 13 primes, and psi_13, the least
+# strong pseudoprime to all of them (J. Sorenson and J. Webster, Math. Comp.
+# 86, 2017).  12 bases do not suffice: psi_12 = 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
+
+
+def is_prime(m: int) -> bool:
+    """Whether the integer m is prime, exactly: below MR_BOUND by Miller-Rabin
+    with the bases _MR_BASES, which is deterministic there; at or above it
+    by trial division (``prime_factors``)."""
+    if m < 2:
+        return False
+    if m >= MR_BOUND:
+        return prime_factors(m) == {m: 1}
+    for q in _MR_BASES:
+        if m % q == 0:
+            return m == q
+    s, t = split_p(m - 1, 2)
+    for b in _MR_BASES:
+        y = pow(b, t, m)  # b is a witness unless y = 1 or some y^(2^i) = -1, i < s
+        if y != 1 and m - 1 not in (pow(y, 2 ** i, m) for i in range(s)):
+            return False
+    return True
 
 
 def prime_factors(n: int) -> dict[int, int]:

@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .arith import BallComplex, BallReal, _zm_rem_monic, prime_factors
+from .arith import BallComplex, BallReal, _zm_rem_monic, binary_power, is_prime, prime_factors
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +253,7 @@ class CycloElt:
     def __pow__(self, e: int) -> "CycloElt":
         if e < 0:
             return self.inverse() ** (-e)
-        result, base = self.field.one(), self
-        while True:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
+        return binary_power(self, e, self.field.one())
 
     def inverse(self) -> "CycloElt":
         """x^(-1) = adj / N(x), where adj is the product of the conjugates
@@ -358,7 +351,7 @@ def norm(x: CycloElt) -> Fraction:
 def _norm_prime(n: int, i: int) -> tuple[int, tuple[int, ...]]:
     """The i-th prime l = 1 (mod n) above 2^62 and the phi(n) roots of Phi_n mod l."""
     ell = _norm_prime(n, i - 1)[0] + n if i else (2 ** 62 // n + 1) * n + 1
-    while not _is_prime_mr(ell):
+    while not is_prime(ell):
         ell += n
     qs = prime_factors(n)
     for c in range(2, ell):
@@ -367,32 +360,6 @@ def _norm_prime(n: int, i: int) -> tuple[int, tuple[int, ...]]:
             break  # w has order exactly n
     units = [k for k in range(1, n) if gcd(k, n) == 1]
     return ell, tuple(pow(w, k, ell) for k in units)
-
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime_mr(m: int) -> bool:
-    """Miller-Rabin with the first 12 prime bases: deterministic for m < 3.3e24."""
-    if m < 2:
-        return False
-    for q in _MR_BASES:
-        if m % q == 0:
-            return m == q
-    s, t = 0, m - 1
-    while t % 2 == 0:
-        s, t = s + 1, t // 2
-    for b in _MR_BASES:
-        y = pow(b, t, m)
-        if y in (1, m - 1):
-            continue
-        for _ in range(s - 1):
-            y = y * y % m
-            if y == m - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def embed(x: CycloElt, place: int, precision: int = 64) -> BallComplex:

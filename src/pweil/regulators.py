@@ -37,7 +37,7 @@ from .arith import (
 from .cyclo import CycloElt, GaloisAut, _cos_sin, embed, is_root_of_unity
 from .lattice import RelationCertificate, find_simultaneous_relation, kernel_basis_int, row_hnf
 from .splitting import SplitData, ord_at
-from .weilgroup import WeilBasis, alpha_p_map
+from .weilgroup import WeilBasis
 
 
 class BasisMismatch(Exception):
@@ -208,7 +208,6 @@ class GroupDetReport:
     delta_factored: BallReal
     nonzero: bool
     precision: int
-    offsets: tuple[int, ...]
 
     def to_jsonable(self) -> dict:
         return {
@@ -219,35 +218,47 @@ class GroupDetReport:
             "delta_factored": self.delta_factored.to_str(25),
             "nonzero": self.nonzero,
             "precision": self.precision,
-            "offsets": list(self.offsets),
+            "offsets": [0] * self.size,
         }
 
 
+def _orbit_mismatch(basis: WeilBasis, a: int) -> Optional[str]:
+    """The BasisMismatch message of ``conjugate_orbit`` for sigma_a, or None."""
+    split = basis.split
+    m = len(split.S)
+    if m == 0:
+        return "empty basis"
+    n, p0 = split.field.n, split.S[0]
+    xi = basis.xi[p0]
+    if xi.apply(split.field.aut(pow(a, m, n))) != xi:
+        return "sigma^%d does not fix xi (the orbit does not close into a group)" % m
+    pairs = {min(i, split.conj_index(i))
+             for i in (split.act_index(pow(a, k, n), p0) for k in range(m))}
+    if len(pairs) != m:
+        return "conjugates do not span E_p(k) x Q"
+    return None
+
+
 def conjugate_orbit(basis: WeilBasis, sigma: GaloisAut) -> list[CycloElt]:
-    """The orbit xi, xi^sigma, ..., of the first basis element, validated
+    """The orbit xi, xi^sigma, ..., of xi = xi_{P0}, P0 = S[0], validated
     to be a rational basis of E_p(k) x Q on which <sigma> acts with order |S|.
 
     Raises BasisMismatch when sigma^|S| does not fix xi exactly (for example
     when sigma^|S| is complex conjugation: xi^c = xi^-1 and no group
-    determinant arises) or when the conjugates fail to span.
+    determinant arises) or when the conjugates fail to span.  Both are
+    decided before the orbit is built, the span on the primes:
+    ``build_weil_basis`` asserts that xi has divisor (M/f)(P0^c - P0), and
+    sigma commutes with complex conjugation, so sigma^k(xi) has its divisor
+    on the conjugate pair of sigma^k(P0).  Divisors on distinct pairs are
+    independent and the two on one pair are +-1 times each other, so the
+    |S| conjugates span exactly when those pairs are distinct.
     """
-    split = basis.split
-    m = len(split.S)
-    if m == 0:
-        raise BasisMismatch("empty basis")
-    xi0 = basis.xi[split.S[0]]
-    orbit = [xi0]
-    cur = xi0
-    for _ in range(m - 1):
-        cur = cur.apply(sigma)
-        orbit.append(cur)
-    if cur.apply(sigma) != xi0:
-        raise BasisMismatch(
-            "sigma^%d does not fix xi (the orbit does not close into a group)" % m
-        )
-    rows = [alpha_p_map(e, split).coeffs for e in orbit]
-    if row_hnf(rows)[1] != m:
-        raise BasisMismatch("conjugates do not span E_p(k) x Q")
+    reason = _orbit_mismatch(basis, sigma.a)
+    if reason is not None:
+        raise BasisMismatch(reason)
+    orbit = [basis.xi[basis.split.S[0]]]
+    for _ in range(len(basis.split.S) - 1):
+        orbit.append(orbit[-1].apply(sigma))
     return orbit
 
 
@@ -275,32 +286,21 @@ def circulant_group_delta(thetas: Sequence[BallReal]) -> tuple[BallReal, BallRea
     return delta, fact
 
 
-def group_determinant(basis: WeilBasis, sigma, precision: int = 256,
-                      offsets: Optional[Sequence[int]] = None) -> GroupDetReport:
+def group_determinant(basis: WeilBasis, sigma, precision: int = 256) -> GroupDetReport:
     """Certified group determinant of the sigma-orbit basis arguments.
 
-    Entry (r, c) of the underlying matrix is the chosen branch of the
-    argument of sigma^(c-r)(xi) under the fixed embedding, so the matrix is
-    the circulant of the orbit's argument values; a coherent branch choice
-    means one offset per orbit element.  The enclosure of |det| and of the
-    character-product factorization are both returned with a nonzero flag.
+    Entry (r, c) of the underlying matrix is the principal argument of
+    sigma^(c-r)(xi) under the fixed embedding, so the matrix is the
+    circulant of the orbit's argument values (branch offsets all 0).  The
+    enclosure of |det| and of the character-product factorization are both
+    returned with a nonzero flag.
     """
     split = basis.split
     if isinstance(sigma, int):
         sigma = split.field.aut(sigma)
     orbit = conjugate_orbit(basis, sigma)
-    m = len(orbit)
-    if offsets is None:
-        offsets = (0,) * m
-    offsets = tuple(offsets)
     base_place = split.field.places[0]
-    two_pi = BallReal.pi(precision + 32) * 2
-    thetas = []
-    for k, elt in enumerate(orbit):
-        val = certified_arg(elt, base_place, precision)
-        if offsets[k]:
-            val = val + two_pi * offsets[k]
-        thetas.append(val)
+    thetas = [certified_arg(elt, base_place, precision) for elt in orbit]
     delta, fact = circulant_group_delta(thetas)
     if not delta.overlaps(fact):
         raise ArithmeticError(
@@ -309,23 +309,22 @@ def group_determinant(basis: WeilBasis, sigma, precision: int = 256,
         )
     nonzero = delta.excludes_zero() or fact.excludes_zero()
     return GroupDetReport(
-        sigma=sigma.a, size=m, thetas=tuple(thetas), delta=delta,
-        delta_factored=fact, nonzero=nonzero, precision=precision, offsets=offsets,
+        sigma=sigma.a, size=len(orbit), thetas=tuple(thetas), delta=delta,
+        delta_factored=fact, nonzero=nonzero, precision=precision,
     )
 
 
 def find_abelian_generator(basis: WeilBasis) -> Optional[GaloisAut]:
-    """Smallest a whose automorphism makes the basis a closed cyclic orbit."""
-    split = basis.split
-    if not split.S:
-        return None
-    for a in split.field.units:
-        aut = split.field.aut(a)
-        try:
-            conjugate_orbit(basis, aut)
-            return aut
-        except BasisMismatch:
-            continue
+    """Smallest a whose automorphism makes the basis a closed cyclic orbit.
+
+    Each a costs one exact comparison, sigma_a^|S|(xi_{P0}) == xi_{P0}, and
+    a test that the sigma_a^k(P0), k < |S|, lie in distinct conjugate pairs:
+    the divisor of sigma_a^k(xi_{P0}) lies on the pair of sigma_a^k(P0), so
+    that is the span of the conjugates (see ``conjugate_orbit``).
+    """
+    for a in basis.split.field.units:
+        if _orbit_mismatch(basis, a) is None:
+            return basis.split.field.aut(a)
     return None
 
 

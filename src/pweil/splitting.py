@@ -21,7 +21,7 @@ import random
 from math import gcd
 from typing import Optional, Sequence
 
-from .arith import GaloisRing, PadicElt, fp_divmod, fp_gcd, fp_mul, prime_factors, split_p
+from .arith import GaloisRing, PadicElt, fp_divmod, fp_gcd, fp_mul, is_prime, split_p
 from .cyclo import CycloElt, CycloField, cyclotomic_polynomial
 
 
@@ -31,10 +31,6 @@ class NotPrime(ValueError):
 
 class RamifiedPrime(ValueError):
     """p divides the conductor; only unramified primes are supported."""
-
-
-def is_prime(p: int) -> bool:
-    return p >= 2 and prime_factors(p) == {p: 1}
 
 
 def multiplicative_order(a: int, n: int) -> int:
@@ -264,14 +260,17 @@ def _poly_from_roots(ring: GaloisRing, roots: Sequence) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Valuations
 
-def ord_at(prime: PrimeAbove, x: CycloElt, max_precision: int = 6400) -> int:
+ORD_PRECISION_CAP = 6400
+
+
+def ord_at(prime: PrimeAbove, x: CycloElt) -> int:
     """The exact valuation ord_P(x) for nonzero x in Q(zeta_n).
 
     The numerator is mapped into GR(p^K, f) through zeta -> w^e
     (``PrimeAbove.image``); its valuation there is the minimum p-adic
     valuation of the coefficients.  If the image vanishes mod p^K, the
     precision doubles through ``SplitData.ring_at``, which keeps each lift
-    of w it makes.
+    of w it makes, up to ORD_PRECISION_CAP.
     """
     if x.is_zero():
         raise ZeroDivisionError("valuation of zero")
@@ -282,9 +281,9 @@ def ord_at(prime: PrimeAbove, x: CycloElt, max_precision: int = 6400) -> int:
         if v is not None:
             return v - v_den
         K *= 2
-        if K > max_precision:
+        if K > ORD_PRECISION_CAP:
             raise ArithmeticError(
-                "valuation exceeds precision cap %d at %r" % (max_precision, prime)
+                "valuation exceeds precision cap %d at %r" % (ORD_PRECISION_CAP, prime)
             )
 
 

@@ -42,8 +42,11 @@ plain ints; ``gross_row_full_norm`` runs on them.  The ``fraction_*``
 predicates are the ``BallReal`` sign and order tests on ``Fraction``
 endpoints, before they compared the mpf endpoints, and
 ``transform_kernel_basis_int`` is the integer kernel read off a second
-product U A, before it was the rows of U from the rank on.  They stay here
-as the differential oracles.
+product U A, before it was the rows of U from the rank on.
+``hnf_orbit_mismatch`` is the cyclic-orbit test that built the orbit of
+xi_{P0} and took the HNF rank of its alpha_p rows, before the span was
+decided on the conjugate pairs of primes.  They stay here as the
+differential oracles.
 """
 
 import math
@@ -58,10 +61,10 @@ from pweil.arith import (BallComplex, BallReal, BranchCutHit, GaloisRing, NotAUn
 from pweil.cyclo import cyclotomic_polynomial, norm
 from pweil.regulators import GrossMatrix, _padic_rank, gross_row
 from pweil.lattice import (BoundTooLarge, DependentRows, RelationCertificate, _canonical_sign,
-                           _dot, _hnf_with_transform, gs_norms, lll, short_vectors)
+                           _dot, _hnf_with_transform, gs_norms, lll, row_hnf, short_vectors)
 from pweil.splitting import ord_at
 from pweil.weilgroup import (EnumerationBudgetExceeded, MinusPartViolation, _generator_key,
-                             _iroot_ceil, ideal_basis, trace_gram)
+                             _iroot_ceil, alpha_p_map, ideal_basis, trace_gram)
 
 
 def bareiss_det(rows):
@@ -842,7 +845,7 @@ def ring_padic_log(u):
     if not any(c % p for c in u.coeffs):
         raise NotAUnit("padic_log requires a unit")
     e_kill = p ** f - 1
-    x = ring.power(u, e_kill) - ring.one()
+    x = u ** e_kill - ring.one()
     if not any(x.coeffs):
         return ring.from_int(0)
     m_max = 1
@@ -900,3 +903,25 @@ def transform_kernel_basis_int(rows):
     h_full = [[sum(u[i][k] * a[k][j] for k in range(m)) for j in range(ncols)]
               for i in range(m)]
     return [u[i] for i in range(m) if not any(h_full[i])]
+
+
+def hnf_orbit_mismatch(basis, a):
+    """Why sigma_a does not make the basis a closed cyclic orbit, or None:
+    the orbit of xi_{P0} applied |S| times for closure, then the HNF rank of
+    the alpha_p rows of its elements for the span."""
+    split = basis.split
+    m = len(split.S)
+    if m == 0:
+        return "empty basis"
+    sigma = split.field.aut(a)
+    xi0 = basis.xi[split.S[0]]
+    orbit = [xi0]
+    cur = xi0
+    for _ in range(m - 1):
+        cur = cur.apply(sigma)
+        orbit.append(cur)
+    if cur.apply(sigma) != xi0:
+        return "sigma^%d does not fix xi (the orbit does not close into a group)" % m
+    if row_hnf([alpha_p_map(e, split).coeffs for e in orbit])[1] != m:
+        return "conjugates do not span E_p(k) x Q"
+    return None

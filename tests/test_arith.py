@@ -5,6 +5,7 @@ import mpmath
 import pytest
 import sympy
 
+from pweil import arith
 from pweil.arith import (
     BallComplex,
     BallReal,
@@ -465,3 +466,31 @@ def test_prime_factors_and_its_callers_match_sympy():
     assert not is_prime(0) and not is_prime(-7)
     for p in sympy.primerange(3, 3000):
         assert _primitive_root(p) == sympy.primitive_root(p), p
+
+
+# psi_12 (strong pseudoprime to the 12 prime bases up to 37), psi_9 = psi_11
+# and Carmichael numbers, the composites Miller-Rabin is most easily fooled by
+HARD_COMPOSITES = (318665857834031151167461, 3825123056546413051, 561, 1105, 1729,
+                   2465, 2821, 6601, 8911, 41041, 825265, 321197185, 9746347772161)
+
+
+def test_is_prime_miller_rabin_matches_sympy():
+    rng = random.Random(17)
+    cases = [rng.randrange(2 ** rng.randint(2, 80)) for _ in range(3000)]
+    cases += [sympy.nextprime(rng.randrange(2 ** 79)) for _ in range(50)]
+    cases += [sympy.nextprime(rng.randrange(2 ** 39)) * sympy.nextprime(rng.randrange(2 ** 39))
+              for _ in range(50)]
+    cases += HARD_COMPOSITES
+    for n in cases:
+        assert is_prime(n) == sympy.isprime(n), n
+    assert not any(is_prime(n) for n in HARD_COMPOSITES)
+
+
+def test_is_prime_trial_division_branch_matches_sympy(monkeypatch):
+    # at or above MR_BOUND the answer comes from trial division
+    monkeypatch.setattr(arith, "MR_BOUND", 2)
+    rng = random.Random(18)
+    cases = list(range(-3, 3000)) + [rng.randrange(10 ** 9) for _ in range(200)]
+    cases += [c for c in HARD_COMPOSITES if c < 10 ** 13] + [999999937, 10 ** 9 + 7]
+    for n in cases:
+        assert is_prime(n) == sympy.isprime(n), n

@@ -48,6 +48,16 @@ def test_analyze_5_19_rank_zero(capsys):
     assert rep["argument_independence"] is None
 
 
+def test_analyze_a_17_digit_prime(capsys):
+    # primality is Miller-Rabin below 3.3e24, not trial division to 10^8
+    code, out, _ = run_cli(
+        capsys, "analyze", "--n", "4", "--p", "10000000000000061", "--format", "json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["ok"] is True
+    assert rep["weil_basis"]["rank"] == 1
+
+
 def test_analyze_ramified_is_config_error(capsys):
     code, _, err = run_cli(capsys, "analyze", "--n", "5", "--p", "5")
     assert code == 2

@@ -7,11 +7,11 @@ import pytest
 from pweil.arith import BallReal
 from pweil.cyclo import CycloField, embed
 from pweil.lattice import find_simultaneous_relation
-from pweil.splitting import split_prime
+from pweil.splitting import ord_at, split_prime
 from pweil.weilgroup import build_weil_basis, jacobi_weil_number
-from oracles import (fraction_certified_arg, gross_row_full_norm, per_row_gross_matrix,
-                     powering_circulant_group_delta)
-from pweil import regulators
+from oracles import (fraction_certified_arg, gross_row_full_norm, hnf_orbit_mismatch,
+                     per_row_gross_matrix, powering_circulant_group_delta)
+from pweil import regulators, weilgroup
 from pweil.regulators import (
     BasisMismatch,
     arg_vector,
@@ -295,6 +295,47 @@ def test_find_abelian_generator_none_for_zeta5_11(basis_5_11):
     # (Z/5)* is cyclic of order 4: conjugation has no complement, and no
     # cyclic orbit of length 2 closes on the basis
     assert find_abelian_generator(basis_5_11) is None
+
+
+def test_orbit_test_on_primes_matches_the_hnf_oracle(grid):
+    # every unit a of every grid cell with S nonempty: the same verdict and
+    # message as the orbit's alpha_p rows and HNF rank, and the same
+    # generator as a search with that oracle
+    pairs = 0
+    for _field, sp, basis in grid[0].values():
+        if basis is None:
+            continue
+        want = [hnf_orbit_mismatch(basis, a) for a in sp.field.units]
+        assert [regulators._orbit_mismatch(basis, a) for a in sp.field.units] == want, sp
+        first = next((a for a, reason in zip(sp.field.units, want) if reason is None), None)
+        aut = find_abelian_generator(basis)
+        assert (aut.a if aut else None) == first, sp
+        pairs += len(want)
+    assert pairs == 888
+
+
+def test_orbit_test_computes_no_valuation(monkeypatch):
+    # the orbit is decided on the primes: no ord_at, directly or through
+    # alpha_p_map, in the generator search or the group determinant
+    bases = [build_weil_basis(split_prime(CycloField(n), p)) for n, p in [(8, 17), (5, 11)]]
+    calls = []
+
+    def counting(prime, x):
+        calls.append(prime)
+        return ord_at(prime, x)
+
+    monkeypatch.setattr(regulators, "ord_at", counting)
+    monkeypatch.setattr(weilgroup, "ord_at", counting)
+    dets = 0
+    for basis in bases:
+        find_abelian_generator(basis)
+        for a in basis.split.field.units:
+            try:
+                group_determinant(basis, a, 128)
+                dets += 1
+            except BasisMismatch:
+                pass
+    assert dets > 0 and calls == []
 
 
 def test_argument_matrix_determinant_nonzero(basis_5_11):

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from pweil import splitting
 from pweil.arith import GaloisRing
 from pweil.cyclo import CycloField, cyclotomic_polynomial, norm
 from pweil.splitting import (
@@ -203,7 +204,7 @@ def test_deeper_precision_is_consistent(k5):
 
 
 @pytest.mark.parametrize("n, p", [(5, 11), (13, 3)])
-def test_ord_at_escalates_past_the_start_precision_up_to_the_cap(n, p):
+def test_ord_at_escalates_past_the_start_precision_up_to_the_cap(n, p, monkeypatch):
     # at K = 3 the image of h_P(zeta)^7, of valuation >= 7 = 2K + 1 at P,
     # vanishes mod p^3 and mod p^6, so ord_at doubles the precision at least
     # twice; it agrees with a K = 50 split at every prime, succeeds with the
@@ -219,9 +220,12 @@ def test_ord_at_escalates_past_the_start_precision_up_to_the_cap(n, p):
         while needed <= want[pr.index]:
             needed *= 2
         assert needed >= 12
-        assert ord_at(pr, x, max_precision=needed) == want[pr.index]
-        with pytest.raises(ArithmeticError):
-            ord_at(pr, x, max_precision=needed - 1)
+        with monkeypatch.context() as mp:
+            mp.setattr(splitting, "ORD_PRECISION_CAP", needed)
+            assert ord_at(pr, x) == want[pr.index]
+            mp.setattr(splitting, "ORD_PRECISION_CAP", needed - 1)
+            with pytest.raises(ArithmeticError):
+                ord_at(pr, x)
 
 
 @pytest.mark.parametrize("n, p", [(13, 79), (8, 3), (13, 3)])
