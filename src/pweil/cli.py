@@ -94,14 +94,18 @@ def _cache_path(cache_dir: str, key_obj: dict) -> str:
 
 def _cache_get(cache_dir: Optional[str], key_obj: dict, fields: frozenset) -> Optional[dict]:
     """The cached entry, or None for a miss (rewritten by _cache_put): no file,
-    a JSON or UTF-8 decode error, or not a dict with ``fields`` and the key's n, p."""
+    a JSON or UTF-8 decode error, not a dict with ``fields`` and the key's n, p,
+    or, after a warning on stderr, an entry that cannot be read (an OSError)."""
     path = _cache_path(cache_dir, key_obj) if cache_dir else None
     if path and os.path.exists(path):
-        with open(path) as fh:
-            try:
+        try:
+            with open(path) as fh:
                 entry = json.load(fh)
-            except ValueError:
-                return None
+        except ValueError:
+            return None
+        except OSError as exc:
+            sys.stderr.write("warning: cache entry not read: %s\n" % exc)
+            return None
         cell = entry.get("config", entry) if isinstance(entry, dict) else None  # analyze: in config
         if isinstance(cell, dict) and fields <= entry.keys() \
                 and (cell.get("n"), cell.get("p")) == (key_obj["n"], key_obj["p"]):
@@ -140,7 +144,7 @@ def analyze_report(n: int, p: int, cfg: RunConfig) -> dict:
     split = split_prime(field, p, cfg.padic_prec)
     basis = build_weil_basis(split)
     report: dict = {
-        "schema": "pweil-analyze/4",
+        "schema": "pweil-analyze/5",
         "config": {
             "n": n, "p": p, "precision": cfg.precision, "bound": cfg.bound,
             "padic_prec": cfg.padic_prec, "version": __version__,
@@ -368,7 +372,7 @@ def cmd_appendix(args, cfg: RunConfig) -> int:
     rep_obj = weil_angle_identity(lam, split, basis,
                                   den_bound=args.den_bound, precision=cfg.precision)
     report = {
-        "schema": "pweil-appendix/4",
+        "schema": "pweil-appendix/5",
         "config": {"n": args.n, "p": args.p, "chars": [a, b],
                    "den_bound": args.den_bound, "precision": cfg.precision,
                    "version": __version__},

@@ -412,16 +412,26 @@ def is_root_of_unity(x: CycloElt) -> Optional[int]:
 
     Decided exactly by lookup: mu(k) is cyclic of order w = lcm(2, n),
     generated by g = -zeta for odd n and g = zeta for even n, and
-    ``_torsion_orders(n)`` holds each g^k with its order w / gcd(k, w).
+    ``_torsion_exponents(n)`` holds each g^k with its exponent k, so the
+    order is w / gcd(k, w).
     """
+    k = torsion_exponent(x)
+    if k is None:
+        return None
+    w = x.field.torsion_order()
+    return w // gcd(k, w)
+
+
+def torsion_exponent(x: CycloElt) -> Optional[int]:
+    """The k in [0, w) with x = g^k (g and w as in ``is_root_of_unity``),
+    or None when x is not a root of unity."""
     if x.is_zero():
         raise ZeroDivisionError("zero is not a root of unity candidate")
-    return _torsion_orders(x.field.n).get(x)
+    return _torsion_exponents(x.field.n).get(x)
 
 
 @lru_cache(maxsize=None)
-def _torsion_orders(n: int) -> dict[CycloElt, int]:
+def _torsion_exponents(n: int) -> dict[CycloElt, int]:
     field = CycloField(n)
-    w = field.torsion_order()
     g = -field.zeta() if n % 2 else field.zeta()
-    return {g ** k: w // gcd(k, w) for k in range(w)}
+    return {g ** k: k for k in range(field.torsion_order())}

@@ -9,8 +9,8 @@ below the stated bound exists at the stated precision.
 
 One Gram-Schmidt code serves the layer: the fraction-free integers d_i and
 lambda_ij of ``_gs_row`` (de Weger 1987; Cohen, Alg. 2.6.7), which LLL
-updates in place and hands to the enumeration, and ``gs_norms`` reads
-through ``_gs_data``.
+updates in place and hands to the enumeration and the relation search, and
+``gs_norms`` reads through ``_gs_data``.
 """
 
 from __future__ import annotations
@@ -138,7 +138,10 @@ def _gs_row(b, k: int, lam, d, gram):
             d[k + 1] = u
 
 
-def lll(rows: Sequence[Sequence[int]], delta: Fraction = Fraction(3, 4),
+LLL_DELTA = Fraction(3, 4)
+
+
+def lll(rows: Sequence[Sequence[int]], delta: Fraction = LLL_DELTA,
         gram: Optional[Sequence[Sequence[int]]] = None) -> list[list[int]]:
     """delta-LLL-reduced basis of the lattice spanned by the rows.
 
@@ -246,9 +249,11 @@ def short_vectors(basis: Sequence[Sequence[int]], bound,
     t_i = d_{i+1} x_i + sum_{j>i} lambda_ji x_j.  Scaled by S, the lcm of the
     d_i d_{i+1} times the denominator of the bound, every term, partial sum
     and remaining budget is an int, and the range of each x_i is cut exactly
-    by an integer square root: every x_i in it is a node.
+    by an integer square root: every x_i in it is a node.  The center sums
+    sum_{j>i} lambda_ji x_j are kept per level and refreshed only from the
+    highest x_j that changed since the level was last entered.
     """
-    reduced, lam, d = _lll(basis, Fraction(3, 4), gram)
+    reduced, lam, d = _lll(basis, LLL_DELTA, gram)
     n = len(reduced)
     bound = Fraction(bound)
     lcm = math.lcm(*(d[i] * d[i + 1] for i in range(n)))
@@ -258,11 +263,21 @@ def short_vectors(basis: Sequence[Sequence[int]], bound,
 
     found: dict[tuple[int, ...], int] = {}  # coefficients up to sign -> scaled norm
     x = [0] * n
+    # part[i][j] = sum_{k >= j} lambda_ki x_k for j > i, so U_i = part[i][i + 1];
+    # entries j <= stale[i] of row i wait for a refresh (Schnorr-Euchner)
+    part = [[0] * (n + 1) for _ in range(n)]
+    stale = list(range(n))
     nodes = 0
 
     def recurse(i: int, remaining: int):
         nonlocal nodes
-        U = sum(lam[j][i] * x[j] for j in range(i + 1, n))
+        row = part[i]
+        for j in range(stale[i], i, -1):
+            row[j] = row[j + 1] + lam[j][i] * x[j]
+        if i:
+            stale[i - 1] = max(stale[i - 1], stale[i])
+        stale[i] = i
+        U = row[i + 1]
         di = d[i + 1]
         t_max = math.isqrt(remaining // weight[i])  # weight_i t^2 <= remaining
         lo, hi = -((U + t_max) // di), (t_max - U) // di
@@ -274,6 +289,8 @@ def short_vectors(basis: Sequence[Sequence[int]], bound,
             x[i] = xi
             rest = remaining - weight[i] * t * t
             if i:
+                if stale[i - 1] < i:
+                    stale[i - 1] = i
                 recurse(i - 1, rest)
             elif any(x):
                 found[_canonical_sign(tuple(x))] = full - rest
@@ -330,6 +347,24 @@ class RelationCertificate:
         }
 
 
+# log2 of the first scale of the relation search.  A true relation with small
+# coefficients is already a short vector of the lattice on entries of a few
+# bits, so this cheap reduction finds it; otherwise its unimodular transform
+# is where the reduction at 2^32 starts.
+PROBE_LOG2 = 4
+
+
+def _schedule(scale: int) -> list[int]:
+    """The scales s of the search lattices 2^s: the probe 2^PROBE_LOG2, then
+    2^32, 2^64, 2^128, ... below 2^scale, and 2^scale itself."""
+    out = [min(PROBE_LOG2, scale)]
+    s = 32
+    while out[-1] < scale:
+        out.append(min(s, scale))
+        s *= 2
+    return out
+
+
 def find_simultaneous_relation(vectors: Sequence[Sequence[BallReal]], modulus: BallReal,
                                bound: int, precision: Optional[int] = None) -> RelationCertificate:
     """Search for integers (c, k) with sum_i c_i a_i + modulus * k = 0 in R^d.
@@ -341,22 +376,29 @@ def find_simultaneous_relation(vectors: Sequence[Sequence[BallReal]], modulus: B
 
     The search lattice at scale 2^s has rows [e_i | round(2^s t_i)], with
     t_i the midpoints of a_i, or modulus * e_v.  It is reduced with gradually
-    fed scales (van Hoeij-Novocin): s = 32, 64, 128, ... below precision/2
-    and finally precision/2 itself.  The identity block of each reduced basis
-    is the accumulated unimodular transform U, and the next lattice is
+    fed scales (van Hoeij-Novocin): first a probe at s = PROBE_LOG2 (4), then
+    s = 32, 64, 128, ... below precision/2 and finally precision/2 itself
+    (``_schedule``).  The identity block of each reduced basis is the
+    accumulated unimodular transform U, and the next lattice is
     U [I | round(2^s' t)], a basis of exactly the lattice at scale 2^s'.
     All ball endpoints are ints over one 2^E, so the midpoints, radii and
     residuals are exact ints; ``Fraction`` appears only in the certificate.
 
     The search returns at the first scale that settles it.  A reduced row
     with coefficients <= bound whose residual enclosure contains 0 is
-    ``found``.  Otherwise, a true relation with coefficients <= bound gives
-    a lattice vector whose tail entries are at most
+    ``found``: the residual is taken on the full-precision enclosures at
+    every scale, so a relation found by the probe is as certain as one found
+    at 2^(precision/2), and a true relation with small coefficients (such as
+    a planted twin) is usually found there, after an LLL on entries of a few
+    bits.  Otherwise, a true relation with coefficients <= bound gives a
+    lattice vector whose tail entries are at most
     t(s) = (m + 1) bound (1/2 + 2^s r_max), so its squared norm is at most
     threshold_sq(s) = (m + d) bound^2 + d t(s)^2; since lambda_1^2 >=
     min ||b_i*||^2 for any basis, a minimum Gram-Schmidt norm above that
-    certifies ``none-up-to-bound`` at scale 2^s.  If the full scale settles
-    neither way, the search is inconclusive (``PrecisionTooLow``).
+    certifies ``none-up-to-bound`` at scale 2^s.  The norms are the
+    d_{i+1} / d_i that LLL leaves for its output, with no second pass.  If
+    the full scale settles neither way, the search is inconclusive
+    (``PrecisionTooLow``).
     """
     m = len(vectors)
     if m == 0:
@@ -382,15 +424,12 @@ def find_simultaneous_relation(vectors: Sequence[Sequence[BallReal]], modulus: B
 
     k_dim = m + d
     unimodular = [[int(i == j) for j in range(k_dim)] for i in range(k_dim)]
-    schedule = [min(32, scale)]
-    while schedule[-1] < scale:
-        schedule.append(min(2 * schedule[-1], scale))
-    for s in schedule:
+    for s in _schedule(scale):
         # round(2^s t) = floor((2^(s+1) T + 2^E) / 2^(E+1))
         scaled = [[((t << (s + 1)) + half) >> (E + 1) for t in row] for row in tails]
         rows = [u + [sum(c * tail[v] for c, tail in zip(u, scaled) if c) for v in range(d)]
                 for u in unimodular]
-        reduced = lll(rows)
+        reduced, _, gs = _lll(rows, LLL_DELTA, None)
         unimodular = [row[:k_dim] for row in reduced]
         t_bound = (m + 1) * bound * (Fraction(1, 2) + (1 << s) * r_max)
         threshold_sq = (m + d) * bound * bound + d * t_bound * t_bound
@@ -403,7 +442,7 @@ def find_simultaneous_relation(vectors: Sequence[Sequence[BallReal]], modulus: B
                     status="found", relation=_canonical_sign(tuple(row[:k_dim])),
                     sv_lower_bound_sq="", residual_bound=str(float(Fraction(residual, half))),
                     **settled)
-        min_gs = min(gs_norms(reduced))
+        min_gs = min(Fraction(gs[i + 1], gs[i]) for i in range(k_dim))  # ||b_i*||^2
         if min_gs > threshold_sq:
             return RelationCertificate(status="none-up-to-bound", relation=None,
                                        sv_lower_bound_sq=str(min_gs), **settled)

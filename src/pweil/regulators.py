@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .arith import (
@@ -34,7 +35,7 @@ from .arith import (
     rational_reconstruct,
     split_p,
 )
-from .cyclo import CycloElt, GaloisAut, _cos_sin, embed, is_root_of_unity
+from .cyclo import CycloElt, GaloisAut, _cos_sin, embed, is_root_of_unity, torsion_exponent
 from .lattice import RelationCertificate, find_simultaneous_relation, kernel_basis_int, row_hnf
 from .splitting import SplitData, ord_at
 from .weilgroup import WeilBasis
@@ -171,6 +172,19 @@ def argument_independence_certificate(
     element the question degenerates to "xi is not a root of unity", which
     is additionally decided exactly.
 
+    The arguments come from one Galois orbit, with d = |places| calls to
+    ``certified_arg`` in place of |S| d.  For P0 = S[0] they are the
+    principal theta_u = arg sigma_u(xi_{P0}), u in ``field.places``, and
+    theta_{n-u} = -theta_u (|xi_{P0}| = 1 and xi_{P0} != -1).  For P in S,
+    with a = min(coset of P) as in ``gross_matrix``, the torsion table gives
+    k exactly with zeta_P = xi_P sigma_a(xi_{P0})^c = g^k, so
+    arg sigma_v(xi_P) = theta_{va mod n} + k arg sigma_v(g), and
+    arg sigma_v(g) is 2 pi (n + 2v) / 2n for odd n and 2 pi v / n for even
+    n: a branch of the argument (the shift is taken mod 2 pi into
+    (-pi, pi]), which is all the relation search needs.  If the lookup
+    fails or a radius is not below 2^-(precision/2 + 1), the arguments of
+    that xi_P are computed directly.
+
     For the xi_P "none-up-to-bound" must hold, whatever the bound: integers
     c with sum_i c_i arg_v(xi_i) = 2 pi k_v at every infinite place v make
     prod xi_i^(c_i) an element of modulus 1 and argument 0 at every place,
@@ -182,18 +196,58 @@ def argument_independence_certificate(
     split = basis.split
     if not split.S:
         raise ValueError("empty basis: nothing to test")
-    vectors = []
-    for i, idx in enumerate(split.S):
-        av = arg_vector(basis.xi[idx], precision)
-        if offsets is not None:
-            av = av.with_offsets(offsets[i])
-        vectors.append(av.values)
+    vectors = _orbit_arguments(basis, precision)
+    if offsets is not None:
+        turn = BallReal.pi(precision) * 2  # as ArgVector.with_offsets
+        for i, offs in enumerate(offsets):
+            if len(offs) != len(vectors[i]):
+                raise ValueError("offset count != place count")
+            vectors[i] = tuple(x + turn * k if k else x for x, k in zip(vectors[i], offs))
     two_pi = BallReal.pi(precision + 32) * 2
     cert = find_simultaneous_relation(vectors, two_pi, bound, precision)
     rank_one: Optional[bool] = None
     if len(split.S) == 1:
         rank_one = is_root_of_unity(basis.xi[split.S[0]]) is None
     return IndependenceReport(cert, rank_one, precision, bound)
+
+
+def _orbit_arguments(basis: WeilBasis, precision: int) -> list[tuple[BallReal, ...]]:
+    """Arguments of the xi_P, P in S, at ``field.places``, read off the
+    certified arguments of xi_{P0} (see ``argument_independence_certificate``)."""
+    split = basis.split
+    field = split.field
+    n, w = field.n, field.torsion_order()
+    xi0 = basis.xi[split.S[0]]
+    theta = {}
+    for u, t in zip(field.places, arg_vector(xi0, precision).values):
+        theta[u], theta[n - u] = t, -t
+    target = precision // 2 + 1
+    vectors = []
+    for idx in split.S:
+        a = min(split.primes[idx].coset)
+        k = torsion_exponent(basis.xi[idx] * xi0.apply(field.aut(-a)))  # xi_P sigma_a(xi0)^c
+        if k is not None:
+            # k arg sigma_v(g) = 2 pi k j / w, j = v for even n and n + 2v for odd n
+            vec = tuple(_add_turns(theta[v * a % n], k * (v if n % 2 == 0 else n + 2 * v), w)
+                        for v in field.places)
+        if k is None or not all(x.radius_below(target) for x in vec):
+            vec = arg_vector(basis.xi[idx], precision).values
+        vectors.append(vec)
+    return vectors
+
+
+def _add_turns(t: BallReal, r: int, w: int) -> BallReal:
+    """t + 2 pi r / w, with r taken mod w into (-w/2, w/2]."""
+    r %= w
+    if 2 * r > w:
+        r -= w
+    return t + _turn(r, w, t.prec) if r else t
+
+
+@lru_cache(maxsize=None)
+def _turn(r: int, w: int, prec: int) -> BallReal:
+    """Enclosure of 2 pi r / w at working precision prec."""
+    return BallReal.pi(prec) * Fraction(2 * r, w)
 
 
 # ---------------------------------------------------------------------------

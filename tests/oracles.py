@@ -26,7 +26,8 @@ through every scale up to 2^(precision/2) and settled only there, before
 the search returned at the first scale that settles it, and
 ``fraction_relation`` is the search on ``Fraction`` midpoints and radii
 (``round_fraction`` the tail rounding), before they were ints over one
-common power of 2.
+common power of 2.  Both follow the current schedule (``relation_schedule``:
+a probe at 2^4, then 2^32, 2^64, ...).
 ``powering_is_root_of_unity`` is the torsion test that raised x to the
 torsion order w and then to each divisor of w, before torsion was a table
 lookup; ``inverse_pi_m_map`` is pi_M as the product of the x_P^(nu_P) over
@@ -427,6 +428,15 @@ def round_fraction(x):
     return math.floor(x + Fraction(1, 2))
 
 
+def relation_schedule(scale):
+    """The scales s of the relation search: a probe at 2^4, then 2^32,
+    2^64, ... below 2^scale, and 2^scale."""
+    out = [min(4, scale)]
+    while out[-1] < scale:
+        out.append(min(max(32, 2 * out[-1]), scale))
+    return out
+
+
 def fraction_relation(vectors, modulus, bound, precision=None):
     """``find_simultaneous_relation`` with ``Fraction`` midpoints and radii,
     the tail ``round_fraction(2^s t)`` and a ``Fraction`` residual."""
@@ -451,10 +461,7 @@ def fraction_relation(vectors, modulus, bound, precision=None):
 
     k_dim = m + d
     unimodular = [[int(i == j) for j in range(k_dim)] for i in range(k_dim)]
-    schedule = [min(32, scale)]
-    while schedule[-1] < scale:
-        schedule.append(min(2 * schedule[-1], scale))
-    for s in schedule:
+    for s in relation_schedule(scale):
         scaled = [[round_fraction(t * (1 << s)) for t in row] for row in tails]
         rows = [u + [sum(c * tail[v] for c, tail in zip(u, scaled) if c) for v in range(d)]
                 for u in unimodular]
@@ -511,10 +518,7 @@ def full_scale_relation(vectors, modulus, bound, precision=None):
 
     k_dim = m + d
     unimodular = [[int(i == j) for j in range(k_dim)] for i in range(k_dim)]
-    schedule = [min(32, scale)]
-    while schedule[-1] < scale:
-        schedule.append(min(2 * schedule[-1], scale))
-    for s in schedule:
+    for s in relation_schedule(scale):
         scaled = [[round_fraction(t * (1 << s)) for t in row] for row in tails]
         rows = [u + [sum(c * tail[v] for c, tail in zip(u, scaled) if c) for v in range(d)]
                 for u in unimodular]

@@ -1,5 +1,8 @@
+import importlib.util
 import math
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -556,11 +559,12 @@ def test_simultaneous_duplicate_found():
 
 
 def _schedule(precision):
-    # the scales s of the search lattices, 2^32, 2^64, ... up to 2^(precision/2)
+    # the scales s of the search lattices: the probe 2^4, then 2^32, 2^64, ...
+    # up to 2^(precision/2)
     scale = precision // 2
-    out = [min(32, scale)]
+    out = [min(4, scale)]
     while out[-1] < scale:
-        out.append(min(2 * out[-1], scale))
+        out.append(min(max(32, 2 * out[-1]), scale))
     return out
 
 
@@ -592,12 +596,14 @@ def _reductions(monkeypatch, vectors, modulus, bound, precision):
     # the certificate (None when inconclusive) and every reduced basis, in order
     calls = []
 
+    core = lattice._lll
+
     def recording_lll(rows, *args, **kwargs):
-        out = lll(rows, *args, **kwargs)
-        calls.append(out)
+        out = core(rows, *args, **kwargs)
+        calls.append(out[0])
         return out
 
-    monkeypatch.setattr(lattice, "lll", recording_lll)
+    monkeypatch.setattr(lattice, "_lll", recording_lll)
     try:
         cert = find_simultaneous_relation(vectors, modulus, bound, precision)
     except PrecisionTooLow:
@@ -650,10 +656,27 @@ def test_progressive_reduction_spans_the_lattice_at_the_settling_scale(monkeypat
             k_dim = len(vectors) + len(vectors[0])
             assert cert.relation in {_canonical_sign(tuple(row[:k_dim])) for row in calls[-1]}
         settled.add((cert.status, schedule.index(s) + 1, s == schedule[-1]))
-    # settled at the first, second, third and fourth scale, and at the full one
-    assert {pos for _, pos, _ in settled} == {1, 2, 3, 4}
-    assert ("none-up-to-bound", 3, True) in settled  # (13,79) at 10^9: 2^32, 2^64, 2^128
+    # settled at each of the first five scales, and at the full one
+    assert {pos for _, pos, _ in settled} == {1, 2, 3, 4, 5}
+    assert ("none-up-to-bound", 4, True) in settled  # (13,79) at 10^9: 2^4, ..., 2^128
     assert ("found", 1, False) in settled
+
+
+def test_relation_search_reads_the_gram_schmidt_norms_lll_leaves(monkeypatch):
+    # no second Gram-Schmidt pass and no call of the public lll: the search
+    # reads the d_i of the LLL core, and its bound is min d_{i+1} / d_i
+    def unused(*args, **kwargs):
+        raise AssertionError("second pass")
+
+    pi = BallReal.pi(256)
+    s2 = BallReal.from_int(2, 256).sqrt()
+    with monkeypatch.context() as mp:
+        mp.setattr(lattice, "gs_norms", unused)
+        mp.setattr(lattice, "lll", unused)
+        none = find_simultaneous_relation([[pi * s2, pi / 3]], pi, 10 ** 4)
+        found = find_simultaneous_relation([[pi * s2], [pi * s2 * 3]], pi, 10 ** 4)
+    assert none.status == "none-up-to-bound" and found.status == "found"
+    assert Fraction(none.sv_lower_bound_sq) > Fraction(none.threshold_sq)
 
 
 def _encloses_relation(vectors, modulus, relation):
@@ -696,7 +719,9 @@ def test_relation_search_matches_full_scale_oracle_on_the_grid(grid, bound):
                 full += 1
         cells += 1
     assert cells == 128
-    assert full == (0 if bound == 10 ** 4 else 5)
+    # at 10^9 four cells settle only at 2^128; (13,53) alone settles at 2^64,
+    # where the basis fed by the probe has the larger minimum Gram-Schmidt norm
+    assert full == (0 if bound == 10 ** 4 else 4)
 
 
 @pytest.mark.parametrize("precision", [256, 1024])
@@ -719,6 +744,54 @@ def test_relation_search_matches_fraction_oracle_on_the_grid(grid, precision):
             found += cert.status == "found"
         cells += 1
     assert cells == found == 128
+
+
+def _certify_inputs():
+    # the seeded cells and planted twins of the benchmark's certify workload
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("_certify_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # for the dataclasses it defines
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_certify_planted_twins_are_found_at_the_probe_scale(grid):
+    # the planted twins of certify seeds 0-9 at 1,024 bits (a basis argument
+    # vector shifted by 2 pi k, or scaled by q/s) give a relation that uses
+    # the twin, enclosed by the full-precision balls.  The probe 2^4 finds
+    # every shifted twin and 27 of the 30 twins; the other three are twins
+    # scaled by 11/2, 10/11 and 5/6, found at 2^32
+    inputs = _certify_inputs()
+    points, _ = grid
+    precision = 1024
+    two_pi = BallReal.pi(precision + 32) * 2
+    args = {}
+    at_scale = {lattice.PROBE_LOG2: 0, 32: 0}
+    for seed in range(10):
+        for cell in inputs.certify_cells(seed):
+            if (cell.n, cell.p) not in args:
+                basis = points[(cell.n, cell.p)][2]
+                args[(cell.n, cell.p)] = [arg_vector(basis.xi[idx], precision).values
+                                          for idx in basis.split.S]
+            values = args[(cell.n, cell.p)]
+            twin = cell.planted
+            base = values[twin.index]
+            if twin.kind == "shift":
+                vector = [x + two_pi * k for x, k in zip(base, twin.shifts)]
+            else:
+                vector = [x * Fraction(twin.q, twin.s) for x in base]
+            cert = find_simultaneous_relation(values + [vector], two_pi, 10 ** 4, precision)
+            assert cert.status == "found" and cert.relation[len(values)] != 0, (seed, cell)
+            assert _encloses_relation(values + [vector], two_pi, cert.relation), (seed, cell)
+            assert cert.scale_log2 in at_scale, (seed, cell)
+            if twin.kind == "shift":
+                assert cert.scale_log2 == lattice.PROBE_LOG2, (seed, cell)
+            at_scale[cert.scale_log2] += 1
+    assert at_scale == {lattice.PROBE_LOG2: 27, 32: 3}
 
 
 def test_simultaneous_planted_relations_always_found():

@@ -5,7 +5,7 @@ import mpmath
 import pytest
 
 from pweil.arith import BallReal
-from pweil.cyclo import CycloField, embed
+from pweil.cyclo import CycloField, embed, torsion_exponent
 from pweil.lattice import find_simultaneous_relation
 from pweil.splitting import ord_at, split_prime
 from pweil.weilgroup import build_weil_basis, jacobi_weil_number
@@ -289,6 +289,100 @@ def test_certified_arg_needs_one_embedding_on_the_grid(grid, monkeypatch):
                 assert val.lower <= want - eps and want + eps <= val.upper, (n, p, v)
                 checked += 1
     assert checked > 1200
+
+
+def test_orbit_arguments_match_the_direct_arguments(grid):
+    # the certificate's arguments, read off the orbit of xi_{P0}: every ball
+    # meets the direct certified_arg ball of xi_P at its place up to a
+    # multiple of 2 pi and has radius below 2^-(precision/2 + 1), and
+    # xi_P = zeta_P sigma_a(xi_{P0}) exactly, zeta_P = g^k from the torsion
+    # table; every grid basis at 256 bits, the analyze-hard and certify cells
+    # at 1,024; zeta_P != 1 for 63 of the 208 primes of S on the grid
+    points, _ = grid
+    runs = [(256, [c for c, (_, _, b) in sorted(points.items()) if b is not None]),
+            (1024, HARD_AND_CERTIFY_CELLS)]
+    twisted = []
+    for precision, cells in runs:
+        two_pi = BallReal.pi(precision + 32) * 2
+        for n, p in cells:
+            basis = points[(n, p)][2]
+            split, field = basis.split, basis.split.field
+            g = -field.zeta() if n % 2 else field.zeta()
+            xi0 = basis.xi[split.S[0]]
+            vectors = regulators._orbit_arguments(basis, precision)
+            assert len(vectors) == len(split.S)
+            for idx, vec in zip(split.S, vectors):
+                moved = xi0.apply(field.aut(min(split.primes[idx].coset)))
+                k = torsion_exponent(basis.xi[idx] * moved.conj())
+                assert basis.xi[idx] == g ** k * moved, (n, p, idx)
+                if precision == 256:
+                    twisted.append(k != 0)
+                assert len(vec) == len(field.places)
+                for v, ball in zip(field.places, vec):
+                    assert ball.radius_below(precision // 2 + 1), (n, p, idx, v)
+                    diff = ball - certified_arg(basis.xi[idx], v, precision)
+                    m = round(diff.midpoint / two_pi.midpoint)
+                    assert (diff - two_pi * m).contains_zero(), (n, p, idx, v)
+    assert (len(twisted), sum(twisted)) == (208, 63)
+
+
+def test_certificate_takes_one_orbit_of_certified_arguments(grid, monkeypatch):
+    # |places| certified_arg calls per certificate, not |S| |places|; on the
+    # 128 grid cells at 256 bits and B = 10^4 every certificate is
+    # none-up-to-bound at 2^32, as the search on the direct arguments is
+    calls = []
+    real_certified_arg = regulators.certified_arg
+
+    def counting_certified_arg(x, place, precision):
+        calls.append(place)
+        return real_certified_arg(x, place, precision)
+
+    monkeypatch.setattr(regulators, "certified_arg", counting_certified_arg)
+    points, _ = grid
+    two_pi = BallReal.pi(256 + 32) * 2
+    cells = 0
+    for (n, p), (field, split, basis) in sorted(points.items()):
+        if basis is None:
+            continue
+        calls.clear()
+        cert = argument_independence_certificate(basis, 10 ** 4, 256).certificate
+        assert calls == list(field.places), (n, p)
+        assert (cert.status, cert.scale_log2) == ("none-up-to-bound", 32), (n, p)
+        direct = [arg_vector(basis.xi[idx], 256).values for idx in split.S]
+        want = find_simultaneous_relation(direct, two_pi, 10 ** 4, 256)
+        assert (want.status, want.scale_log2) == (cert.status, cert.scale_log2), (n, p)
+        cells += 1
+    assert cells == 128
+
+
+def test_orbit_arguments_fall_back_to_direct_arguments(grid, monkeypatch):
+    # a failed torsion lookup, or a shifted ball that is too wide, gives the
+    # direct arguments of that xi_P, ball for ball
+    points, _ = grid
+    replaced = 0
+    for n, p in ((5, 11), (13, 79), (16, 17), (20, 41)):
+        basis = points[(n, p)][2]
+        split, field = basis.split, basis.split.field
+        direct = [arg_vector(basis.xi[idx], 256).values for idx in split.S]
+        orbit = regulators._orbit_arguments(basis, 256)
+        with monkeypatch.context() as mp:
+            mp.setattr(regulators, "torsion_exponent", lambda x: None)
+            assert _ends(regulators._orbit_arguments(basis, 256)) == _ends(direct)
+        with monkeypatch.context() as mp:
+            mp.setattr(regulators, "_turn", lambda r, w, prec: BallReal.from_endpoints(-1, 1, prec))
+            wide = regulators._orbit_arguments(basis, 256)
+        for idx, vec, d_vec, o_vec in zip(split.S, wide, direct, orbit):
+            moved = basis.xi[split.S[0]].apply(field.aut(min(split.primes[idx].coset)))
+            shifted = torsion_exponent(basis.xi[idx] * moved.conj()) != 0
+            assert _ends(vec) == _ends(d_vec if shifted else o_vec), (n, p, idx)
+            replaced += shifted
+    assert replaced > 0
+
+
+def _ends(balls):
+    if balls and isinstance(balls[0], tuple):
+        return [_ends(vec) for vec in balls]
+    return [(x.lower, x.upper) for x in balls]
 
 
 def test_find_abelian_generator_none_for_zeta5_11(basis_5_11):
