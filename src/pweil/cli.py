@@ -144,7 +144,7 @@ def analyze_report(n: int, p: int, cfg: RunConfig) -> dict:
     split = split_prime(field, p, cfg.padic_prec)
     basis = build_weil_basis(split)
     report: dict = {
-        "schema": "pweil-analyze/5",
+        "schema": "pweil-analyze/6",
         "config": {
             "n": n, "p": p, "precision": cfg.precision, "bound": cfg.bound,
             "padic_prec": cfg.padic_prec, "version": __version__,
@@ -372,7 +372,7 @@ def cmd_appendix(args, cfg: RunConfig) -> int:
     rep_obj = weil_angle_identity(lam, split, basis,
                                   den_bound=args.den_bound, precision=cfg.precision)
     report = {
-        "schema": "pweil-appendix/5",
+        "schema": "pweil-appendix/6",
         "config": {"n": args.n, "p": args.p, "chars": [a, b],
                    "den_bound": args.den_bound, "precision": cfg.precision,
                    "version": __version__},

@@ -415,19 +415,13 @@ def is_root_of_unity(x: CycloElt) -> Optional[int]:
     ``_torsion_exponents(n)`` holds each g^k with its exponent k, so the
     order is w / gcd(k, w).
     """
-    k = torsion_exponent(x)
+    if x.is_zero():
+        raise ZeroDivisionError("zero is not a root of unity candidate")
+    k = _torsion_exponents(x.field.n).get(x)
     if k is None:
         return None
     w = x.field.torsion_order()
     return w // gcd(k, w)
-
-
-def torsion_exponent(x: CycloElt) -> Optional[int]:
-    """The k in [0, w) with x = g^k (g and w as in ``is_root_of_unity``),
-    or None when x is not a root of unity."""
-    if x.is_zero():
-        raise ZeroDivisionError("zero is not a root of unity candidate")
-    return _torsion_exponents(x.field.n).get(x)
 
 
 @lru_cache(maxsize=None)

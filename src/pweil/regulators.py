@@ -1,7 +1,8 @@
 """Argument and p-adic regulators of E_p(k), with certified enclosures.
 
-* argument vectors of basis elements at the infinite places, with explicit
-  branch offsets;
+* argument vectors of basis elements at the infinite places; the basis is
+  the Galois orbit of xi_{P0}, so its arguments are those of xi_{P0} at
+  permuted places;
 * bounded search for simultaneous rational relations among those vectors
   modulo 2 pi (a "none" outcome is a certificate at the stated bound and
   precision, never a proof of independence);
@@ -18,10 +19,8 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .arith import (
@@ -35,14 +34,14 @@ from .arith import (
     rational_reconstruct,
     split_p,
 )
-from .cyclo import CycloElt, GaloisAut, _cos_sin, embed, is_root_of_unity, torsion_exponent
+from .cyclo import CycloElt, GaloisAut, _cos_sin, embed, is_root_of_unity
 from .lattice import RelationCertificate, find_simultaneous_relation, kernel_basis_int, row_hnf
 from .splitting import SplitData, ord_at
 from .weilgroup import WeilBasis
 
 
 class BasisMismatch(Exception):
-    """The supplied automorphism does not turn the basis into a group orbit."""
+    """The basis is not the Galois orbit that a computation reads it as."""
 
 
 # ---------------------------------------------------------------------------
@@ -50,36 +49,13 @@ class BasisMismatch(Exception):
 
 @dataclass(frozen=True)
 class ArgVector:
-    """Branch-resolved arguments of sigma_v(xi) at every infinite place.
-
-    ``values[v]`` encloses a branch of arg(sigma_v(xi)): the principal value
-    plus 2 pi times the integer ``offsets[v]``.  Offsets model the choice of
-    lifting and are freely adjustable after the fact.
-    """
+    """Principal arguments of sigma_v(xi) at every infinite place:
+    ``values[i]`` encloses arg sigma_v(xi) for v = ``places[i]``."""
 
     xi: CycloElt
     places: tuple[int, ...]
     values: tuple[BallReal, ...]
-    offsets: tuple[int, ...]
     precision: int
-
-    def with_offsets(self, offsets: Sequence[int]) -> "ArgVector":
-        if len(offsets) != len(self.places):
-            raise ValueError("offset count != place count")
-        two_pi = BallReal.pi(self.precision) * 2
-        vals = []
-        for v, k_new in enumerate(offsets):
-            delta = k_new - self.offsets[v]
-            vals.append(self.values[v] + two_pi * delta if delta else self.values[v])
-        return ArgVector(self.xi, self.places, tuple(vals), tuple(offsets), self.precision)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "places": list(self.places),
-            "values": [v.to_str(25) for v in self.values],
-            "offsets": list(self.offsets),
-            "precision": self.precision,
-        }
 
 
 # Guard bits of certified_arg above precision // 2.  An argument ball at wp
@@ -127,7 +103,7 @@ def arg_vector(xi: CycloElt, precision: int = 128) -> ArgVector:
         raise ValueError("argument vectors require x x^c = 1 (modulus one everywhere)")
     places = xi.field.places
     values = tuple(certified_arg(xi, v, precision) for v in places)
-    return ArgVector(xi, places, values, (0,) * len(places), precision)
+    return ArgVector(xi, places, values, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -172,18 +148,12 @@ def argument_independence_certificate(
     element the question degenerates to "xi is not a root of unity", which
     is additionally decided exactly.
 
-    The arguments come from one Galois orbit, with d = |places| calls to
-    ``certified_arg`` in place of |S| d.  For P0 = S[0] they are the
-    principal theta_u = arg sigma_u(xi_{P0}), u in ``field.places``, and
-    theta_{n-u} = -theta_u (|xi_{P0}| = 1 and xi_{P0} != -1).  For P in S,
-    with a = min(coset of P) as in ``gross_matrix``, the torsion table gives
-    k exactly with zeta_P = xi_P sigma_a(xi_{P0})^c = g^k, so
-    arg sigma_v(xi_P) = theta_{va mod n} + k arg sigma_v(g), and
-    arg sigma_v(g) is 2 pi (n + 2v) / 2n for odd n and 2 pi v / n for even
-    n: a branch of the argument (the shift is taken mod 2 pi into
-    (-pi, pi]), which is all the relation search needs.  If the lookup
-    fails or a radius is not below 2^-(precision/2 + 1), the arguments of
-    that xi_P are computed directly.
+    The basis is the orbit of xi_{P0}, P0 = S[0]: xi_P = sigma_a(xi_{P0})
+    with a = min(coset of P), checked exactly, so its arguments take
+    d = |places| calls to ``certified_arg`` in place of |S| d.  They are
+    the principal theta_u = arg sigma_u(xi_{P0}), u in ``field.places``,
+    and theta_{n-u} = -theta_u (|xi_{P0}| = 1 and xi_{P0} != -1); then
+    arg sigma_v(xi_P) = theta_{va mod n}, each a ``certified_arg`` ball.
 
     For the xi_P "none-up-to-bound" must hold, whatever the bound: integers
     c with sum_i c_i arg_v(xi_i) = 2 pi k_v at every infinite place v make
@@ -198,7 +168,7 @@ def argument_independence_certificate(
         raise ValueError("empty basis: nothing to test")
     vectors = _orbit_arguments(basis, precision)
     if offsets is not None:
-        turn = BallReal.pi(precision) * 2  # as ArgVector.with_offsets
+        turn = BallReal.pi(precision) * 2  # adds offsets[i][v] whole turns to arg sigma_v(xi_i)
         for i, offs in enumerate(offsets):
             if len(offs) != len(vectors[i]):
                 raise ValueError("offset count != place count")
@@ -216,38 +186,28 @@ def _orbit_arguments(basis: WeilBasis, precision: int) -> list[tuple[BallReal, .
     certified arguments of xi_{P0} (see ``argument_independence_certificate``)."""
     split = basis.split
     field = split.field
-    n, w = field.n, field.torsion_order()
-    xi0 = basis.xi[split.S[0]]
+    n = field.n
+    transporters = _orbit_transporters(basis)
     theta = {}
-    for u, t in zip(field.places, arg_vector(xi0, precision).values):
+    for u, t in zip(field.places, arg_vector(basis.xi[split.S[0]], precision).values):
         theta[u], theta[n - u] = t, -t
-    target = precision // 2 + 1
-    vectors = []
+    return [tuple(theta[v * a % n] for v in field.places) for a in transporters]
+
+
+def _orbit_transporters(basis: WeilBasis) -> list[int]:
+    """a = min(coset of P) for each P in S, so that P = sigma_a(P0) (P0 =
+    S[0] has 1 in its coset), after checking xi_P = sigma_a(xi_{P0})
+    exactly, as ``build_weil_basis`` builds it; raises BasisMismatch on a
+    basis built otherwise."""
+    split = basis.split
+    out = []
     for idx in split.S:
         a = min(split.primes[idx].coset)
-        k = torsion_exponent(basis.xi[idx] * xi0.apply(field.aut(-a)))  # xi_P sigma_a(xi0)^c
-        if k is not None:
-            # k arg sigma_v(g) = 2 pi k j / w, j = v for even n and n + 2v for odd n
-            vec = tuple(_add_turns(theta[v * a % n], k * (v if n % 2 == 0 else n + 2 * v), w)
-                        for v in field.places)
-        if k is None or not all(x.radius_below(target) for x in vec):
-            vec = arg_vector(basis.xi[idx], precision).values
-        vectors.append(vec)
-    return vectors
-
-
-def _add_turns(t: BallReal, r: int, w: int) -> BallReal:
-    """t + 2 pi r / w, with r taken mod w into (-w/2, w/2]."""
-    r %= w
-    if 2 * r > w:
-        r -= w
-    return t + _turn(r, w, t.prec) if r else t
-
-
-@lru_cache(maxsize=None)
-def _turn(r: int, w: int, prec: int) -> BallReal:
-    """Enclosure of 2 pi r / w at working precision prec."""
-    return BallReal.pi(prec) * Fraction(2 * r, w)
+        if basis.xi[idx] != basis.xi[split.S[0]].apply(split.field.aut(a)):
+            raise BasisMismatch("xi_%s is not sigma_%d(xi_%s)"
+                                % (split.primes[idx].label, a, split.primes[split.S[0]].label))
+        out.append(a)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +232,6 @@ class GroupDetReport:
             "delta_factored": self.delta_factored.to_str(25),
             "nonzero": self.nonzero,
             "precision": self.precision,
-            "offsets": [0] * self.size,
         }
 
 
@@ -345,7 +304,7 @@ def group_determinant(basis: WeilBasis, sigma, precision: int = 256) -> GroupDet
 
     Entry (r, c) of the underlying matrix is the principal argument of
     sigma^(c-r)(xi) under the fixed embedding, so the matrix is the
-    circulant of the orbit's argument values (branch offsets all 0).  The
+    circulant of the orbit's principal argument values.  The
     enclosure of |det| and of the character-product factorization are both
     returned with a nonzero flag.
     """
@@ -447,21 +406,16 @@ def gross_matrix(basis: WeilBasis, split: SplitData, K: int = 50) -> GrossMatrix
     """The regulator matrix of the basis with heuristic p-adic rank.
 
     Only the row of xi_{P0}, P0 = S[0], is computed.  For P = sigma_a(P0)
-    in S (a = min coset of P, as 1 lies in the coset of P0),
-    xi_P / sigma_a(xi_{P0}) is asserted to be a root of unity (log_p of its
-    local norms is 0) and |sigma_a x|_{sigma_a Q} = |x|_Q, so the row of
-    xi_P is that row permuted: its entry at Q is row0[sigma_a^-1 Q], and the
-    matrix precision is that of row 0 (K when S is empty).
+    in S, xi_P = sigma_a(xi_{P0}) is checked exactly (``_orbit_transporters``)
+    and |sigma_a x|_{sigma_a Q} = |x|_Q, so the row of xi_P is that row
+    permuted: its entry at Q is row0[sigma_a^-1 Q], and the matrix precision
+    is that of row 0 (K when S is empty).
     """
-    field, S, p = split.field, split.S, split.p
+    S, p = split.S, split.p
     row0, prec = gross_row(basis.xi[S[0]], split, K) if S else ([], K)
     rows = []
-    for idx in S:
-        a = min(split.primes[idx].coset)
-        moved = basis.xi[S[0]].apply(field.aut(a))
-        assert is_root_of_unity(basis.xi[idx] * moved.conj()) is not None, \
-            "xi_P is not sigma_a(xi_P0) up to a root of unity"
-        a_inv = pow(a, -1, field.n)
+    for a in _orbit_transporters(basis):
+        a_inv = pow(a, -1, split.field.n)
         rows.append(tuple(row0[split.act_index(a_inv, j)] for j in range(split.g)))
 
     min_val = prec
@@ -549,14 +503,12 @@ class ClosureReport:
         }
 
 
-def epsilon_vector(split: SplitData, i: int, j: int,
-                   place_auts: Optional[Sequence[int]] = None) -> tuple[int, ...]:
+def epsilon_vector(split: SplitData, i: int, j: int) -> tuple[int, ...]:
     """eps_{P_i, P_j}: for each infinite place v, +1 if sigma_v P_i = P_j,
     -1 if sigma_v P_i = P_j^c, else 0."""
-    places = tuple(place_auts) if place_auts is not None else split.field.places
     jc = split.conj_index(j)
     out = []
-    for a_v in places:
+    for a_v in split.field.places:
         img = split.act_index(a_v, i)
         if img == j:
             out.append(1)
@@ -567,17 +519,14 @@ def epsilon_vector(split: SplitData, i: int, j: int,
     return tuple(out)
 
 
-def closure_dimension(split: SplitData,
-                      s_indices: Optional[Sequence[int]] = None,
-                      place_auts: Optional[Sequence[int]] = None) -> ClosureReport:
+def closure_dimension(split: SplitData) -> ClosureReport:
     """Exact dimension of the closure of the argument image in the torus."""
     r2 = len(split.field.places)
-    s = list(s_indices) if s_indices is not None else list(split.S)
     eps = {}
-    for i in s:
-        for j in s:
+    for i in split.S:
+        for j in split.S:
             key = "%s,%s" % (split.primes[i].label, split.primes[j].label)
-            eps[key] = epsilon_vector(split, i, j, place_auts)
+            eps[key] = epsilon_vector(split, i, j)
     vectors = list(eps.values())
     if not vectors:
         dim = 0

@@ -4,8 +4,8 @@ Membership, the valuation map alpha into the minus part of the divisor
 group at p, the section pi built from generators x_P of the principal
 powers P^(M/f), the basis xi_P = x_P^c / x_P, and Jacobi sums as explicit
 weight-1 Weil numbers.  One ideal-lattice search per (n, p) finds the
-generator at one prime; the Galois group carries its candidates to the
-generators at the other primes, the same elements a search there picks.
+generator x_{P0} at one prime; the Galois group is transitive on the primes
+above p, so the basis is the Galois orbit of x_{P0}: x_P = sigma_a(x_{P0}).
 
 The composition alpha o pi is multiplication by -M; pi o alpha is
 x -> x^(-M) up to roots of unity.  Both identities are verified exactly.
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arith import prime_factors, split_p
-from .cyclo import CycloElt, CycloField, GaloisAut, is_root_of_unity, norm, ramanujan_sum
-from .lattice import BoundTooLarge, _canonical_sign, row_hnf, short_vectors
+from .cyclo import CycloElt, CycloField, is_root_of_unity, norm, ramanujan_sum
+from .lattice import BoundTooLarge, row_hnf, short_vectors
 from .splitting import PrimeAbove, SplitData, is_prime, ord_at
 
 
@@ -163,8 +163,7 @@ MAX_DOUBLINGS = 6
 H_CAP = 12
 
 
-def find_generator(prime: PrimeAbove, power: int,
-                   candidates: Optional[list] = None) -> Optional[CycloElt]:
+def find_generator(prime: PrimeAbove, power: int) -> Optional[CycloElt]:
     """A generator of the ideal P^power, canonically normalized, or None.
 
     Enumerates the ideal lattice under the trace form Tr(x x^c) starting at
@@ -178,8 +177,7 @@ def find_generator(prime: PrimeAbove, power: int,
     nonzero coefficient positive (this prefers generators supported on low
     powers of zeta).  Returning None is evidence, not proof, that P^power is
     non-principal: the search radius covers 1.5 * 2^MAX_DOUBLINGS times the
-    minimum possible generator size.  A list passed as ``candidates``
-    receives every candidate of that radius (see ``transport_generator``).
+    minimum possible generator size.
     """
     field = prime.field
     if power == 0:
@@ -201,8 +199,6 @@ def find_generator(prime: PrimeAbove, power: int,
             if abs(norm(elt)) == n_target:
                 found.append(elt)
         if found:
-            if candidates is not None:
-                candidates.extend(found)
             return min(found, key=_generator_key)
         bound *= 2
     return None
@@ -211,16 +207,6 @@ def find_generator(prime: PrimeAbove, power: int,
 def _generator_key(x: CycloElt):
     rev = tuple(reversed(x.num))
     return (tuple(abs(c) for c in rev), rev)
-
-
-def transport_generator(candidates: list, aut: GaloisAut) -> CycloElt:
-    """The generator ``find_generator`` returns at sigma(P) (sigma = ``aut``),
-    from its candidates at P.  sigma keeps the trace form, the norm and the
-    radius schedule, so it maps the candidates at P onto those at sigma(P)
-    up to the sign the enumeration fixes; the same minimum is taken."""
-    images = [c.apply(aut) for c in candidates]
-    return min((y if _canonical_sign(y.num) == y.num else -y for y in images),
-               key=_generator_key)
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +249,18 @@ def build_weil_basis(split: SplitData) -> WeilBasis:
     The primes above p form one Galois orbit, so they share the class order
     h of P0 = S[0], found by searching generators of P0^h for h = 1, 2, ...;
     M = f h.  P0 has label 0 and 1 in its coset, so P = sigma_a(P0) for a
-    = min coset of P; for P in S, x_P is ``transport_generator`` of P0's
-    candidates (what a search at P returns) and x_{P^c} = x_P^c.  All
-    structural identities are verified exactly before returning.
+    = min coset of P; for P in S, x_P = sigma_a(x_{P0}), which generates
+    sigma_a(P0^h) = P^h, and x_{P^c} = x_P^c, so the basis is the Galois
+    orbit of xi_{P0}: xi_P = sigma_a(xi_{P0}).  All structural identities
+    are verified exactly before returning.
     """
     if not split.T:
         return WeilBasis(split, M=1, h=0, x={}, xi={})
     f, field = split.f, split.field
     p0 = split.primes[split.S[0]]
     for h in range(1, H_CAP + 1):
-        candidates: list[CycloElt] = []
-        if find_generator(p0, h, candidates=candidates) is not None:
+        x0 = find_generator(p0, h)
+        if x0 is not None:
             break
     else:
         raise EnumerationBudgetExceeded(
@@ -281,15 +268,14 @@ def build_weil_basis(split: SplitData) -> WeilBasis:
             "or search radius exhausted)" % (p0.label, H_CAP)
         )
     M = f * h
+    xi0 = x0.conj() / x0
     x: dict[int, CycloElt] = {}
-    for idx in split.S:
-        x[idx] = transport_generator(candidates, field.aut(min(split.primes[idx].coset)))
-    for idx in split.S:
-        cidx = split.conj_index(idx)
-        x[cidx] = x[idx].conj()
     xi: dict[int, CycloElt] = {}
     for idx in split.S:
-        xi[idx] = x[split.conj_index(idx)] / x[idx]
+        aut = field.aut(min(split.primes[idx].coset))
+        x[idx] = x0.apply(aut)
+        x[split.conj_index(idx)] = x[idx].conj()
+        xi[idx] = xi0.apply(aut)
 
     p = split.p
     for idx in split.T:

@@ -633,11 +633,13 @@ def test_progressive_reduction_spans_the_lattice_at_the_settling_scale(monkeypat
 
     basis = build_weil_basis(split_prime(CycloField(13), 79))
     args_13_79 = [arg_vector(basis.xi[idx], 256).values for idx in basis.split.S]
+    first_13_79 = len(cases)
     cases += [(args_13_79, 256, bound) for bound in (10, 10 ** 9)]
     cases.append((args_13_79 + [args_13_79[0]], 256, 10))  # a planted twin
 
     settled = set()
-    for vectors, precision, bound in cases:
+    at_13_79 = []
+    for i, (vectors, precision, bound) in enumerate(cases):
         two_pi = BallReal.pi(precision + 32) * 2
         cert, calls = _reductions(monkeypatch, vectors, two_pi, bound, precision)
         schedule = _schedule(precision)
@@ -656,10 +658,14 @@ def test_progressive_reduction_spans_the_lattice_at_the_settling_scale(monkeypat
             k_dim = len(vectors) + len(vectors[0])
             assert cert.relation in {_canonical_sign(tuple(row[:k_dim])) for row in calls[-1]}
         settled.add((cert.status, schedule.index(s) + 1, s == schedule[-1]))
+        if i >= first_13_79:
+            at_13_79.append((cert.status, s))
     # settled at each of the first five scales, and at the full one
     assert {pos for _, pos, _ in settled} == {1, 2, 3, 4, 5}
-    assert ("none-up-to-bound", 4, True) in settled  # (13,79) at 10^9: 2^4, ..., 2^128
+    assert ("none-up-to-bound", 5, True) in settled  # 2^4, ..., 2^256 at 512 bits
     assert ("found", 1, False) in settled
+    # (13,79) at 10 and 10^9, and with its planted twin
+    assert at_13_79 == [("none-up-to-bound", 32), ("none-up-to-bound", 64), ("found", 4)]
 
 
 def test_relation_search_reads_the_gram_schmidt_norms_lll_leaves(monkeypatch):
@@ -719,9 +725,9 @@ def test_relation_search_matches_full_scale_oracle_on_the_grid(grid, bound):
                 full += 1
         cells += 1
     assert cells == 128
-    # at 10^9 four cells settle only at 2^128; (13,53) alone settles at 2^64,
-    # where the basis fed by the probe has the larger minimum Gram-Schmidt norm
-    assert full == (0 if bound == 10 ** 4 else 4)
+    # at 10^9 five cells settle only at 2^128: (11,67), (12,43), (12,61),
+    # (15,43) and (16,17), each without its twin
+    assert full == (0 if bound == 10 ** 4 else 5)
 
 
 @pytest.mark.parametrize("precision", [256, 1024])
@@ -763,8 +769,8 @@ def test_certify_planted_twins_are_found_at_the_probe_scale(grid):
     # the planted twins of certify seeds 0-9 at 1,024 bits (a basis argument
     # vector shifted by 2 pi k, or scaled by q/s) give a relation that uses
     # the twin, enclosed by the full-precision balls.  The probe 2^4 finds
-    # every shifted twin and 27 of the 30 twins; the other three are twins
-    # scaled by 11/2, 10/11 and 5/6, found at 2^32
+    # every shifted twin and 28 of the 30 twins; the other two are twins
+    # scaled by 11/2 and 10/11, found at 2^32
     inputs = _certify_inputs()
     points, _ = grid
     precision = 1024
@@ -791,7 +797,7 @@ def test_certify_planted_twins_are_found_at_the_probe_scale(grid):
             if twin.kind == "shift":
                 assert cert.scale_log2 == lattice.PROBE_LOG2, (seed, cell)
             at_scale[cert.scale_log2] += 1
-    assert at_scale == {lattice.PROBE_LOG2: 27, 32: 3}
+    assert at_scale == {lattice.PROBE_LOG2: 28, 32: 2}
 
 
 def test_simultaneous_planted_relations_always_found():

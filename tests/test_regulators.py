@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -5,8 +6,8 @@ import mpmath
 import pytest
 
 from pweil.arith import BallReal
-from pweil.cyclo import CycloField, embed, torsion_exponent
-from pweil.lattice import find_simultaneous_relation
+from pweil.cyclo import CycloField, embed
+from pweil.lattice import find_simultaneous_relation, row_hnf
 from pweil.splitting import ord_at, split_prime
 from pweil.weilgroup import build_weil_basis, jacobi_weil_number
 from oracles import (fraction_certified_arg, gross_row_full_norm, hnf_orbit_mismatch,
@@ -56,16 +57,17 @@ def test_arg_vector_rejects_non_unit_modulus(k5):
 
 
 def test_arg_vector_known_value(basis_5_11):
-    # oracle: -2 arg(1 + 2 e^(2 pi i/5)) evaluated independently at 60 dps:
-    # -1.731849112183732335652628879986112468358
+    # at the root-5 prime x = 2 + zeta^4 = zeta^-1 (1 + 2 zeta), so xi = x^c / x
+    # has argument -2 arg(1 + 2 e^(2 pi i/5)) + 4 pi / 5; oracle evaluated
+    # independently at 60 dps: 0.781425010688102255117485826637489838999817336
     split = basis_5_11.split
     r5 = next(i for i, pr in enumerate(split.primes) if pr.root_mod_p() == 5)
     av = arg_vector(basis_5_11.xi[r5], 256)
-    oracle = Fraction("-1.731849112183732335652628879986112468358")
+    oracle = Fraction("0.781425010688102255117485826637489838999817336")
     assert av.places[0] == 1
     assert abs(av.values[0].midpoint - oracle) < Fraction(1, 10 ** 35)
     with mpmath.workdps(60):
-        z = 1 + 2 * mpmath.exp(2j * mpmath.mp.pi / 5)
+        z = 2 + mpmath.exp(8j * mpmath.mp.pi / 5)
         indep = Fraction(mpmath.nstr(-2 * mpmath.arg(z), 45))
     assert abs(av.values[0].midpoint - indep) < Fraction(1, 10 ** 35)
 
@@ -80,16 +82,6 @@ def test_arg_branch_consistency(basis_5_11):
             z = embed(xi, place, 160)
             assert val.cos().overlaps(z.re)
             assert val.sin().overlaps(z.im)
-
-
-def test_arg_vector_offsets(k5, basis_5_11):
-    split = basis_5_11.split
-    idx = split.S[0]
-    av = arg_vector(basis_5_11.xi[idx], 128)
-    shifted = av.with_offsets((1, -2))
-    two_pi = BallReal.pi(128) * 2
-    assert (shifted.values[0] - av.values[0]).contains(two_pi.midpoint)
-    assert shifted.offsets == (1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -293,37 +285,28 @@ def test_certified_arg_needs_one_embedding_on_the_grid(grid, monkeypatch):
 
 def test_orbit_arguments_match_the_direct_arguments(grid):
     # the certificate's arguments, read off the orbit of xi_{P0}: every ball
-    # meets the direct certified_arg ball of xi_P at its place up to a
-    # multiple of 2 pi and has radius below 2^-(precision/2 + 1), and
-    # xi_P = zeta_P sigma_a(xi_{P0}) exactly, zeta_P = g^k from the torsion
-    # table; every grid basis at 256 bits, the analyze-hard and certify cells
-    # at 1,024; zeta_P != 1 for 63 of the 208 primes of S on the grid
+    # meets the direct certified_arg ball of xi_P at its place, with no
+    # multiple of 2 pi between them, and has radius below
+    # 2^-(precision/2 + 1); every grid basis at 256 bits, the analyze-hard
+    # and certify cells at 1,024
     points, _ = grid
     runs = [(256, [c for c, (_, _, b) in sorted(points.items()) if b is not None]),
             (1024, HARD_AND_CERTIFY_CELLS)]
-    twisted = []
+    balls = 0
     for precision, cells in runs:
-        two_pi = BallReal.pi(precision + 32) * 2
         for n, p in cells:
             basis = points[(n, p)][2]
             split, field = basis.split, basis.split.field
-            g = -field.zeta() if n % 2 else field.zeta()
-            xi0 = basis.xi[split.S[0]]
             vectors = regulators._orbit_arguments(basis, precision)
             assert len(vectors) == len(split.S)
             for idx, vec in zip(split.S, vectors):
-                moved = xi0.apply(field.aut(min(split.primes[idx].coset)))
-                k = torsion_exponent(basis.xi[idx] * moved.conj())
-                assert basis.xi[idx] == g ** k * moved, (n, p, idx)
-                if precision == 256:
-                    twisted.append(k != 0)
                 assert len(vec) == len(field.places)
                 for v, ball in zip(field.places, vec):
                     assert ball.radius_below(precision // 2 + 1), (n, p, idx, v)
-                    diff = ball - certified_arg(basis.xi[idx], v, precision)
-                    m = round(diff.midpoint / two_pi.midpoint)
-                    assert (diff - two_pi * m).contains_zero(), (n, p, idx, v)
-    assert (len(twisted), sum(twisted)) == (208, 63)
+                    assert ball.overlaps(certified_arg(basis.xi[idx], v, precision)), \
+                        (n, p, idx, v)
+                    balls += 1
+    assert balls > 700
 
 
 def test_certificate_takes_one_orbit_of_certified_arguments(grid, monkeypatch):
@@ -355,34 +338,27 @@ def test_certificate_takes_one_orbit_of_certified_arguments(grid, monkeypatch):
     assert cells == 128
 
 
-def test_orbit_arguments_fall_back_to_direct_arguments(grid, monkeypatch):
-    # a failed torsion lookup, or a shifted ball that is too wide, gives the
-    # direct arguments of that xi_P, ball for ball
+def test_a_basis_twisted_by_a_root_of_unity_is_rejected(grid):
+    # xi_P replaced by zeta xi_P or -xi_P: still in E_p(k) with the same
+    # divisor, but no longer sigma_a(xi_{P0}), so the orbit arguments, the
+    # certificate and the regulator matrix refuse it instead of reading it
+    # as the orbit
     points, _ = grid
-    replaced = 0
     for n, p in ((5, 11), (13, 79), (16, 17), (20, 41)):
         basis = points[(n, p)][2]
         split, field = basis.split, basis.split.field
-        direct = [arg_vector(basis.xi[idx], 256).values for idx in split.S]
-        orbit = regulators._orbit_arguments(basis, 256)
-        with monkeypatch.context() as mp:
-            mp.setattr(regulators, "torsion_exponent", lambda x: None)
-            assert _ends(regulators._orbit_arguments(basis, 256)) == _ends(direct)
-        with monkeypatch.context() as mp:
-            mp.setattr(regulators, "_turn", lambda r, w, prec: BallReal.from_endpoints(-1, 1, prec))
-            wide = regulators._orbit_arguments(basis, 256)
-        for idx, vec, d_vec, o_vec in zip(split.S, wide, direct, orbit):
-            moved = basis.xi[split.S[0]].apply(field.aut(min(split.primes[idx].coset)))
-            shifted = torsion_exponent(basis.xi[idx] * moved.conj()) != 0
-            assert _ends(vec) == _ends(d_vec if shifted else o_vec), (n, p, idx)
-            replaced += shifted
-    assert replaced > 0
-
-
-def _ends(balls):
-    if balls and isinstance(balls[0], tuple):
-        return [_ends(vec) for vec in balls]
-    return [(x.lower, x.upper) for x in balls]
+        for twist in (field.zeta(), -field.one()):
+            xi = dict(basis.xi)
+            xi[split.S[-1]] = twist * xi[split.S[-1]]
+            twisted = dataclasses.replace(basis, xi=xi)
+            with pytest.raises(BasisMismatch, match="is not sigma_"):
+                regulators._orbit_arguments(twisted, 256)
+            with pytest.raises(BasisMismatch, match="is not sigma_"):
+                argument_independence_certificate(twisted, 10 ** 4, 256)
+            with pytest.raises(BasisMismatch, match="is not sigma_"):
+                gross_matrix(twisted, split)
+        assert regulators._orbit_transporters(basis) == [
+            min(split.primes[idx].coset) for idx in split.S]
 
 
 def test_find_abelian_generator_none_for_zeta5_11(basis_5_11):
@@ -532,17 +508,35 @@ def test_epsilon_relations(split_5_11):
             assert tuple(-x for x in e) == epsilon_vector(sp, ci, j)
 
 
-def test_closure_independent_of_choices(split_5_11):
-    base = closure_dimension(split_5_11)
-    # swap S representatives for their conjugates
-    alt_s = [split_5_11.conj_index(i) for i in split_5_11.S]
-    alt = closure_dimension(split_5_11, s_indices=alt_s)
-    assert alt.dimension == base.dimension
-    # replace each place representative a by n - a
-    n = split_5_11.field.n
-    alt_places = [n - a for a in split_5_11.field.places]
-    alt2 = closure_dimension(split_5_11, place_auts=alt_places)
-    assert alt2.dimension == base.dimension
+def _epsilons(split, s_indices, place_auts):
+    """The eps_{P,P'} rows of closure_dimension, for any choice of S
+    representatives and of one residue per infinite place."""
+    rows = []
+    for i in s_indices:
+        for j in s_indices:
+            imgs = [split.act_index(a, i) for a in place_auts]
+            rows.append(tuple(1 if k == j else -1 if k == split.conj_index(j) else 0
+                              for k in imgs))
+    return rows
+
+
+def test_closure_independent_of_choices(grid):
+    # swapping S representatives for their conjugates, or each place
+    # representative a for n - a, keeps the rank of the eps rows; every grid
+    # cell with T nonempty
+    cells = 0
+    for field, sp, basis in grid[0].values():
+        if basis is None:
+            continue
+        base = closure_dimension(sp)
+        assert list(base.epsilons.values()) == _epsilons(sp, sp.S, field.places)
+        alt_s = [sp.conj_index(i) for i in sp.S]
+        alt_places = [field.n - a for a in field.places]
+        for s_indices, places in ((alt_s, field.places), (sp.S, alt_places),
+                                  (alt_s, alt_places)):
+            assert row_hnf(_epsilons(sp, s_indices, places))[1] == base.dimension, sp
+        cells += 1
+    assert cells == 128
 
 
 def test_closure_partial_case(basis_8_5):

@@ -23,7 +23,6 @@ from pweil.weilgroup import (
     minus_basis,
     pi_m_map,
     trace_gram,
-    transport_generator,
     verify_weil_basis,
     _generator_key,
     _iroot_ceil,
@@ -179,26 +178,11 @@ def test_find_generator_matches_valuation_profile_search(n, p, power):
     assert g == _generator_by_valuations(prime, power)
 
 
-def _check_transport(split, power):
-    """Transport P0's candidates by every a in (Z/n)* and compare with a
-    search at sigma_a(P0); every prime above p is reached."""
-    field = split.field
-    p0 = split.primes[split.S[0]]
-    candidates = []
-    assert find_generator(p0, power, candidates=candidates) is not None
-    oracle = {pr.index: per_prime_generator(pr, power) for pr in split.primes}
-    reached = set()
-    for a in field.units:
-        idx = split.act_index(a, p0.index)
-        assert transport_generator(candidates, field.aut(a)) == oracle[idx]
-        reached.add(idx)
-    assert reached == set(range(split.g))
-    return oracle
-
-
-def test_transported_generators_match_per_prime_search(split_5_11):
-    # all 128 acceptance-grid cells with T nonempty (there T is every prime
-    # above p), and (5, 11) at power 2
+def test_basis_is_the_galois_orbit_of_one_generator(split_5_11):
+    # all 128 acceptance-grid cells with T nonempty, and (5, 11) at power 2:
+    # x_{P0} is what a search at P0 picks, and for P in S with a = min coset
+    # of P, x_P = sigma_a(x_{P0}), x_{P^c} = x_P^c and
+    # xi_P = sigma_a(xi_{P0}) = x_{P^c} / x_P exactly
     cells = 0
     for n in (5, 7, 8, 11, 12, 13, 15, 16, 20):
         field = CycloField(n)
@@ -208,14 +192,35 @@ def test_transported_generators_match_per_prime_search(split_5_11):
             split = split_prime(field, p)
             if not split.T:
                 continue
-            assert len(split.T) == split.g
             basis = build_weil_basis(split)
-            oracle = _check_transport(split, basis.h)
+            _check_orbit(basis)
             assert basis.M == split.f * basis.h
-            assert all(basis.x[idx] == oracle[idx] for idx in split.S)
             cells += 1
     assert cells == 128
-    _check_transport(split_5_11, 2)
+    p0 = split_5_11.primes[split_5_11.S[0]]
+    x0 = find_generator(p0, 2)
+    assert x0 == per_prime_generator(p0, 2)
+    for idx in split_5_11.S:
+        aut = split_5_11.field.aut(min(split_5_11.primes[idx].coset))
+        assert split_5_11.primes[idx].index == split_5_11.act_index(aut.a, p0.index)
+        xp = x0.apply(aut)
+        assert [ord_at(pr, xp) for pr in split_5_11.primes] == [
+            2 if pr.index == idx else 0 for pr in split_5_11.primes]
+
+
+def _check_orbit(basis):
+    split, field = basis.split, basis.split.field
+    p0 = split.S[0]
+    assert basis.x[p0] == per_prime_generator(split.primes[p0], basis.h)
+    for idx in split.S:
+        a = min(split.primes[idx].coset)
+        assert split.act_index(a, p0) == idx
+        cidx = split.conj_index(idx)
+        assert basis.x[idx] == basis.x[p0].apply(field.aut(a))
+        assert basis.x[cidx] == basis.x[idx].conj()
+        assert basis.xi[idx] == basis.xi[p0].apply(field.aut(a))
+        assert basis.xi[idx] == basis.x[cidx] / basis.x[idx]
+    assert sorted(basis.x) == sorted(split.T)
 
 
 def test_trace_gram_positive_definite(k5):
@@ -233,9 +238,12 @@ def test_build_basis_5_11(basis_5_11):
     assert basis_5_11.h == 1
     assert basis_5_11.rank == 2
     split = basis_5_11.split
-    # x at the root-5 prime is exactly the canonical generator 1 + 2 zeta
+    # x at the root-5 prime is exactly sigma_2(x_{P0}) = sigma_2(2 + zeta^2) =
+    # 2 + zeta^4, the canonical generator 1 + 2 zeta there up to zeta
     r5 = next(i for i, pr in enumerate(split.primes) if pr.root_mod_p() == 5)
-    assert basis_5_11.x[r5] == 1 + 2 * split.field.zeta()
+    assert basis_5_11.x[split.S[0]] == 2 + split.field.zeta(2)
+    assert basis_5_11.x[r5] == 2 + split.field.zeta(4)
+    assert basis_5_11.x[r5] * split.field.zeta() == 1 + 2 * split.field.zeta()
     # x at conjugate primes is the exact conjugate
     for idx in split.S:
         cidx = split.conj_index(idx)
