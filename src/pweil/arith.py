@@ -25,7 +25,6 @@ All values are immutable; precision is carried per value, never global.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -318,12 +317,14 @@ class BallReal:
 # ---------------------------------------------------------------------------
 # BallComplex
 
-@dataclass(frozen=True)
 class BallComplex:
     """Componentwise enclosure of a complex number."""
 
-    re: BallReal
-    im: BallReal
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: BallReal, im: BallReal):
+        self.re = re
+        self.im = im
 
     def __add__(self, other: "BallComplex") -> "BallComplex":
         return BallComplex(self.re + other.re, self.im + other.im)
@@ -639,12 +640,23 @@ class GaloisRing:
         return hash((self.p, self.prec, self.f, self.modulus))
 
 
-@dataclass(frozen=True)
 class PadicElt:
     """Element of a GaloisRing: polynomial of degree < f, coefficients mod p^K."""
 
-    ring: GaloisRing
-    coeffs: tuple[int, ...]
+    __slots__ = ("ring", "coeffs")
+
+    def __init__(self, ring: GaloisRing, coeffs: tuple[int, ...]):
+        self.ring = ring
+        self.coeffs = coeffs
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, PadicElt)
+            and (self.ring, self.coeffs) == (other.ring, other.coeffs)
+        )
+
+    def __hash__(self):
+        return hash((self.ring, self.coeffs))
 
     def __add__(self, other: "PadicElt") -> "PadicElt":
         return PadicElt(self.ring, self.ring._add(self.coeffs, other.coeffs))

@@ -10,17 +10,21 @@ node budget or class-order cap was exhausted), or an internal check failed;
 2 invalid configuration (``ConfigError``, a composite or ramified p, bad
 character indices).
 Reports embed their full configuration so reruns are byte-identical.
+
+Each cell of a computation is often one short process, so start-up and exit
+count: the module imports only what every run needs (``hashlib`` and
+``tempfile`` load inside the cache helpers, and no pweil module imports
+``dataclasses``), and ``python -m pweil`` calls ``gc.freeze()`` after
+``main`` returns, so the interpreter's final collection does not walk the
+objects that the run leaves alive.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import tempfile
-from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
@@ -48,14 +52,17 @@ class ConfigError(ValueError):
     """Invalid configuration: a bad option, conductor or range (exit 2)."""
 
 
-@dataclass
 class RunConfig:
-    precision: int = 256
-    bound: int = 10_000
-    padic_prec: int = 50
-    fmt: str = "text"
-    cache_dir: Optional[str] = None
-    workers: int = 1
+    __slots__ = ("precision", "bound", "padic_prec", "fmt", "cache_dir", "workers")
+
+    def __init__(self, precision: int = 256, bound: int = 10_000, padic_prec: int = 50,
+                 fmt: str = "text", cache_dir: Optional[str] = None, workers: int = 1):
+        self.precision = precision
+        self.bound = bound
+        self.padic_prec = padic_prec
+        self.fmt = fmt
+        self.cache_dir = cache_dir
+        self.workers = workers
 
     def validate(self):
         if self.precision < 64:
@@ -88,6 +95,8 @@ def _validate_pair(n: int, p: int):
 # Caching
 
 def _cache_path(cache_dir: str, key_obj: dict) -> str:
+    import hashlib  # here, not at the top: only a run with --cache-dir hashes
+
     blob = json.dumps(key_obj, sort_keys=True).encode()
     return os.path.join(cache_dir, hashlib.sha256(blob).hexdigest() + ".json")
 
@@ -118,6 +127,8 @@ def _cache_put(cache_dir: Optional[str], key_obj: dict, report: dict) -> bool:
     write fails with an OSError: the caller still has the report it computed."""
     if not cache_dir:
         return True
+    import tempfile
+
     tmp = None
     try:
         os.makedirs(cache_dir, exist_ok=True)

@@ -16,7 +16,6 @@ rejected (same field as Q(zeta_m)), so field labels are unique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -144,17 +143,22 @@ class CycloField:
         return self.n if self.n % 2 == 0 else 2 * self.n
 
 
-@dataclass(frozen=True)
 class GaloisAut:
     """The automorphism zeta -> zeta^a of Q(zeta_n), for a in (Z/n)*."""
 
-    n: int
-    a: int
+    __slots__ = ("n", "a")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", self.a % self.n)
-        if gcd(self.a, self.n) != 1:
-            raise ValueError("automorphism index %d not coprime to %d" % (self.a, self.n))
+    def __init__(self, n: int, a: int):
+        self.n = n
+        self.a = a % n
+        if gcd(self.a, n) != 1:
+            raise ValueError("automorphism index %d not coprime to %d" % (self.a, n))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GaloisAut) and (self.n, self.a) == (other.n, other.a)
+
+    def __hash__(self):
+        return hash((self.n, self.a))
 
     def __repr__(self) -> str:
         return "GaloisAut(zeta -> zeta^%d mod %d)" % (self.a, self.n)

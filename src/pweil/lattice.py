@@ -16,9 +16,8 @@ updates in place and hands to the enumeration and the relation search, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .arith import BallReal, PrecisionTooLow
 
@@ -251,7 +250,9 @@ def short_vectors(basis: Sequence[Sequence[int]], bound,
     and remaining budget is an int, and the range of each x_i is cut exactly
     by an integer square root: every x_i in it is a node.  The center sums
     sum_{j>i} lambda_ji x_j are kept per level and refreshed only from the
-    highest x_j that changed since the level was last entered.
+    highest x_j that changed since the level was last entered.  While every
+    higher x_j is 0, only x_i >= 0 is enumerated, so each pair +-x is
+    visited once (Schnorr and Euchner 1994), with the same result.
     """
     reduced, lam, d = _lll(basis, LLL_DELTA, gram)
     n = len(reduced)
@@ -261,7 +262,7 @@ def short_vectors(basis: Sequence[Sequence[int]], bound,
     weight = [scale // (d[i] * d[i + 1]) for i in range(n)]  # S / (d_i d_{i+1})
     full = bound.numerator * lcm  # bound S
 
-    found: dict[tuple[int, ...], int] = {}  # coefficients up to sign -> scaled norm
+    found: list[tuple[tuple[int, ...], int]] = []  # (coefficients, scaled norm), one per +-x
     x = [0] * n
     # part[i][j] = sum_{k >= j} lambda_ki x_k for j > i, so U_i = part[i][i + 1];
     # entries j <= stale[i] of row i wait for a refresh (Schnorr-Euchner)
@@ -269,7 +270,8 @@ def short_vectors(basis: Sequence[Sequence[int]], bound,
     stale = list(range(n))
     nodes = 0
 
-    def recurse(i: int, remaining: int):
+    def recurse(i: int, remaining: int, top: bool):
+        # top: x_j = 0 for every j > i, so U = 0 and the range is symmetric
         nonlocal nodes
         row = part[i]
         for j in range(stale[i], i, -1):
@@ -281,6 +283,8 @@ def short_vectors(basis: Sequence[Sequence[int]], bound,
         di = d[i + 1]
         t_max = math.isqrt(remaining // weight[i])  # weight_i t^2 <= remaining
         lo, hi = -((U + t_max) // di), (t_max - U) // di
+        if top:
+            lo = 0  # one of each pair +-x: the highest nonzero x_i is positive
         nodes += hi - lo + 1
         if nodes > node_budget:
             raise BoundTooLarge("enumeration exceeded %d nodes" % node_budget)
@@ -291,15 +295,15 @@ def short_vectors(basis: Sequence[Sequence[int]], bound,
             if i:
                 if stale[i - 1] < i:
                     stale[i - 1] = i
-                recurse(i - 1, rest)
-            elif any(x):
-                found[_canonical_sign(tuple(x))] = full - rest
+                recurse(i - 1, rest, top and not xi)
+            elif xi or not top:
+                found.append((tuple(x), full - rest))
         x[i] = 0
 
     if full >= 0:
-        recurse(n - 1, full)
+        recurse(n - 1, full, True)
     out = []
-    for coeffs, norm_scaled in found.items():
+    for coeffs, norm_scaled in found:
         amb = [0] * len(reduced[0])
         for c, row in zip(coeffs, reduced):
             if c:
@@ -312,8 +316,7 @@ def short_vectors(basis: Sequence[Sequence[int]], bound,
 # ---------------------------------------------------------------------------
 # Integer-relation certificates
 
-@dataclass(frozen=True)
-class RelationCertificate:
+class RelationCertificate(NamedTuple):
     """Outcome of a bounded integer-relation search at a stated precision.
 
     ``found`` status: ``relation`` reproduces a residual enclosure containing
@@ -331,7 +334,7 @@ class RelationCertificate:
     sv_lower_bound_sq: str
     threshold_sq: str
     residual_bound: Optional[str] = None
-    detail: dict = field(default_factory=dict)
+    detail: dict = {}  # the shared default is never mutated: the search passes its own
 
     def to_jsonable(self) -> dict:
         return {

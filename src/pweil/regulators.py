@@ -19,9 +19,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .arith import (
     BallComplex,
@@ -47,15 +46,12 @@ class BasisMismatch(Exception):
 # ---------------------------------------------------------------------------
 # Argument vectors
 
-@dataclass(frozen=True)
-class ArgVector:
+class ArgVector(NamedTuple):
     """Principal arguments of sigma_v(xi) at every infinite place:
     ``values[i]`` encloses arg sigma_v(xi) for v = ``places[i]``."""
 
-    xi: CycloElt
     places: tuple[int, ...]
     values: tuple[BallReal, ...]
-    precision: int
 
 
 # Guard bits of certified_arg above precision // 2.  An argument ball at wp
@@ -103,14 +99,13 @@ def arg_vector(xi: CycloElt, precision: int = 128) -> ArgVector:
         raise ValueError("argument vectors require x x^c = 1 (modulus one everywhere)")
     places = xi.field.places
     values = tuple(certified_arg(xi, v, precision) for v in places)
-    return ArgVector(xi, places, values, precision)
+    return ArgVector(places, values)
 
 
 # ---------------------------------------------------------------------------
 # Independence certificates for the argument image modulo 2 pi Q
 
-@dataclass(frozen=True)
-class IndependenceReport:
+class IndependenceReport(NamedTuple):
     """Certificate produced by the bounded relation search, plus the exact
     rank-one resolution when the basis has a single element."""
 
@@ -213,8 +208,7 @@ def _orbit_transporters(basis: WeilBasis) -> list[int]:
 # ---------------------------------------------------------------------------
 # Group determinants for cyclic conjugate bases
 
-@dataclass(frozen=True)
-class GroupDetReport:
+class GroupDetReport(NamedTuple):
     sigma: int
     size: int
     thetas: tuple[BallReal, ...]
@@ -344,8 +338,7 @@ def find_abelian_generator(basis: WeilBasis) -> Optional[GaloisAut]:
 # ---------------------------------------------------------------------------
 # The Z_p-valued regulator matrix
 
-@dataclass(frozen=True)
-class GrossMatrix:
+class GrossMatrix(NamedTuple):
     """Rows: basis elements xi_P (P in S); columns: all primes above p.
 
     Entries are log_p of the modified local absolute value (Nv)^(-ord_v)
@@ -474,8 +467,7 @@ def _padic_rank(rows: Sequence[Sequence[int]], p: int, prec: int) -> int:
 # ---------------------------------------------------------------------------
 # Closure of the argument image in the torus
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(NamedTuple):
     """Dimension of the closure of the argument image, with the dual basis.
 
     The closure's dimension equals the rank of the span of the incidence
@@ -546,8 +538,7 @@ def closure_dimension(split: SplitData) -> ClosureReport:
 # ---------------------------------------------------------------------------
 # The angle-valuation identity for Weil numbers of any weight
 
-@dataclass(frozen=True)
-class AngleIdentityReport:
+class AngleIdentityReport(NamedTuple):
     """LHS and RHS of the identity Im(alpha) = sum_P f ord_P(lambda) arg_q(x_P^(1/M))
     modulo (2 pi / log q) Q, with the reconstructed rational."""
 

@@ -13,8 +13,7 @@ x -> x^(-M) up to roots of unity.  Both identities are verified exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arith import prime_factors, split_p
 from .cyclo import CycloElt, CycloField, is_root_of_unity, norm, ramanujan_sum
@@ -62,16 +61,25 @@ def is_weil_unit(x: CycloElt, p: int) -> bool:
 # ---------------------------------------------------------------------------
 # Divisor vectors indexed by the primes above p
 
-@dataclass(frozen=True)
 class DivisorVec:
     """Integer vector on the primes above p (a divisor supported at p)."""
 
-    split: SplitData
-    coeffs: tuple[int, ...]
+    __slots__ = ("split", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.split.g:
+    def __init__(self, split: SplitData, coeffs: tuple[int, ...]):
+        if len(coeffs) != split.g:
             raise ValueError("coefficient count != number of primes above p")
+        self.split = split
+        self.coeffs = coeffs
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, DivisorVec)
+            and (self.split, self.coeffs) == (other.split, other.coeffs)
+        )
+
+    def __hash__(self):
+        return hash((self.split, self.coeffs))
 
     def is_minus_part(self) -> bool:
         return all(
@@ -175,7 +183,8 @@ def find_generator(prime: PrimeAbove, power: int) -> Optional[CycloElt]:
     lexicographically smallest absolute coefficient tuple read from the
     highest power of zeta down is returned, sign fixed by making the first
     nonzero coefficient positive (this prefers generators supported on low
-    powers of zeta).  Returning None is evidence, not proof, that P^power is
+    powers of zeta); the candidates are tested in that order, so the norm
+    is computed only up to the first generator.  Returning None is evidence, not proof, that P^power is
     non-principal: the search radius covers 1.5 * 2^MAX_DOUBLINGS times the
     minimum possible generator size.
     """
@@ -193,13 +202,9 @@ def find_generator(prime: PrimeAbove, power: int) -> Optional[CycloElt]:
             vectors = short_vectors(basis, bound, gram=gram, node_budget=NODE_BUDGET)
         except BoundTooLarge as exc:
             raise EnumerationBudgetExceeded(str(exc)) from exc
-        found = []
-        for vec, _norm_sq in vectors:
-            elt = field.elt(vec)
+        for elt in sorted((field.elt(vec) for vec, _norm_sq in vectors), key=_generator_key):
             if abs(norm(elt)) == n_target:
-                found.append(elt)
-        if found:
-            return min(found, key=_generator_key)
+                return elt
         bound *= 2
     return None
 
@@ -212,8 +217,7 @@ def _generator_key(x: CycloElt):
 # ---------------------------------------------------------------------------
 # The basis of E_p(k) x Q
 
-@dataclass(frozen=True)
-class WeilBasis:
+class WeilBasis(NamedTuple):
     """Exponent M, generators x_P ((x_P) = P^(M/f), x_{P^c} = x_P^c) and the
     basis xi_P = x_P^c / x_P of E_p(k) tensor Q for P in S."""
 

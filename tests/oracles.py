@@ -165,8 +165,11 @@ def cholesky_short_vectors(basis, bound, gram=None, node_budget=5_000_000):
     """``short_vectors`` on a rational Cholesky decomposition of the Gram
     matrix of the LLL-reduced basis, rescaled to ints by the lcm D of the
     off-diagonal denominators, E of the diagonal ones and b of the bound;
-    returns (vectors, visited node count).  Floats size the range of each
-    x_i with a margin of 2 on each side, and the exact test prunes it."""
+    returns (vectors, node count).  Floats size the range of each x_i with a
+    margin of 2 on each side, and the exact test prunes it.  Every x_i in
+    range is visited, but a node counts only when its highest nonzero
+    coordinate so far is positive (or none is nonzero), as ``short_vectors``
+    enumerates one of each pair +-x."""
     reduced = lll(list(basis), gram=gram)
     n = len(reduced)
     g = [[Fraction(_dot(u, v, gram)) for v in reduced] for u in reduced]
@@ -196,12 +199,14 @@ def cholesky_short_vectors(basis, bound, gram=None, node_budget=5_000_000):
         U = sum(qD[i][j] * x[j] for j in range(i + 1, n))  # D u
         approx = math.sqrt(remaining / d_full[i]) if remaining > 0 else 0.0
         center = -U / D
+        higher = next((c for c in reversed(x[i + 1:]) if c), 0)  # highest nonzero x_j, j > i
         for xi in range(math.floor(center - approx) - 2, math.ceil(center + approx) + 3):
             t = D * xi + U
             term = d_s[i] * t * t
             if term > remaining:
                 continue
-            nodes += 1
+            if (higher or xi) >= 0:
+                nodes += 1
             if nodes > node_budget:
                 raise BoundTooLarge("enumeration exceeded %d nodes" % node_budget)
             x[i] = xi

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -490,3 +492,41 @@ def test_configuration_errors_are_config_error():
         RunConfig(precision=32).validate()
     with pytest.raises(ConfigError):
         pweil.cli._validate_pair(6, 5)
+
+
+# ---------------------------------------------------------------------------
+# The process entry point: python -m pweil in a fresh interpreter
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(pweil.__file__)))
+
+
+def run_module(*args):
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
+
+
+def test_module_run_prints_the_in_process_report(capsys):
+    argv = ["analyze", "--n", "5", "--p", "11", "--format", "json"]
+    proc = run_module("-m", "pweil", *argv)
+    code, out, err = run_cli(capsys, *argv)
+    assert (proc.returncode, proc.stderr) == (code, err.encode()) == (0, b"")
+    assert proc.stdout == out.encode()
+
+
+def test_module_run_config_error_exits_2_with_one_line():
+    proc = run_module("-m", "pweil", "analyze", "--n", "6", "--p", "11")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_cli_import_loads_neither_dataclasses_nor_hashlib():
+    # compared with what the interpreter had loaded before, so whatever
+    # site loads does not count
+    proc = run_module("-c", "import sys; before = set(sys.modules); import pweil.cli; "
+                            "print(' '.join(sorted(set(sys.modules) - before)))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.decode().split())
+    assert "pweil.cli" in loaded
+    assert not loaded & {"dataclasses", "hashlib"}

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -350,7 +349,7 @@ def test_a_basis_twisted_by_a_root_of_unity_is_rejected(grid):
         for twist in (field.zeta(), -field.one()):
             xi = dict(basis.xi)
             xi[split.S[-1]] = twist * xi[split.S[-1]]
-            twisted = dataclasses.replace(basis, xi=xi)
+            twisted = basis._replace(xi=xi)
             with pytest.raises(BasisMismatch, match="is not sigma_"):
                 regulators._orbit_arguments(twisted, 256)
             with pytest.raises(BasisMismatch, match="is not sigma_"):

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import random
 from fractions import Fraction
@@ -398,7 +397,7 @@ def test_verify_checks_the_generators(basis_5_11):
     for idx, check in zip(split.S, good["checks"]):
         x = dict(basis_5_11.x)
         x[idx] = -x[idx]
-        rep = verify_weil_basis(dataclasses.replace(basis_5_11, x=x))
+        rep = verify_weil_basis(basis_5_11._replace(x=x))
         assert not rep["ok"]
         assert [c["name"] for c in rep["checks"] if not c["ok"]] == [check["name"]]
 
