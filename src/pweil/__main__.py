@@ -1,7 +1,7 @@
 """``python -m pweil``: run the command line and exit with its code.
 
-Everything alive when ``main`` returns (mpmath's modules and caches, pweil's
-tables) lives until the process ends, yet the interpreter's final cyclic
+Everything alive when ``main`` returns (the modules and pweil's tables and
+caches) lives until the process ends, yet the interpreter's final cyclic
 collection would still walk all of it.  ``gc.freeze()`` moves those objects
 to the permanent generation, which no collection visits, so a short run
 does not pay that walk at exit; stdout, stderr and the exit code are those

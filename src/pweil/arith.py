@@ -9,10 +9,16 @@ Three layers, used by every other module:
   monic polynomial, over Z/m or (m = 0) over Z; Z/p^K is ints too, and
   ``padic_log`` the logarithm of a unit of it; ``fractions.Fraction`` appears only at the edges, as ball
   endpoints and reconstructed rationals;
-* ``BallReal`` / ``BallComplex`` wrap mpmath's directed-rounding interval
-  kernels, so every operation returns an enclosure of the exact result;
-  their sign, order and radius tests compare the mpf endpoints exactly, and
-  the endpoints convert to and from ints over a power of 2, exactly or outward;
+* ``BallReal`` / ``BallComplex`` are intervals whose ends are dyadic
+  numbers m 2^e on Python ints, rounded outward to the ball's precision
+  after every operation, so every operation returns an enclosure of the
+  exact result.  Sums, products, quotients and square roots are correctly
+  rounded, as in mpmath's interval arithmetic; pi, atan, cos, sin and log
+  are fixed-point series with a stated error bound, rounded correctly by
+  raising the working precision until the rounding is settled
+  (``_settle``).  The sign, order and radius tests compare the ends
+  exactly, and the ends convert to and from ints over a power of 2,
+  exactly or outward;
 * ``GaloisRing`` / ``PadicElt`` model the unramified local ring
   Z_p[t]/(h(t)) truncated at precision p^K; the norm to Z/p^K is the
   determinant of multiplication by an element, taken fraction-free over Z,
@@ -25,26 +31,10 @@ All values are immutable; precision is carried per value, never global.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
-
-from mpmath.libmp import libmpi
-from mpmath.libmp import (
-    from_int as _mpf_from_int,
-    from_man_exp as _mpf_from_man_exp,
-    from_rational as _mpf_from_rational,
-    fzero as _fzero,
-    mpf_atan as _mpf_atan,
-    mpf_le as _mpf_le,
-    mpf_lt as _mpf_lt,
-    mpf_sign as _mpf_sign,
-    mpf_shift as _mpf_shift,
-    mpf_sub as _mpf_sub,
-    round_ceiling as _r_ceil,
-    round_floor as _r_floor,
-    round_nearest as _r_near,
-    to_int as _mpf_to_int,
-)
 
 
 class PrecisionTooLow(ArithmeticError):
@@ -60,19 +50,278 @@ class NotAUnit(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# mpf helpers
+# Dyadic ends: (m, e) is m 2^e exactly, m odd or (m, e) = (0, 0); a lower end
+# None is -inf, an upper end None is +inf.  Rounding to prec significant bits
+# goes down (up=False), up (True) or to nearest (None).
 
-def _mpf_man_exp(x) -> tuple[int, int]:
-    """(m, e) with x = m 2^e exactly; an infinite or NaN x raises."""
-    sign, man, exp, bc = x
-    if not man and exp:
+def _norm(m: int, e: int) -> tuple[int, int]:
+    t = (m & -m).bit_length() - 1
+    return (m >> t, e + t) if m else (0, 0)
+
+
+def _round(m: int, e: int, prec: int, up) -> tuple[int, int]:
+    n = m.bit_length() - prec
+    if n > 0:
+        m = (m + (1 << (n - 1))) >> n if up is None else -(-m >> n) if up else m >> n
+        e += n
+    return _norm(m, e)
+
+
+def _cmp(x, y) -> int:
+    """The sign of x - y."""
+    (a, ea), (b, eb) = x, y
+    a, b = (a << (ea - eb), b) if ea > eb else (a, b << (eb - ea))
+    return (a > b) - (a < b)
+
+
+def _add(x, y, prec: int, up):
+    """x + y, rounded.  A summand y below 2^(L-1), L = min(e_x, top bit of x
+    - prec - 2), becomes +-2^(L-2): x is a multiple of 2^L and the rounding
+    grid near x at least 2^(L+1), so both sums lie strictly between the same
+    two grid points and round alike, and the sum keeps about prec bits."""
+    (a, ea), (b, eb) = x, y
+    if not (a and b):
+        return _round(a, ea, prec, up) if a else _round(b, eb, prec, up)
+    if ea < eb:
+        a, ea, b, eb = b, eb, a, ea
+    low = min(ea, a.bit_length() + ea - prec - 2)
+    if b.bit_length() + eb < low:
+        b, eb = (1 if b > 0 else -1), low - 2
+    return _round((a << (ea - eb)) + b, eb, prec, up)
+
+
+def _sub(x, y, prec: int, up):
+    return _add(x, (-y[0], y[1]), prec, up)
+
+
+def _mul(x, y, prec: int, up):
+    return _round(x[0] * y[0], x[1] + y[1], prec, up)
+
+
+def _div(x, y, prec: int, up):
+    """x / y, rounded: a quotient q of at least prec + 1 bits, and 2q + 1 (a
+    sticky bit) if inexact, as no grid point lies between q and q + 1."""
+    (a, ea), (b, eb) = x, y
+    if b < 0:
+        a, b = -a, -b
+    k = max(0, prec + 1 + b.bit_length() - a.bit_length())
+    q, r = divmod(a << k, b)
+    if r:
+        return _round(2 * q + 1, ea - eb - k - 1, prec, up)
+    return _round(q, ea - eb - k, prec, up)
+
+
+def _sqrt(x, prec: int, up):
+    """sqrt(x), rounded, with the sticky bit of ``_div``."""
+    a, e = x
+    if a < 0:
+        raise ValueError("square root of a negative number")
+    k = max(0, 2 * prec + 4 - a.bit_length())
+    k += (e - k) & 1
+    r = math.isqrt(a << k)
+    if r * r == a << k:
+        return _round(r, (e - k) // 2, prec, up)
+    return _round(2 * r + 1, (e - k) // 2 - 1, prec, up)
+
+
+def _end(op, x, y, prec: int, up):
+    """op(x, y) rounded, or None (an infinite end) when x or y is None."""
+    return None if x is None or y is None else op(x, y, prec, up)
+
+
+def _neg(x, prec: int, up):
+    return None if x is None else _round(-x[0], x[1], prec, up)
+
+
+def _fraction(x) -> Fraction:
+    if x is None:
         raise OverflowError("interval endpoint is infinite")
-    return (-int(man) if sign else int(man)), exp
+    m, e = x
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    man, exp = _mpf_man_exp(x)
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+_LOG2_10 = math.log(10, 2)
+
+
+def _to_str(x, dps: int) -> str:
+    """An end as mpmath's ``to_str`` prints it: dps + 3 decimal digits
+    truncated by its fixed-point reckoning, rounded half up to dps digits,
+    fixed-point between 10^-max(5, dps // 3) and 10^dps, trailing zeros
+    stripped; of a huge value only the leading digits go through str."""
+    m, e = x
+    if not m:
+        return "0.0"
+    sign, m = ("-", -m) if m < 0 else ("", m)
+    fix = max(int((dps + 3) * _LOG2_10) + 10 - e - m.bit_length(), 0)
+    fixdps = int(fix / _LOG2_10 + 0.5)
+    n = (m << (e + fix) if e + fix >= 0 else m >> -(e + fix)) * 10 ** fixdps >> fix
+    k = max(0, n.bit_length() * 3 // 10 - dps - 5)  # drops digits past dps + 3 of a huge n
+    digits = str(n // 10 ** k)
+    exponent = len(digits) + k - fixdps - 1
+    digits = str(int(digits[:dps]) + (digits[dps:dps + 1] >= "5"))
+    if len(digits) > dps:
+        digits, exponent = digits[:dps], exponent + 1
+    split = 1
+    if min(-(dps // 3), -5) < exponent < dps:
+        digits, split, exponent = "0" * -exponent + digits, max(exponent, 0) + 1, 0
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    digits += "0" if digits[-1] == "." else ""
+    return sign + digits + ("e%+d" % exponent if exponent else "")
+
+
+# ---------------------------------------------------------------------------
+# Fixed-point kernels.  Each returns (ys, err, s): ints y with
+# |y - 2^s v| <= err for each value v it approximates at working precision w.
+
+def _settle(f, prec: int, modes=(False, True)) -> list:
+    """The values v that f approximates, correctly rounded to prec bits in
+    each mode, [per value][per mode], then what f returns after (ys, err, s).
+    w starts at prec + 32 and doubles until y - err and y + err round alike,
+    which an irrational v reaches: it is on no rounding boundary."""
+    w = prec + 32
+    while True:
+        ys, err, s, *extra = f(w)
+        out = [[_round(y - err, -s, prec, up) for up in modes] for y in ys]
+        if out == [[_round(y + err, -s, prec, up) for up in modes] for y in ys]:
+            return out + extra
+        w *= 2
+
+
+def _atan_series(a: int, b: int, w: int, alternate: bool = True) -> tuple[int, int]:
+    """(y, err): |y - 2^w sum_j (-+1)^j z^(2j+1) / (2j+1)| <= err for z =
+    a / b in [0, 1/2], the series of atan z (alternating) or atanh z.  Each
+    term is a floor of the last times z^2 (error below 8/3, z^2 being a
+    w-bit fixed-point int for a long b) and a floor of its quotient (below
+    1 more), and the tail once a term is 0 is below 5."""
+    total, term, j = 0, (a << w) // b, 1
+    a2, b2, shift = a * a, b * b, 0
+    if b2 >> 64:
+        a2, shift = (a2 << w) // b2, w
+    while term:
+        t = term // j
+        total += -t if alternate and j & 2 else t
+        term = term * a2 >> shift if shift else term * a2 // b2
+        j += 2
+    return total, 2 * j + 6
+
+
+_PI = [0, 0]  # (w, y) with |y - 2^w pi| < 1.1, for the largest w asked for
+
+
+def _pi_fixed(w: int) -> int:
+    """y with |y - 2^w pi| < 2: Machin's pi = 16 atan(1/5) - 4 atan(1/239)
+    at g = log2(w) + 10 guard bits (the series errors sum to under 14 (w +
+    g) < 2^(g - 4)), kept for the largest w so far and shifted down for a
+    smaller one."""
+    if w > _PI[0]:
+        big = max(w, 2 * _PI[0])
+        g = big.bit_length() + 10
+        u, v = _atan_series(1, 5, big + g)[0], _atan_series(1, 239, big + g)[0]
+        _PI[:] = big, (16 * u - 4 * v) >> g
+    return _PI[1] >> (_PI[0] - w)
+
+
+@lru_cache(maxsize=None)
+def _pi_ends(prec: int) -> list:
+    return _settle(lambda w: ((_pi_fixed(w),), 2, w), prec)[0]
+
+
+def _log_fixed(m: int, e: int, w: int):
+    """log(m 2^e), m > 0 and m 2^e != 1: with m = 2^k (1 + z) / (1 - z), k
+    chosen so that |z| <= 1/5, it is (k + e) log 2 + 2 atanh z, and log 2 =
+    2 atanh(1/3); the error is twice that of the series for z plus 2|k + e|
+    times that of the series for 1/3."""
+    k = (3 * m).bit_length() - 2
+    d, n = m - (1 << k), k + e
+    u, eu = _atan_series(abs(d), m + (1 << k), w, False)
+    l2, e2 = _atan_series(1, 3, w, False)
+    return (2 * (u if d >= 0 else -u) + 2 * n * l2,), 2 * eu + 2 * abs(n) * e2, w
+
+
+@lru_cache(maxsize=None)
+def _atan_pow2(k: int, s: int) -> tuple[int, int]:
+    return _atan_series(1, 1 << k, s)
+
+
+def _atan_fixed(m: int, e: int, w: int):
+    """atan(x), x = m 2^e != 0, at s = w + r + max(r, -log2 |x|) bits, r =
+    isqrt(w) // 2 + 1: |x| > 1 takes pi/2 - atan(1/|x|).  While t >= 2^-r,
+    with 2^-k <= t <= 2^(1-k), atan t = atan 2^-k + atan((t - 2^-k) / (1 +
+    t 2^-k)) (``_atan_pow2``, cached) and the new t is below 2^-k; a step
+    adds under 2 units to the error of t and scales it by at most 1 + 4^-k,
+    a product below 1.4 over distinct k.  Then the series of t."""
+    a = abs(m)
+    top = a.bit_length() + e
+    r = math.isqrt(w) // 2 + 1
+    s = w + r + max(r, -top)
+    one = 1 << s
+    if top > 0:
+        t = (1 << (s - e)) // a if s >= e else 0
+    else:
+        t = a << (e + s) if e + s >= 0 else a >> -(e + s)
+    y = err = 0
+    while t >> (s - r):
+        k = max(1, s + 1 - t.bit_length())
+        t = ((t - (one >> k)) << s) // (one + (t >> k))
+        c, ec = _atan_pow2(k, s)
+        y, err = y + c, err + ec + 4
+    c, ec = _atan_series(t, one, s)
+    y, err = y + c, err + ec + 2
+    if top > 0:
+        y, err = (_pi_fixed(s) >> 1) - y, err + 2
+    return (-y if m < 0 else y,), err, s
+
+
+def _cos_sin_fixed(m: int, e: int, w: int):
+    """((cos x, sin x), err, W, q) for x = m 2^e != 0, q = floor(x / (pi/2)).
+    x = n pi/2 + t, n the nearest, t within 2|n| + 1 units of 2^-W; W doubles
+    until the sign of t, and so q, is certain.  cos and sin of u = |t| / 2^h,
+    h = isqrt(w) // 2, are the parts of the series of exp(iu) (each term two
+    floors of the last times u / k: an error below 3), squared back h times,
+    each doubling the complex error, plus 2^-W: h guard bits cover that."""
+    h = math.isqrt(w) // 2
+    W = w + h + max(0, m.bit_length() + e) + 8
+    while True:
+        hp = _pi_fixed(W - 1)  # within 2 of 2^W pi/2
+        X = m << (e + W) if e + W >= 0 else m >> -(e + W)
+        n = (2 * X + hp) // (2 * hp)
+        t = X - n * hp
+        slack = 2 * abs(n) + 1
+        if abs(t) > slack:
+            break
+        W *= 2
+    u, parts, term, k = abs(t) >> h, [0, 0], 1 << W, 0
+    while term:
+        parts[k & 1] += -term if k & 2 else term
+        k += 1
+        term = (term * u >> W) // k
+    c, s = parts
+    for _ in range(h):
+        c, s = (c * c - s * s) >> W, (c * s) >> (W - 1)
+    s = s if t > 0 else -s
+    c, s = ((c, s), (-s, c), (-c, -s), (s, -c))[n & 3]
+    return (c, s), ((4 * k + 8) << (h + 1)) + 2 * slack, W, n if t > 0 else n - 1
+
+
+# the ends of [a, b] [c, d] that make its lower and upper end, by the sign
+# classes of the factors: 1 for a >= 0, -1 for b <= 0, 0 for both signs
+_MUL_ENDS = {(1, 1): (0, 0, 1, 1), (1, -1): (1, 0, 0, 1), (1, 0): (1, 0, 1, 1),
+             (-1, 1): (0, 1, 1, 0), (-1, -1): (1, 1, 0, 0), (-1, 0): (0, 1, 0, 0),
+             (0, 1): (0, 1, 1, 1), (0, -1): (1, 0, 0, 0)}
+
+
+def _binary(method):
+    """A ball operator from method(self, other, prec): other coerced to a
+    ball (an int or a Fraction at self's precision), prec the larger one."""
+    def operator(self, other):
+        if isinstance(other, int):
+            other = BallReal.from_int(other, self.prec)
+        elif isinstance(other, Fraction):
+            other = BallReal.from_fraction(other, self.prec)
+        elif not isinstance(other, BallReal):
+            return NotImplemented
+        return method(self, other, max(self.prec, other.prec))
+    return operator
 
 
 # ---------------------------------------------------------------------------
@@ -83,21 +332,23 @@ class BallReal:
 
     Every arithmetic operation rounds outward, so the exact result of the
     corresponding exact-real operation is contained in the returned interval.
-    ``prec`` is the working precision in bits for newly created endpoints.
+    ``prec`` is the working precision in bits for newly created endpoints;
+    the ends are dyadic (m, e) pairs, or None for an infinite end.
     """
 
-    __slots__ = ("_v", "prec")
+    __slots__ = ("_lo", "_hi", "prec")
 
-    def __init__(self, interval, prec: int):
-        self._v = interval
+    def __init__(self, lo, hi, prec: int):
+        self._lo = lo
+        self._hi = hi
         self.prec = prec
 
     # -- constructors
 
     @staticmethod
     def from_int(n: int, prec: int = 53) -> "BallReal":
-        m = _mpf_from_int(n)
-        return BallReal((m, m), prec)
+        x = _norm(n, 0)
+        return BallReal(x, x, prec)
 
     @staticmethod
     def from_fraction(q, prec: int = 53) -> "BallReal":
@@ -109,32 +360,32 @@ class BallReal:
         hi = Fraction(hi)
         if lo > hi:
             raise ValueError("lower endpoint above upper endpoint")
-        a = _mpf_from_rational(lo.numerator, lo.denominator, prec, _r_floor)
-        b = _mpf_from_rational(hi.numerator, hi.denominator, prec, _r_ceil)
-        return BallReal((a, b), prec)
+        return BallReal(_div((lo.numerator, 0), (lo.denominator, 0), prec, False),
+                        _div((hi.numerator, 0), (hi.denominator, 0), prec, True), prec)
 
     @staticmethod
     def from_scaled_ints(lo: int, hi: int, e: int, prec: int = 53) -> "BallReal":
         """The exact ball [lo 2^-e, hi 2^-e]."""
-        return BallReal((_mpf_from_man_exp(lo, -e), _mpf_from_man_exp(hi, -e)), prec)
+        return BallReal(_norm(lo, -e), _norm(hi, -e), prec)
 
     @staticmethod
     def pi(prec: int) -> "BallReal":
-        return BallReal(libmpi.mpi_pi(prec), prec)
+        """pi rounded down and up to prec bits, correctly (``_pi_fixed``)."""
+        return BallReal(*_pi_ends(prec), prec)
 
     @staticmethod
     def zero(prec: int = 53) -> "BallReal":
-        return BallReal((_fzero, _fzero), prec)
+        return BallReal((0, 0), (0, 0), prec)
 
     # -- accessors
 
     @property
     def lower(self) -> Fraction:
-        return _mpf_to_fraction(self._v[0])
+        return _fraction(self._lo)
 
     @property
     def upper(self) -> Fraction:
-        return _mpf_to_fraction(self._v[1])
+        return _fraction(self._hi)
 
     @property
     def midpoint(self) -> Fraction:
@@ -146,163 +397,200 @@ class BallReal:
 
     def man_exp(self) -> tuple[tuple[int, int], tuple[int, int]]:
         """Both endpoints as exact (m, e) pairs, m 2^e; infinite ones raise."""
-        return _mpf_man_exp(self._v[0]), _mpf_man_exp(self._v[1])
+        if not self.is_finite():
+            raise OverflowError("interval endpoint is infinite")
+        return self._lo, self._hi
 
     def int_bounds(self, e: int) -> tuple[int, int]:
         """floor(2^e lower) and ceil(2^e upper)."""
-        return (_mpf_to_int(_mpf_shift(self._v[0], e), _r_floor),
-                _mpf_to_int(_mpf_shift(self._v[1], e), _r_ceil))
+        (a, ea), (b, eb) = self.man_exp()
+        ea, eb = ea + e, eb + e
+        return (a << ea if ea >= 0 else a >> -ea), (b << eb if eb >= 0 else -(-b >> -eb))
 
     def radius_below(self, k: int) -> bool:
-        """radius < 2^-k, that is upper - lower < 2^(1-k), exactly on the mpf endpoints."""
-        return _mpf_lt(_mpf_sub(self._v[1], self._v[0]), _mpf_from_man_exp(1, 1 - k))
+        """radius < 2^-k, that is upper - lower < 2^(1-k), exactly on the endpoints."""
+        if not self.is_finite():
+            return False
+        (a, ea), (b, eb) = self._lo, self._hi
+        e = min(ea, eb)
+        return _cmp(((b << (eb - e)) - (a << (ea - e)), e), (1, 1 - k)) < 0
 
     def is_finite(self) -> bool:
-        return all(man or not exp for _, man, exp, _ in self._v)
+        return self._lo is not None and self._hi is not None
 
     def __repr__(self) -> str:
-        return "BallReal(%s)" % libmpi.mpi_str(self._v, self.prec)
+        return "BallReal(%s)" % self.to_str(max(1, round(self.prec / 3.3219280948873626) - 1) + 5)
 
     def to_str(self, dps: int = 20) -> str:
-        return libmpi.mpi_to_str(self._v, dps)
+        """[lower, upper] with dps digits each, as mpmath's ``mpi_to_str``."""
+        return "[%s, %s]" % ("-inf" if self._lo is None else _to_str(self._lo, dps),
+                             "+inf" if self._hi is None else _to_str(self._hi, dps))
 
-    # -- coercion
+    # -- arithmetic: the ends of mpmath's interval kernels, correctly rounded
+    # at the larger precision; an unbounded factor or divisor gives the whole line
 
-    def _coerce(self, other) -> "BallReal":
-        if isinstance(other, BallReal):
-            return other
-        if isinstance(other, int):
-            return BallReal.from_int(other, self.prec)
-        if isinstance(other, Fraction):
-            return BallReal.from_fraction(other, self.prec)
-        return NotImplemented  # type: ignore[return-value]
-
-    # -- arithmetic
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        prec = max(self.prec, other.prec)
-        return BallReal(libmpi.mpi_add(self._v, other._v, prec), prec)
+    @_binary
+    def __add__(self, other, prec):
+        return BallReal(_end(_add, self._lo, other._lo, prec, False),
+                        _end(_add, self._hi, other._hi, prec, True), prec)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        prec = max(self.prec, other.prec)
-        return BallReal(libmpi.mpi_sub(self._v, other._v, prec), prec)
+    @_binary
+    def __sub__(self, other, prec):
+        return BallReal(_end(_sub, self._lo, other._hi, prec, False),
+                        _end(_sub, self._hi, other._lo, prec, True), prec)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other.__sub__(self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        prec = max(self.prec, other.prec)
-        return BallReal(libmpi.mpi_mul(self._v, other._v, prec), prec)
+    @_binary
+    def __mul__(self, other, prec):
+        if not (self.is_finite() and other.is_finite()):
+            return BallReal(None, None, prec)
+        x, y = (self._lo, self._hi), (other._lo, other._hi)
+        ends = _MUL_ENDS.get(tuple(1 if a[0] >= 0 else -1 if b[0] <= 0 else 0 for a, b in (x, y)))
+        if ends is None:  # both contain 0
+            lo = [_mul(x[0], y[1], prec, False), _mul(x[1], y[0], prec, False)]
+            hi = [_mul(x[0], y[0], prec, True), _mul(x[1], y[1], prec, True)]
+            return BallReal(lo[_cmp(*lo) > 0], hi[_cmp(*hi) < 0], prec)
+        i, j, k, l = ends
+        return BallReal(_mul(x[i], y[j], prec, False), _mul(x[k], y[l], prec, True), prec)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        prec = max(self.prec, other.prec)
-        return BallReal(libmpi.mpi_div(self._v, other._v, prec), prec)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other.__truediv__(self)
+    @_binary
+    def __truediv__(self, other, prec):
+        whole = BallReal(None, None, prec)
+        if not (self.is_finite() and other.is_finite()):
+            return whole
+        (a, b), (c, d) = (self._lo, self._hi), (other._lo, other._hi)
+        if c[0] < 0:  # divide -self by -other, whose lower end is >= 0
+            if d[0] > 0:
+                return whole
+            a, b, c, d = (-b[0], b[1]), (-a[0], a[1]), (-d[0], d[1]), (-c[0], c[1])
+        if not c[0]:
+            if not d[0] or a[0] < 0 < b[0] or self.is_exact_zero():
+                return whole
+            if a[0] >= 0:
+                return BallReal(_div(a, d, prec, False), None, prec)
+            return BallReal(None, _div(b, d, prec, True), prec)
+        lo = _div(a, d if a[0] >= 0 else c, prec, False)
+        return BallReal(lo, _div(b, d if b[0] <= 0 else c, prec, True), prec)
 
     def __neg__(self):
-        return BallReal(libmpi.mpi_neg(self._v, self.prec), self.prec)
+        prec = self.prec
+        return BallReal(_neg(self._hi, prec, False), _neg(self._lo, prec, True), prec)
 
     def __abs__(self):
-        return BallReal(libmpi.mpi_abs(self._v, self.prec), self.prec)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        return BallReal(libmpi.mpi_pow_int(self._v, n, self.prec), self.prec)
+        lo, hi, prec = self._lo, self._hi, self.prec
+        if lo is not None and lo[0] >= 0:
+            return BallReal(_round(*lo, prec, False), hi and _round(*hi, prec, True), prec)
+        if hi is not None and hi[0] < 0:
+            return -self
+        # contains 0: [0, max(-lo, hi)]
+        top = None if lo is None or hi is None else max(hi, (-lo[0], lo[1]), key=_fraction)
+        return BallReal((0, 0), top and _round(*top, prec, True), prec)
 
     def sqrt(self) -> "BallReal":
-        return BallReal(libmpi.mpi_sqrt(self._v, self.prec), self.prec)
-
-    def exp(self) -> "BallReal":
-        return BallReal(libmpi.mpi_exp(self._v, self.prec), self.prec)
+        """sqrt is increasing; both ends are correctly rounded."""
+        if self._lo is None:
+            raise ValueError("square root of a negative number")
+        hi, prec = self._hi, self.prec
+        return BallReal(_sqrt(self._lo, prec, False), hi and _sqrt(hi, prec, True), prec)
 
     def log(self) -> "BallReal":
-        return BallReal(libmpi.mpi_log(self._v, self.prec), self.prec)
+        """log is increasing; both ends are correctly rounded (``_log_fixed``),
+        and log 1 = 0 exactly."""
+        if not self.is_positive():
+            raise ValueError("log of a ball that is not positive")
+
+        def end(x, up):  # log(+inf) = +inf, log 1 = 0
+            if x is None or x == (1, 0):
+                return None if x is None else (0, 0)
+            return _settle(lambda w: _log_fixed(*x, w), self.prec, (up,))[0][0]
+
+        return BallReal(end(self._lo, False), end(self._hi, True), self.prec)
 
     def atan(self) -> "BallReal":
-        """One ``mpf_atan`` at the exact midpoint, widened by rad / (1 + m^2)
+        """One evaluation at the exact midpoint, rounded to nearest correctly
+        (``_atan_fixed``: an error below 1/2 ulp), widened by rad / (1 + m^2)
         (mean value theorem; m the endpoint of least magnitude, 0 if the ball
-        contains 0) and by one ulp for the evaluation's own rounding: mpmath
-        sums with at least 30 guard bits and rounds once to nearest, an error
-        below 1/2 ulp + 2^-25 ulp.  The widening is an int on the grid of
-        1/16 ulp, rounded up; the ends are rounded outward.  A ball centred
-        on 0 is its own enclosure (|atan x| <= |x|), so exact zero stays
-        exact; an unbounded ball takes ``mpi_atan``, an evaluation at each end.
+        contains 0) and by one ulp for that rounding.  The widening is an int
+        on the grid of 1/16 ulp, rounded up; the ends are rounded outward.  A
+        ball centred on 0 is its own enclosure (|atan x| <= |x|), so exact
+        zero stays exact; an unbounded ball gets [-pi/2, pi/2].
         """
         prec = self.prec
         if not self.is_finite():
-            return BallReal(libmpi.mpi_atan(self._v, prec), prec)
-        (a, ea), (b, eb) = self.man_exp()
+            half_pi = _div(_pi_ends(prec)[1], (2, 0), prec, True)
+            return BallReal((-half_pi[0], half_pi[1]), half_pi, prec)
+        (a, ea), (b, eb) = self._lo, self._hi
         e = min(ea, eb)
         a, b = a << (ea - e), b << (eb - e)  # the ball is [a 2^e, b 2^e]
         if a + b == 0:
             return self
-        val = _mpf_atan(_mpf_from_man_exp(a + b, e - 1), prec, _r_near)
-        sign, man, vexp, vbc = val
-        g = vexp + vbc - prec - 4  # 2^g = 1/16 ulp of val
+        vm, ve = _settle(lambda w: _atan_fixed(a + b, e - 1, w), prec, (None,))[0][0]
+        g = ve + vm.bit_length() - prec - 4  # 2^g = 1/16 ulp of the value
         m = 0 if a <= 0 <= b else min(abs(a), abs(b))
         t = max(0, -e)  # rad / (1 + m^2) = (b - a) 2^(e - 1 + 2t) / (2^2t + (m 2^(e+t))^2)
         num, den, shift = b - a, (1 << 2 * t) + (m << (e + t)) ** 2, e - 1 + 2 * t - g
         num, den = (num << shift, den) if shift >= 0 else (num, den << -shift)
         widen = 16 - (-num // den)
-        mid = (-man if sign else man) << (vexp - g)
-        return BallReal((_mpf_from_man_exp(mid - widen, g, prec, _r_floor),
-                         _mpf_from_man_exp(mid + widen, g, prec, _r_ceil)), prec)
+        mid = vm << (ve - g)
+        return BallReal(_round(mid - widen, g, prec, False), _round(mid + widen, g, prec, True),
+                        prec)
 
-    def cos(self) -> "BallReal":
-        return BallReal(libmpi.mpi_cos(self._v, self.prec), self.prec)
+    def cos_sin(self) -> tuple["BallReal", "BallReal"]:
+        """Enclosures of cos and sin over the ball.  Both are monotonic
+        between consecutive multiples of pi/2, so each image is spanned by
+        its values at the two ends, correctly rounded (``_cos_sin_fixed``),
+        and by -1 or 1 when an extremum lies between, as the quadrants
+        floor(x / (pi/2)) of the ends tell; an unbounded ball, or one over a
+        full turn, gets [-1, 1]."""
+        prec = self.prec
+        whole = BallReal((-1, 0), (1, 0), prec)
+        if not self.is_finite():
+            return whole, whole
 
-    def sin(self) -> "BallReal":
-        return BallReal(libmpi.mpi_sin(self._v, self.prec), self.prec)
+        def at(x):  # [cos down, up], [sin down, up] and the quadrant at the end x
+            if not x[0]:
+                return [(1, 0)] * 2, [(0, 0)] * 2, 0
+            return _settle(lambda w: _cos_sin_fixed(*x, w), prec)
+
+        (ca, sa, qa), (cb, sb, qb) = at(self._lo), at(self._hi)
+        if qb - qa >= 4:
+            return whole, whole
+        out = []
+        for peak, (a_lo, a_hi), (b_lo, b_hi) in ((0, ca, cb), (1, sa, sb)):
+            lo = (-1, 0) if (qa - peak - 2) // 4 != (qb - peak - 2) // 4 else \
+                min(a_lo, b_lo, key=_fraction)
+            hi = (1, 0) if (qa - peak) // 4 != (qb - peak) // 4 else max(a_hi, b_hi, key=_fraction)
+            out.append(BallReal(lo, hi, prec))
+        return out[0], out[1]
 
     # -- predicates (certified; True only when provable from the enclosure),
-    # exact comparisons of the mpf endpoints, infinite ones included
+    # exact comparisons of the endpoints, infinite ones included
 
     def contains_zero(self) -> bool:
-        return _mpf_sign(self._v[0]) <= 0 <= _mpf_sign(self._v[1])
+        return (self._lo is None or self._lo[0] <= 0) and (self._hi is None or self._hi[0] >= 0)
 
     def excludes_zero(self) -> bool:
         return self.is_positive() or self.is_negative()
 
     def is_positive(self) -> bool:
-        return _mpf_sign(self._v[0]) > 0
+        return self._lo is not None and self._lo[0] > 0
 
     def is_negative(self) -> bool:
-        return _mpf_sign(self._v[1]) < 0
+        return self._hi is not None and self._hi[0] < 0
 
     def is_exact_zero(self) -> bool:
-        return self._v[0] == _fzero and self._v[1] == _fzero
+        return self._lo == self._hi == (0, 0)
 
     def contains(self, q) -> bool:
         q = Fraction(q)
         return self.lower <= q <= self.upper
 
     def overlaps(self, other: "BallReal") -> bool:
-        return _mpf_le(self._v[0], other._v[1]) and _mpf_le(other._v[0], self._v[1])
+        return ((self._lo is None or other._hi is None or _cmp(self._lo, other._hi) <= 0)
+                and (other._lo is None or self._hi is None or _cmp(other._lo, self._hi) <= 0))
 
     def mignitude(self) -> Fraction:
         """Certified lower bound for the absolute value (0 if 0 is enclosed)."""
@@ -421,16 +709,8 @@ def _hadamard_interval(rows, prec: int) -> BallReal:
         s = sum((x.magnitude() ** 2 for x in r), Fraction(0))
         # integer square root of ceil(s), rounded up: coarse but sound
         num = -(-s.numerator // s.denominator)
-        root = _isqrt_ceil(num)
-        bound *= root
+        bound *= 1 + math.isqrt(num - 1) if num else 0
     return BallReal.from_endpoints(-bound, bound, prec)
-
-
-def _isqrt_ceil(n: int) -> int:
-    import math
-
-    r = math.isqrt(n)
-    return r if r * r == n else r + 1
 
 
 # ---------------------------------------------------------------------------

@@ -407,8 +407,7 @@ def _cos_sin_table(n: int, wp: int) -> tuple[tuple[tuple[int, ...], tuple[int, .
 @lru_cache(maxsize=None)
 def _cos_sin(n: int, k: int, wp: int) -> tuple[BallReal, BallReal]:
     """Enclosures of cos and sin of 2 pi k / n at working precision wp."""
-    theta = BallReal.pi(wp) * 2 * Fraction(k, n)
-    return theta.cos(), theta.sin()
+    return (BallReal.pi(wp) * 2 * Fraction(k, n)).cos_sin()
 
 
 def is_root_of_unity(x: CycloElt) -> Optional[int]:

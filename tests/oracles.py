@@ -423,9 +423,9 @@ def embed_uncached(x, place, precision=64):
         if k == 0:
             re = re + BallReal.from_fraction(c, wp)
             continue
-        theta = two_pi * Fraction(k, n)
-        re = re + theta.cos() * Fraction(c)
-        im = im + theta.sin() * Fraction(c)
+        cos, sin = (two_pi * Fraction(k, n)).cos_sin()
+        re = re + cos * Fraction(c)
+        im = im + sin * Fraction(c)
     return BallComplex(re, im)
 
 
@@ -793,9 +793,9 @@ def powering_circulant_group_delta(thetas):
         re = BallReal.zero(prec)
         im = BallReal.zero(prec)
         for i, t in enumerate(thetas):
-            angle = two_pi * Fraction((i * j) % m, m)
-            re = re + t * angle.cos()
-            im = im + t * angle.sin()
+            cos, sin = (two_pi * Fraction((i * j) % m, m)).cos_sin()
+            re = re + t * cos
+            im = im + t * sin
         fact = fact * abs(BallComplex(re, im))
     return delta, fact
 

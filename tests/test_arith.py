@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
+from mpmath.libmp import finf, fninf, from_man_exp, from_rational, libmpi
 
 from pweil import arith
 from pweil.arith import (
@@ -52,7 +53,7 @@ def test_enclosure_soundness_random_expressions(prec):
 
 def test_ball_pow_and_sqrt_enclose():
     x = BallReal.from_fraction(Fraction(7, 3), 128)
-    assert (x ** 3).contains(Fraction(343, 27))
+    assert (x * x * x).contains(Fraction(343, 27))
     s = BallReal.from_int(2, 128).sqrt()
     assert (s * s).contains(2)
 
@@ -156,6 +157,132 @@ def test_det_nonsquare_rejected():
 
 
 # ---------------------------------------------------------------------------
+# plain-int balls against mpmath's interval kernels (libmpi) as the oracle
+
+def _to_mpi(ball):
+    lo, hi = ball._lo, ball._hi
+    return (fninf if lo is None else from_man_exp(*lo), finf if hi is None else from_man_exp(*hi))
+
+
+def _from_mpi(v, prec):
+    """The ball with the ends of an mpi interval, infinite ones included."""
+    return BallReal(*(None if not man and exp else (-int(man) if sign else int(man), exp)
+                      for sign, man, exp, _ in v), prec)
+
+
+def _random_ball(rng, prec):
+    """A ball at prec bits whose ends have up to prec + 20 bits, scaled by
+    2^-60 to 2^60 or, one time in five, 2^-3000 to 2^3000: an exact point, an
+    exact int, 0, a ball around 0 or a random ball."""
+    bits = rng.randint(1, prec + 20)
+    m = rng.getrandbits(bits) * rng.choice((1, -1))
+    e = bits - (rng.randint(-60, 60) if rng.randrange(5) else rng.randint(-3000, 3000))
+    kind = rng.randrange(5)
+    if kind == 0:
+        return BallReal.from_scaled_ints(m, m, e, prec)
+    if kind == 1:
+        return BallReal.from_int(rng.randint(-5, 5), prec)
+    rad = abs(m) + rng.getrandbits(3) if kind == 2 else rng.getrandbits(rng.randint(0, bits))
+    return BallReal.from_scaled_ints(m - rad, m + rad, e, prec)
+
+
+def _unbounded_balls():
+    whole = BallReal.from_int(1, 64) / BallReal.from_endpoints(-1, 1, 64)
+    right = BallReal.from_int(1, 64) / BallReal.from_endpoints(0, 1, 64)
+    return [whole, right, -right]
+
+
+def test_arithmetic_ends_equal_mpi_exactly():
+    rng = random.Random(1100)
+    balls = [_random_ball(rng, rng.randint(64, 1100)) for _ in range(400)]
+    balls += _unbounded_balls() + [BallReal.zero(64)]
+    for i, x in enumerate(balls):
+        ys = [balls[i - 1], balls[(i * 7) % len(balls)], _random_ball(rng, x.prec)]
+        for y in ys:
+            prec = max(x.prec, y.prec)
+            mx, my = _to_mpi(x), _to_mpi(y)
+            assert _to_mpi(x + y) == libmpi.mpi_add(mx, my, prec)
+            assert _to_mpi(x - y) == libmpi.mpi_sub(mx, my, prec)
+            if x.is_finite() and y.is_finite():  # the whole line stands for an infinite operand
+                assert _to_mpi(x * y) == libmpi.mpi_mul(mx, my, prec)
+                assert _to_mpi(x / y) == libmpi.mpi_div(mx, my, prec)
+        mx = _to_mpi(x)
+        assert _to_mpi(-x) == libmpi.mpi_neg(mx, x.prec)
+        assert _to_mpi(abs(x)) == libmpi.mpi_abs(mx, x.prec)
+        if x.is_finite() and x.lower >= 0:
+            assert _to_mpi(x.sqrt()) == libmpi.mpi_sqrt(mx, x.prec)
+    for _ in range(200):
+        prec = rng.randint(64, 1100)
+        q = Fraction(rng.getrandbits(rng.randint(1, 1200)) * rng.choice((1, -1)),
+                     rng.getrandbits(rng.randint(1, 1200)) + 1)
+        assert _to_mpi(BallReal.from_fraction(q, prec)) == tuple(
+            from_rational(q.numerator, q.denominator, prec, rnd) for rnd in "fc")
+
+
+def test_to_str_equals_mpi_to_str():
+    rng = random.Random(25)
+    balls = [_random_ball(rng, rng.randint(64, 1100)) for _ in range(400)]
+    balls += _unbounded_balls() + [BallReal.from_scaled_ints(10 ** 30 - 1, 10 ** 30, 0, 64),
+                                   BallReal.from_fraction(Fraction(-1, 3), 64),
+                                   BallReal.from_scaled_ints(-3, 5, -20000, 64),
+                                   BallReal.from_scaled_ints(-5, 3, 20000, 64)]
+    for x in balls:
+        for dps in (20, 25):
+            assert x.to_str(dps) == libmpi.mpi_to_str(_to_mpi(x), dps)
+
+
+def _ulp(x: Fraction, prec: int) -> Fraction:
+    return Fraction(2) ** (x.numerator.bit_length() - x.denominator.bit_length() - prec)
+
+
+def _assert_encloses_tightly(got, exact, same_prec, prec, ulps=4, fine_ulps=0):
+    """got contains mpmath's enclosure at 64 more bits, but for fine_ulps
+    ulps of that enclosure at each end, and is at most ulps ulps wider than
+    mpmath's at the same precision."""
+    lo, hi = exact.lower, exact.upper
+    assert got.lower <= lo + fine_ulps * (_ulp(abs(lo), prec + 64) if lo else 0)
+    assert hi - fine_ulps * (_ulp(abs(hi), prec + 64) if hi else 0) <= got.upper
+    size = max(abs(same_prec.lower), abs(same_prec.upper))
+    slack = ulps * _ulp(size, prec) if size else 0
+    assert (got.upper - got.lower) - (same_prec.upper - same_prec.lower) <= slack
+
+
+def test_pi_and_log_enclosures_against_mpi():
+    rng = random.Random(64)
+    for prec in list(range(64, 1101, 37)) + [1100]:
+        exact = _from_mpi(libmpi.mpi_pi(prec + 64), prec + 64)
+        _assert_encloses_tightly(BallReal.pi(prec), exact, _from_mpi(libmpi.mpi_pi(prec), prec),
+                                 prec)
+        lo = rng.choice((rng.randint(2, 1000), rng.getrandbits(rng.randint(2, 1200)) + 1))
+        ball = BallReal.from_scaled_ints(lo, lo + rng.randint(0, 2), rng.randint(-80, 80), prec)
+        v = _to_mpi(ball)
+        _assert_encloses_tightly(ball.log(), _from_mpi(libmpi.mpi_log(v, prec + 64), prec + 64),
+                                 _from_mpi(libmpi.mpi_log(v, prec), prec), prec)
+    assert BallReal.from_int(1, 64).log().is_exact_zero()
+
+
+def test_cos_sin_enclosures_against_mpi():
+    # angles 2 pi k / n as cyclo's tables build them, then random balls of
+    # every magnitude; balls across an extremum include +-1.  mpmath moves
+    # each end of its cos and sin out by a relative 2^-(prec + 10) and then
+    # rounds it outward, which can pass the correctly rounded end by an ulp
+    rng = random.Random(2)
+    balls = [BallReal.pi(prec) * 2 * Fraction(k, n)
+             for n, prec in ((5, 64), (8, 184), (12, 568), (16, 1100)) for k in range(n)]
+    balls += [_random_ball(rng, rng.randint(64, 1100)) for _ in range(80)]
+    balls += [BallReal.from_endpoints(-1, 1, 64), BallReal.from_endpoints(3, 4, 128),
+              BallReal.from_endpoints(0, 7, 64)]
+    for ball in balls:
+        prec, v = ball.prec, _to_mpi(ball)
+        exact = [_from_mpi(w, prec + 64) for w in libmpi.mpi_cos_sin(v, prec + 64)]
+        same = [_from_mpi(w, prec) for w in libmpi.mpi_cos_sin(v, prec)]
+        for got, ex, sp in zip(ball.cos_sin(), exact, same):
+            _assert_encloses_tightly(got, ex, sp, prec, fine_ulps=2)
+    whole = _unbounded_balls()[0].cos_sin()
+    assert all(b.lower == -1 and b.upper == 1 for b in whole)
+
+
+# ---------------------------------------------------------------------------
 # atan: one evaluation at the midpoint against mpi_atan at both ends
 
 def _random_atan_ball(rng, kind: str):
@@ -188,15 +315,13 @@ def test_atan_one_evaluation_matches_mpi_atan(kind):
     # precision: one ulp each side for the evaluation, one for the outward
     # rounding of each end, and the second-order term of the mean value bound,
     # below an ulp each side for radii below 2^-(prec/2) |x|
-    from mpmath.libmp import libmpi
-
     rng = random.Random("atan-" + kind)
     for _ in range(60):
         lo, hi, e, prec = _random_atan_ball(rng, kind)
         ball = BallReal.from_scaled_ints(lo, hi, e, prec)
         got = ball.atan()
-        exact = BallReal(libmpi.mpi_atan(ball._v, prec + 64), prec + 64)
-        old = BallReal(libmpi.mpi_atan(ball._v, prec), prec)
+        exact = _from_mpi(libmpi.mpi_atan(_to_mpi(ball), prec + 64), prec + 64)
+        old = _from_mpi(libmpi.mpi_atan(_to_mpi(ball), prec), prec)
         assert got.lower <= exact.lower and exact.upper <= got.upper
         size = max(abs(old.lower), abs(old.upper))
         if size == 0:
@@ -204,6 +329,17 @@ def test_atan_one_evaluation_matches_mpi_atan(kind):
             continue
         ulp = Fraction(2) ** (size.numerator.bit_length() - size.denominator.bit_length() - prec)
         assert (got.upper - got.lower) - (old.upper - old.lower) <= 6 * ulp
+
+
+def test_atan_at_exact_points_against_mpi():
+    # +-1 (atan = +-pi/4), powers of 2 and ints on both sides of the
+    # reduction through 1/x, at the precisions of the callers
+    for prec in (64, 176, 560, 1100):
+        for lo, e in ((1, 0), (-1, 0), (1, 40), (1, -40), (3, 0), (-5, 1), (7, -3)):
+            ball = BallReal.from_scaled_ints(lo, lo, -e, prec)
+            exact = _from_mpi(libmpi.mpi_atan(_to_mpi(ball), prec + 64), prec + 64)
+            same = _from_mpi(libmpi.mpi_atan(_to_mpi(ball), prec), prec)
+            _assert_encloses_tightly(ball.atan(), exact, same, prec)
 
 
 def test_atan_of_exact_zero_stays_exact():

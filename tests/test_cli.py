@@ -530,3 +530,17 @@ def test_cli_import_loads_neither_dataclasses_nor_hashlib():
     loaded = set(proc.stdout.decode().split())
     assert "pweil.cli" in loaded
     assert not loaded & {"dataclasses", "hashlib"}
+
+
+def test_an_analyze_run_loads_no_mpmath():
+    # the balls are plain ints: an analyze process imports nothing outside
+    # the standard library and pweil, compared with what it had before
+    script = ("import sys; before = set(sys.modules); import pweil.cli; "
+              "code = pweil.cli.main(['analyze', '--n', '5', '--p', '11', '--format', 'json']); "
+              "print(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr); "
+              "sys.exit(code)")
+    proc = run_module("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.decode().split())
+    assert {"pweil.cli", "pweil.arith"} <= loaded
+    assert not [name for name in loaded if name.split(".")[0] == "mpmath"]

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from mpmath.libmp import from_int, libmpi, to_rational
 
 from oracles import (bareiss_det, cholesky_short_vectors, fraction_gs_norms, fraction_lll,
                      fraction_relation, full_scale_relation, round_fraction,
@@ -500,8 +501,7 @@ def test_relation_search_matches_fraction_oracle_on_random_balls():
 
 
 def test_relation_search_raises_on_an_infinite_endpoint():
-    from mpmath.libmp import finf, fninf
-    unbounded = BallReal((fninf, finf), 64)
+    unbounded = BallReal.from_int(1, 64) / BallReal.from_endpoints(-1, 1, 64)
     pi, one = BallReal.pi(96), BallReal.from_int(1, 64)
     for vectors, modulus in (([[unbounded]], pi), ([[one]], unbounded)):
         with pytest.raises(OverflowError):
@@ -510,13 +510,19 @@ def test_relation_search_raises_on_an_infinite_endpoint():
             fraction_relation(vectors, modulus, 10, 64)
 
 
+def _exp_ball(k, prec):
+    # mpmath's enclosure of e^k, so the planted values stay transcendental
+    lo, hi = libmpi.mpi_exp((from_int(k), from_int(k)), prec)
+    return BallReal.from_endpoints(Fraction(*to_rational(lo)), Fraction(*to_rational(hi)), prec)
+
+
 def test_relation_planted_completeness():
     rng = random.Random(53)
     for trial in range(25):
         m = rng.randint(3, 5)
         vals = [
             BallReal.pi(320) * Fraction(rng.randint(1, 40), rng.randint(1, 9))
-            + BallReal.from_int(rng.randint(-3, 3), 320).exp()
+            + _exp_ball(rng.randint(-3, 3), 320)
             for _ in range(m - 1)
         ]
         coeffs = [rng.randint(-9, 9) for _ in range(m - 1)]
