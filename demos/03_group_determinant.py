@@ -17,10 +17,10 @@ from pweil.regulators import (
 field = CycloField(8)
 split = split_prime(field, 17)
 basis = build_weil_basis(split)
-aut = find_abelian_generator(basis)
-print("orbit generator:", aut)
+a = find_abelian_generator(basis)
+print("orbit generator: sigma_%d" % a)
 
-rep = group_determinant(basis, aut, 256)
+rep = group_determinant(basis, a, 256)
 print("matrix size:", rep.size)
 for i, t in enumerate(rep.thetas):
     print("  theta_%d = %s" % (i, t.to_str(25)))

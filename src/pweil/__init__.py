@@ -17,7 +17,7 @@ from .arith import (
     padic_log,
     rational_reconstruct,
 )
-from .cyclo import CycloField, CycloElt, GaloisAut, norm, embed, is_root_of_unity
+from .cyclo import CycloField, CycloElt, norm, embed, is_root_of_unity
 from .splitting import PrimeAbove, SplitData, split_prime, ord_at, conj_prime
 from .lattice import (
     RelationCertificate,

@@ -9,9 +9,10 @@ operations, the Galois action and the norm work on integers;
 ``as_rational``).  An embedding is one exact int dot product of
 the numerator with a fixed-point table of cos and sin of 2 pi k / n, kept
 per (n, working precision); torsion is a lookup in a table of the lcm(2, n)
-roots of unity kept per n.  The Galois group is (Z/n)* acting by zeta -> zeta^a,
-and complex conjugation is a = -1.  Conductors n = 2m with m odd are
-rejected (same field as Q(zeta_m)), so field labels are unique.
+roots of unity kept per n.  The Galois group is (Z/n)* acting by
+zeta -> zeta^a: sigma_a is the int a, and complex conjugation is a = -1.
+Conductors n = 2m with m odd are rejected (same field as Q(zeta_m)), so
+field labels are unique.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def _int_poly_exact_div(a: list[int], b: list[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Field and automorphisms
+# The field
 
 class CycloField:
     """The field Q(zeta_n) with a fixed embedding zeta -> exp(2 pi i / n).
@@ -132,36 +133,9 @@ class CycloField:
     def from_rational(self, q) -> "CycloElt":
         return self.elt([q])
 
-    def aut(self, a: int) -> "GaloisAut":
-        return GaloisAut(self.n, a)
-
-    def conjugation(self) -> "GaloisAut":
-        return GaloisAut(self.n, self.n - 1)
-
     def torsion_order(self) -> int:
         """Order of the group of roots of unity mu(Q(zeta_n))."""
         return self.n if self.n % 2 == 0 else 2 * self.n
-
-
-class GaloisAut:
-    """The automorphism zeta -> zeta^a of Q(zeta_n), for a in (Z/n)*."""
-
-    __slots__ = ("n", "a")
-
-    def __init__(self, n: int, a: int):
-        self.n = n
-        self.a = a % n
-        if gcd(self.a, n) != 1:
-            raise ValueError("automorphism index %d not coprime to %d" % (self.a, n))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GaloisAut) and (self.n, self.a) == (other.n, other.a)
-
-    def __hash__(self):
-        return hash((self.n, self.a))
-
-    def __repr__(self) -> str:
-        return "GaloisAut(zeta -> zeta^%d mod %d)" % (self.a, self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +243,7 @@ class CycloElt:
         field = self.field
         adj = field.one()
         for a in field.units[1:]:
-            adj = adj * self.apply(field.aut(a))
+            adj = adj * self.apply(a)
         nrm = self * adj
         c = nrm.num[0]
         assert c > 0 and not any(nrm.num[1:]), "N(x) is not a positive rational"
@@ -277,18 +251,20 @@ class CycloElt:
 
     # -- Galois action
 
-    def apply(self, aut: GaloisAut) -> "CycloElt":
-        if aut.n != self.field.n:
-            raise ValueError("automorphism of a different field")
+    def apply(self, a: int) -> "CycloElt":
+        """sigma_a(x), zeta -> zeta^a, for a unit a mod n."""
         n = self.field.n
+        a %= n
+        if gcd(a, n) != 1:
+            raise ValueError("automorphism index %d not coprime to %d" % (a, n))
         out = [0] * n
         for i, c in enumerate(self.num):
             if c:
-                out[(aut.a * i) % n] += c
+                out[(a * i) % n] += c
         return CycloElt._make(self.field, out, self.den)
 
     def conj(self) -> "CycloElt":
-        return self.apply(self.field.conjugation())
+        return self.apply(-1)
 
     # -- rational-ness
 

@@ -6,9 +6,9 @@
 * bounded search for simultaneous rational relations among those vectors
   modulo 2 pi (a "none" outcome is a certificate at the stated bound and
   precision, never a proof of independence);
-* the group determinant built from the conjugates of a basis element under
-  a cyclic Galois action, evaluated both directly and through its character
-  factorization;
+* the group determinant of the arguments of a basis element at the places
+  of a cyclic Galois orbit, evaluated both directly and through its
+  character factorization;
 * the Z_p-valued regulator matrix, log_p of the modified local absolute
   values at the primes above p: one row, Galois-permuted, and a heuristic rank;
 * the exact dimension of the closure of the argument image in the torus
@@ -33,8 +33,8 @@ from .arith import (
     rational_reconstruct,
     split_p,
 )
-from .cyclo import CycloElt, GaloisAut, _cos_sin, embed, is_root_of_unity
-from .lattice import RelationCertificate, find_simultaneous_relation, kernel_basis_int, row_hnf
+from .cyclo import CycloElt, _cos_sin, embed, is_root_of_unity
+from .lattice import RelationCertificate, find_simultaneous_relation, kernel_basis_int
 from .splitting import SplitData, ord_at
 from .weilgroup import WeilBasis
 
@@ -163,6 +163,8 @@ def argument_independence_certificate(
         raise ValueError("empty basis: nothing to test")
     vectors = _orbit_arguments(basis, precision)
     if offsets is not None:
+        if len(offsets) != len(vectors):
+            raise ValueError("offset row count != basis size")
         turn = BallReal.pi(precision) * 2  # adds offsets[i][v] whole turns to arg sigma_v(xi_i)
         for i, offs in enumerate(offsets):
             if len(offs) != len(vectors[i]):
@@ -198,7 +200,7 @@ def _orbit_transporters(basis: WeilBasis) -> list[int]:
     out = []
     for idx in split.S:
         a = min(split.primes[idx].coset)
-        if basis.xi[idx] != basis.xi[split.S[0]].apply(split.field.aut(a)):
+        if basis.xi[idx] != basis.xi[split.S[0]].apply(a):
             raise BasisMismatch("xi_%s is not sigma_%d(xi_%s)"
                                 % (split.primes[idx].label, a, split.primes[split.S[0]].label))
         out.append(a)
@@ -206,7 +208,7 @@ def _orbit_transporters(basis: WeilBasis) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Group determinants for cyclic conjugate bases
+# Group determinants for cyclic Galois orbits
 
 class GroupDetReport(NamedTuple):
     sigma: int
@@ -230,43 +232,30 @@ class GroupDetReport(NamedTuple):
 
 
 def _orbit_mismatch(basis: WeilBasis, a: int) -> Optional[str]:
-    """The BasisMismatch message of ``conjugate_orbit`` for sigma_a, or None."""
+    """Why the sigma_a-orbit of xi = xi_{P0}, P0 = S[0], is not a rational
+    basis of E_p(k) x Q on which <sigma_a> acts with order |S|, or None:
+    sigma_a^|S| does not fix xi exactly (for example when it is complex
+    conjugation: xi^c = xi^-1) or the conjugates fail to span, decided on
+    the primes: ``build_weil_basis`` asserts that xi has divisor
+    (M/f)(P0^c - P0), and sigma_a commutes with complex conjugation, so
+    sigma_a^k(xi) has its divisor on the conjugate pair of sigma_a^k(P0).
+    Divisors on distinct pairs are independent and the two on one pair are
+    +-1 times each other, so the |S| conjugates span exactly when those
+    pairs are distinct.  A non-unit a raises ValueError.
+    """
     split = basis.split
     m = len(split.S)
     if m == 0:
         return "empty basis"
     n, p0 = split.field.n, split.S[0]
     xi = basis.xi[p0]
-    if xi.apply(split.field.aut(pow(a, m, n))) != xi:
+    if xi.apply(pow(a, m, n)) != xi:
         return "sigma^%d does not fix xi (the orbit does not close into a group)" % m
     pairs = {min(i, split.conj_index(i))
              for i in (split.act_index(pow(a, k, n), p0) for k in range(m))}
     if len(pairs) != m:
         return "conjugates do not span E_p(k) x Q"
     return None
-
-
-def conjugate_orbit(basis: WeilBasis, sigma: GaloisAut) -> list[CycloElt]:
-    """The orbit xi, xi^sigma, ..., of xi = xi_{P0}, P0 = S[0], validated
-    to be a rational basis of E_p(k) x Q on which <sigma> acts with order |S|.
-
-    Raises BasisMismatch when sigma^|S| does not fix xi exactly (for example
-    when sigma^|S| is complex conjugation: xi^c = xi^-1 and no group
-    determinant arises) or when the conjugates fail to span.  Both are
-    decided before the orbit is built, the span on the primes:
-    ``build_weil_basis`` asserts that xi has divisor (M/f)(P0^c - P0), and
-    sigma commutes with complex conjugation, so sigma^k(xi) has its divisor
-    on the conjugate pair of sigma^k(P0).  Divisors on distinct pairs are
-    independent and the two on one pair are +-1 times each other, so the
-    |S| conjugates span exactly when those pairs are distinct.
-    """
-    reason = _orbit_mismatch(basis, sigma.a)
-    if reason is not None:
-        raise BasisMismatch(reason)
-    orbit = [basis.xi[basis.split.S[0]]]
-    for _ in range(len(basis.split.S) - 1):
-        orbit.append(orbit[-1].apply(sigma))
-    return orbit
 
 
 def circulant_group_delta(thetas: Sequence[BallReal]) -> tuple[BallReal, BallReal]:
@@ -293,21 +282,23 @@ def circulant_group_delta(thetas: Sequence[BallReal]) -> tuple[BallReal, BallRea
     return delta, fact
 
 
-def group_determinant(basis: WeilBasis, sigma, precision: int = 256) -> GroupDetReport:
-    """Certified group determinant of the sigma-orbit basis arguments.
+def group_determinant(basis: WeilBasis, a: int, precision: int = 256) -> GroupDetReport:
+    """Certified group determinant of the sigma_a-orbit of xi = xi_{P0}.
 
-    Entry (r, c) of the underlying matrix is the principal argument of
-    sigma^(c-r)(xi) under the fixed embedding, so the matrix is the
-    circulant of the orbit's principal argument values.  The
-    enclosure of |det| and of the character-product factorization are both
-    returned with a nonzero flag.
+    Entry (r, c) of the underlying matrix is theta_(c-r), theta_k the
+    principal argument of sigma_a^k(xi) under the fixed embedding, that is
+    of xi at the place a^k mod n, so the orbit (checked by
+    ``_orbit_mismatch``) is never built.  The enclosure of |det| and of the
+    character-product factorization are both returned with a nonzero flag.
     """
     split = basis.split
-    if isinstance(sigma, int):
-        sigma = split.field.aut(sigma)
-    orbit = conjugate_orbit(basis, sigma)
-    base_place = split.field.places[0]
-    thetas = [certified_arg(elt, base_place, precision) for elt in orbit]
+    n = split.field.n
+    a %= n
+    reason = _orbit_mismatch(basis, a)
+    if reason is not None:
+        raise BasisMismatch(reason)
+    xi = basis.xi[split.S[0]]
+    thetas = [certified_arg(xi, pow(a, k, n), precision) for k in range(len(split.S))]
     delta, fact = circulant_group_delta(thetas)
     if not delta.overlaps(fact):
         raise ArithmeticError(
@@ -316,22 +307,22 @@ def group_determinant(basis: WeilBasis, sigma, precision: int = 256) -> GroupDet
         )
     nonzero = delta.excludes_zero() or fact.excludes_zero()
     return GroupDetReport(
-        sigma=sigma.a, size=len(orbit), thetas=tuple(thetas), delta=delta,
+        sigma=a, size=len(thetas), thetas=tuple(thetas), delta=delta,
         delta_factored=fact, nonzero=nonzero, precision=precision,
     )
 
 
-def find_abelian_generator(basis: WeilBasis) -> Optional[GaloisAut]:
-    """Smallest a whose automorphism makes the basis a closed cyclic orbit.
+def find_abelian_generator(basis: WeilBasis) -> Optional[int]:
+    """Smallest a whose automorphism sigma_a makes the basis a closed cyclic orbit.
 
     Each a costs one exact comparison, sigma_a^|S|(xi_{P0}) == xi_{P0}, and
     a test that the sigma_a^k(P0), k < |S|, lie in distinct conjugate pairs:
     the divisor of sigma_a^k(xi_{P0}) lies on the pair of sigma_a^k(P0), so
-    that is the span of the conjugates (see ``conjugate_orbit``).
+    that is the span of the conjugates (see ``_orbit_mismatch``).
     """
     for a in basis.split.field.units:
         if _orbit_mismatch(basis, a) is None:
-            return basis.split.field.aut(a)
+            return a
     return None
 
 
@@ -512,23 +503,19 @@ def epsilon_vector(split: SplitData, i: int, j: int) -> tuple[int, ...]:
 
 
 def closure_dimension(split: SplitData) -> ClosureReport:
-    """Exact dimension of the closure of the argument image in the torus."""
+    """Exact dimension of the closure of the argument image in the torus:
+    r2 minus the rank of the annihilator of the eps vectors (all of Z^r2
+    when S is empty), the left kernel of their transpose."""
     r2 = len(split.field.places)
     eps = {}
     for i in split.S:
         for j in split.S:
             key = "%s,%s" % (split.primes[i].label, split.primes[j].label)
             eps[key] = epsilon_vector(split, i, j)
-    vectors = list(eps.values())
-    if not vectors:
-        dim = 0
-        c_hat = [tuple(1 if i == j else 0 for j in range(r2)) for i in range(r2)]
-    else:
-        dim = row_hnf(vectors)[1]
-        transpose = [[vec[v] for vec in vectors] for v in range(r2)]
-        c_hat = [tuple(row) for row in kernel_basis_int(transpose)]
+    transpose = [[vec[v] for vec in eps.values()] for v in range(r2)]
+    c_hat = [tuple(row) for row in kernel_basis_int(transpose)]
     return ClosureReport(
-        dimension=dim,
+        dimension=r2 - len(c_hat),
         torus_dimension=r2,
         c_hat_basis=tuple(c_hat),
         epsilons=eps,

@@ -116,34 +116,24 @@ def alpha_p_map(x: CycloElt, split: SplitData) -> DivisorVec:
 # Ideal lattices and generator search
 
 def ideal_basis(prime: PrimeAbove, power: int = 1) -> list[list[int]]:
-    """HNF Z-basis (rows of zeta-power coordinates) of P^power."""
+    """HNF Z-basis (rows of zeta-power coordinates) of P^power, k = power.
+
+    P = (p, h(zeta)) with v_P(h(zeta)) >= 1 and v_Q(h(zeta)) = 0 at every
+    other Q above p, so the ideal (p^k, h(zeta)^k) is P^k; as a Z-module it
+    is spanned by the zeta^i p^k and zeta^i h(zeta)^k, i < phi(n), and one
+    HNF of those rows is its basis.
+    """
     field = prime.field
     deg = field.degree
-    if power == 0:
-        return [[1 if i == j else 0 for j in range(deg)] for i in range(deg)]
-    h_elt = field.elt([c % prime.p for c in prime.h_bar])
+    pk = prime.p ** power
+    hk = field.elt([c % prime.p for c in prime.h_bar]) ** power
     gens = []
     for i in range(deg):
-        zi = field.zeta(i)
-        gens.append(_int_coeffs(zi * prime.p))
-        gens.append(_int_coeffs(zi * h_elt))
+        gens.append([0] * i + [pk] + [0] * (deg - 1 - i))
+        gens.append(list((field.zeta(i) * hk).num))
     basis, rank = row_hnf(gens)
     assert rank == deg
-    # P^(k+1) = p P^k + h(zeta) P^k as Z-modules
-    for _ in range(power - 1):
-        prods = []
-        for row in basis:
-            belt = field.elt(row)
-            prods.append(_int_coeffs(belt * prime.p))
-            prods.append(_int_coeffs(belt * h_elt))
-        basis, rank = row_hnf(prods)
-        assert rank == deg
     return basis
-
-
-def _int_coeffs(x: CycloElt) -> list[int]:
-    assert x.den == 1
-    return list(x.num)
 
 
 def trace_gram(field: CycloField) -> list[list[int]]:
@@ -276,10 +266,10 @@ def build_weil_basis(split: SplitData) -> WeilBasis:
     x: dict[int, CycloElt] = {}
     xi: dict[int, CycloElt] = {}
     for idx in split.S:
-        aut = field.aut(min(split.primes[idx].coset))
-        x[idx] = x0.apply(aut)
+        a = min(split.primes[idx].coset)
+        x[idx] = x0.apply(a)
         x[split.conj_index(idx)] = x[idx].conj()
-        xi[idx] = xi0.apply(aut)
+        xi[idx] = xi0.apply(a)
 
     p = split.p
     for idx in split.T:

@@ -46,8 +46,13 @@ endpoints, before they compared the mpf endpoints, and
 product U A, before it was the rows of U from the rank on.
 ``hnf_orbit_mismatch`` is the cyclic-orbit test that built the orbit of
 xi_{P0} and took the HNF rank of its alpha_p rows, before the span was
-decided on the conjugate pairs of primes.  They stay here as the
-differential oracles.
+decided on the conjugate pairs of primes.  ``orbit_group_determinant`` is
+the group determinant on the arguments of the built orbit sigma_a^k(xi_{P0})
+at the fixed embedding, before they were the arguments of xi_{P0} at the
+places a^k, and ``iterated_ideal_basis`` is the basis of P^k from k - 1
+rounds of products with p and h(zeta) and an HNF, before it was one HNF of
+the zeta^i p^k and zeta^i h(zeta)^k.  They stay here as the differential
+oracles.
 """
 
 import math
@@ -60,7 +65,8 @@ from pweil.arith import (BallComplex, BallReal, BranchCutHit, GaloisRing, NotAUn
                          PrecisionTooLow, _ilog, _zm_rem_monic, arg_principal, ball_det,
                          fp_divmod, fp_gcd, fp_mul, fp_trim, padic_log, split_p)
 from pweil.cyclo import cyclotomic_polynomial, norm
-from pweil.regulators import GrossMatrix, _padic_rank, gross_row
+from pweil.regulators import (BasisMismatch, GroupDetReport, GrossMatrix, _orbit_mismatch,
+                              _padic_rank, certified_arg, circulant_group_delta, gross_row)
 from pweil.lattice import (BoundTooLarge, DependentRows, RelationCertificate, _canonical_sign,
                            _dot, _hnf_with_transform, gs_norms, lll, row_hnf, short_vectors)
 from pweil.splitting import ord_at
@@ -922,15 +928,60 @@ def hnf_orbit_mismatch(basis, a):
     m = len(split.S)
     if m == 0:
         return "empty basis"
-    sigma = split.field.aut(a)
     xi0 = basis.xi[split.S[0]]
     orbit = [xi0]
     cur = xi0
     for _ in range(m - 1):
-        cur = cur.apply(sigma)
+        cur = cur.apply(a)
         orbit.append(cur)
-    if cur.apply(sigma) != xi0:
+    if cur.apply(a) != xi0:
         return "sigma^%d does not fix xi (the orbit does not close into a group)" % m
     if row_hnf([alpha_p_map(e, split).coeffs for e in orbit])[1] != m:
         return "conjugates do not span E_p(k) x Q"
     return None
+
+
+def orbit_group_determinant(basis, a, precision):
+    """The group determinant on the arguments of the orbit xi, sigma_a(xi),
+    ..., xi = xi_{P0}, each built by applying sigma_a and read at the fixed
+    embedding."""
+    reason = _orbit_mismatch(basis, a)
+    if reason is not None:
+        raise BasisMismatch(reason)
+    orbit = [basis.xi[basis.split.S[0]]]
+    for _ in range(len(basis.split.S) - 1):
+        orbit.append(orbit[-1].apply(a))
+    thetas = [certified_arg(elt, 1, precision) for elt in orbit]
+    delta, fact = circulant_group_delta(thetas)
+    assert delta.overlaps(fact)
+    return GroupDetReport(
+        sigma=a % basis.split.field.n, size=len(orbit), thetas=tuple(thetas), delta=delta,
+        delta_factored=fact, nonzero=delta.excludes_zero() or fact.excludes_zero(),
+        precision=precision,
+    )
+
+
+def iterated_ideal_basis(prime, power):
+    """HNF basis of P^power: P from p and h(zeta), then P^(k+1) = p P^k +
+    h(zeta) P^k as Z-modules, one product round and HNF per power."""
+    field = prime.field
+    deg = field.degree
+    if power == 0:
+        return [[1 if i == j else 0 for j in range(deg)] for i in range(deg)]
+    h_elt = field.elt([c % prime.p for c in prime.h_bar])
+    gens = []
+    for i in range(deg):
+        zi = field.zeta(i)
+        gens.append(list((zi * prime.p).num))
+        gens.append(list((zi * h_elt).num))
+    basis, rank = row_hnf(gens)
+    assert rank == deg
+    for _ in range(power - 1):
+        prods = []
+        for row in basis:
+            belt = field.elt(row)
+            prods.append(list((belt * prime.p).num))
+            prods.append(list((belt * h_elt).num))
+        basis, rank = row_hnf(prods)
+        assert rank == deg
+    return basis

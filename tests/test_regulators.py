@@ -10,7 +10,8 @@ from pweil.lattice import find_simultaneous_relation, row_hnf
 from pweil.splitting import ord_at, split_prime
 from pweil.weilgroup import build_weil_basis, jacobi_weil_number
 from oracles import (fraction_certified_arg, gross_row_full_norm, hnf_orbit_mismatch,
-                     per_row_gross_matrix, powering_circulant_group_delta)
+                     orbit_group_determinant, per_row_gross_matrix,
+                     powering_circulant_group_delta)
 from pweil import regulators, weilgroup
 from pweil.regulators import (
     BasisMismatch,
@@ -19,7 +20,6 @@ from pweil.regulators import (
     certified_arg,
     circulant_group_delta,
     closure_dimension,
-    conjugate_orbit,
     epsilon_vector,
     find_abelian_generator,
     gross_matrix,
@@ -109,6 +109,15 @@ def test_independence_offset_stability(basis_5_11):
         assert rep.certificate.status == "none-up-to-bound"
 
 
+def test_independence_offsets_need_one_row_per_basis_element(basis_5_11):
+    # |S| = 2: three rows used to raise IndexError, one row was accepted
+    places = basis_5_11.split.field.places
+    for rows in (3, 1):
+        with pytest.raises(ValueError, match="offset row count"):
+            argument_independence_certificate(
+                basis_5_11, bound=100, precision=256, offsets=[[0] * len(places)] * rows)
+
+
 def test_planted_duplicate_vector_is_detected(basis_5_11):
     # harness sanity: a duplicated argument vector must produce a relation
     split = basis_5_11.split
@@ -137,17 +146,22 @@ def test_group_determinant_rejects_sigma2_on_zeta5(basis_5_11):
     # xi^(sigma_2^2) = xi^(-1) != xi
     with pytest.raises(BasisMismatch):
         group_determinant(basis_5_11, 2, 128)
-    with pytest.raises(BasisMismatch):
-        conjugate_orbit(basis_5_11, basis_5_11.split.field.aut(2))
+
+
+def test_group_determinant_rejects_a_non_unit():
+    basis = build_weil_basis(split_prime(CycloField(8), 17))
+    for a in (0, 2, 4, 6, 10):
+        with pytest.raises(ValueError, match="not coprime to 8"):
+            group_determinant(basis, a, 128)
 
 
 def test_group_determinant_2x2_split_case():
     field = CycloField(8)
     sp = split_prime(field, 17)
     basis = build_weil_basis(sp)
-    aut = find_abelian_generator(basis)
-    assert aut is not None and aut.a == 3
-    rep = group_determinant(basis, aut, 256)
+    a = find_abelian_generator(basis)
+    assert a == 3 and type(a) is int
+    rep = group_determinant(basis, a, 256)
     assert rep.size == 2
     assert rep.nonzero
     assert rep.delta.overlaps(rep.delta_factored)
@@ -377,10 +391,27 @@ def test_orbit_test_on_primes_matches_the_hnf_oracle(grid):
         want = [hnf_orbit_mismatch(basis, a) for a in sp.field.units]
         assert [regulators._orbit_mismatch(basis, a) for a in sp.field.units] == want, sp
         first = next((a for a, reason in zip(sp.field.units, want) if reason is None), None)
-        aut = find_abelian_generator(basis)
-        assert (aut.a if aut else None) == first, sp
+        assert find_abelian_generator(basis) == first, sp
         pairs += len(want)
     assert pairs == 888
+
+
+def test_group_determinant_matches_the_built_orbit(grid):
+    # theta_k read at the place a^k against the argument of the built orbit
+    # element sigma_a^k(xi) at the fixed embedding: overlapping balls and the
+    # same report, on every grid cell with a closing orbit
+    cells = 0
+    for _field, sp, basis in grid[0].values():
+        a = find_abelian_generator(basis) if basis is not None else None
+        if a is None:
+            continue
+        for precision in (256, 1024):
+            got = group_determinant(basis, a, precision)
+            want = orbit_group_determinant(basis, a, precision)
+            assert all(g.overlaps(w) for g, w in zip(got.thetas, want.thetas)), sp
+            assert got.to_jsonable() == want.to_jsonable(), (sp, precision)
+        cells += 1
+    assert cells == 106
 
 
 def test_orbit_test_computes_no_valuation(monkeypatch):
@@ -536,6 +567,15 @@ def test_closure_independent_of_choices(grid):
             assert row_hnf(_epsilons(sp, s_indices, places))[1] == base.dimension, sp
         cells += 1
     assert cells == 128
+
+
+def test_closure_dimension_is_the_rank_of_the_eps_vectors(grid):
+    # the dimension read off the kernel equals the HNF rank of the eps rows
+    # on every grid cell, T empty included
+    for _field, sp, _basis in grid[0].values():
+        rep = closure_dimension(sp)
+        assert rep.dimension == row_hnf(list(rep.epsilons.values()))[1], sp
+    assert len(grid[0]) == 213
 
 
 def test_closure_partial_case(basis_8_5):

@@ -28,7 +28,7 @@ from pweil.weilgroup import (
 )
 from pweil.lattice import short_vectors
 from oracles import (bareiss_det, fraction_elt, fraction_mul, fraction_pow, inverse_pi_m_map,
-                     per_prime_generator, powering_is_root_of_unity)
+                     iterated_ideal_basis, per_prime_generator, powering_is_root_of_unity)
 from test_cyclo import norm_by_conjugates
 
 
@@ -108,6 +108,21 @@ def test_ideal_basis_has_index_norm(k5, split_5_11):
         rows = ideal_basis(pr, power)
         # [Z[zeta] : P^power] = N(P)^power = 11^power
         assert abs(bareiss_det(rows)) == 11 ** power
+
+
+def test_ideal_basis_matches_the_iterated_oracle():
+    # one HNF of the zeta^i p^k and zeta^i h(zeta)^k gives the same (unique)
+    # HNF as k - 1 rounds of products: the first three primes of twelve
+    # cells, k = 0..4, up to the completely split (23, 47) of degree 22
+    cells = [(5, 11), (5, 19), (7, 29), (8, 5), (8, 17), (12, 13), (13, 79), (11, 67),
+             (15, 31), (16, 17), (20, 41), (23, 47)]
+    pairs = 0
+    for n, p in cells:
+        for pr in split_prime(CycloField(n), p).primes[:3]:
+            for k in range(5):
+                assert ideal_basis(pr, k) == iterated_ideal_basis(pr, k), (n, p, pr.label, k)
+                pairs += 1
+    assert pairs == 170
 
 
 def test_find_generator_power_zero(k5, split_5_11):
@@ -200,9 +215,9 @@ def test_basis_is_the_galois_orbit_of_one_generator(split_5_11):
     x0 = find_generator(p0, 2)
     assert x0 == per_prime_generator(p0, 2)
     for idx in split_5_11.S:
-        aut = split_5_11.field.aut(min(split_5_11.primes[idx].coset))
-        assert split_5_11.primes[idx].index == split_5_11.act_index(aut.a, p0.index)
-        xp = x0.apply(aut)
+        a = min(split_5_11.primes[idx].coset)
+        assert split_5_11.primes[idx].index == split_5_11.act_index(a, p0.index)
+        xp = x0.apply(a)
         assert [ord_at(pr, xp) for pr in split_5_11.primes] == [
             2 if pr.index == idx else 0 for pr in split_5_11.primes]
 
@@ -215,9 +230,9 @@ def _check_orbit(basis):
         a = min(split.primes[idx].coset)
         assert split.act_index(a, p0) == idx
         cidx = split.conj_index(idx)
-        assert basis.x[idx] == basis.x[p0].apply(field.aut(a))
+        assert basis.x[idx] == basis.x[p0].apply(a)
         assert basis.x[cidx] == basis.x[idx].conj()
-        assert basis.xi[idx] == basis.xi[p0].apply(field.aut(a))
+        assert basis.xi[idx] == basis.xi[p0].apply(a)
         assert basis.xi[idx] == basis.x[cidx] / basis.x[idx]
     assert sorted(basis.x) == sorted(split.T)
 
@@ -381,7 +396,7 @@ def test_root_of_unity_lookup_on_products_of_xi(n, p):
     for idx in split.S:
         a = min(split.primes[idx].coset)
         elements += [basis.xi[idx], basis.xi[idx] * basis.xi[split.S[-1]],
-                     basis.xi[idx] * xi0.apply(field.aut(a)).conj(),
+                     basis.xi[idx] * xi0.apply(a).conj(),
                      -field.zeta(idx) * basis.xi[idx] * basis.xi[idx].conj()]
     orders = [is_root_of_unity(x) for x in elements]
     assert orders == [powering_is_root_of_unity(x) for x in elements]
