@@ -832,6 +832,13 @@ class GaloisRing:
         if modulus[-1] % self.pK != 1:
             raise ValueError("modulus must be monic")
         self.modulus = tuple(c % self.pK for c in modulus)
+        # ``_mul``'s slot width and its packed rows t^e mod h, f <= e <= 2f - 2
+        self._bits = (2 * f * self.pK ** 2).bit_length() + 1
+        rows, row = [], [0] * (f - 1) + [1]
+        for _ in range(f - 1):
+            row = _zm_rem_monic([0] + row, self.modulus, self.pK)
+            rows.append(self._pack(row))
+        self._rows = tuple(rows)
 
     # -- element constructors
 
@@ -857,13 +864,24 @@ class GaloisRing:
     def _sub(self, a, b):
         return tuple((x - y) % self.pK for x, y in zip(a, b))
 
+    def _pack(self, a) -> int:
+        """The coefficients a_i in [0, p^K) as one int, a_i at bit i * _bits."""
+        w, acc = self._bits, 0
+        for c in reversed(a):
+            acc = (acc << w) | c
+        return acc
+
     def _mul(self, a, b):
-        out = [0] * (2 * self.f - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return tuple(_zm_rem_monic(out, self.modulus, self.pK))  # reduces mod p^K once
+        """a b by Kronecker substitution: one int product holds the 2f - 1
+        coefficients, each below f p^2K; each high one, mod p^K, times its row
+        t^e mod h joins the low f, which so stay below 2 f p^2K: no slot carries."""
+        f, w, pK = self.f, self._bits, self.pK
+        mask = (1 << w) - 1
+        prod = self._pack(a) * self._pack(b)
+        low = prod & ((1 << (w * f)) - 1)
+        for e, row in enumerate(self._rows, f):
+            low += (prod >> (w * e) & mask) % pK * row
+        return tuple([(low >> (w * i) & mask) % pK for i in range(f)])
 
     # -- ring structure
 
@@ -961,16 +979,17 @@ class PadicElt:
 
 
 def binary_power(x, e: int, one):
-    """x^e for an int e >= 0 by square-and-multiply from the identity ``one``;
+    """x^e for an int e >= 0 by square-and-multiply, starting from the power of x
+    at the lowest set bit of e: ``one`` is returned for e = 0, never multiplied;
     x is anything with an exact, associative ``*``."""
-    result = one
-    while True:
+    result = None
+    while e:
         if e & 1:
-            result = result * x
+            result = x if result is None else result * x
         e >>= 1
-        if not e:
-            return result
-        x = x * x
+        if e:
+            x = x * x
+    return one if result is None else result
 
 
 # Miller-Rabin bases of is_prime, the first 13 primes, and psi_13, the least
@@ -1039,25 +1058,35 @@ def padic_log(u: int, p: int, K: int) -> tuple[int, int]:
     if x == 0:
         return 0, K
 
-    # last series index with term valuation possibly below K
+    K_out, terms = _log_terms(p, K)
+    p_out = p ** K_out
+    acc = 0  # the sum of (-1)^(m+1) x^m / m, valid mod p^K_out
+    xpow = 1
+    for m, inv, pa in terms:
+        xpow = xpow * x % pK
+        # x^m / m_unit is divisible by p^a and known mod p^K, so its
+        # representative in [0, p^K) is divisible by p^a as well
+        term = xpow * inv % pK // pa
+        acc = acc + term if m % 2 else acc - term
+    return acc * pow(p - 1, -1, p_out) % p_out, K_out
+
+
+@lru_cache(maxsize=None)
+def _log_terms(p: int, K: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """K' and the terms (m, m_unit^-1 mod p^K, p^a), m = p^a m_unit, up to m_max,
+    the last index whose term may have valuation below K."""
     m_max = 1
     while m_max - _ilog(m_max, p) < K:
         m_max += 1
     K_out = K - _ilog(m_max, p)
     if K_out <= 0:
         raise PrecisionTooLow("precision %d too small for padic_log at p=%d" % (K, p))
-
-    p_out = p ** K_out
-    acc = 0  # the sum of (-1)^(m+1) x^m / m, valid mod p^K_out
-    xpow = 1
+    pK = p ** K
+    terms = []
     for m in range(1, m_max + 1):
-        xpow = xpow * x % pK
         a, m_unit = split_p(m, p)
-        # x^m / m_unit is divisible by p^a and known mod p^K, so its
-        # representative in [0, p^K) is divisible by p^a as well
-        term = xpow * pow(m_unit, -1, pK) % pK // p ** a
-        acc = acc + term if m % 2 else acc - term
-    return acc * pow(p - 1, -1, p_out) % p_out, K_out
+        terms.append((m, pow(m_unit, -1, pK), p ** a))
+    return K_out, tuple(terms)
 
 
 def _ilog(n: int, p: int) -> int:

@@ -46,6 +46,7 @@ from .regulators import (
 
 SCAN_N_CAP = 20
 SCAN_P_CAP = 1000
+SCAN_CHUNK = 8  # cells per pool task: 1 costs pool traffic, far more leaves a slow tail
 
 
 class ConfigError(ValueError):
@@ -303,6 +304,25 @@ def _scan_cell(params) -> dict:
     return _row_from_analyze(rep)
 
 
+def _scan_chunk(cells) -> list[dict]:
+    """The rows of consecutive cells: one pool task."""
+    return [_scan_cell(cell) for cell in cells]
+
+
+def _scan_rows(chunks, workers: int):
+    """The chunks' rows in order, each chunk's as it finishes, in a pool of
+    ``workers`` processes when there is more than one."""
+    if workers == 1:
+        for chunk in chunks:
+            yield from _scan_chunk(chunk)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for rows in pool.map(_scan_chunk, chunks):
+            yield from rows
+
+
 def cmd_scan(args, cfg: RunConfig) -> int:
     try:
         n_list = sorted(set(int(x) for x in args.n_range.split(",")))
@@ -336,15 +356,11 @@ def cmd_scan(args, cfg: RunConfig) -> int:
     if pending:
         # the pool starts all its processes at once: no more than there are cells or cores
         workers = min(cfg.workers, len(pending), os.cpu_count() or 1)
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                fresh = list(pool.map(_scan_cell, [c for c, _ in pending]))
-        else:
-            fresh = [_scan_cell(c) for c, _ in pending]
+        size = min(SCAN_CHUNK, -(-len(pending) // workers))
+        chunks = [[cell for cell, _ in pending[i:i + size]] for i in range(0, len(pending), size)]
         cache_dir = cfg.cache_dir
-        for (cell, key), row in zip(pending, fresh):
+        # the rows come first in zip, so the pool has closed when zip stops
+        for row, (_, key) in zip(_scan_rows(chunks, workers), pending):
             # an error row is retried on rerun; after one failed write, warned, no more tries
             if row["certificate"] != "error" and not _cache_put(cache_dir, key, row):
                 cache_dir = None

@@ -79,6 +79,19 @@ def _int_poly_exact_div(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
+@lru_cache(maxsize=None)
+def _power_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """x^j mod Phi_n for j < n as sparse rows ((i, c), ...), one reduction step
+    apart from j = phi(n) on; x^k is row k mod n, since Phi_n divides x^n - 1."""
+    poly = cyclotomic_polynomial(n)
+    deg = len(poly) - 1
+    rows, row = [((j, 1),) for j in range(deg)], [0] * (deg - 1) + [1]
+    for _ in range(deg, n):
+        row = _zm_rem_monic([0] + row, poly)
+        rows.append(tuple((i, c) for i, c in enumerate(row) if c))
+    return tuple(rows)
+
+
 # ---------------------------------------------------------------------------
 # The field
 
@@ -100,6 +113,7 @@ class CycloField:
         self.n = n
         self.degree = euler_phi(n)
         self.poly = cyclotomic_polynomial(n)
+        self.power_rows = _power_rows(n)
         self.units = tuple(a for a in range(1, n) if gcd(a, n) == 1)
         self.places = tuple(a for a in range(1, (n + 1) // 2) if gcd(a, n) == 1)
         assert len(self.places) * 2 == self.degree
@@ -155,8 +169,16 @@ class CycloElt:
     @staticmethod
     def _make(field: CycloField, num: Sequence[int], den: int) -> "CycloElt":
         """num / den in canonical form: reduced modulo Phi_n, padded to
-        phi(n) entries, numerator and denominator divided by their gcd."""
-        num = _zm_rem_monic(num, field.poly)
+        phi(n) entries, numerator and denominator divided by their gcd; each
+        x^k, k >= phi(n), adds along its sparse row (``_power_rows``)."""
+        deg, n, rows = field.degree, field.n, field.power_rows
+        out = list(num[:deg]) + [0] * (deg - len(num))
+        for k in range(deg, len(num)):
+            c = num[k]
+            if c:
+                for i, r in rows[k % n]:
+                    out[i] += c * r
+        num = out
         g = gcd(den, *num)
         if g != 1:
             num = [c // g for c in num]
@@ -241,8 +263,8 @@ class CycloElt:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         field = self.field
-        adj = field.one()
-        for a in field.units[1:]:
+        adj = self.apply(field.units[1])
+        for a in field.units[2:]:
             adj = adj * self.apply(a)
         nrm = self * adj
         c = nrm.num[0]

@@ -192,15 +192,19 @@ def find_generator(prime: PrimeAbove, power: int) -> Optional[CycloElt]:
             vectors = short_vectors(basis, bound, gram=gram, node_budget=NODE_BUDGET)
         except BoundTooLarge as exc:
             raise EnumerationBudgetExceeded(str(exc)) from exc
-        for elt in sorted((field.elt(vec) for vec, _norm_sq in vectors), key=_generator_key):
+        # a length-phi vector over den 1 is canonical: build only what is tested
+        for vec in sorted((vec for vec, _norm_sq in vectors), key=_generator_key):
+            elt = CycloElt(field, vec, 1)
             if abs(norm(elt)) == n_target:
                 return elt
         bound *= 2
     return None
 
 
-def _generator_key(x: CycloElt):
-    rev = tuple(reversed(x.num))
+def _generator_key(num: tuple[int, ...]):
+    """The order of candidates: the absolute numerator read from the highest
+    power of zeta down, then the signed one."""
+    rev = tuple(reversed(num))
     return (tuple(abs(c) for c in rev), rev)
 
 
@@ -293,12 +297,13 @@ def pi_m_map(nu: DivisorVec, basis: WeilBasis) -> CycloElt:
     if not nu.is_minus_part():
         raise MinusPartViolation("pi_M is only defined on the minus part")
     split = basis.split
-    out = split.field.one()
+    out = None
     for idx in split.S:
         e = nu.coeffs[split.conj_index(idx)]
         if e:
-            out = out * _unit_pow(basis.xi[idx], e)
-    return out
+            factor = _unit_pow(basis.xi[idx], e)
+            out = factor if out is None else out * factor
+    return split.field.one() if out is None else out
 
 
 def _unit_pow(xi: CycloElt, e: int) -> CycloElt:

@@ -51,8 +51,10 @@ the group determinant on the arguments of the built orbit sigma_a^k(xi_{P0})
 at the fixed embedding, before they were the arguments of xi_{P0} at the
 places a^k, and ``iterated_ideal_basis`` is the basis of P^k from k - 1
 rounds of products with p and h(zeta) and an HNF, before it was one HNF of
-the zeta^i p^k and zeta^i h(zeta)^k.  They stay here as the differential
-oracles.
+the zeta^i p^k and zeta^i h(zeta)^k.  ``schoolbook_mul`` is the
+Galois-ring product as a schoolbook convolution and one remainder modulo h,
+before it was one Kronecker-packed int product with packed rows t^e mod h.
+They stay here as the differential oracles.
 """
 
 import math
@@ -383,7 +385,7 @@ def per_prime_generator(prime, power, node_budget=5_000_000, max_doublings=6):
             if abs(norm(elt)) == n_target:
                 candidates.append(elt)
         if candidates:
-            return min(candidates, key=_generator_key)
+            return min(candidates, key=lambda x: _generator_key(x.num))
         bound *= 2
     return None
 
@@ -585,6 +587,17 @@ def full_scale_relation(vectors, modulus, bound, precision=None):
     raise PrecisionTooLow(
         "simultaneous relation search inconclusive: raise precision or lower the bound"
     )
+
+
+def schoolbook_mul(ring, a, b):
+    """a b in ``ring`` on coefficient tuples: the 2f - 1 convolution
+    coefficients over Z, reduced modulo h and p^K once."""
+    out = [0] * (2 * ring.f - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return tuple(_zm_rem_monic(out, ring.modulus, ring.pK))
 
 
 def fp_add(a, b, p):

@@ -16,6 +16,7 @@ from pweil.arith import (
     PrecisionTooLow,
     arg_principal,
     ball_det,
+    binary_power,
     padic_log,
     prime_factors,
     rational_reconstruct,
@@ -25,7 +26,8 @@ from pweil.splitting import is_prime, split_prime
 from pweil.weilgroup import _primitive_root
 from oracles import (fraction_contains_zero, fraction_excludes_zero, fraction_is_negative,
                      fraction_is_positive, fraction_overlaps, frobenius, frobenius_norm,
-                     galois_ring_inverse, hensel_lift_factor, ring_padic_log)
+                     galois_ring_inverse, hensel_lift_factor, ring_padic_log,
+                     schoolbook_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +543,38 @@ def test_galois_ring_inverse_and_norm():
     u = R.elt([3, 7])
     assert frobenius(R, frobenius(R, u)) == u
     assert frobenius(R, R.from_int(13)) == R.from_int(13)
+
+
+@pytest.mark.parametrize("p", [2, 3, 97, 997])
+@pytest.mark.parametrize("K", [1, 50])
+def test_packed_product_matches_the_schoolbook_oracle(p, K):
+    # random monic moduli and the extreme one (every coefficient p^K - 1, so
+    # every packed row entry can be the largest), on random operands and on
+    # the all-(p^K - 1) operand, whose slots come closest to carrying
+    rng = random.Random(1000 * p + K)
+    pK = p ** K
+    for f in range(1, 17):
+        moduli = [[rng.randrange(pK) for _ in range(f)] + [1] for _ in range(3)]
+        for modulus in moduli + [[pK - 1] * f + [1]]:
+            ring = GaloisRing(p, K, f, modulus)
+            top = (pK - 1,) * f
+            pairs = [(top, top), (top, (1,) + (0,) * (f - 1)), ((0,) * f, top)]
+            pairs += [(tuple(rng.randrange(pK) for _ in range(f)),
+                       tuple(rng.randrange(pK) for _ in range(f))) for _ in range(4)]
+            for a, b in pairs:
+                assert ring._mul(a, b) == schoolbook_mul(ring, a, b), (p, K, f, modulus, a, b)
+
+
+def test_binary_power_matches_repeated_products():
+    # from the lowest set bit on, on a CycloElt with a denominator and a PadicElt
+    field = CycloField(7)
+    ring = GaloisRing(5, 20, 3, (2, 0, 1, 1))
+    for x, one in ((field.elt([Fraction(1, 2), -1, 0, 1]), field.one()),
+                   (ring.elt([3, 7, 5 ** 19 + 11]), ring.one())):
+        want = one
+        for e in range(71):
+            assert binary_power(x, e, one) == want and x ** e == want, e
+            want = want * x
 
 
 def _norm_rings(case):

@@ -6,7 +6,9 @@ import mpmath
 import pytest
 import sympy
 
+from pweil.arith import _zm_rem_monic
 from pweil.cyclo import (
+    CycloElt,
     CycloField,
     _norm_prime,
     cyclotomic_polynomial,
@@ -388,6 +390,26 @@ def test_integer_arithmetic_matches_fraction_oracle():
                 assert same == got and hash(same) == hash(got)
             assert x * x.inverse() == field.one()
             assert x != x + 1 and x == x + 0
+
+
+def test_sparse_reduction_matches_the_dense_remainder():
+    # every conductor up to 60, numerators of every product length
+    # phi .. 2 phi - 1, of length n (``apply``), 2n and beyond 2n (folded)
+    rng = random.Random(60)
+    for n in range(3, 61):
+        if n % 4 == 2:
+            continue
+        field = CycloField(n)
+        deg = field.degree
+        for length in list(range(deg, 2 * deg)) + [n, 2 * n, 2 * n + 7]:
+            num = [rng.randint(-50, 50) for _ in range(length)]
+            assert CycloElt._make(field, num, 1).num == tuple(_zm_rem_monic(num, field.poly))
+        x = field.elt([rng.randint(-9, 9) for _ in range(deg)])
+        for a in rng.sample(field.units, min(4, deg)):
+            scattered = [0] * n
+            for i, c in enumerate(x.num):
+                scattered[a * i % n] += c
+            assert x.apply(a).num == tuple(_zm_rem_monic(scattered, field.poly)), (n, a)
 
 
 def test_from_rational_and_trace_use_the_denominator(k5):

@@ -176,7 +176,7 @@ def _generator_by_valuations(prime, power, max_doublings=6):
             if ok:
                 candidates.append(elt)
         if candidates:
-            return min(candidates, key=_generator_key)
+            return min(candidates, key=lambda x: _generator_key(x.num))
         bound *= 2
     return None
 
