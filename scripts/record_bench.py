@@ -3,19 +3,19 @@ workload and the full-range scan wall time, for one or more checkouts.
 
     python3 scripts/record_bench.py --number N \\
         [--checkout parent=/path/to/parent/checkout --checkout change=.] \\
-        [--seeds 0,1,2,3,4] [--seconds 10] [--no-full-range]
+        [--seeds 0,1,2,3,4,5,6,7,8,9] [--seconds 10] [--no-full-range]
 
 Every checkout runs its own ``perfbench/run.py`` on its own ``src/``.  For
 each workload the runs are paired seed by seed, every checkout once per
 seed, in an order that alternates from seed to seed, so that a drift of the
-host hits all of them alike.  The file keeps
-every run's end-to-end metrics with their medians and quartiles, and
-compares each checkout after the first with the first: the ratio of the
-medians and in how many paired seeds it is better, in the direction that
-``BENCHMARK.json`` gives.  Each checkout then makes one ``--trace 1`` run per
-workload (seed 0, one unit) for the per-layer metrics, and one full-range
-``pweil scan`` whose wall time and stdout sha256 are recorded.  Nothing here
-is a gate.
+host hits all of them alike; the default seeds 0-9 give ten such pairs.
+The file keeps every run's end-to-end metrics with their medians and
+quartiles, and compares each checkout after the first with the first: the
+ratio of the medians and in how many paired seeds it is better, in the
+direction that ``BENCHMARK.json`` gives.  Each checkout then makes one
+``--trace 1`` run per workload (seed 0, one unit) for the per-layer
+metrics, and one full-range ``pweil scan`` whose wall time and stdout
+sha256 are recorded.  Nothing here is a gate.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def main(argv=None) -> int:
     ap.add_argument("--checkout", action="append", metavar="LABEL=DIR",
                     help="a checkout to measure; the others are compared with the first "
                          "(default: change=the checkout of this script)")
-    ap.add_argument("--seeds", default="0,1,2,3,4")
+    ap.add_argument("--seeds", default="0,1,2,3,4,5,6,7,8,9")
     ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--no-full-range", action="store_true")
     args = ap.parse_args(argv)

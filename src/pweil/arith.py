@@ -5,10 +5,11 @@ Three layers, used by every other module:
 * exact arithmetic runs on Python ints: ``split_p`` is the one p-adic
   valuation of an integer, ``prime_factors`` the one factorization,
   ``is_prime`` the one primality test, ``binary_power`` the one
-  square-and-multiply and ``_zm_rem_monic`` the one remainder modulo a
-  monic polynomial, over Z/m or (m = 0) over Z; Z/p^K is ints too, and
-  ``padic_log`` the logarithm of a unit of it; ``fractions.Fraction`` appears only at the edges, as ball
-  endpoints and reconstructed rationals;
+  square-and-multiply and ``_zm_rem_monic`` the one division by a monic
+  polynomial, quotient and remainder, over Z/m or (m = 0) over Z; Z/p^K
+  is ints too, and ``padic_log`` the logarithm of a unit of it;
+  ``fractions.Fraction`` appears only at the edges, as ball endpoints and
+  reconstructed rationals;
 * ``BallReal`` / ``BallComplex`` are intervals whose ends are dyadic
   numbers m 2^e on Python ints, rounded outward to the ball's precision
   after every operation, so every operation returns an enclosure of the
@@ -736,79 +737,29 @@ def rational_reconstruct(x: BallReal, den_bound: int) -> Optional[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over F_p (dense, little-endian coefficient lists)
+# Polynomials over Z/m (the one division by a monic polynomial: the Galois
+# ring, Phi_n and its factors mod p and, with m = 0, the arithmetic of Q(zeta_n))
 
-def fp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def fp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return fp_trim(out)
-
-
-def fp_divmod(a, b, p):
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    fp_trim(a)
-    fp_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    r = a[:]
-    while len(r) >= len(b):
-        coef = (r[-1] * inv_lead) % p
-        deg = len(r) - len(b)
-        q[deg] = coef
-        for i, cb in enumerate(b):
-            r[deg + i] = (r[deg + i] - coef * cb) % p
-        fp_trim(r)
-        if not r:
-            break
-    return fp_trim(q), r
-
-
-def fp_gcd(a, b, p):
-    a, b = a[:], b[:]
-    while b:
-        _, a = fp_divmod(a, b, p)
-        a, b = b, a
-    if a:
-        inv_lead = pow(a[-1], -1, p)
-        a = [(c * inv_lead) % p for c in a]
-    return a
-
-
-# ---------------------------------------------------------------------------
-# Polynomials over Z/m (monic reduction only, used by the Galois ring and,
-# with m = 0, by the integer arithmetic of Q(zeta_n))
-
-def _zm_rem_monic(a: Sequence[int], h: Sequence[int], m: int = 0) -> list[int]:
-    """Remainder of a modulo the monic polynomial h, padded to deg h entries.
+def _zm_rem_monic(a: Sequence[int], h: Sequence[int], m: int = 0) -> tuple[list[int], list[int]]:
+    """(q, r) with a = q h + r for the monic polynomial h, r padded to deg h
+    entries; the quotient comes from the same loop as the remainder.
 
     Coefficients are reduced mod m; m = 0 keeps exact integers (Z/0 = Z).
     """
     r = list(a)
     deg_h = len(h) - 1
+    q = [0] * max(len(r) - deg_h, 0)
     while len(r) > deg_h:
         lead = r.pop()
         if m:
             lead %= m  # the rest is reduced once, at the end
         if lead:
             shift = len(r) - deg_h
+            q[shift] = lead
             for i in range(deg_h):
                 r[shift + i] -= lead * h[i]
     r += [0] * (deg_h - len(r))
-    return [c % m for c in r] if m else r
+    return q, [c % m for c in r] if m else r
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +787,7 @@ class GaloisRing:
         self._bits = (2 * f * self.pK ** 2).bit_length() + 1
         rows, row = [], [0] * (f - 1) + [1]
         for _ in range(f - 1):
-            row = _zm_rem_monic([0] + row, self.modulus, self.pK)
+            row = _zm_rem_monic([0] + row, self.modulus, self.pK)[1]
             rows.append(self._pack(row))
         self._rows = tuple(rows)
 
@@ -845,7 +796,7 @@ class GaloisRing:
     def elt(self, coeffs: Sequence[int]) -> "PadicElt":
         c = [x % self.pK for x in coeffs]
         if len(c) > self.f:
-            c = _zm_rem_monic(c, self.modulus, self.pK)
+            c = _zm_rem_monic(c, self.modulus, self.pK)[1]
         else:
             c = c + [0] * (self.f - len(c))
         return PadicElt(self, tuple(c))
@@ -909,7 +860,7 @@ class GaloisRing:
         # row j holds the coefficients of x t^j; the transpose has the same det
         a = [list(x.coeffs)]
         for _ in range(f - 1):
-            a.append(_zm_rem_monic([0] + a[-1], self.modulus, pK))
+            a.append(_zm_rem_monic([0] + a[-1], self.modulus, pK)[1])
         sign, prev = 1, 1
         for k in range(f - 1):
             if a[k][k] == 0:

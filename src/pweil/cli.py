@@ -28,10 +28,10 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .arith import PrecisionTooLow
+from .arith import PrecisionTooLow, is_prime
 from .cyclo import CycloField
 from .lattice import DependentRows
-from .splitting import NotPrime, RamifiedPrime, is_prime, split_prime
+from .splitting import NotPrime, RamifiedPrime, split_prime
 from .weilgroup import (BadCharacterIndices, EnumerationBudgetExceeded, MinusPartViolation,
                         NotAWeilUnit, build_weil_basis, jacobi_weil_number, verify_weil_basis)
 from .regulators import (

@@ -58,25 +58,9 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            poly = _int_poly_exact_div(poly, list(cyclotomic_polynomial(d)))
+            poly, rem = _zm_rem_monic(poly, cyclotomic_polynomial(d))
+            assert not any(rem), "Phi_%d does not divide" % d
     return tuple(poly)
-
-
-def _int_poly_exact_div(a: list[int], b: list[int]) -> list[int]:
-    """Exact division of integer polynomials (b monic up to sign)."""
-    a = a[:]
-    q = [0] * (len(a) - len(b) + 1)
-    lead = b[-1]
-    for i in range(len(q) - 1, -1, -1):
-        c = a[i + len(b) - 1]
-        assert c % lead == 0
-        c //= lead
-        q[i] = c
-        if c:
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    assert all(x == 0 for x in a[: len(b) - 1])
-    return q
 
 
 @lru_cache(maxsize=None)
@@ -87,7 +71,7 @@ def _power_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     deg = len(poly) - 1
     rows, row = [((j, 1),) for j in range(deg)], [0] * (deg - 1) + [1]
     for _ in range(deg, n):
-        row = _zm_rem_monic([0] + row, poly)
+        row = _zm_rem_monic([0] + row, poly)[1]
         rows.append(tuple((i, c) for i, c in enumerate(row) if c))
     return tuple(rows)
 

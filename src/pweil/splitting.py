@@ -21,7 +21,7 @@ import random
 from math import gcd
 from typing import Optional, Sequence
 
-from .arith import GaloisRing, PadicElt, fp_divmod, fp_gcd, fp_mul, is_prime, split_p
+from .arith import GaloisRing, PadicElt, _zm_rem_monic, is_prime, split_p
 from .cyclo import CycloElt, CycloField, cyclotomic_polynomial
 
 
@@ -64,10 +64,22 @@ def _one_factor(poly: list[int], f: int, p: int, rng: random.Random) -> list[int
                 b = b + acc
         else:
             b = a ** ((p ** f - 1) // 2) - ring.one()
-        g = fp_gcd(b.coeffs, cur, p)
+        g = _gcd_monic(b.coeffs, cur, p)
         if 1 <= len(g) - 1 < ring.f:
-            cur = min(g, fp_divmod(cur, g, p)[0], key=len)
+            cur = min(g, _zm_rem_monic(cur, g, p)[0], key=len)
     return cur
+
+
+def _gcd_monic(a: Sequence[int], h: list[int], p: int) -> list[int]:
+    """The monic gcd of a and the monic h mod p: Euclid on monic remainders."""
+    while True:
+        r = _zm_rem_monic(a, h, p)[1]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return h
+        inv = pow(r[-1], -1, p)
+        a, h = h, [c * inv % p for c in r]
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +244,11 @@ def split_prime(field: CycloField, p: int, K: int = 50) -> SplitData:
             roots = [t_pow[b * q % n] for q in frob]
             # the orbit of t itself gives h
             orbit_of[ring.modulus if b == 1 else _poly_from_roots(ring, roots)] = b
-    product = [1]
-    for h in orbit_of:
-        product = fp_mul(product, list(h), p)
-    assert product == phi_bar, "orbit factors do not multiply to Phi_n mod p"
+    rest = phi_bar
+    for h in orbit_of:  # divided out one at a time: each must leave no remainder
+        rest, rem = _zm_rem_monic(rest, h, p)
+        assert not any(rem), "an orbit factor does not divide Phi_n mod p"
+    assert rest == [1], "orbit factors do not multiply to Phi_n mod p"
 
     factors = sorted(orbit_of, key=(lambda h: (-h[0]) % p) if f == 1 else None)
     c0 = orbit_of[factors[0]]

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .arith import prime_factors, split_p
+from .arith import is_prime, prime_factors, split_p
 from .cyclo import CycloElt, CycloField, is_root_of_unity, norm, ramanujan_sum
 from .lattice import BoundTooLarge, row_hnf, short_vectors
-from .splitting import PrimeAbove, SplitData, is_prime, ord_at
+from .splitting import PrimeAbove, SplitData, ord_at
 
 
 class NotAWeilUnit(Exception):
@@ -143,15 +143,16 @@ def trace_gram(field: CycloField) -> list[list[int]]:
 
 
 def _iroot_ceil(n: int, k: int) -> int:
-    """Smallest r with r^k >= n."""
+    """Smallest r with r^k >= n: Newton's integer iteration descends from
+    2^ceil(bits(n) / k) > n^(1/k) to floor(n^(1/k)) and stops there."""
     if n <= 1:
         return n
-    r = int(round(n ** (1.0 / k)))
-    while r ** k >= n:
-        r -= 1
-    while r ** k < n:
-        r += 1
-    return r
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r + (r ** k < n)
+        r = s
 
 
 # enumeration nodes per short_vectors call, radius doublings per search,

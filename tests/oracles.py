@@ -55,17 +55,22 @@ the zeta^i p^k and zeta^i h(zeta)^k.  ``schoolbook_mul`` is the
 Galois-ring product as a schoolbook convolution and one remainder modulo h,
 before it was one Kronecker-packed int product with packed rows t^e mod h.
 They stay here as the differential oracles.
+
+Their polynomial arithmetic over F_p (``fp_mul``, ``fp_divmod``,
+``fp_gcd`` and ``fp_xgcd``) wraps sympy's ``galoistools``, so the old
+Cantor-Zassenhaus and Hensel oracles share no polynomial division with
+``_zm_rem_monic``, which ``split_prime`` runs on.
 """
 
 import math
 from fractions import Fraction
 
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_gcdex
+from sympy.polys.galoistools import gf_div, gf_from_int_poly, gf_gcd, gf_gcdex, gf_mul
 
 from pweil.arith import (BallComplex, BallReal, BranchCutHit, GaloisRing, NotAUnit, PadicElt,
                          PrecisionTooLow, _ilog, _zm_rem_monic, arg_principal, ball_det,
-                         fp_divmod, fp_gcd, fp_mul, fp_trim, padic_log, split_p)
+                         padic_log, split_p)
 from pweil.cyclo import cyclotomic_polynomial, norm
 from pweil.regulators import (BasisMismatch, GroupDetReport, GrossMatrix, _orbit_mismatch,
                               _padic_rank, certified_arg, circulant_group_delta, gross_row)
@@ -597,7 +602,41 @@ def schoolbook_mul(ring, a, b):
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-    return tuple(_zm_rem_monic(out, ring.modulus, ring.pK))
+    return tuple(_zm_rem_monic(out, ring.modulus, ring.pK)[1])
+
+
+# Polynomials over F_p as trimmed little-endian int lists; the products,
+# divisions and gcds are sympy's ``galoistools`` (big-endian) through ``_gf``
+# and ``_le``.
+
+def fp_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _gf(a, p):
+    return gf_from_int_poly(list(reversed(a)), p)
+
+
+def _le(x):
+    return fp_trim([int(c) for c in reversed(x)])
+
+
+def fp_mul(a, b, p):
+    return _le(gf_mul(_gf(a, p), _gf(b, p), p, ZZ))
+
+
+def fp_divmod(a, b, p):
+    """(q, r) with a = q b + r, also over Z/p^k for a monic b; a zero b
+    raises ZeroDivisionError."""
+    q, r = gf_div(_gf(a, p), _gf(b, p), p, ZZ)
+    return _le(q), _le(r)
+
+
+def fp_gcd(a, b, p):
+    """The monic gcd (0 for a = b = 0)."""
+    return _le(gf_gcd(_gf(a, p), _gf(b, p), p, ZZ))
 
 
 def fp_add(a, b, p):
@@ -683,14 +722,14 @@ def hensel_lift_factor(full, h_bar, p, K):
     pk = p
     for _ in range(K - 1):
         pk_next = pk * p
-        rem = _zm_rem_monic(full, hk, pk_next)
+        rem = fp_divmod(full, hk, pk_next)[1]
         assert all(c % pk == 0 for c in rem)
         r_bar = fp_trim([(c // pk) % p for c in rem])
         delta = fp_divmod(fp_mul(t, r_bar, p), h, p)[1]
         delta += [0] * (fdeg - len(delta))
         hk = [(hc + pk * dc) % pk_next for hc, dc in zip(hk, delta + [0])]
         pk = pk_next
-    check = _zm_rem_monic(full, hk, p ** K)
+    check = fp_divmod(full, hk, p ** K)[1]
     assert all(c == 0 for c in check), "Hensel lifting failed"
     return tuple(hk)
 
@@ -841,8 +880,8 @@ def fraction_certified_arg(x, place, precision, max_attempts=6):
 def fp_xgcd(a, b, p):
     """Extended gcd in F_p[x] (sympy's ``gf_gcdex``, little-endian lists):
     (g, s, t) with s a + t b = g, g monic."""
-    s, t, g = gf_gcdex(list(reversed(a)), list(reversed(b)), p, ZZ)
-    return tuple(fp_trim([int(c) for c in reversed(x)]) for x in (g, s, t))
+    s, t, g = gf_gcdex(_gf(a, p), _gf(b, p), p, ZZ)
+    return tuple(_le(x) for x in (g, s, t))
 
 
 def galois_ring_inverse(ring, x):

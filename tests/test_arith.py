@@ -5,6 +5,8 @@ import mpmath
 import pytest
 import sympy
 from mpmath.libmp import finf, fninf, from_man_exp, from_rational, libmpi
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_add, gf_div, gf_from_int_poly, gf_gcd, gf_mul
 
 from pweil import arith
 from pweil.arith import (
@@ -14,6 +16,7 @@ from pweil.arith import (
     GaloisRing,
     NotAUnit,
     PrecisionTooLow,
+    _zm_rem_monic,
     arg_principal,
     ball_det,
     binary_power,
@@ -22,7 +25,7 @@ from pweil.arith import (
     rational_reconstruct,
 )
 from pweil.cyclo import CycloField, cyclotomic_polynomial, euler_phi, moebius
-from pweil.splitting import is_prime, split_prime
+from pweil.splitting import _gcd_monic, is_prime, split_prime
 from pweil.weilgroup import _primitive_root
 from oracles import (fraction_contains_zero, fraction_excludes_zero, fraction_is_negative,
                      fraction_is_positive, fraction_overlaps, frobenius, frobenius_norm,
@@ -563,6 +566,51 @@ def test_packed_product_matches_the_schoolbook_oracle(p, K):
                        tuple(rng.randrange(pK) for _ in range(f))) for _ in range(4)]
             for a, b in pairs:
                 assert ring._mul(a, b) == schoolbook_mul(ring, a, b), (p, K, f, modulus, a, b)
+
+
+def _be(a, m):
+    """A little-endian list as sympy's big-endian dense polynomial mod m."""
+    return gf_from_int_poly(list(reversed(a)), m)
+
+
+def _random_poly(rng, p, lo, hi, monic=False):
+    return [rng.randrange(p) for _ in range(rng.randint(lo, hi))] + ([1] if monic else [])
+
+
+@pytest.mark.parametrize("p", [2, 3, 97, 997])
+def test_monic_division_matches_sympy_gf_div(p):
+    # quotient and remainder against sympy, a = q h + r, r padded to deg h
+    rng = random.Random(p)
+    for _ in range(300):
+        h = _random_poly(rng, p, 1, 12, monic=True)
+        a = _random_poly(rng, p, 0, 3 * (len(h) - 1))
+        q, r = _zm_rem_monic(a, h, p)
+        assert len(r) == len(h) - 1 and all(0 <= c < p for c in q + r)
+        assert (_be(q, p), _be(r, p)) == gf_div(_be(a, p), _be(h, p), p, ZZ), (p, a, h)
+        assert gf_add(gf_mul(_be(q, p), _be(h, p), p, ZZ), _be(r, p), p, ZZ) == _be(a, p)
+
+
+def test_monic_division_over_z_factors_x_n_minus_1():
+    # x^n - 1 = Phi_n prod_{d | n, d < n} Phi_d, exactly, for every n <= 60
+    for n in range(1, 61):
+        rest = [-1] + [0] * (n - 1) + [1]
+        for d in [d for d in range(1, n + 1) if n % d == 0][::-1]:
+            rest, rem = _zm_rem_monic(rest, cyclotomic_polynomial(d))
+            assert not any(rem) and len(rem) == euler_phi(d), (n, d)
+        assert rest == [1], n
+
+
+@pytest.mark.parametrize("p", [2, 3, 97, 997])
+def test_monic_gcd_matches_sympy_gf_gcd(p):
+    # a = 0, a = h, a random, a sharing a factor with h and a multiple of h
+    rng = random.Random(p + 1)
+    for _ in range(200):
+        common = _be(_random_poly(rng, p, 0, 4, monic=True), p)
+        h = gf_mul(_be(_random_poly(rng, p, 1, 10, monic=True), p), common, p, ZZ)
+        b = _be(_random_poly(rng, p, 1, 15), p)
+        for a in ([], h, b, gf_mul(b, common, p, ZZ), gf_mul(b, h, p, ZZ)):
+            got = _gcd_monic(a[::-1], h[::-1], p)
+            assert _be(got, p) == gf_gcd(a, h, p, ZZ), (p, a, h)
 
 
 def test_binary_power_matches_repeated_products():

@@ -157,6 +157,25 @@ def test_fg_equals_phi_on_grid():
             assert 2 * len(sp.S) == len(sp.T)
 
 
+@pytest.mark.parametrize("n, p, f", [(5, 11, 1), (13, 3, 3)])
+def test_split_check_rejects_a_wrong_orbit_factor(n, p, f, monkeypatch):
+    # one factor from a Frobenius orbit with its constant term moved by 1 mod p
+    # no longer divides out of Phi_n mod p
+    field, calls = CycloField(n), []
+    sp = split_prime(field, p)
+    assert (sp.f, sp.g) == (f, 4)
+    poly_from_roots = splitting._poly_from_roots
+
+    def shifted(ring, roots):
+        h = poly_from_roots(ring, roots)
+        calls.append(h)
+        return ((h[0] + 1) % p,) + h[1:] if len(calls) == 1 else h
+
+    monkeypatch.setattr(splitting, "_poly_from_roots", shifted)
+    with pytest.raises(AssertionError, match="orbit factor"):
+        split_prime(field, p)
+
+
 def test_membership_characterization(k5, split_5_11):
     # x in E_p iff x x^c = 1 and the numerator ideal's norm is +- a power
     # of p; cross-checked against the definitional membership test

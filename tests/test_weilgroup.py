@@ -237,6 +237,17 @@ def _check_orbit(basis):
     assert sorted(basis.x) == sorted(split.T)
 
 
+def test_iroot_ceil_is_the_least_root():
+    # exact past the float range too: a float root overflows above 2^1024, as
+    # at the search floor of analyze --n 23 --p 1000000000000091 (p^22, k = 22)
+    cases = [(n, k) for k in range(1, 8) for n in range(2, 3000)]
+    cases += [(10 ** 320, 10), (1000000000000091 ** 22, 22)]
+    for n, k in cases:
+        r = _iroot_ceil(n, k)
+        assert r ** k >= n > (r - 1) ** k, (n, k)
+    assert [_iroot_ceil(n, 3) for n in (0, 1)] == [0, 1]
+
+
 def test_trace_gram_positive_definite(k5):
     g = trace_gram(k5)
     # leading principal minors positive
