@@ -150,7 +150,11 @@ def _cache_put(cache_dir: Optional[str], key_obj: dict, report: dict) -> bool:
 # ---------------------------------------------------------------------------
 # analyze
 
-def analyze_report(n: int, p: int, cfg: RunConfig) -> dict:
+def analyze_report(n: int, p: int, cfg: RunConfig, regulator: bool = True) -> dict:
+    """The analyze report of (n, p).  K = ``cfg.padic_prec`` is the precision
+    of the regulator's p-adic logarithms; valuations are exact at any K.  A
+    scan cell, whose row never reads the regulator matrix, sets
+    ``regulator=False``: the matrix is not built and ``gross_matrix`` is None."""
     _validate_pair(n, p)
     field = CycloField(n)
     split = split_prime(field, p, cfg.padic_prec)
@@ -172,9 +176,10 @@ def analyze_report(n: int, p: int, cfg: RunConfig) -> dict:
     report["closure"] = closure.to_jsonable()
 
     ok = verify["ok"]
+    report["gross_matrix"] = None
     if split.S:
-        gm = gross_matrix(basis, split, cfg.padic_prec)
-        report["gross_matrix"] = gm.to_jsonable()
+        if regulator:
+            report["gross_matrix"] = gross_matrix(basis, split, cfg.padic_prec).to_jsonable()
         indep = argument_independence_certificate(basis, cfg.bound, cfg.precision)
         report["argument_independence"] = indep.to_jsonable()
         ok = ok and indep.consistent
@@ -186,7 +191,6 @@ def analyze_report(n: int, p: int, cfg: RunConfig) -> dict:
         else:
             report["group_determinant"] = None
     else:
-        report["gross_matrix"] = None
         report["argument_independence"] = None
         report["group_determinant"] = None
     report["ok"] = ok
@@ -291,7 +295,7 @@ def _scan_cell(params) -> dict:
     n, p, precision, bound, padic_prec = params
     cfg = RunConfig(precision=precision, bound=bound, padic_prec=padic_prec)
     try:
-        rep = analyze_report(n, p, cfg)
+        rep = analyze_report(n, p, cfg, regulator=False)
     except Exception as exc:
         # one failing cell must not end the scan: it becomes a row
         if isinstance(exc, PrecisionTooLow):

@@ -309,8 +309,9 @@ def short_vectors(basis: Sequence[Sequence[int]], bound,
             if c:
                 for j, rj in enumerate(row):
                     amb[j] += c * rj
-        out.append((_canonical_sign(tuple(amb)), Fraction(norm_scaled, scale)))
-    return sorted(out, key=lambda item: (item[1], item[0]))
+        out.append((norm_scaled, _canonical_sign(tuple(amb))))
+    out.sort()  # by the int scaled norm: every norm shares the one scale
+    return [(vec, Fraction(norm_scaled, scale)) for norm_scaled, vec in out]
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,8 @@ def split_prime(field: CycloField, p: int, K: int = 50) -> SplitData:
     prod (X - t^b); the factors must multiply to Phi_n mod p.  They are
     sorted and labelled; if the factor of label 0 has orbit c0<p>, the one
     of orbit b<p> has coset c0 b^-1 <p> and exponent e in b c0^-1 <p>.
-    K is the precision at which ``ord_at`` starts.
+    K is the p-adic precision of the regulator's logarithms; ``ord_at``
+    starts at min(K, ORD_START_PRECISION) digits.
     """
     if not is_prime(p):
         raise NotPrime("%d is not prime" % p)
@@ -273,22 +274,25 @@ def _poly_from_roots(ring: GaloisRing, roots: Sequence) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Valuations
 
-ORD_PRECISION_CAP = 6400
+# digits at which ord_at starts: no numerator valuation in the full scan range exceeds 4
+ORD_START_PRECISION = 8
+ORD_PRECISION_CAP = 8192
 
 
 def ord_at(prime: PrimeAbove, x: CycloElt) -> int:
     """The exact valuation ord_P(x) for nonzero x in Q(zeta_n).
 
-    The numerator is mapped into GR(p^K, f) through zeta -> w^e
-    (``PrimeAbove.image``); its valuation there is the minimum p-adic
-    valuation of the coefficients.  If the image vanishes mod p^K, the
-    precision doubles through ``SplitData.ring_at``, which keeps each lift
-    of w it makes, up to ORD_PRECISION_CAP.
-    """
+    The numerator is mapped into GR(p^k, f) through zeta -> w^e
+    (``PrimeAbove.image``) from k = min(K, ORD_START_PRECISION); its
+    valuation there is the minimum p-adic valuation of the coefficients.
+    While the image vanishes mod p^k, k doubles through ``SplitData.ring_at``,
+    which keeps each lift of w it makes, up to ORD_PRECISION_CAP (8 * 2^10,
+    past the 50 * 2^7 that a start at K = 50 reached).  The start does not
+    change the result."""
     if x.is_zero():
         raise ZeroDivisionError("valuation of zero")
     v_den = split_p(x.den, prime.p)[0]
-    K = prime.split.K
+    K = min(prime.split.K, ORD_START_PRECISION)
     while True:
         v = prime.image(x.num, K).valuation()
         if v is not None:

@@ -13,6 +13,7 @@ x -> x^(-M) up to roots of unity.  Both identities are verified exactly.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .arith import is_prime, prime_factors, split_p
@@ -136,10 +137,12 @@ def ideal_basis(prime: PrimeAbove, power: int = 1) -> list[list[int]]:
     return basis
 
 
-def trace_gram(field: CycloField) -> list[list[int]]:
-    """Gram matrix of the hermitian trace form Tr(x y^c) on the power basis."""
+@lru_cache(maxsize=None)
+def trace_gram(field: CycloField) -> tuple[tuple[int, ...], ...]:
+    """Gram matrix of the hermitian trace form Tr(x y^c) on the power basis,
+    built once per conductor."""
     deg = field.degree
-    return [[ramanujan_sum(field.n, i - j) for j in range(deg)] for i in range(deg)]
+    return tuple(tuple(ramanujan_sum(field.n, i - j) for j in range(deg)) for i in range(deg))
 
 
 def _iroot_ceil(n: int, k: int) -> int:
@@ -247,21 +250,30 @@ def build_weil_basis(split: SplitData) -> WeilBasis:
 
     The primes above p form one Galois orbit, so they share the class order
     h of P0 = S[0], found by searching generators of P0^h for h = 1, 2, ...;
-    M = f h.  P0 has label 0 and 1 in its coset, so P = sigma_a(P0) for a
-    = min coset of P; for P in S, x_P = sigma_a(x_{P0}), which generates
-    sigma_a(P0^h) = P^h, and x_{P^c} = x_P^c, so the basis is the Galois
-    orbit of xi_{P0}: xi_P = sigma_a(xi_{P0}).  All structural identities
-    are verified exactly before returning.
+    M = f h.  A search that runs out of nodes moves on to the next h; its
+    error is raised only when no h <= H_CAP gives a generator.  P0 has
+    label 0 and 1 in its coset, so P = sigma_a(P0) for a = min coset of P;
+    for P in S, x_P = sigma_a(x_{P0}), which generates sigma_a(P0^h) = P^h,
+    and x_{P^c} = x_P^c, so the basis is the Galois orbit of xi_{P0}:
+    xi_P = sigma_a(xi_{P0}).  All structural identities are verified
+    exactly before returning.
     """
     if not split.T:
         return WeilBasis(split, M=1, h=0, x={}, xi={})
     f, field = split.f, split.field
     p0 = split.primes[split.S[0]]
+    exhausted = None  # the first h whose search ran out of nodes
     for h in range(1, H_CAP + 1):
-        x0 = find_generator(p0, h)
+        try:
+            x0 = find_generator(p0, h)
+        except EnumerationBudgetExceeded as exc:
+            exhausted = exhausted or exc
+            continue
         if x0 is not None:
             break
     else:
+        if exhausted is not None:
+            raise exhausted
         raise EnumerationBudgetExceeded(
             "no generator of %s^h found for h <= %d (class order too large "
             "or search radius exhausted)" % (p0.label, H_CAP)
@@ -279,10 +291,9 @@ def build_weil_basis(split: SplitData) -> WeilBasis:
     p = split.p
     for idx in split.T:
         elt = x[idx]
-        assert abs(norm(elt)) == p ** M, "generator norm != p^M"
-        for pr in split.primes:
-            expected = M // f if pr.index == idx else 0
-            assert ord_at(pr, elt) == expected, "generator valuation profile broken"
+        assert elt.den == 1 and abs(norm(elt)) == p ** M, "generator not integral of norm p^M"
+        # integral of norm p^M with ord_P = M/f: ord_Q = 0 at every other Q above p
+        assert ord_at(split.primes[idx], elt) == M // f, "generator valuation profile broken"
     for idx in split.S:
         assert is_weil_unit(xi[idx], p)
     return WeilBasis(split, M=M, h=h, x=x, xi=xi)

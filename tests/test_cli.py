@@ -9,6 +9,7 @@ import pytest
 
 import pweil
 import pweil.cli
+from pweil.arith import is_prime
 from pweil.cli import ConfigError, RunConfig, main
 from pweil.lattice import DependentRows
 from pweil.regulators import BasisMismatch
@@ -324,6 +325,39 @@ def test_grid_scan_bytes_match_the_recorded_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GRID_SCAN_SHA256
 
 
+def test_grid_scan_rows_equal_the_rows_of_full_reports(monkeypatch):
+    # a scan cell builds no p-adic regulator matrix, which its row does not
+    # read: on each of the 213 grid cells its row is the row of the full
+    # analyze report, and its one report is the full one without the matrix
+    cfg = RunConfig()
+    real_report, real_matrix = pweil.cli.analyze_report, pweil.cli.gross_matrix
+    lean, matrices = [], []
+
+    def recording(n, p, cfg, **kwargs):
+        lean.append(real_report(n, p, cfg, **kwargs))
+        return lean[-1]
+
+    def counting(*args):
+        matrices.append(args)
+        return real_matrix(*args)
+
+    monkeypatch.setattr(pweil.cli, "analyze_report", recording)
+    monkeypatch.setattr(pweil.cli, "gross_matrix", counting)
+    cells = [(n, p) for n in (5, 7, 8, 11, 12, 13, 15, 16, 20) for p in range(2, 100)
+             if is_prime(p) and n % p]
+    assert len(cells) == 213
+    with_s = 0
+    for n, p in cells:
+        row = pweil.cli._scan_cell((n, p, cfg.precision, cfg.bound, cfg.padic_prec))
+        assert len(lean) == 1 and len(matrices) == with_s
+        full = real_report(n, p, cfg)
+        assert row == pweil.cli._row_from_analyze(full), (n, p)
+        assert lean.pop() == dict(full, gross_matrix=None), (n, p)
+        with_s += full["gross_matrix"] is not None
+        assert len(matrices) == with_s
+    assert with_s == 128
+
+
 def test_package_version_matches_pyproject():
     # the scan cache key embeds __version__; a bump must edit both
     pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
@@ -453,10 +487,10 @@ def test_scan_cell_that_raises_is_an_uncached_error_row(capsys, monkeypatch, tmp
             "--workers", workers, "--cache-dir", str(tmp_path)]
     real = pweil.cli.analyze_report
 
-    def flaky(n, p, cfg):
+    def flaky(n, p, cfg, **kwargs):
         if (n, p) == (5, 11):
             raise RuntimeError("injected fault")
-        return real(n, p, cfg)
+        return real(n, p, cfg, **kwargs)
 
     monkeypatch.setattr(pweil.cli, "analyze_report", flaky)
     code, out, err = run_cli(capsys, *args)

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from pweil import splitting
+from pweil import splitting, weilgroup
 from pweil.arith import GaloisRing
 from pweil.cyclo import CycloField, cyclotomic_polynomial, norm
 from pweil.splitting import (
@@ -245,6 +245,52 @@ def test_ord_at_escalates_past_the_start_precision_up_to_the_cap(n, p, monkeypat
             mp.setattr(splitting, "ORD_PRECISION_CAP", needed - 1)
             with pytest.raises(ArithmeticError):
                 ord_at(pr, x)
+
+
+def test_ord_at_from_8_digits_equals_ord_at_from_K_on_the_grid(grid, monkeypatch):
+    # ord_at starts at min(K, 8) digits: on every x_P, every xi_P and every
+    # element that verify_weil_basis values (its samples among them), at
+    # every prime of the 128 grid cells with T nonempty, it gives the
+    # valuation that a start at K = 50 gives
+    points, _ = grid
+    seen = []
+
+    def recording(prime, x):
+        seen.append(x)
+        return ord_at(prime, x)
+
+    monkeypatch.setattr(weilgroup, "ord_at", recording)
+    cells = 0
+    for _, split, basis in points.values():
+        if basis is None:
+            continue
+        cells += 1
+        assert split.K == 50
+        start = len(seen)
+        assert weilgroup.verify_weil_basis(basis)["ok"]
+        elts = seen[start:] + list(basis.x.values()) + list(basis.xi.values())
+        from_8 = [[ord_at(pr, x) for pr in split.primes] for x in elts]
+        with monkeypatch.context() as mp:
+            mp.setattr(splitting, "ORD_START_PRECISION", 50)
+            assert [[ord_at(pr, x) for pr in split.primes] for x in elts] == from_8
+    assert cells == 128
+
+
+@pytest.mark.parametrize("n, p", [(5, 11), (13, 3), (8, 5)])
+def test_ord_at_escalates_past_8_digits(n, p, monkeypatch):
+    # h_P(zeta)^9 has valuation >= 9 at P: its image vanishes mod p^8, so
+    # ord_at lifts w to p^16 and gives the valuation of a start at K = 50
+    field = CycloField(n)
+    for index in range(split_prime(field, p).g):
+        split = split_prime(field, p)  # no ring kept yet
+        prime = split.primes[index]
+        x = field.elt(list(prime.h_bar)) ** 9
+        assert prime.image(x.num, 8).valuation() is None
+        v = ord_at(prime, x)
+        assert 9 <= v < 16 and sorted(split._rings) == [8, 16]
+        with monkeypatch.context() as mp:
+            mp.setattr(splitting, "ORD_START_PRECISION", 50)
+            assert ord_at(prime, x) == v
 
 
 @pytest.mark.parametrize("n, p", [(13, 79), (8, 3), (13, 3)])

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pweil.arith import split_p
 from pweil.cyclo import CycloField, embed, is_root_of_unity, norm
+from pweil import weilgroup
 from pweil.splitting import is_prime, ord_at, split_prime
 from pweil.weilgroup import (
     BadCharacterIndices,
@@ -289,6 +290,55 @@ def test_build_basis_8_5(basis_8_5):
     assert len(split.T) == 2 and len(split.S) == 1
     assert basis_8_5.rank == 1
     assert basis_8_5.M == 2  # f * h with h = 1
+
+
+@pytest.mark.parametrize("n, p", [(5, 11), (8, 5), (13, 3)])
+def test_a_generator_of_the_conjugate_prime_breaks_the_valuation_profile(n, p, monkeypatch):
+    # each generator is checked by its norm and one ord_at at its own prime
+    # (integral, |N(x)| = p^M and ord_P(x) = M/f leave ord_Q(x) = 0 at every
+    # other Q); x_{P0}^c has the same norm but generates P0^c, and must fail
+    calls = []
+
+    def counting(prime, x):
+        calls.append(prime.index)
+        return ord_at(prime, x)
+
+    monkeypatch.setattr(weilgroup, "ord_at", counting)
+    split = split_prime(CycloField(n), p)
+    build_weil_basis(split)
+    assert sorted(calls) == sorted(split.T)
+    real = weilgroup.find_generator
+    monkeypatch.setattr(weilgroup, "find_generator",
+                        lambda prime, power: real(prime, power).conj())
+    with pytest.raises(AssertionError, match="generator valuation profile broken"):
+        build_weil_basis(split)
+
+
+def test_an_exhausted_search_moves_on_to_the_next_h(monkeypatch):
+    # a node budget used up at h = 1 does not end the search: h = 2 gives
+    # the basis, with M = 2 on (5,11); only when every h fails is it raised
+    real = weilgroup.find_generator
+    tried = []
+
+    def exhausted_at_1(prime, power):
+        tried.append(power)
+        if power == 1:
+            raise weilgroup.EnumerationBudgetExceeded("enumeration exceeded 0 nodes")
+        return real(prime, power)
+
+    monkeypatch.setattr(weilgroup, "find_generator", exhausted_at_1)
+    basis = build_weil_basis(split_prime(CycloField(5), 11))
+    assert tried == [1, 2]
+    assert (basis.h, basis.M, basis.rank) == (2, 2, 2)
+    assert verify_weil_basis(basis)["ok"]
+    monkeypatch.setattr(weilgroup, "H_CAP", 1)
+    with pytest.raises(weilgroup.EnumerationBudgetExceeded, match="exceeded 0 nodes"):
+        build_weil_basis(split_prime(CycloField(5), 11))
+
+
+def test_trace_gram_is_built_once_per_conductor():
+    assert trace_gram(CycloField(7)) is trace_gram(CycloField(7))
+    assert trace_gram(CycloField(7)) != trace_gram(CycloField(9))
 
 
 def test_xi_properties(basis_5_11):
