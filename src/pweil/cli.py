@@ -54,14 +54,15 @@ class ConfigError(ValueError):
 
 
 class RunConfig:
-    __slots__ = ("precision", "bound", "padic_prec", "fmt", "cache_dir", "workers")
+    """The options of a run, and the one default of each."""
+
+    __slots__ = ("precision", "bound", "padic_prec", "cache_dir", "workers")
 
     def __init__(self, precision: int = 256, bound: int = 10_000, padic_prec: int = 50,
-                 fmt: str = "text", cache_dir: Optional[str] = None, workers: int = 1):
+                 cache_dir: Optional[str] = None, workers: int = 1):
         self.precision = precision
         self.bound = bound
         self.padic_prec = padic_prec
-        self.fmt = fmt
         self.cache_dir = cache_dir
         self.workers = workers
 
@@ -72,8 +73,6 @@ class RunConfig:
             raise ConfigError("bound must be >= 1")
         if self.padic_prec < 5:
             raise ConfigError("padic precision must be >= 5")
-        if self.fmt not in ("json", "csv", "text"):
-            raise ConfigError("format must be json, csv or text")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.cache_dir is not None and os.path.exists(self.cache_dir) \
@@ -135,7 +134,7 @@ def _cache_put(cache_dir: Optional[str], key_obj: dict, report: dict) -> bool:
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
-            json.dump(report, fh, sort_keys=True)
+            fh.write(json.dumps(report, sort_keys=True))
         os.replace(tmp, _cache_path(cache_dir, key_obj))
         tmp = None
         return True
@@ -152,12 +151,14 @@ def _cache_put(cache_dir: Optional[str], key_obj: dict, report: dict) -> bool:
 
 def analyze_report(n: int, p: int, cfg: RunConfig, regulator: bool = True) -> dict:
     """The analyze report of (n, p).  K = ``cfg.padic_prec`` is the precision
-    of the regulator's p-adic logarithms; valuations are exact at any K.  A
-    scan cell, whose row never reads the regulator matrix, sets
-    ``regulator=False``: the matrix is not built and ``gross_matrix`` is None."""
+    of the regulator's p-adic logarithms and nothing else: the split, the
+    valuations and the basis are exact and do not depend on it.  The report
+    records K in ``config`` and in its ``split`` section.  A scan cell, whose
+    row never reads the regulator matrix, sets ``regulator=False``: the
+    matrix is not built and ``gross_matrix`` is None."""
     _validate_pair(n, p)
     field = CycloField(n)
-    split = split_prime(field, p, cfg.padic_prec)
+    split = split_prime(field, p)
     basis = build_weil_basis(split)
     report: dict = {
         "schema": "pweil-analyze/6",
@@ -166,7 +167,7 @@ def analyze_report(n: int, p: int, cfg: RunConfig, regulator: bool = True) -> di
             "padic_prec": cfg.padic_prec, "version": __version__,
         },
         "field": {"n": n, "degree": field.degree, "places": list(field.places)},
-        "split": split.to_jsonable(),
+        "split": dict(split.to_jsonable(), K=cfg.padic_prec),
     }
     report["weil_basis"] = basis.to_jsonable()
     verify = verify_weil_basis(basis)
@@ -248,9 +249,9 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
     if rep is None:
         rep = analyze_report(args.n, args.p, cfg)
         _cache_put(cfg.cache_dir, key, rep)
-    if cfg.fmt == "json":
+    if args.format == "json":
         sys.stdout.write(json.dumps(rep, indent=2, sort_keys=True) + "\n")
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         sys.stdout.write(_scan_header() + "\n" + _scan_row_csv(_row_from_analyze(rep)) + "\n")
     else:
         sys.stdout.write(_format_analyze_text(rep))
@@ -292,8 +293,8 @@ def _scan_row_csv(row: dict) -> str:
 
 
 def _scan_cell(params) -> dict:
-    n, p, precision, bound, padic_prec = params
-    cfg = RunConfig(precision=precision, bound=bound, padic_prec=padic_prec)
+    n, p, precision, bound = params
+    cfg = RunConfig(precision=precision, bound=bound)
     try:
         rep = analyze_report(n, p, cfg, regulator=False)
     except Exception as exc:
@@ -344,13 +345,13 @@ def cmd_scan(args, cfg: RunConfig) -> int:
     for n in n_list:
         for p in range(2, args.p_max + 1):
             if is_prime(p) and n % p != 0:
-                cells.append((n, p, cfg.precision, cfg.bound, cfg.padic_prec))
+                cells.append((n, p, cfg.precision, cfg.bound))
 
     rows = []
     pending = []
     for cell in cells:
         key = {"cmd": "scan-cell", "n": cell[0], "p": cell[1], "precision": cfg.precision,
-               "bound": cfg.bound, "K": cfg.padic_prec, "version": __version__}
+               "bound": cfg.bound, "version": __version__}
         cached = _cache_get(cfg.cache_dir, key, _SCAN_FIELDS)
         if cached is not None:
             rows.append(cached)
@@ -372,7 +373,7 @@ def cmd_scan(args, cfg: RunConfig) -> int:
 
     rows.sort(key=lambda r: (r["n"], r["p"]))
     ok = all(r["ok"] for r in rows)
-    if cfg.fmt == "json":
+    if args.format == "json":
         sys.stdout.write(json.dumps(
             {"schema": "pweil-scan/1", "rows": rows}, indent=2, sort_keys=True) + "\n")
     else:
@@ -397,7 +398,7 @@ def cmd_appendix(args, cfg: RunConfig) -> int:
                          % (args.p, args.n))
     a, b = args.chars
     field = CycloField(args.n)
-    split = split_prime(field, args.p, cfg.padic_prec)
+    split = split_prime(field, args.p)
     basis = build_weil_basis(split)
     lam = jacobi_weil_number(args.p, args.n, a, b)
     rep_obj = weil_angle_identity(lam, split, basis,
@@ -410,7 +411,7 @@ def cmd_appendix(args, cfg: RunConfig) -> int:
         "lambda": [str(c) for c in lam.coeffs],
         "identity": rep_obj.to_jsonable(),
     }
-    if cfg.fmt == "json":
+    if args.format == "json":
         sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     else:
         idr = report["identity"]
@@ -434,6 +435,8 @@ def cmd_appendix(args, cfg: RunConfig) -> int:
 # entry point
 
 def build_parser() -> argparse.ArgumentParser:
+    # each command registers only the options it reads; one left off the
+    # command line is left out of the namespace, so its default is RunConfig's
     ap = argparse.ArgumentParser(
         prog="pweil",
         description="rational p-Weil numbers in cyclotomic fields: "
@@ -442,51 +445,43 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version="pweil " + __version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--precision", type=int, default=256, help="ball precision in bits")
-        sp.add_argument("--bound", type=int, default=10_000,
-                        help="coefficient bound for relation searches")
-        sp.add_argument("--padic-prec", type=int, default=50, help="p-adic digits K")
-        sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        sp.add_argument("--cache-dir", default=None)
+    def command(name, run, text, formats):
+        sp = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        sp.set_defaults(run=run)
+        sp.add_argument("--format", choices=formats, default=formats[0])
+        sp.add_argument("--precision", type=int, help="ball precision in bits")
+        return sp
 
-    a = sub.add_parser("analyze", help="full pipeline for a single (n, p)")
+    a = command("analyze", cmd_analyze, "full pipeline for a single (n, p)",
+                ("text", "json", "csv"))
     a.add_argument("--n", type=int, required=True, help="conductor of Q(zeta_n)")
     a.add_argument("--p", type=int, required=True, help="unramified prime")
-    common(a)
+    a.add_argument("--padic-prec", type=int, help="p-adic digits K of the regulator's logarithms")
 
-    s = sub.add_parser("scan", help="grid scan over conductors and primes")
+    s = command("scan", cmd_scan, "grid scan over conductors and primes", ("csv", "json"))
     s.add_argument("--n-range", required=True, help="comma-separated conductors, e.g. 5,8,12")
     s.add_argument("--p-max", type=int, default=100)
-    s.add_argument("--workers", type=int, default=1, help="worker processes for the cells")
-    common(s)
+    s.add_argument("--workers", type=int, help="worker processes for the cells")
+    for sp in (a, s):
+        sp.add_argument("--bound", type=int, help="coefficient bound for relation searches")
+        sp.add_argument("--cache-dir")
 
-    x = sub.add_parser("appendix",
-                       help="angle-valuation identity for a Jacobi-sum Weil number")
+    x = command("appendix", cmd_appendix,
+                "angle-valuation identity for a Jacobi-sum Weil number", ("text", "json"))
     x.add_argument("--n", type=int, required=True)
     x.add_argument("--p", type=int, required=True)
     x.add_argument("--chars", type=int, nargs=2, required=True, metavar=("A", "B"))
     x.add_argument("--den-bound", type=int, default=60,
                    help="denominator bound for the rational reconstruction")
-    common(x)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    cfg = RunConfig(precision=args.precision, bound=args.bound,
-                    padic_prec=args.padic_prec, fmt=args.format,
-                    cache_dir=args.cache_dir, workers=getattr(args, "workers", 1))
+    args = build_parser().parse_args(argv)
+    cfg = RunConfig(**{k: v for k, v in vars(args).items() if k in RunConfig.__slots__})
     try:
         cfg.validate()
-        if args.command == "analyze":
-            return cmd_analyze(args, cfg)
-        if args.command == "scan":
-            return cmd_scan(args, cfg)
-        if args.command == "appendix":
-            return cmd_appendix(args, cfg)
-        raise ConfigError("unknown command %r" % args.command)
+        return args.run(args, cfg)
     except (ConfigError, NotPrime, RamifiedPrime, BadCharacterIndices) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

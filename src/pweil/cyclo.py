@@ -101,6 +101,7 @@ class CycloField:
         self.units = tuple(a for a in range(1, n) if gcd(a, n) == 1)
         self.places = tuple(a for a in range(1, (n + 1) // 2) if gcd(a, n) == 1)
         assert len(self.places) * 2 == self.degree
+        self._one = CycloElt(self, (1,) + (0,) * (self.degree - 1), 1)  # elements are immutable
 
     def __repr__(self) -> str:
         return "CycloField(%d)" % self.n
@@ -123,7 +124,7 @@ class CycloField:
         return CycloElt._make(self, [0] * k + [1], 1)
 
     def one(self) -> "CycloElt":
-        return self.elt([1])
+        return self._one
 
     def zero(self) -> "CycloElt":
         return self.elt([])

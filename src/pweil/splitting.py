@@ -3,11 +3,15 @@
 Cantor-Zassenhaus finds one degree-f factor h of Phi_n mod p; in F_p[t]/(h)
 the roots of Phi_n are the t^b, so each Frobenius orbit b<p> gives one
 factor of Phi_n mod p and its coset in (Z/n)*.  The p-adic side needs only
-one unramified completion: ``SplitData.ring_at`` keeps GR(p^K, f) on the
-factor of P0 mod p with the root w = t of Phi_n Newton-lifted to p^K, and
+one unramified completion: ``SplitData.ring_at(k)`` keeps GR(p^k, f) on the
+factor of P0 mod p with the root w = t of Phi_n Newton-lifted to p^k, and
 a prime above p is an exponent e, the embedding zeta -> w^e.  Valuations
 reduce to p-adic valuations of images in that ring, so no general ideal
 factorization and no lifted factor per prime is ever needed.
+
+The split is exact and carries no p-adic precision: each caller asks
+``ring_at`` for the digits it needs (``ord_at`` as many as the valuation
+takes, the regulator its K).
 
 Labelling is canonical: for f = 1 primes are sorted by the image root of
 zeta in [0, p), otherwise by the coefficient tuple of the factor mod p.
@@ -142,10 +146,9 @@ class PrimeAbove:
 class SplitData:
     """All primes above p with the Galois action, the set T and the section S."""
 
-    def __init__(self, field: CycloField, p: int, primes: Sequence[PrimeAbove], K: int):
+    def __init__(self, field: CycloField, p: int, primes: Sequence[PrimeAbove]):
         self.field = field
         self.p = p
-        self.K = K
         self.primes = tuple(primes)
         for prime in self.primes:
             prime.split = self
@@ -209,14 +212,13 @@ class SplitData:
             "p": self.p,
             "f": self.f,
             "g": self.g,
-            "K": self.K,
             "primes": [pr.to_jsonable() for pr in self.primes],
             "T": [self.primes[i].label for i in self.T],
             "S": [self.primes[i].label for i in self.S],
         }
 
 
-def split_prime(field: CycloField, p: int, K: int = 50) -> SplitData:
+def split_prime(field: CycloField, p: int) -> SplitData:
     """Decompose the unramified prime p in Q(zeta_n).
 
     Finds one degree-f factor h of Phi_n mod p.  In F_p[t]/(h) the roots of
@@ -224,8 +226,7 @@ def split_prime(field: CycloField, p: int, K: int = 50) -> SplitData:
     prod (X - t^b); the factors must multiply to Phi_n mod p.  They are
     sorted and labelled; if the factor of label 0 has orbit c0<p>, the one
     of orbit b<p> has coset c0 b^-1 <p> and exponent e in b c0^-1 <p>.
-    K is the p-adic precision of the regulator's logarithms; ``ord_at``
-    starts at min(K, ORD_START_PRECISION) digits.
+    Nothing here depends on a p-adic precision.
     """
     if not is_prime(p):
         raise NotPrime("%d is not prime" % p)
@@ -258,16 +259,16 @@ def split_prime(field: CycloField, p: int, K: int = 50) -> SplitData:
         b = orbit_of[h]
         coset = frozenset(c0 * pow(b * q, -1, n) % n for q in frob)
         primes.append(PrimeAbove(field, p, idx, h, coset, min(pow(a, -1, n) for a in coset)))
-    return SplitData(field, p, primes, K)
+    return SplitData(field, p, primes)
 
 
 def _poly_from_roots(ring: GaloisRing, roots: Sequence) -> tuple[int, ...]:
-    """prod (X - r) over the roots, in GR[X]; every coefficient must lie in Z/p^K."""
+    """prod (X - r) over the roots in F_{p^f}[X]; every coefficient must lie in F_p."""
     poly = [ring.one()]
     for r in roots:
         poly = [-(r * poly[0])] + [poly[i - 1] - r * poly[i] for i in range(1, len(poly))] \
             + [poly[-1]]
-    assert not any(c for e in poly for c in e.coeffs[1:]), "factor not defined over Z/p^K"
+    assert not any(c for e in poly for c in e.coeffs[1:]), "factor not defined over F_p"
     return tuple(e.coeffs[0] for e in poly)
 
 
@@ -283,22 +284,21 @@ def ord_at(prime: PrimeAbove, x: CycloElt) -> int:
     """The exact valuation ord_P(x) for nonzero x in Q(zeta_n).
 
     The numerator is mapped into GR(p^k, f) through zeta -> w^e
-    (``PrimeAbove.image``) from k = min(K, ORD_START_PRECISION); its
-    valuation there is the minimum p-adic valuation of the coefficients.
-    While the image vanishes mod p^k, k doubles through ``SplitData.ring_at``,
-    which keeps each lift of w it makes, up to ORD_PRECISION_CAP (8 * 2^10,
-    past the 50 * 2^7 that a start at K = 50 reached).  The start does not
-    change the result."""
+    (``PrimeAbove.image``) from k = ORD_START_PRECISION; its valuation there
+    is the minimum p-adic valuation of the coefficients.  While the image
+    vanishes mod p^k, k doubles through ``SplitData.ring_at``, which keeps
+    each lift of w it makes, up to ORD_PRECISION_CAP (8 * 2^10).  The start
+    does not change the result."""
     if x.is_zero():
         raise ZeroDivisionError("valuation of zero")
     v_den = split_p(x.den, prime.p)[0]
-    K = min(prime.split.K, ORD_START_PRECISION)
+    k = ORD_START_PRECISION
     while True:
-        v = prime.image(x.num, K).valuation()
+        v = prime.image(x.num, k).valuation()
         if v is not None:
             return v - v_den
-        K *= 2
-        if K > ORD_PRECISION_CAP:
+        k *= 2
+        if k > ORD_PRECISION_CAP:
             raise ArithmeticError(
                 "valuation exceeds precision cap %d at %r" % (ORD_PRECISION_CAP, prime)
             )

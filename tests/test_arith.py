@@ -631,7 +631,7 @@ def _norm_rings(case):
     if case == "t^3+t+1 mod 2^25":
         return [GaloisRing(2, 25, 3, (1, 1, 0, 1))]
     n, p, K = case
-    split = split_prime(CycloField(n), p, K)
+    split = split_prime(CycloField(n), p)
     phi = cyclotomic_polynomial(n)
     return [GaloisRing(p, K, split.f, hensel_lift_factor(phi, pr.h_bar, p, K))
             for pr in (split.primes[0], split.primes[-1])] + [split.ring_at(K)[0]]

@@ -281,15 +281,42 @@ def test_appendix_rejects_den_bound_below_one(capsys, monkeypatch, den_bound):
     assert (code, out, err) == (2, "", "error: den_bound must be >= 1\n")
 
 
+ANALYZE = ["analyze", "--n", "5", "--p", "11"]
+SCAN = ["scan", "--n-range", "5", "--p-max", "11"]
+APPENDIX = ["appendix", "--n", "5", "--p", "11", "--chars", "1", "1"]
+
+
 @pytest.mark.parametrize("argv", [
-    ["analyze", "--n", "5", "--p", "11"],
-    ["appendix", "--n", "5", "--p", "11", "--chars", "1", "1"],
+    ANALYZE + ["--workers", "2"],
+    APPENDIX + ["--workers", "2"],
+    SCAN + ["--padic-prec", "50"],
+    APPENDIX + ["--padic-prec", "50"],
+    APPENDIX + ["--bound", "10"],
+    APPENDIX + ["--cache-dir", "DIR"],
+    SCAN + ["--format", "text"],
+    APPENDIX + ["--format", "csv"],
 ])
 def test_workers_is_a_scan_option_only(capsys, argv):
+    # each command takes only the options it reads and the formats it
+    # prints: any other is argparse's usage error, exit 2, no stdout
+    flag, value = argv[-2:]
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--workers", "2"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    if flag == "--format":
+        assert "argument --format: invalid choice: '%s'" % value in err
+    else:
+        assert "unrecognized arguments: %s %s" % (flag, value) in err
+
+
+def test_padic_precision_is_recorded_in_the_analyze_report(capsys):
+    # K sets only the regulator's logarithms; the report records it in its
+    # config and in its split section
+    code, out, _ = run_cli(capsys, *ANALYZE, "--padic-prec", "20", "--format", "json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["config"]["padic_prec"] == rep["split"]["K"] == 20
 
 
 ANALYZE_DIGESTS = os.path.join(os.path.dirname(__file__), "analyze_digests.json")
@@ -348,7 +375,7 @@ def test_grid_scan_rows_equal_the_rows_of_full_reports(monkeypatch):
     assert len(cells) == 213
     with_s = 0
     for n, p in cells:
-        row = pweil.cli._scan_cell((n, p, cfg.precision, cfg.bound, cfg.padic_prec))
+        row = pweil.cli._scan_cell((n, p, cfg.precision, cfg.bound))
         assert len(lean) == 1 and len(matrices) == with_s
         full = real_report(n, p, cfg)
         assert row == pweil.cli._row_from_analyze(full), (n, p)

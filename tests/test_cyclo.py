@@ -64,6 +64,18 @@ def test_mul_inverse_identity(k5):
         k5.zero().inverse()
 
 
+def test_one_is_kept_per_field_and_pow_builds_only_its_products(k5, monkeypatch):
+    # elements are immutable, so a field keeps one 1; x^e for e > 0 makes
+    # only its square-and-multiply products, and x^0 is that kept 1
+    assert k5.one() is k5.one() and k5.one() == k5.elt([1])
+    x = 1 + 2 * k5.zeta()
+    made, make = [], CycloElt._make
+    monkeypatch.setattr(CycloElt, "_make", staticmethod(lambda *a: made.append(a) or make(*a)))
+    assert x ** 1 is x and x ** 0 is k5.one() and made == []
+    assert x ** 5 == x * x * x * x * x
+    assert len(made) == 3 + 4  # two squarings and a product, then the four checks
+
+
 def test_aut_examples(k5):
     z = k5.zeta()
     # conjugation sends zeta to zeta^(n-1)

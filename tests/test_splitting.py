@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 from fractions import Fraction
@@ -46,6 +47,13 @@ def test_split_5_19_conjugation_fixes_both(k5):
     sp = split_prime(k5, 19)
     assert sp.f == 2 and sp.g == 2
     assert sp.T == ()
+
+
+def test_split_carries_no_padic_precision(k5):
+    # the split is exact: only the regulator's logarithms take a precision K
+    assert list(inspect.signature(split_prime).parameters) == ["field", "p"]
+    sp = split_prime(k5, 11)
+    assert not hasattr(sp, "K") and "K" not in sp.to_jsonable()
 
 
 def test_split_validation(k5):
@@ -151,7 +159,7 @@ def test_fg_equals_phi_on_grid():
         for p in range(2, 100):
             if not is_prime(p) or n % p == 0:
                 continue
-            sp = split_prime(field, p, K=20)
+            sp = split_prime(field, p)
             assert sp.f * sp.g == field.degree
             assert len(sp.T) in (0, sp.g)
             assert 2 * len(sp.S) == len(sp.T)
@@ -213,27 +221,34 @@ def test_split_json(split_5_11):
     assert [pr["h_mod_p"] for pr in blob["primes"]] == [[8, 1], [7, 1], [6, 1], [2, 1]]
 
 
-def test_deeper_precision_is_consistent(k5):
-    sp20 = split_prime(k5, 11, K=20)
-    sp80 = split_prime(k5, 11, K=80)
+def test_deeper_precision_is_consistent(k5, monkeypatch):
+    # ord_at started at 20 and at 80 digits, each on its own split
+    sp20, sp80 = split_prime(k5, 11), split_prime(k5, 11)
     x = (1 + 2 * k5.zeta()) ** 7
     for a, b in zip(sp20.primes, sp80.primes):
         assert a.root_mod_p() == b.root_mod_p()
-        assert ord_at(a, x) == ord_at(b, x)
+        monkeypatch.setattr(splitting, "ORD_START_PRECISION", 20)
+        ord20 = ord_at(a, x)
+        monkeypatch.setattr(splitting, "ORD_START_PRECISION", 80)
+        assert ord20 == ord_at(b, x)
 
 
 @pytest.mark.parametrize("n, p", [(5, 11), (13, 3)])
 def test_ord_at_escalates_past_the_start_precision_up_to_the_cap(n, p, monkeypatch):
-    # at K = 3 the image of h_P(zeta)^7, of valuation >= 7 = 2K + 1 at P,
-    # vanishes mod p^3 and mod p^6, so ord_at doubles the precision at least
-    # twice; it agrees with a K = 50 split at every prime, succeeds with the
-    # cap at the precision it needs and raises with the cap one below
+    # started at 3 digits, the image of h_P(zeta)^7, of valuation >= 7 = 2 * 3 + 1
+    # at P, vanishes mod p^3 and mod p^6, so ord_at doubles the precision at
+    # least twice; it agrees with a start at 50 digits on another split at
+    # every prime, succeeds with the cap at the precision it needs and
+    # raises with the cap one below
     field = CycloField(n)
-    low, high = split_prime(field, p, 3), split_prime(field, p, 50)
+    low, high = split_prime(field, p), split_prime(field, p)
+    monkeypatch.setattr(splitting, "ORD_START_PRECISION", 3)
     for pr in low.primes:
         x = field.elt(list(pr.h_bar)) ** 7
         assert pr.image(x.num, 6).valuation() is None
-        want = [ord_at(q, x) for q in high.primes]
+        with monkeypatch.context() as mp:
+            mp.setattr(splitting, "ORD_START_PRECISION", 50)
+            want = [ord_at(q, x) for q in high.primes]
         assert [ord_at(q, x) for q in low.primes] == want
         needed = 3
         while needed <= want[pr.index]:
@@ -248,10 +263,10 @@ def test_ord_at_escalates_past_the_start_precision_up_to_the_cap(n, p, monkeypat
 
 
 def test_ord_at_from_8_digits_equals_ord_at_from_K_on_the_grid(grid, monkeypatch):
-    # ord_at starts at min(K, 8) digits: on every x_P, every xi_P and every
-    # element that verify_weil_basis values (its samples among them), at
-    # every prime of the 128 grid cells with T nonempty, it gives the
-    # valuation that a start at K = 50 gives
+    # ord_at starts at 8 digits: on every x_P, every xi_P and every element
+    # that verify_weil_basis values (its samples among them), at every prime
+    # of the 128 grid cells with T nonempty, it gives the valuation that a
+    # start at 50 digits gives
     points, _ = grid
     seen = []
 
@@ -265,7 +280,6 @@ def test_ord_at_from_8_digits_equals_ord_at_from_K_on_the_grid(grid, monkeypatch
         if basis is None:
             continue
         cells += 1
-        assert split.K == 50
         start = len(seen)
         assert weilgroup.verify_weil_basis(basis)["ok"]
         elts = seen[start:] + list(basis.x.values()) + list(basis.xi.values())
@@ -279,7 +293,7 @@ def test_ord_at_from_8_digits_equals_ord_at_from_K_on_the_grid(grid, monkeypatch
 @pytest.mark.parametrize("n, p", [(5, 11), (13, 3), (8, 5)])
 def test_ord_at_escalates_past_8_digits(n, p, monkeypatch):
     # h_P(zeta)^9 has valuation >= 9 at P: its image vanishes mod p^8, so
-    # ord_at lifts w to p^16 and gives the valuation of a start at K = 50
+    # ord_at lifts w to p^16 and gives the valuation of a start at 50 digits
     field = CycloField(n)
     for index in range(split_prime(field, p).g):
         split = split_prime(field, p)  # no ring kept yet
@@ -296,7 +310,7 @@ def test_ord_at_escalates_past_8_digits(n, p, monkeypatch):
 @pytest.mark.parametrize("n, p", [(13, 79), (8, 3), (13, 3)])
 def test_ring_at_matches_a_fresh_lift_in_any_order(n, p):
     # each precision's root w of Phi_n is Newton-lifted from the nearest
-    # lower one kept (from t below K); whatever the order of requests, the
+    # lower one kept (else from t); whatever the order of requests, the
     # ring is GR(p^prec, f) on h_bar of P0, w is a root of Phi_n mod p^prec
     # congruent to t, equal to a lift from scratch, the powers are those of
     # w, and a repeated request returns the same object
@@ -304,9 +318,9 @@ def test_ring_at_matches_a_fresh_lift_in_any_order(n, p):
     field = CycloField(n)
     phi = cyclotomic_polynomial(n)
     precs = (K // 2, K, K + 1, K + 7, 2 * K)
-    fresh = {prec: split_prime(field, p, K).ring_at(prec)[1][1] for prec in precs}
+    fresh = {prec: split_prime(field, p).ring_at(prec)[1][1] for prec in precs}
     for order in itertools.permutations(precs):
-        split = split_prime(field, p, K)
+        split = split_prime(field, p)
         h0 = split.primes[0].h_bar
         t = GaloisRing(p, 1, split.f, h0).elt([0, 1])
         for prec in order:
@@ -326,22 +340,23 @@ FULL_RANGE_N = (3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 17, 19, 20)
 
 
 @pytest.mark.parametrize("n", FULL_RANGE_N)
-def test_transported_factors_are_the_hensel_lifts(n):
+def test_transported_factors_are_the_hensel_lifts(n, monkeypatch):
     # one factor of Phi_n mod p is found and the others come from Frobenius
     # orbits in F_p[t]/(h): they are the complete factorization, in the same
     # labelling, and each coset is the one the root test over F_{p^f} gives.
-    # A prime is the embedding zeta -> w^e into GR on h_bar of P0; at a
-    # split started at K = 2, ord_at and the norm of the image equal those
+    # A prime is the embedding zeta -> w^e into GR on h_bar of P0; with
+    # ord_at started at 2 digits, it and the norm of the image equal those
     # in GR(p^7, f) on the prime's own factor Hensel-lifted to p^7, at every
     # prime, for y and for the h_Q(zeta)^4 y, whose valuation >= 4 at Q
     # makes ord_at double the precision through 4 and 8
     field = CycloField(n)
     phi = cyclotomic_polynomial(n)
     K = 7
+    monkeypatch.setattr(splitting, "ORD_START_PRECISION", 2)
     for p in range(2, 200):
         if not is_prime(p) or n % p == 0:
             continue
-        split = split_prime(field, p, 2)
+        split = split_prime(field, p)
         rng = random.Random(1000003 * n + p)
         full = equal_degree_factor([c % p for c in phi], split.f, p, rng)
         full.sort(key=(lambda h: (-h[0]) % p) if split.f == 1 else None)
