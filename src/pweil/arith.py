@@ -21,9 +21,7 @@ Three layers, used by every other module:
   exactly, and the ends convert to and from ints over a power of 2,
   exactly or outward;
 * ``GaloisRing`` / ``PadicElt`` model the unramified local ring
-  Z_p[t]/(h(t)) truncated at precision p^K; the norm to Z/p^K is the
-  determinant of multiplication by an element, taken fraction-free over Z,
-  so it holds for non-units and any monic h.  No ring operation needs h
+  Z_p[t]/(h(t)) truncated at precision p^K.  No ring operation needs h
   irreducible mod p, so they also serve F_p[t]/(h) for a product h of
   factors, as in the Cantor-Zassenhaus split of Phi_n mod p.
 
@@ -768,8 +766,8 @@ def _zm_rem_monic(a: Sequence[int], h: Sequence[int], m: int = 0) -> tuple[list[
 class GaloisRing:
     """(Z/p^K)[t]/(h) for a monic h of degree f: the truncated unramified local
     ring of residue degree f when h is irreducible mod p.  Its operations
-    (sums, products, powers, valuations and the norm; there is no inverse)
-    hold for any monic h.  Z/p^K itself is plain ints (see ``padic_log``)."""
+    (sums, products, powers and valuations; there is no inverse) hold for
+    any monic h.  Z/p^K itself is plain ints (see ``padic_log``)."""
 
     def __init__(self, p: int, prec: int, f: int, modulus: Sequence[int]):
         if prec < 1 or f < 1:
@@ -848,32 +846,6 @@ class GaloisRing:
                 if best == 0:
                     return 0
         return best
-
-    # -- norm
-
-    def norm(self, x: "PadicElt") -> int:
-        """The norm to Z/p^K: the determinant of multiplication by x on the
-        basis 1, t, ..., t^(f-1).  Fraction-free (Bareiss) elimination over Z
-        on the representatives in [0, p^K), reduced mod p^K once at the end,
-        so x need not be a unit nor the modulus irreducible."""
-        f, pK = self.f, self.pK
-        # row j holds the coefficients of x t^j; the transpose has the same det
-        a = [list(x.coeffs)]
-        for _ in range(f - 1):
-            a.append(_zm_rem_monic([0] + a[-1], self.modulus, pK)[1])
-        sign, prev = 1, 1
-        for k in range(f - 1):
-            if a[k][k] == 0:
-                piv = next((i for i in range(k + 1, f) if a[i][k]), None)
-                if piv is None:
-                    return 0
-                a[k], a[piv] = a[piv], a[k]
-                sign = -sign
-            for i in range(k + 1, f):
-                for j in range(k + 1, f):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[-1][-1] % pK
 
     def __repr__(self) -> str:
         return "GaloisRing(p=%d, prec=%d, f=%d)" % (self.p, self.prec, self.f)

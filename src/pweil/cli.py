@@ -434,6 +434,16 @@ def cmd_appendix(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+class _Command(argparse.ArgumentParser):
+    """A command's parser: it reports the arguments it does not take itself."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     # each command registers only the options it reads; one left off the
     # command line is left out of the namespace, so its default is RunConfig's
@@ -443,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "group structure, regulators, certified independence tests",
     )
     ap.add_argument("--version", action="version", version="pweil " + __version__)
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Command)
 
     def command(name, run, text, formats):
         sp = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)

@@ -362,31 +362,37 @@ class GrossMatrix(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def gross_row(x: CycloElt, split: SplitData, K: int = 50) -> tuple[list[int], int]:
+def gross_row(x: CycloElt, split: SplitData, K: int) -> tuple[list[int], int]:
     """log_p of the modified absolute values of x at every prime above p,
     as (row mod p^K', K') with K' the least precision among the logs.
 
     At P, the image of x.num under zeta -> w^e (``PrimeAbove.image``) is
     p^ord_num u with u a local unit, known mod p^K from the image at
-    precision K + ord_num; the norm of u is taken at precision K and
-    divided by den^f in Z/p^K.
+    precision K + ord_num.  w is a root of unity of order prime to p, so
+    Frobenius sends it to w^p and the conjugates of u are the units of the
+    images of sigma_{p^i}(x), i < f: their product, the norm of u, must lie
+    in Z/p^K.  It is divided by den^f.
     """
-    p = split.p
+    p, n = split.p, split.field.n
     v_den, den = split_p(x.den, p)
     ring = split.ring_at(K)[0]
     inv_den = pow(den ** split.f, -1, ring.pK)
+    conjugates = [x.apply(p ** i % n).num for i in range(split.f)]
     logs = []
     for pr in split.primes:
         ord_num = ord_at(pr, x) + v_den  # valuation of the numerator x.num
-        image = pr.image(x.num, K + ord_num)
-        assert image.valuation() == ord_num, "valuation mismatch"
-        unit_num = ring.norm(ring.elt([c // p ** ord_num for c in image.coeffs]))
-        logs.append(padic_log(unit_num * inv_den, p, K))
+        unit_norm = ring.one()
+        for num in conjugates:
+            image = pr.image(num, K + ord_num)
+            assert image.valuation() == ord_num, "valuation mismatch"
+            unit_norm *= ring.elt([c // p ** ord_num for c in image.coeffs])
+        assert not any(unit_norm.coeffs[1:]), "the Frobenius product is not in Z/p^K"
+        logs.append(padic_log(unit_norm.coeffs[0] * inv_den, p, K))
     prec = min((k for _, k in logs), default=K)
     return [v % p ** prec for v, _ in logs], prec
 
 
-def gross_matrix(basis: WeilBasis, split: SplitData, K: int = 50) -> GrossMatrix:
+def gross_matrix(basis: WeilBasis, split: SplitData, K: int) -> GrossMatrix:
     """The regulator matrix of the basis with heuristic p-adic rank.
 
     Only the row of xi_{P0}, P0 = S[0], is computed.  For P = sigma_a(P0)

@@ -19,8 +19,10 @@ complete factorization of Phi_n mod p and the Hensel lift of a factor to
 p^K that ``split_prime`` used before a prime above p became an exponent of
 one lifted root of Phi_n; ``per_row_gross_matrix`` is the regulator matrix with one
 ``gross_row`` per prime of S, before the rows were permutations of one;
-``frobenius`` and ``frobenius_norm`` are the Galois-ring Frobenius and the
-norm as the product of its f conjugates, before the norm was a determinant.
+``frobenius`` and ``frobenius_norm`` are the Galois-ring Frobenius, t sent
+to the Newton-lifted root of h congruent to t^p, and the norm as the product
+of its f conjugates; ``gross_row`` takes that product with the images of
+sigma_{p^i}(x) instead.
 ``full_scale_relation`` is the relation search that always fed the lattice
 through every scale up to 2^(precision/2) and settled only there, before
 the search returned at the first scale that settles it, and
@@ -39,7 +41,9 @@ cos and sin of all m^2 angles, before it read them from one table; and
 embedded.  ``ring_padic_log`` and ``galois_ring_inverse`` are the logarithm
 of a unit of GR(p^K, f) and the Newton inverse (from the extended gcd
 ``fp_xgcd``) that the regulator used in the degree-1 ring, before Z/p^K was
-plain ints; ``gross_row_full_norm`` runs on them.  The ``fraction_*``
+plain ints; ``gross_row_full_norm`` runs on them, and takes its norm as
+sympy's resultant (``resultant_mod``), so it shares no norm with
+``gross_row``.  The ``fraction_*``
 predicates are the ``BallReal`` sign and order tests on ``Fraction``
 endpoints, before they compared the mpf endpoints, and
 ``transform_kernel_basis_int`` is the integer kernel read off a second
@@ -65,6 +69,7 @@ Cantor-Zassenhaus and Hensel oracles share no polynomial division with
 import math
 from fractions import Fraction
 
+import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_div, gf_from_int_poly, gf_gcd, gf_gcdex, gf_mul
 
@@ -395,11 +400,23 @@ def per_prime_generator(prime, power, node_budget=5_000_000, max_doublings=6):
     return None
 
 
-def gross_row_full_norm(x, split, K=50):
+def resultant_mod(h, a, m):
+    """Res(h, a) mod m for a monic h and int coefficient lists, lowest degree
+    first (sympy, over Z): the product of a over the roots of h.  a is first
+    reduced mod h (the same values at the roots): sympy's resultant can take
+    the wrong sign when its first argument has the lower degree (sympy 1.14
+    gives Res(X + 2, X^3) = 8, where the Sylvester determinant is -8)."""
+    X = sympy.Symbol("X")
+    h, a = (sympy.Poly(list(c)[::-1], X) for c in (h, a))
+    return int(sympy.resultant(h, a.rem(h))) % m
+
+
+def gross_row_full_norm(x, split, K):
     """The regulator row with the full norm taken at K_big = K + f ord_num,
-    in GR(p^K_big, f) on each prime's factor of Phi_n Hensel-lifted from
-    scratch to K_big, divided by den^f with the Newton inverse and logged in
-    the degree-1 ring; (row, precision) as ``gross_row`` returns it."""
+    as Res(h, x.num) mod p^K_big for each prime's factor h of Phi_n
+    Hensel-lifted from scratch to K_big, divided by den^f with the Newton
+    inverse and logged in the degree-1 ring; (row, precision) as
+    ``gross_row`` returns it."""
     p = split.p
     f = split.f
     n = split.field.n
@@ -409,10 +426,8 @@ def gross_row_full_norm(x, split, K=50):
     for pr in split.primes:
         ord_num = ord_at(pr, x) + v_den
         K_big = K + f * ord_num
-        ring = GaloisRing(p, K_big, f,
-                          hensel_lift_factor(cyclotomic_polynomial(n), pr.h_bar, p, K_big))
-        image = ring.elt(x.num)
-        nrm = ring.norm(image)
+        h = hensel_lift_factor(cyclotomic_polynomial(n), pr.h_bar, p, K_big)
+        nrm = resultant_mod(h, x.num, p ** K_big)
         assert nrm % (p ** (f * ord_num)) == 0, "norm valuation mismatch"
         unit_num = nrm // (p ** (f * ord_num))
         u = qp.from_int(unit_num) * galois_ring_inverse(qp, qp.from_int(pow(den, f)))
@@ -754,7 +769,7 @@ def fq_coset(prime):
     return frozenset(pow(b, -1, field.n) for b in roots)
 
 
-def per_row_gross_matrix(basis, split, K=50):
+def per_row_gross_matrix(basis, split, K):
     """``gross_matrix`` with ``gross_row`` evaluated at every xi_P, P in S."""
     rows = [gross_row(basis.xi[idx], split, K) for idx in split.S]
     labels = [split.primes[idx].label for idx in split.S]

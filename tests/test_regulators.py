@@ -369,7 +369,7 @@ def test_a_basis_twisted_by_a_root_of_unity_is_rejected(grid):
             with pytest.raises(BasisMismatch, match="is not sigma_"):
                 argument_independence_certificate(twisted, 10 ** 4, 256)
             with pytest.raises(BasisMismatch, match="is not sigma_"):
-                gross_matrix(twisted, split)
+                gross_matrix(twisted, split, 50)
         assert regulators._orbit_transporters(basis) == [
             min(split.primes[idx].coset) for idx in split.S]
 
@@ -473,14 +473,18 @@ def test_gross_row_invariant_under_torsion(k5, split_5_11, basis_5_11):
     assert a == b and any(a[0])
 
 
-@pytest.mark.parametrize("n, p", [(13, 79), (11, 67), (15, 31)])
+@pytest.mark.parametrize("n, p", [(13, 79), (11, 67), (15, 31), (8, 5), (13, 3), (16, 3),
+                                  (11, 3), (19, 5)])
 def test_gross_row_matches_full_norm_oracle(n, p):
-    # the unit part of x.num at precision K + ord, normed at K, against the
-    # full norm at K + f ord on a fresh lift: basis elements (p in the
-    # denominator), generators (p-divisible numerators), their products and
-    # quotients by 6 (a denominator prime to p, divided out as den^f), at the
-    # split's K = 50 and at a K below and above it
+    # the product of the f Frobenius images of x.num at precision K + ord,
+    # their units multiplied at K, against the resultant at K + f ord on a
+    # fresh lift, for f = 1 (the first three), 2, 3, 4, 5 and 9: basis
+    # elements (p in the denominator), generators (p-divisible numerators),
+    # their products and quotients by 6 (a denominator prime to p, divided
+    # out as den^f), at the command line's default K = 50 and at a K below
+    # and above it
     split = split_prime(CycloField(n), p)
+    assert split.T
     basis = build_weil_basis(split)
     rng = random.Random(n * p)
     elts = list(basis.xi.values()) + list(basis.x.values())
@@ -499,7 +503,7 @@ def test_gross_matrix_rows_match_the_per_row_loop(grid, basis_5_11):
     cells = [(sp, basis) for _field, sp, basis in grid[0].values() if basis is not None]
     assert len(cells) == 128
     for sp, basis in cells + [(basis_5_11.split, basis_5_11)]:
-        assert gross_matrix(basis, sp) == per_row_gross_matrix(basis, sp)
+        assert gross_matrix(basis, sp, 50) == per_row_gross_matrix(basis, sp, 50)
 
 
 def test_gross_matrix_nontrivial_residue_degree(basis_8_5):

@@ -17,7 +17,7 @@ from pweil.splitting import (
     ord_at,
     split_prime,
 )
-from oracles import equal_degree_factor, fq_coset, hensel_lift_factor
+from oracles import equal_degree_factor, fq_coset, hensel_lift_factor, resultant_mod
 
 
 def _phi(n):
@@ -345,10 +345,12 @@ def test_transported_factors_are_the_hensel_lifts(n, monkeypatch):
     # orbits in F_p[t]/(h): they are the complete factorization, in the same
     # labelling, and each coset is the one the root test over F_{p^f} gives.
     # A prime is the embedding zeta -> w^e into GR on h_bar of P0; with
-    # ord_at started at 2 digits, it and the norm of the image equal those
-    # in GR(p^7, f) on the prime's own factor Hensel-lifted to p^7, at every
-    # prime, for y and for the h_Q(zeta)^4 y, whose valuation >= 4 at Q
-    # makes ord_at double the precision through 4 and 8
+    # ord_at started at 2 digits, it equals the valuation in GR(p^7, f) on
+    # the prime's own factor Hensel-lifted to p^7, and the product of the f
+    # Frobenius images, those of sigma_{p^i}(x), is the resultant of that
+    # factor and x.num mod p^7, at every prime, for y and for the
+    # h_Q(zeta)^4 y, whose valuation >= 4 at Q makes ord_at double the
+    # precision through 4 and 8
     field = CycloField(n)
     phi = cyclotomic_polynomial(n)
     K = 7
@@ -369,9 +371,12 @@ def test_transported_factors_are_the_hensel_lifts(n, monkeypatch):
         norm_ring = split.ring_at(K)[0]
         for pr in split.primes:
             assert pr.coset == fq_coset(pr)
-            oracle = GaloisRing(p, K, pr.f, hensel_lift_factor(phi, pr.h_bar, p, K))
+            h = hensel_lift_factor(phi, pr.h_bar, p, K)
+            oracle = GaloisRing(p, K, pr.f, h)
             for x in elts:
-                want = oracle.elt(x.num)
-                v = want.valuation()
+                v = oracle.elt(x.num).valuation()
                 assert ord_at(pr, x) == v if v is not None else ord_at(pr, x) >= K
-                assert norm_ring.norm(pr.image(x.num, K)) == oracle.norm(want)
+                product = norm_ring.one()
+                for i in range(split.f):
+                    product *= pr.image(x.apply(p ** i % n).num, K)
+                assert product == norm_ring.from_int(resultant_mod(h, x.num, p ** K))
