@@ -46,4 +46,4 @@ from .regulators import (
     weil_angle_identity,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

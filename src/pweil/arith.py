@@ -14,10 +14,13 @@ Three layers, used by every other module:
   numbers m 2^e on Python ints, rounded outward to the ball's precision
   after every operation, so every operation returns an enclosure of the
   exact result.  Sums, products, quotients and square roots are correctly
-  rounded, as in mpmath's interval arithmetic; pi, atan, cos, sin and log
-  are fixed-point series with a stated error bound, rounded correctly by
+  rounded, as in mpmath's interval arithmetic; pi, atan and log are
+  fixed-point series with a stated error bound, rounded correctly by
   raising the working precision until the rounding is settled
-  (``_settle``).  The sign, order and radius tests compare the ends
+  (``_settle``).  cos and sin are needed only at 2 pi k / n: one
+  fixed-point kernel, ``_cos_sin_turn``, reduces by the nearest quarter
+  turn exactly and states its error bound, and ``cyclo`` floors and ceils
+  it into its table.  The sign, order and radius tests compare the ends
   exactly, and the ends convert to and from ints over a power of 2,
   exactly or outward;
 * ``GaloisRing`` / ``PadicElt`` model the unramified local ring
@@ -174,15 +177,15 @@ def _to_str(x, dps: int) -> str:
 
 def _settle(f, prec: int, modes=(False, True)) -> list:
     """The values v that f approximates, correctly rounded to prec bits in
-    each mode, [per value][per mode], then what f returns after (ys, err, s).
-    w starts at prec + 32 and doubles until y - err and y + err round alike,
-    which an irrational v reaches: it is on no rounding boundary."""
+    each mode, [per value][per mode].  w starts at prec + 32 and doubles
+    until y - err and y + err round alike, which an irrational v reaches: it
+    is on no rounding boundary."""
     w = prec + 32
     while True:
-        ys, err, s, *extra = f(w)
+        ys, err, s = f(w)
         out = [[_round(y - err, -s, prec, up) for up in modes] for y in ys]
         if out == [[_round(y + err, -s, prec, up) for up in modes] for y in ys]:
-            return out + extra
+            return out
         w *= 2
 
 
@@ -271,35 +274,33 @@ def _atan_fixed(m: int, e: int, w: int):
     return (-y if m < 0 else y,), err, s
 
 
-def _cos_sin_fixed(m: int, e: int, w: int):
-    """((cos x, sin x), err, W, q) for x = m 2^e != 0, q = floor(x / (pi/2)).
-    x = n pi/2 + t, n the nearest, t within 2|n| + 1 units of 2^-W; W doubles
-    until the sign of t, and so q, is certain.  cos and sin of u = |t| / 2^h,
-    h = isqrt(w) // 2, are the parts of the series of exp(iu) (each term two
-    floors of the last times u / k: an error below 3), squared back h times,
-    each doubling the complex error, plus 2^-W: h guard bits cover that."""
+def _cos_sin_turn(k: int, n: int, w: int):
+    """((c, s), err, W): |c - 2^W cos x| and |s - 2^W sin x| are at most err
+    for x = 2 pi k / n, n > 0.  The nearest quarter turn j = round(4k / n)
+    is exact, so x = j pi/2 + t with t = pi a / (2n), a = 4k - jn and |t|
+    <= pi/4; a = 0 gives the exact values and err = 0.  Otherwise u, within
+    2 units of 2^W |t| / 2^h (h = isqrt(w) // 2 >= 1; ``_pi_fixed`` is within
+    2 of 2^W pi), feeds the series of exp(iu): each of its m terms is two
+    floors of the last times u / i, an error below 3, and the tail once a
+    term is 0 is below 6, so the complex error is below 3m + 8.  Squaring
+    back h times takes an error d to at most 2d + 3, so err = (3m + 11) 2^h."""
+    j = (8 * k + n) // (2 * n)
+    a = 4 * k - j * n
     h = math.isqrt(w) // 2
-    W = w + h + max(0, m.bit_length() + e) + 8
-    while True:
-        hp = _pi_fixed(W - 1)  # within 2 of 2^W pi/2
-        X = m << (e + W) if e + W >= 0 else m >> -(e + W)
-        n = (2 * X + hp) // (2 * hp)
-        t = X - n * hp
-        slack = 2 * abs(n) + 1
-        if abs(t) > slack:
-            break
-        W *= 2
-    u, parts, term, k = abs(t) >> h, [0, 0], 1 << W, 0
-    while term:
-        parts[k & 1] += -term if k & 2 else term
-        k += 1
-        term = (term * u >> W) // k
-    c, s = parts
-    for _ in range(h):
-        c, s = (c * c - s * s) >> W, (c * s) >> (W - 1)
-    s = s if t > 0 else -s
-    c, s = ((c, s), (-s, c), (-c, -s), (s, -c))[n & 3]
-    return (c, s), ((4 * k + 8) << (h + 1)) + 2 * slack, W, n if t > 0 else n - 1
+    W = w + h + 8
+    c, s, err = 1 << W, 0, 0
+    if a:
+        u, parts, term, m = _pi_fixed(W) * abs(a) // (2 * n) >> h, [0, 0], c, 0
+        while term:
+            parts[m & 1] += -term if m & 2 else term
+            m += 1
+            term = (term * u >> W) // m
+        c, s = parts
+        for _ in range(h):
+            c, s = (c * c - s * s) >> W, (c * s) >> (W - 1)
+        s, err = s if a > 0 else -s, (3 * m + 11) << h
+    c, s = ((c, s), (-s, c), (-c, -s), (s, -c))[j & 3]
+    return (c, s), err, W
 
 
 # the ends of [a, b] [c, d] that make its lower and upper end, by the sign
@@ -536,34 +537,6 @@ class BallReal:
         mid = vm << (ve - g)
         return BallReal(_round(mid - widen, g, prec, False), _round(mid + widen, g, prec, True),
                         prec)
-
-    def cos_sin(self) -> tuple["BallReal", "BallReal"]:
-        """Enclosures of cos and sin over the ball.  Both are monotonic
-        between consecutive multiples of pi/2, so each image is spanned by
-        its values at the two ends, correctly rounded (``_cos_sin_fixed``),
-        and by -1 or 1 when an extremum lies between, as the quadrants
-        floor(x / (pi/2)) of the ends tell; an unbounded ball, or one over a
-        full turn, gets [-1, 1]."""
-        prec = self.prec
-        whole = BallReal((-1, 0), (1, 0), prec)
-        if not self.is_finite():
-            return whole, whole
-
-        def at(x):  # [cos down, up], [sin down, up] and the quadrant at the end x
-            if not x[0]:
-                return [(1, 0)] * 2, [(0, 0)] * 2, 0
-            return _settle(lambda w: _cos_sin_fixed(*x, w), prec)
-
-        (ca, sa, qa), (cb, sb, qb) = at(self._lo), at(self._hi)
-        if qb - qa >= 4:
-            return whole, whole
-        out = []
-        for peak, (a_lo, a_hi), (b_lo, b_hi) in ((0, ca, cb), (1, sa, sb)):
-            lo = (-1, 0) if (qa - peak - 2) // 4 != (qb - peak - 2) // 4 else \
-                min(a_lo, b_lo, key=_fraction)
-            hi = (1, 0) if (qa - peak) // 4 != (qb - peak) // 4 else max(a_hi, b_hi, key=_fraction)
-            out.append(BallReal(lo, hi, prec))
-        return out[0], out[1]
 
     # -- predicates (certified; True only when provable from the enclosure),
     # exact comparisons of the endpoints, infinite ones included
@@ -857,9 +830,6 @@ class GaloisRing:
             == (other.p, other.prec, other.f, other.modulus)
         )
 
-    def __hash__(self):
-        return hash((self.p, self.prec, self.f, self.modulus))
-
 
 class PadicElt:
     """Element of a GaloisRing: polynomial of degree < f, coefficients mod p^K."""
@@ -875,9 +845,6 @@ class PadicElt:
             isinstance(other, PadicElt)
             and (self.ring, self.coeffs) == (other.ring, other.coeffs)
         )
-
-    def __hash__(self):
-        return hash((self.ring, self.coeffs))
 
     def __add__(self, other: "PadicElt") -> "PadicElt":
         return PadicElt(self.ring, self.ring._add(self.coeffs, other.coeffs))

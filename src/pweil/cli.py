@@ -161,7 +161,7 @@ def analyze_report(n: int, p: int, cfg: RunConfig, regulator: bool = True) -> di
     split = split_prime(field, p)
     basis = build_weil_basis(split)
     report: dict = {
-        "schema": "pweil-analyze/6",
+        "schema": "pweil-analyze/7",
         "config": {
             "n": n, "p": p, "precision": cfg.precision, "bound": cfg.bound,
             "padic_prec": cfg.padic_prec, "version": __version__,
@@ -404,7 +404,7 @@ def cmd_appendix(args, cfg: RunConfig) -> int:
     rep_obj = weil_angle_identity(lam, split, basis,
                                   den_bound=args.den_bound, precision=cfg.precision)
     report = {
-        "schema": "pweil-appendix/6",
+        "schema": "pweil-appendix/7",
         "config": {"n": args.n, "p": args.p, "chars": [a, b],
                    "den_bound": args.den_bound, "precision": cfg.precision,
                    "version": __version__},

@@ -8,9 +8,11 @@ operations, the Galois action and the norm work on integers;
 ``fractions.Fraction`` appears only at the edges (``coeffs`` and
 ``as_rational``).  An embedding is one exact int dot product of
 the numerator with a fixed-point table of cos and sin of 2 pi k / n, kept
-per (n, working precision); torsion is a lookup in a table of the lcm(2, n)
-roots of unity kept per n.  The Galois group is (Z/n)* acting by
-zeta -> zeta^a: sigma_a is the int a, and complex conjugation is a = -1.
+per (n, working precision) and exact at the quarter turns; the character
+sums of ``regulators`` read the same table.  Torsion is a lookup in a
+table of the lcm(2, n) roots of unity kept per n.  The Galois group is
+(Z/n)* acting by zeta -> zeta^a: sigma_a is the int a, and complex
+conjugation is a = -1.
 Conductors n = 2m with m odd are rejected (same field as Q(zeta_m)), so
 field labels are unique.
 """
@@ -22,7 +24,8 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .arith import BallComplex, BallReal, _zm_rem_monic, binary_power, is_prime, prime_factors
+from .arith import (BallComplex, BallReal, _cos_sin_turn, _zm_rem_monic, binary_power, is_prime,
+                    prime_factors)
 
 
 # ---------------------------------------------------------------------------
@@ -379,18 +382,17 @@ def embed(x: CycloElt, place: int, precision: int = 64) -> BallComplex:
 @lru_cache(maxsize=None)
 def _cos_sin_table(n: int, wp: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """For each k, (L_c, H_c, L_s, H_s) with L <= 2^wp cos or sin of 2 pi k / n
-    <= H, and the same ends swapped for a negative coefficient: the
-    ``_cos_sin`` balls at wp + 8 bits, a few ulps wide, widened to the grid
-    2^-wp, so H - L <= 2."""
-    balls = (_cos_sin(n, k, wp + 8) for k in range(n))
-    ends = ((c.int_bounds(wp), s.int_bounds(wp)) for c, s in balls)
-    return tuple(((cl, ch, sl, sh), (ch, cl, sh, sl)) for (cl, ch), (sl, sh) in ends)
-
-
-@lru_cache(maxsize=None)
-def _cos_sin(n: int, k: int, wp: int) -> tuple[BallReal, BallReal]:
-    """Enclosures of cos and sin of 2 pi k / n at working precision wp."""
-    return (BallReal.pi(wp) * 2 * Fraction(k, n)).cos_sin()
+    <= H, and the same ends swapped for a negative coefficient: the ends of
+    ``_cos_sin_turn`` at wp + 8 bits, floored and ceiled to the grid 2^-wp.
+    Its error is below 2^-(wp + 1), so H - L <= 2, and L = H at a quarter
+    turn (k = 0 among them), where the values are exact."""
+    out = []
+    for k in range(n):
+        ys, err, W = _cos_sin_turn(k, n, wp + 8)
+        d = W - wp
+        (cl, ch), (sl, sh) = (((y - err) >> d, -(-(y + err) >> d)) for y in ys)
+        out.append(((cl, ch, sl, sh), (ch, cl, sh, sl)))
+    return tuple(out)
 
 
 def is_root_of_unity(x: CycloElt) -> Optional[int]:

@@ -33,7 +33,7 @@ from .arith import (
     rational_reconstruct,
     split_p,
 )
-from .cyclo import CycloElt, _cos_sin, embed, is_root_of_unity
+from .cyclo import CycloElt, _cos_sin_table, embed, is_root_of_unity
 from .lattice import RelationCertificate, find_simultaneous_relation, kernel_basis_int
 from .splitting import SplitData, ord_at
 from .weilgroup import WeilBasis
@@ -264,20 +264,22 @@ def circulant_group_delta(thetas: Sequence[BallReal]) -> tuple[BallReal, BallRea
     For the cyclic group of order m the group determinant factors as the
     product over the m-th roots of unity omega of |sum_i theta_i omega^i|;
     both enclosures are returned (they must overlap).  cos and sin of
-    2 pi k / m come from ``_cos_sin``, as embed's table: m angles, not m^2.
+    2 pi k / m come from embed's table ``_cos_sin_table(m, prec)``: m
+    angles, not m^2.
     """
     m = len(thetas)
     prec = max(t.prec for t in thetas)
     rows = [[thetas[(c - r) % m] for c in range(m)] for r in range(m)]
     delta = abs(ball_det(rows))
+    table = _cos_sin_table(m, prec)
     fact = BallReal.from_int(1, prec)
     for j in range(m):
         re = BallReal.zero(prec)
         im = BallReal.zero(prec)
         for i, t in enumerate(thetas):
-            cos, sin = _cos_sin(m, (i * j) % m, prec)
-            re = re + t * cos
-            im = im + t * sin
+            cl, ch, sl, sh = table[(i * j) % m][0]
+            re = re + t * BallReal.from_scaled_ints(cl, ch, prec, prec)
+            im = im + t * BallReal.from_scaled_ints(sl, sh, prec, prec)
         fact = fact * abs(BallComplex(re, im))
     return delta, fact
 

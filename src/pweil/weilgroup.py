@@ -73,15 +73,6 @@ class DivisorVec:
         self.split = split
         self.coeffs = coeffs
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DivisorVec)
-            and (self.split, self.coeffs) == (other.split, other.coeffs)
-        )
-
-    def __hash__(self):
-        return hash((self.split, self.coeffs))
-
     def is_minus_part(self) -> bool:
         return all(
             self.coeffs[i] + self.coeffs[self.split.conj_index(i)] == 0

@@ -63,13 +63,17 @@ They stay here as the differential oracles.
 Their polynomial arithmetic over F_p (``fp_mul``, ``fp_divmod``,
 ``fp_gcd`` and ``fp_xgcd``) wraps sympy's ``galoistools``, so the old
 Cantor-Zassenhaus and Hensel oracles share no polynomial division with
-``_zm_rem_monic``, which ``split_prime`` runs on.
+``_zm_rem_monic``, which ``split_prime`` runs on.  Likewise the oracles
+that need cos and sin (``embed_uncached``, ``powering_circulant_group_delta``)
+take them from mpmath's interval cos/sin of the ball 2 pi k / n
+(``mpi_cos_sin``), so they share no kernel with ``cyclo._cos_sin_table``.
 """
 
 import math
 from fractions import Fraction
 
 import sympy
+from mpmath.libmp import finf, fninf, from_man_exp, libmpi
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_div, gf_from_int_poly, gf_gcd, gf_gcdex, gf_mul
 
@@ -84,6 +88,24 @@ from pweil.lattice import (BoundTooLarge, DependentRows, RelationCertificate, _c
 from pweil.splitting import ord_at
 from pweil.weilgroup import (EnumerationBudgetExceeded, MinusPartViolation, _generator_key,
                              _iroot_ceil, alpha_p_map, ideal_basis, trace_gram)
+
+
+def to_mpi(ball):
+    """The mpi interval with the ends of a ball, infinite ones included."""
+    lo, hi = ball._lo, ball._hi
+    return (fninf if lo is None else from_man_exp(*lo), finf if hi is None else from_man_exp(*hi))
+
+
+def from_mpi(v, prec):
+    """The ball with the ends of an mpi interval, infinite ones included."""
+    return BallReal(*(None if not man and exp else (-int(man) if sign else int(man), exp)
+                      for sign, man, exp, _ in v), prec)
+
+
+def mpi_cos_sin(ball):
+    """Enclosures of cos and sin over a ball, from mpmath's ``mpi_cos_sin``
+    at the ball's precision."""
+    return tuple(from_mpi(v, ball.prec) for v in libmpi.mpi_cos_sin(to_mpi(ball), ball.prec))
 
 
 def bareiss_det(rows):
@@ -451,7 +473,7 @@ def embed_uncached(x, place, precision=64):
         if k == 0:
             re = re + BallReal.from_fraction(c, wp)
             continue
-        cos, sin = (two_pi * Fraction(k, n)).cos_sin()
+        cos, sin = mpi_cos_sin(two_pi * Fraction(k, n))
         re = re + cos * Fraction(c)
         im = im + sin * Fraction(c)
     return BallComplex(re, im)
@@ -866,7 +888,7 @@ def powering_circulant_group_delta(thetas):
         re = BallReal.zero(prec)
         im = BallReal.zero(prec)
         for i, t in enumerate(thetas):
-            cos, sin = (two_pi * Fraction((i * j) % m, m)).cos_sin()
+            cos, sin = mpi_cos_sin(two_pi * Fraction((i * j) % m, m))
             re = re + t * cos
             im = im + t * sin
         fact = fact * abs(BallComplex(re, im))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
-from mpmath.libmp import finf, fninf, from_man_exp, from_rational, libmpi
+from mpmath.libmp import from_rational, libmpi, mpf_cos_sin
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_div, gf_from_int_poly, gf_gcd, gf_mul
 
@@ -24,13 +24,13 @@ from pweil.arith import (
     prime_factors,
     rational_reconstruct,
 )
-from pweil.cyclo import CycloField, cyclotomic_polynomial, euler_phi, moebius
+from pweil.cyclo import CycloField, _cos_sin_table, cyclotomic_polynomial, euler_phi, moebius
 from pweil.splitting import _gcd_monic, is_prime, split_prime
 from pweil.weilgroup import _primitive_root
-from oracles import (fraction_contains_zero, fraction_excludes_zero, fraction_is_negative,
-                     fraction_is_positive, fraction_overlaps, frobenius, frobenius_norm,
-                     galois_ring_inverse, hensel_lift_factor, resultant_mod,
-                     ring_padic_log, schoolbook_mul)
+from oracles import (bareiss_det, fraction_contains_zero, fraction_excludes_zero,
+                     fraction_is_negative, fraction_is_positive, fraction_overlaps, frobenius,
+                     frobenius_norm, from_mpi, galois_ring_inverse, hensel_lift_factor,
+                     mpi_cos_sin, resultant_mod, ring_padic_log, schoolbook_mul, to_mpi)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +155,37 @@ def test_det_encloses_exact_on_random_rational_matrices():
         assert ball_det(rows).contains(_exact_det(exact_rows))
 
 
+@pytest.mark.parametrize("case", ["every entry holds 0", "one step, then no pivot"])
+def test_det_without_a_pivot_falls_back_to_the_hadamard_bound(case, monkeypatch):
+    # when no pivot excludes 0, ball_det returns the Hadamard interval of the
+    # rows: at once for a matrix whose entries all contain 0, or after one
+    # elimination step that leaves a 2x2 remainder with no usable pivot; it
+    # must hold the exact determinant of random point matrices in the balls
+    rng = random.Random(len(case))
+    if case == "every entry holds 0":
+        ends = [[(-rng.randint(0, 40), rng.randint(0, 40)) for _ in range(3)] for _ in range(3)]
+    else:
+        ends = [[(32, 32), (16, 48), (-40, 8)],
+                [(-1, 1), (-8, 8), (20, 30)],
+                [(-2, 1), (-4, 12), (-30, -10)]]
+    den = 16  # the ends are ints over den; point matrices are ints over den too
+    rows = [[BallReal.from_endpoints(Fraction(lo, den), Fraction(hi, den), 64) for lo, hi in r]
+            for r in ends]
+    calls = []
+
+    def spy(rows, prec):
+        calls.append(prec)
+        return hadamard(rows, prec)
+
+    hadamard = arith._hadamard_interval
+    monkeypatch.setattr(arith, "_hadamard_interval", spy)
+    got = ball_det(rows)
+    assert calls == [64] and -got.lower == got.upper > 0
+    for _ in range(200):
+        points = [[rng.randint(lo, hi) for lo, hi in r] for r in ends]
+        assert got.contains(Fraction(bareiss_det(points), den ** 3))
+
+
 def test_det_nonsquare_rejected():
     one = BallReal.from_int(1, 64)
     with pytest.raises(ValueError):
@@ -163,17 +194,6 @@ def test_det_nonsquare_rejected():
 
 # ---------------------------------------------------------------------------
 # plain-int balls against mpmath's interval kernels (libmpi) as the oracle
-
-def _to_mpi(ball):
-    lo, hi = ball._lo, ball._hi
-    return (fninf if lo is None else from_man_exp(*lo), finf if hi is None else from_man_exp(*hi))
-
-
-def _from_mpi(v, prec):
-    """The ball with the ends of an mpi interval, infinite ones included."""
-    return BallReal(*(None if not man and exp else (-int(man) if sign else int(man), exp)
-                      for sign, man, exp, _ in v), prec)
-
 
 def _random_ball(rng, prec):
     """A ball at prec bits whose ends have up to prec + 20 bits, scaled by
@@ -205,22 +225,22 @@ def test_arithmetic_ends_equal_mpi_exactly():
         ys = [balls[i - 1], balls[(i * 7) % len(balls)], _random_ball(rng, x.prec)]
         for y in ys:
             prec = max(x.prec, y.prec)
-            mx, my = _to_mpi(x), _to_mpi(y)
-            assert _to_mpi(x + y) == libmpi.mpi_add(mx, my, prec)
-            assert _to_mpi(x - y) == libmpi.mpi_sub(mx, my, prec)
+            mx, my = to_mpi(x), to_mpi(y)
+            assert to_mpi(x + y) == libmpi.mpi_add(mx, my, prec)
+            assert to_mpi(x - y) == libmpi.mpi_sub(mx, my, prec)
             if x.is_finite() and y.is_finite():  # the whole line stands for an infinite operand
-                assert _to_mpi(x * y) == libmpi.mpi_mul(mx, my, prec)
-                assert _to_mpi(x / y) == libmpi.mpi_div(mx, my, prec)
-        mx = _to_mpi(x)
-        assert _to_mpi(-x) == libmpi.mpi_neg(mx, x.prec)
-        assert _to_mpi(abs(x)) == libmpi.mpi_abs(mx, x.prec)
+                assert to_mpi(x * y) == libmpi.mpi_mul(mx, my, prec)
+                assert to_mpi(x / y) == libmpi.mpi_div(mx, my, prec)
+        mx = to_mpi(x)
+        assert to_mpi(-x) == libmpi.mpi_neg(mx, x.prec)
+        assert to_mpi(abs(x)) == libmpi.mpi_abs(mx, x.prec)
         if x.is_finite() and x.lower >= 0:
-            assert _to_mpi(x.sqrt()) == libmpi.mpi_sqrt(mx, x.prec)
+            assert to_mpi(x.sqrt()) == libmpi.mpi_sqrt(mx, x.prec)
     for _ in range(200):
         prec = rng.randint(64, 1100)
         q = Fraction(rng.getrandbits(rng.randint(1, 1200)) * rng.choice((1, -1)),
                      rng.getrandbits(rng.randint(1, 1200)) + 1)
-        assert _to_mpi(BallReal.from_fraction(q, prec)) == tuple(
+        assert to_mpi(BallReal.from_fraction(q, prec)) == tuple(
             from_rational(q.numerator, q.denominator, prec, rnd) for rnd in "fc")
 
 
@@ -233,20 +253,17 @@ def test_to_str_equals_mpi_to_str():
                                    BallReal.from_scaled_ints(-5, 3, 20000, 64)]
     for x in balls:
         for dps in (20, 25):
-            assert x.to_str(dps) == libmpi.mpi_to_str(_to_mpi(x), dps)
+            assert x.to_str(dps) == libmpi.mpi_to_str(to_mpi(x), dps)
 
 
 def _ulp(x: Fraction, prec: int) -> Fraction:
     return Fraction(2) ** (x.numerator.bit_length() - x.denominator.bit_length() - prec)
 
 
-def _assert_encloses_tightly(got, exact, same_prec, prec, ulps=4, fine_ulps=0):
-    """got contains mpmath's enclosure at 64 more bits, but for fine_ulps
-    ulps of that enclosure at each end, and is at most ulps ulps wider than
-    mpmath's at the same precision."""
-    lo, hi = exact.lower, exact.upper
-    assert got.lower <= lo + fine_ulps * (_ulp(abs(lo), prec + 64) if lo else 0)
-    assert hi - fine_ulps * (_ulp(abs(hi), prec + 64) if hi else 0) <= got.upper
+def _assert_encloses_tightly(got, exact, same_prec, prec, ulps=4):
+    """got contains mpmath's enclosure at 64 more bits, and is at most ulps
+    ulps wider than mpmath's at the same precision."""
+    assert got.lower <= exact.lower and exact.upper <= got.upper
     size = max(abs(same_prec.lower), abs(same_prec.upper))
     slack = ulps * _ulp(size, prec) if size else 0
     assert (got.upper - got.lower) - (same_prec.upper - same_prec.lower) <= slack
@@ -255,36 +272,41 @@ def _assert_encloses_tightly(got, exact, same_prec, prec, ulps=4, fine_ulps=0):
 def test_pi_and_log_enclosures_against_mpi():
     rng = random.Random(64)
     for prec in list(range(64, 1101, 37)) + [1100]:
-        exact = _from_mpi(libmpi.mpi_pi(prec + 64), prec + 64)
-        _assert_encloses_tightly(BallReal.pi(prec), exact, _from_mpi(libmpi.mpi_pi(prec), prec),
+        exact = from_mpi(libmpi.mpi_pi(prec + 64), prec + 64)
+        _assert_encloses_tightly(BallReal.pi(prec), exact, from_mpi(libmpi.mpi_pi(prec), prec),
                                  prec)
         lo = rng.choice((rng.randint(2, 1000), rng.getrandbits(rng.randint(2, 1200)) + 1))
         ball = BallReal.from_scaled_ints(lo, lo + rng.randint(0, 2), rng.randint(-80, 80), prec)
-        v = _to_mpi(ball)
-        _assert_encloses_tightly(ball.log(), _from_mpi(libmpi.mpi_log(v, prec + 64), prec + 64),
-                                 _from_mpi(libmpi.mpi_log(v, prec), prec), prec)
+        v = to_mpi(ball)
+        _assert_encloses_tightly(ball.log(), from_mpi(libmpi.mpi_log(v, prec + 64), prec + 64),
+                                 from_mpi(libmpi.mpi_log(v, prec), prec), prec)
     assert BallReal.from_int(1, 64).log().is_exact_zero()
 
 
 def test_cos_sin_enclosures_against_mpi():
-    # angles 2 pi k / n as cyclo's tables build them, then random balls of
-    # every magnitude; balls across an extremum include +-1.  mpmath moves
-    # each end of its cos and sin out by a relative 2^-(prec + 10) and then
-    # rounds it outward, which can pass the correctly rounded end by an ulp
-    rng = random.Random(2)
-    balls = [BallReal.pi(prec) * 2 * Fraction(k, n)
-             for n, prec in ((5, 64), (8, 184), (12, 568), (16, 1100)) for k in range(n)]
-    balls += [_random_ball(rng, rng.randint(64, 1100)) for _ in range(80)]
-    balls += [BallReal.from_endpoints(-1, 1, 64), BallReal.from_endpoints(3, 4, 128),
-              BallReal.from_endpoints(0, 7, 64)]
-    for ball in balls:
-        prec, v = ball.prec, _to_mpi(ball)
-        exact = [_from_mpi(w, prec + 64) for w in libmpi.mpi_cos_sin(v, prec + 64)]
-        same = [_from_mpi(w, prec) for w in libmpi.mpi_cos_sin(v, prec)]
-        for got, ex, sp in zip(ball.cos_sin(), exact, same):
-            _assert_encloses_tightly(got, ex, sp, prec, fine_ulps=2)
-    whole = _unbounded_balls()[0].cos_sin()
-    assert all(b.lower == -1 and b.upper == 1 for b in whole)
+    # the table of cos and sin of 2 pi k / n, n <= 60, every k < n, at four
+    # working precisions: each entry encloses the value mpmath gives at 3 wp
+    # bits, or is the exact 0 or +-1 at a quarter turn (4k / n an integer);
+    # H - L <= 2; and it overlaps the entry that mpmath's interval cos/sin of
+    # the ball 2 pi k / n at wp + 8 bits gives, floored and ceiled to 2^-wp
+    for wp in (64, 176, 560, 1072):
+        two_pi = BallReal.pi(wp + 8) * 2
+        with mpmath.workprec(3 * wp):
+            for n in range(1, 61):
+                for k, (ends, swapped) in enumerate(_cos_sin_table(n, wp)):
+                    cl, ch, sl, sh = ends
+                    assert swapped == (ch, cl, sh, sl)
+                    assert ch - cl <= 2 and sh - sl <= 2
+                    if 4 * k % n == 0:
+                        c, s = ((1, 0), (0, 1), (-1, 0), (0, -1))[4 * k // n]
+                        assert ends == (c << wp, c << wp, s << wp, s << wp)
+                    else:
+                        x = (2 * mpmath.pi * k / n)._mpf_
+                        c, s = (mpmath.ldexp(mpmath.mpf(v), wp) for v in mpf_cos_sin(x, 3 * wp))
+                        assert cl <= c <= ch and sl <= s <= sh
+                    (ol, oh), (tl, th) = (b.int_bounds(wp) for b in
+                                          mpi_cos_sin(two_pi * Fraction(k, n)))
+                    assert ol <= ch and cl <= oh and tl <= sh and sl <= th
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +347,8 @@ def test_atan_one_evaluation_matches_mpi_atan(kind):
         lo, hi, e, prec = _random_atan_ball(rng, kind)
         ball = BallReal.from_scaled_ints(lo, hi, e, prec)
         got = ball.atan()
-        exact = _from_mpi(libmpi.mpi_atan(_to_mpi(ball), prec + 64), prec + 64)
-        old = _from_mpi(libmpi.mpi_atan(_to_mpi(ball), prec), prec)
+        exact = from_mpi(libmpi.mpi_atan(to_mpi(ball), prec + 64), prec + 64)
+        old = from_mpi(libmpi.mpi_atan(to_mpi(ball), prec), prec)
         assert got.lower <= exact.lower and exact.upper <= got.upper
         size = max(abs(old.lower), abs(old.upper))
         if size == 0:
@@ -342,8 +364,8 @@ def test_atan_at_exact_points_against_mpi():
     for prec in (64, 176, 560, 1100):
         for lo, e in ((1, 0), (-1, 0), (1, 40), (1, -40), (3, 0), (-5, 1), (7, -3)):
             ball = BallReal.from_scaled_ints(lo, lo, -e, prec)
-            exact = _from_mpi(libmpi.mpi_atan(_to_mpi(ball), prec + 64), prec + 64)
-            same = _from_mpi(libmpi.mpi_atan(_to_mpi(ball), prec), prec)
+            exact = from_mpi(libmpi.mpi_atan(to_mpi(ball), prec + 64), prec + 64)
+            same = from_mpi(libmpi.mpi_atan(to_mpi(ball), prec), prec)
             _assert_encloses_tightly(ball.atan(), exact, same, prec)
 
 

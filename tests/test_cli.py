@@ -331,13 +331,13 @@ def test_analyze_report_bytes_match_recorded_digests(capsys):
     with open(ANALYZE_DIGESTS) as fh:
         digests = json.load(fh)
     checked = 0
-    for precision, cells in digests["pweil-analyze/6"].items():
+    for precision, cells in digests["pweil-analyze/7"].items():
         for cell, want in cells.items():
             n, p = cell.split(",")
             code, out, _ = run_cli(capsys, "analyze", "--n", n, "--p", p,
                                    "--precision", precision, "--format", "json")
             assert code == 0
-            assert json.loads(out)["schema"] == "pweil-analyze/6"
+            assert json.loads(out)["schema"] == "pweil-analyze/7"
             assert hashlib.sha256(out.encode()).hexdigest() == want, (precision, cell)
             checked += 1
     assert checked == 11

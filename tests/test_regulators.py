@@ -4,13 +4,13 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from pweil.arith import BallReal
+from pweil.arith import BallComplex, BallReal, _cos_sin_turn
 from pweil.cyclo import CycloField, embed
 from pweil.lattice import find_simultaneous_relation, row_hnf
 from pweil.splitting import ord_at, split_prime
 from pweil.weilgroup import build_weil_basis, jacobi_weil_number
 from oracles import (fraction_certified_arg, gross_row_full_norm, hnf_orbit_mismatch,
-                     orbit_group_determinant, per_row_gross_matrix,
+                     mpi_cos_sin, orbit_group_determinant, per_row_gross_matrix,
                      powering_circulant_group_delta)
 from pweil import regulators, weilgroup
 from pweil.regulators import (
@@ -79,7 +79,7 @@ def test_arg_branch_consistency(basis_5_11):
         av = arg_vector(xi, 160)
         for place, val in zip(av.places, av.values):
             z = embed(xi, place, 160)
-            cos, sin = val.cos_sin()
+            cos, sin = mpi_cos_sin(val)
             assert cos.overlaps(z.re) and sin.overlaps(z.im)
 
 
@@ -178,9 +178,28 @@ def test_group_determinant_scaling_property(basis_8_5):
     assert fact_scaled.overlaps(target)
 
 
+def _per_pair_character_product(thetas):
+    # the character product with cos and sin of 2 pi (i j mod m) / m rebuilt
+    # for each of the m^2 pairs from the kernel, as the table floors and ceils it
+    m, prec = len(thetas), max(t.prec for t in thetas)
+    fact = BallReal.from_int(1, prec)
+    for j in range(m):
+        re = im = BallReal.zero(prec)
+        for i, t in enumerate(thetas):
+            ys, err, w = _cos_sin_turn((i * j) % m, m, prec + 8)
+            cos, sin = (BallReal.from_scaled_ints((y - err) >> (w - prec),
+                                                  -(-(y + err) >> (w - prec)), prec, prec)
+                        for y in ys)
+            re, im = re + t * cos, im + t * sin
+        fact = fact * abs(BallComplex(re, im))
+    return fact
+
+
 def test_circulant_group_delta_matches_the_m2_angle_oracle(basis_8_5):
-    # one cos/sin table gives bit-identical enclosures: random balls of every
-    # size m <= 8 at three precisions, and the thetas of a real orbit
+    # one cos/sin table gives the enclosures of m^2 angles rebuilt from the
+    # kernel bit for bit, and they overlap the oracle's from mpmath's interval
+    # cos/sin: random balls of every size m <= 8 at three precisions, and the
+    # thetas of a real orbit
     rng = random.Random(8)
     cases = [list(group_determinant(basis_8_5, 1, 192).thetas)]
     for prec in (64, 256, 544):
@@ -190,8 +209,12 @@ def test_circulant_group_delta_matches_the_m2_angle_oracle(basis_8_5):
                           for c, r in ((rng.randint(-10 ** 7, 10 ** 7), rng.randint(0, 9))
                                        for _ in range(m))])
     for thetas in cases:
-        got, want = circulant_group_delta(thetas), powering_circulant_group_delta(thetas)
-        assert [(b.man_exp(), b.prec) for b in got] == [(b.man_exp(), b.prec) for b in want]
+        (delta, fact), (want_delta, want_fact) = (circulant_group_delta(thetas),
+                                                  powering_circulant_group_delta(thetas))
+        rebuilt = _per_pair_character_product(thetas)
+        assert (fact.man_exp(), fact.prec) == (rebuilt.man_exp(), rebuilt.prec)
+        assert (delta.man_exp(), delta.prec) == (want_delta.man_exp(), want_delta.prec)
+        assert fact.overlaps(want_fact)
 
 
 @pytest.mark.parametrize("n, p", [(13, 79), (11, 67), (15, 31)])
