@@ -9,7 +9,6 @@ certificates for independence statements about the argument vectors.
 
 from .arith import (
     BallReal,
-    BallComplex,
     PrecisionTooLow,
     BranchCutHit,
     NotAUnit,

@@ -10,11 +10,14 @@ Three layers, used by every other module:
   is ints too, and ``padic_log`` the logarithm of a unit of it;
   ``fractions.Fraction`` appears only at the edges, as ball endpoints and
   reconstructed rationals;
-* ``BallReal`` / ``BallComplex`` are intervals whose ends are dyadic
-  numbers m 2^e on Python ints, rounded outward to the ball's precision
-  after every operation, so every operation returns an enclosure of the
-  exact result.  Sums, products, quotients and square roots are correctly
-  rounded, as in mpmath's interval arithmetic; pi, atan and log are
+* ``BallReal`` is an interval whose two ends are finite dyadic numbers
+  m 2^e on Python ints, rounded outward to the ball's precision after
+  every operation, so every operation returns an enclosure of the exact
+  result; a complex enclosure is a plain (re, im) pair of them.  Sums,
+  products, quotients and square roots are correctly rounded, as in
+  mpmath's interval arithmetic, and a division by a ball that contains 0
+  raises ``PrecisionTooLow``, as every question an enclosure cannot decide
+  does; pi, atan and log are
   fixed-point series with a stated error bound, rounded correctly by
   raising the working precision until the rounding is settled
   (``_settle``).  cos and sin are needed only at 2 pi k / n: one
@@ -52,9 +55,8 @@ class NotAUnit(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# Dyadic ends: (m, e) is m 2^e exactly, m odd or (m, e) = (0, 0); a lower end
-# None is -inf, an upper end None is +inf.  Rounding to prec significant bits
-# goes down (up=False), up (True) or to nearest (None).
+# Dyadic ends: (m, e) is m 2^e exactly, m odd or (m, e) = (0, 0).  Rounding
+# to prec significant bits goes down (up=False), up (True) or to nearest (None).
 
 def _norm(m: int, e: int) -> tuple[int, int]:
     t = (m & -m).bit_length() - 1
@@ -126,18 +128,7 @@ def _sqrt(x, prec: int, up):
     return _round(2 * r + 1, (e - k) // 2 - 1, prec, up)
 
 
-def _end(op, x, y, prec: int, up):
-    """op(x, y) rounded, or None (an infinite end) when x or y is None."""
-    return None if x is None or y is None else op(x, y, prec, up)
-
-
-def _neg(x, prec: int, up):
-    return None if x is None else _round(-x[0], x[1], prec, up)
-
-
 def _fraction(x) -> Fraction:
-    if x is None:
-        raise OverflowError("interval endpoint is infinite")
     m, e = x
     return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
@@ -333,7 +324,7 @@ class BallReal:
     Every arithmetic operation rounds outward, so the exact result of the
     corresponding exact-real operation is contained in the returned interval.
     ``prec`` is the working precision in bits for newly created endpoints;
-    the ends are dyadic (m, e) pairs, or None for an infinite end.
+    the ends are finite dyadic (m, e) pairs.
     """
 
     __slots__ = ("_lo", "_hi", "prec")
@@ -396,55 +387,45 @@ class BallReal:
         return (self.upper - self.lower) / 2
 
     def man_exp(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Both endpoints as exact (m, e) pairs, m 2^e; infinite ones raise."""
-        if not self.is_finite():
-            raise OverflowError("interval endpoint is infinite")
+        """Both endpoints as exact (m, e) pairs, m 2^e."""
         return self._lo, self._hi
 
     def int_bounds(self, e: int) -> tuple[int, int]:
         """floor(2^e lower) and ceil(2^e upper)."""
-        (a, ea), (b, eb) = self.man_exp()
+        (a, ea), (b, eb) = self._lo, self._hi
         ea, eb = ea + e, eb + e
         return (a << ea if ea >= 0 else a >> -ea), (b << eb if eb >= 0 else -(-b >> -eb))
 
     def radius_below(self, k: int) -> bool:
         """radius < 2^-k, that is upper - lower < 2^(1-k), exactly on the endpoints."""
-        if not self.is_finite():
-            return False
         (a, ea), (b, eb) = self._lo, self._hi
         e = min(ea, eb)
         return _cmp(((b << (eb - e)) - (a << (ea - e)), e), (1, 1 - k)) < 0
-
-    def is_finite(self) -> bool:
-        return self._lo is not None and self._hi is not None
 
     def __repr__(self) -> str:
         return "BallReal(%s)" % self.to_str(max(1, round(self.prec / 3.3219280948873626) - 1) + 5)
 
     def to_str(self, dps: int = 20) -> str:
         """[lower, upper] with dps digits each, as mpmath's ``mpi_to_str``."""
-        return "[%s, %s]" % ("-inf" if self._lo is None else _to_str(self._lo, dps),
-                             "+inf" if self._hi is None else _to_str(self._hi, dps))
+        return "[%s, %s]" % (_to_str(self._lo, dps), _to_str(self._hi, dps))
 
     # -- arithmetic: the ends of mpmath's interval kernels, correctly rounded
-    # at the larger precision; an unbounded factor or divisor gives the whole line
+    # at the larger precision
 
     @_binary
     def __add__(self, other, prec):
-        return BallReal(_end(_add, self._lo, other._lo, prec, False),
-                        _end(_add, self._hi, other._hi, prec, True), prec)
+        return BallReal(_add(self._lo, other._lo, prec, False),
+                        _add(self._hi, other._hi, prec, True), prec)
 
     __radd__ = __add__
 
     @_binary
     def __sub__(self, other, prec):
-        return BallReal(_end(_sub, self._lo, other._hi, prec, False),
-                        _end(_sub, self._hi, other._lo, prec, True), prec)
+        return BallReal(_sub(self._lo, other._hi, prec, False),
+                        _sub(self._hi, other._lo, prec, True), prec)
 
     @_binary
     def __mul__(self, other, prec):
-        if not (self.is_finite() and other.is_finite()):
-            return BallReal(None, None, prec)
         x, y = (self._lo, self._hi), (other._lo, other._hi)
         ends = _MUL_ENDS.get(tuple(1 if a[0] >= 0 else -1 if b[0] <= 0 else 0 for a, b in (x, y)))
         if ends is None:  # both contain 0
@@ -458,43 +439,32 @@ class BallReal:
 
     @_binary
     def __truediv__(self, other, prec):
-        whole = BallReal(None, None, prec)
-        if not (self.is_finite() and other.is_finite()):
-            return whole
         (a, b), (c, d) = (self._lo, self._hi), (other._lo, other._hi)
-        if c[0] < 0:  # divide -self by -other, whose lower end is >= 0
-            if d[0] > 0:
-                return whole
+        if c[0] <= 0 <= d[0]:
+            raise PrecisionTooLow("division by a ball that contains 0")
+        if c[0] < 0:  # divide -self by -other, whose lower end is > 0
             a, b, c, d = (-b[0], b[1]), (-a[0], a[1]), (-d[0], d[1]), (-c[0], c[1])
-        if not c[0]:
-            if not d[0] or a[0] < 0 < b[0] or self.is_exact_zero():
-                return whole
-            if a[0] >= 0:
-                return BallReal(_div(a, d, prec, False), None, prec)
-            return BallReal(None, _div(b, d, prec, True), prec)
         lo = _div(a, d if a[0] >= 0 else c, prec, False)
         return BallReal(lo, _div(b, d if b[0] <= 0 else c, prec, True), prec)
 
     def __neg__(self):
-        prec = self.prec
-        return BallReal(_neg(self._hi, prec, False), _neg(self._lo, prec, True), prec)
+        (a, ea), (b, eb), prec = self._lo, self._hi, self.prec
+        return BallReal(_round(-b, eb, prec, False), _round(-a, ea, prec, True), prec)
 
     def __abs__(self):
         lo, hi, prec = self._lo, self._hi, self.prec
-        if lo is not None and lo[0] >= 0:
-            return BallReal(_round(*lo, prec, False), hi and _round(*hi, prec, True), prec)
-        if hi is not None and hi[0] < 0:
+        if lo[0] >= 0:
+            return BallReal(_round(*lo, prec, False), _round(*hi, prec, True), prec)
+        if hi[0] < 0:
             return -self
         # contains 0: [0, max(-lo, hi)]
-        top = None if lo is None or hi is None else max(hi, (-lo[0], lo[1]), key=_fraction)
-        return BallReal((0, 0), top and _round(*top, prec, True), prec)
+        return BallReal((0, 0), _round(*max(hi, (-lo[0], lo[1]), key=_fraction), prec, True),
+                        prec)
 
     def sqrt(self) -> "BallReal":
         """sqrt is increasing; both ends are correctly rounded."""
-        if self._lo is None:
-            raise ValueError("square root of a negative number")
-        hi, prec = self._hi, self.prec
-        return BallReal(_sqrt(self._lo, prec, False), hi and _sqrt(hi, prec, True), prec)
+        prec = self.prec
+        return BallReal(_sqrt(self._lo, prec, False), _sqrt(self._hi, prec, True), prec)
 
     def log(self) -> "BallReal":
         """log is increasing; both ends are correctly rounded (``_log_fixed``),
@@ -502,9 +472,9 @@ class BallReal:
         if not self.is_positive():
             raise ValueError("log of a ball that is not positive")
 
-        def end(x, up):  # log(+inf) = +inf, log 1 = 0
-            if x is None or x == (1, 0):
-                return None if x is None else (0, 0)
+        def end(x, up):  # log 1 = 0
+            if x == (1, 0):
+                return (0, 0)
             return _settle(lambda w: _log_fixed(*x, w), self.prec, (up,))[0][0]
 
         return BallReal(end(self._lo, False), end(self._hi, True), self.prec)
@@ -516,12 +486,9 @@ class BallReal:
         contains 0) and by one ulp for that rounding.  The widening is an int
         on the grid of 1/16 ulp, rounded up; the ends are rounded outward.  A
         ball centred on 0 is its own enclosure (|atan x| <= |x|), so exact
-        zero stays exact; an unbounded ball gets [-pi/2, pi/2].
+        zero stays exact.
         """
         prec = self.prec
-        if not self.is_finite():
-            half_pi = _div(_pi_ends(prec)[1], (2, 0), prec, True)
-            return BallReal((-half_pi[0], half_pi[1]), half_pi, prec)
         (a, ea), (b, eb) = self._lo, self._hi
         e = min(ea, eb)
         a, b = a << (ea - e), b << (eb - e)  # the ball is [a 2^e, b 2^e]
@@ -539,19 +506,19 @@ class BallReal:
                         prec)
 
     # -- predicates (certified; True only when provable from the enclosure),
-    # exact comparisons of the endpoints, infinite ones included
+    # exact comparisons of the endpoints
 
     def contains_zero(self) -> bool:
-        return (self._lo is None or self._lo[0] <= 0) and (self._hi is None or self._hi[0] >= 0)
+        return self._lo[0] <= 0 <= self._hi[0]
 
     def excludes_zero(self) -> bool:
         return self.is_positive() or self.is_negative()
 
     def is_positive(self) -> bool:
-        return self._lo is not None and self._lo[0] > 0
+        return self._lo[0] > 0
 
     def is_negative(self) -> bool:
-        return self._hi is not None and self._hi[0] < 0
+        return self._hi[0] < 0
 
     def is_exact_zero(self) -> bool:
         return self._lo == self._hi == (0, 0)
@@ -561,8 +528,7 @@ class BallReal:
         return self.lower <= q <= self.upper
 
     def overlaps(self, other: "BallReal") -> bool:
-        return ((self._lo is None or other._hi is None or _cmp(self._lo, other._hi) <= 0)
-                and (other._lo is None or self._hi is None or _cmp(other._lo, self._hi) <= 0))
+        return _cmp(self._lo, other._hi) <= 0 and _cmp(other._lo, self._hi) <= 0
 
     def mignitude(self) -> Fraction:
         """Certified lower bound for the absolute value (0 if 0 is enclosed)."""
@@ -574,50 +540,15 @@ class BallReal:
         return max(abs(self.lower), abs(self.upper))
 
 
-# ---------------------------------------------------------------------------
-# BallComplex
-
-class BallComplex:
-    """Componentwise enclosure of a complex number."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: BallReal, im: BallReal):
-        self.re = re
-        self.im = im
-
-    def __add__(self, other: "BallComplex") -> "BallComplex":
-        return BallComplex(self.re + other.re, self.im + other.im)
-
-    def __mul__(self, other) -> "BallComplex":
-        if isinstance(other, BallComplex):
-            return BallComplex(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        return BallComplex(self.re * other, self.im * other)
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "BallComplex":
-        return BallComplex(self.re, -self.im)
-
-    def abs2(self) -> BallReal:
-        return self.re * self.re + self.im * self.im
-
-    def __abs__(self) -> BallReal:
-        return self.abs2().sqrt()
-
-
-def arg_principal(z: BallComplex) -> BallReal:
-    """Principal-branch argument of ``z``, certified, with values in (-pi, pi].
+def arg_principal(re: BallReal, im: BallReal) -> BallReal:
+    """Principal-branch argument of the complex enclosure (re, im), certified,
+    with values in (-pi, pi].
 
     Raises BranchCutHit when the imaginary enclosure straddles 0 on the
     negative real side (the branch cannot be decided at this precision), and
-    PrecisionTooLow when the enclosure of ``z`` contains 0.  A point exactly
-    on the negative real axis (imaginary part identically zero) yields pi.
+    PrecisionTooLow when the enclosure contains 0.  A point exactly on the
+    negative real axis (imaginary part identically zero) yields pi.
     """
-    re, im = z.re, z.im
     prec = max(re.prec, im.prec)
     if re.is_positive():
         return (im / re).atan()
@@ -697,8 +628,6 @@ def rational_reconstruct(x: BallReal, den_bound: int) -> Optional[Fraction]:
     """
     if den_bound < 1:
         raise ValueError("den_bound must be >= 1")
-    if not x.is_finite():
-        raise PrecisionTooLow("interval has infinite endpoints")
     if x.radius >= Fraction(1, 2 * den_bound * den_bound):
         raise PrecisionTooLow(
             "radius %s >= 1/(2*%d^2)" % (x.radius, den_bound)

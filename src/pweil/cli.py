@@ -80,11 +80,15 @@ class RunConfig:
             raise ConfigError("cache dir %s exists and is not a directory" % self.cache_dir)
 
 
-def _validate_pair(n: int, p: int):
+def _validate_conductor(n: int):
     if n < 3:
         raise ConfigError("conductor must be >= 3")
     if n % 4 == 2:
         raise ConfigError("conductor %d = 2 mod 4: use conductor %d" % (n, n // 2))
+
+
+def _validate_pair(n: int, p: int):
+    _validate_conductor(n)
     if not is_prime(p):
         raise NotPrime("%d is not prime" % p)
     if n % p == 0:
@@ -338,8 +342,7 @@ def cmd_scan(args, cfg: RunConfig) -> int:
     if args.p_max >= SCAN_P_CAP:
         raise ConfigError("scan cap exceeded: p-max must be < %d" % SCAN_P_CAP)
     for n in n_list:
-        if n < 3 or n % 4 == 2:
-            raise ConfigError("invalid conductor %d in range" % n)
+        _validate_conductor(n)
 
     cells = []
     for n in n_list:

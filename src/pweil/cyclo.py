@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .arith import (BallComplex, BallReal, _cos_sin_turn, _zm_rem_monic, binary_power, is_prime,
+from .arith import (BallReal, _cos_sin_turn, _zm_rem_monic, binary_power, is_prime,
                     prime_factors)
 
 
@@ -352,8 +352,8 @@ def _norm_prime(n: int, i: int) -> tuple[int, tuple[int, ...]]:
     return ell, tuple(pow(w, k, ell) for k in units)
 
 
-def embed(x: CycloElt, place: int, precision: int = 64) -> BallComplex:
-    """Certified enclosure of sigma_v(x) where zeta -> exp(2 pi i a_v / n).
+def embed(x: CycloElt, place: int, precision: int = 64) -> tuple[BallReal, BallReal]:
+    """Certified enclosure (re, im) of sigma_v(x) where zeta -> exp(2 pi i a_v / n).
 
     One exact int dot product at wp = precision + 16 bits: the ends of re
     and im of sigma_v(x.num) are the sums of c_i L_k or c_i H_k, k = a_v i,
@@ -375,8 +375,7 @@ def embed(x: CycloElt, place: int, precision: int = 64) -> BallComplex:
         g, d = x.den.bit_length(), x.den
         e += g
         rl, ru, il, iu = (rl << g) // d, -(-(ru << g) // d), (il << g) // d, -(-(iu << g) // d)
-    return BallComplex(BallReal.from_scaled_ints(rl, ru, e, wp),
-                       BallReal.from_scaled_ints(il, iu, e, wp))
+    return BallReal.from_scaled_ints(rl, ru, e, wp), BallReal.from_scaled_ints(il, iu, e, wp)
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .arith import (
-    BallComplex,
     BallReal,
     BranchCutHit,
     PrecisionTooLow,
@@ -82,7 +81,7 @@ def certified_arg(x: CycloElt, place: int, precision: int) -> BallReal:
     last: Optional[Exception] = None
     for _ in range(ARG_ATTEMPTS):
         try:
-            val = arg_principal(embed(num, place, wp))
+            val = arg_principal(*embed(num, place, wp))
             if val.radius_below(target):
                 return val
         except (BranchCutHit, PrecisionTooLow) as exc:
@@ -265,7 +264,8 @@ def circulant_group_delta(thetas: Sequence[BallReal]) -> tuple[BallReal, BallRea
     product over the m-th roots of unity omega of |sum_i theta_i omega^i|;
     both enclosures are returned (they must overlap).  cos and sin of
     2 pi k / m come from embed's table ``_cos_sin_table(m, prec)``: m
-    angles, not m^2.
+    angles, not m^2.  Each part is squared through its absolute value, so
+    a factor whose enclosure straddles 0 encloses 0 instead of raising.
     """
     m = len(thetas)
     prec = max(t.prec for t in thetas)
@@ -280,7 +280,7 @@ def circulant_group_delta(thetas: Sequence[BallReal]) -> tuple[BallReal, BallRea
             cl, ch, sl, sh = table[(i * j) % m][0]
             re = re + t * BallReal.from_scaled_ints(cl, ch, prec, prec)
             im = im + t * BallReal.from_scaled_ints(sl, sh, prec, prec)
-        fact = fact * abs(BallComplex(re, im))
+        fact = fact * (abs(re) * abs(re) + abs(im) * abs(im)).sqrt()
     return delta, fact
 
 

@@ -66,18 +66,20 @@ Cantor-Zassenhaus and Hensel oracles share no polynomial division with
 ``_zm_rem_monic``, which ``split_prime`` runs on.  Likewise the oracles
 that need cos and sin (``embed_uncached``, ``powering_circulant_group_delta``)
 take them from mpmath's interval cos/sin of the ball 2 pi k / n
-(``mpi_cos_sin``), so they share no kernel with ``cyclo._cos_sin_table``.
+(``mpi_cos_sin``), so they share no kernel with ``cyclo._cos_sin_table``,
+and ``powering_circulant_group_delta`` takes the modulus of each character
+factor from mpmath's ``mpci_abs``.
 """
 
 import math
 from fractions import Fraction
 
 import sympy
-from mpmath.libmp import finf, fninf, from_man_exp, libmpi
+from mpmath.libmp import from_man_exp, libmpi
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_div, gf_from_int_poly, gf_gcd, gf_gcdex, gf_mul
 
-from pweil.arith import (BallComplex, BallReal, BranchCutHit, GaloisRing, NotAUnit, PadicElt,
+from pweil.arith import (BallReal, BranchCutHit, GaloisRing, NotAUnit, PadicElt,
                          PrecisionTooLow, _ilog, _zm_rem_monic, arg_principal, ball_det,
                          padic_log, split_p)
 from pweil.cyclo import cyclotomic_polynomial, norm
@@ -91,15 +93,27 @@ from pweil.weilgroup import (EnumerationBudgetExceeded, MinusPartViolation, _gen
 
 
 def to_mpi(ball):
-    """The mpi interval with the ends of a ball, infinite ones included."""
-    lo, hi = ball._lo, ball._hi
-    return (fninf if lo is None else from_man_exp(*lo), finf if hi is None else from_man_exp(*hi))
+    """The mpi interval with the ends of a ball."""
+    return from_man_exp(*ball._lo), from_man_exp(*ball._hi)
 
 
 def from_mpi(v, prec):
-    """The ball with the ends of an mpi interval, infinite ones included."""
-    return BallReal(*(None if not man and exp else (-int(man) if sign else int(man), exp)
-                      for sign, man, exp, _ in v), prec)
+    """The ball with the ends of a finite mpi interval."""
+    return BallReal(*((-int(man) if sign else int(man), exp) for sign, man, exp, _ in v), prec)
+
+
+def to_mpci(z):
+    """The mpci box (the kernel form of mpmath's ``iv.mpc``) of a complex
+    enclosure (re, im)."""
+    return to_mpi(z[0]), to_mpi(z[1])
+
+
+def modulus_squared(z):
+    """|z|^2 of a complex enclosure (re, im) from mpmath's interval square and
+    sum, at the larger precision of the parts."""
+    prec = max(z[0].prec, z[1].prec)
+    re, im = (libmpi.mpi_square(v, prec) for v in to_mpci(z))
+    return from_mpi(libmpi.mpi_add(re, im, prec), prec)
 
 
 def mpi_cos_sin(ball):
@@ -476,7 +490,7 @@ def embed_uncached(x, place, precision=64):
         cos, sin = mpi_cos_sin(two_pi * Fraction(k, n))
         re = re + cos * Fraction(c)
         im = im + sin * Fraction(c)
-    return BallComplex(re, im)
+    return re, im
 
 
 def round_fraction(x):
@@ -891,7 +905,7 @@ def powering_circulant_group_delta(thetas):
             cos, sin = mpi_cos_sin(two_pi * Fraction((i * j) % m, m))
             re = re + t * cos
             im = im + t * sin
-        fact = fact * abs(BallComplex(re, im))
+        fact = fact * from_mpi(libmpi.mpci_abs(to_mpci((re, im)), prec), prec)
     return delta, fact
 
 
@@ -903,7 +917,7 @@ def fraction_certified_arg(x, place, precision, max_attempts=6):
     last = None
     for _ in range(max_attempts):
         try:
-            val = arg_principal(embed_uncached(x, place, wp))
+            val = arg_principal(*embed_uncached(x, place, wp))
             if val.radius < target:
                 return val
         except (BranchCutHit, PrecisionTooLow) as exc:
@@ -974,7 +988,7 @@ def ring_padic_log(u):
 
 
 # ``BallReal`` predicates on the ``Fraction`` endpoints, before they compared
-# the mpf endpoints directly; an infinite endpoint raises OverflowError
+# the mpf endpoints directly
 
 def fraction_contains_zero(x):
     return x.lower <= 0 <= x.upper

@@ -101,6 +101,16 @@ def test_scan_small_grid(capsys):
     assert any(int(r["rank"]) > 0 for r in rows)
 
 
+def test_scan_rejects_a_bad_conductor_as_analyze_does(capsys):
+    # one conductor check: the message names the conductor to use instead
+    for argv in (["scan", "--n-range", "5,6", "--p-max", "10"],
+                 ["analyze", "--n", "6", "--p", "5"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "conductor 6 = 2 mod 4: use conductor 3" in err
+    code, _, err = run_cli(capsys, "scan", "--n-range", "2,5", "--p-max", "10")
+    assert code == 2 and "conductor must be >= 3" in err
+
+
 def test_scan_caps(capsys):
     code, _, err = run_cli(capsys, "scan", "--n-range", "24", "--p-max", "10")
     assert code == 2 and "cap" in err

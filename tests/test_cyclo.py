@@ -5,6 +5,7 @@ from math import gcd
 import mpmath
 import pytest
 import sympy
+from mpmath.libmp import libmpi
 
 from pweil.arith import _zm_rem_monic
 from pweil.cyclo import (
@@ -26,7 +27,10 @@ from oracles import (
     fraction_mul,
     fraction_pow,
     fraction_sub,
+    from_mpi,
+    modulus_squared,
     powering_is_root_of_unity,
+    to_mpci,
 )
 
 
@@ -113,14 +117,15 @@ def test_norm_examples(k5):
     t = sympy.Symbol("t")
     res = sympy.resultant(sympy.cyclotomic_poly(5, t), 1 + 2 * t)
     assert res == 11
-    # oracle 2: product of the four embeddings at 256 bits rounds to 11
-    prod_re = None
+    # oracle 2: the product of the four embeddings at 256 bits, by mpmath's
+    # complex interval product, rounds to 11
     acc = None
     for a in k5.units:
-        e = embed(x, a, 256)
-        acc = e if acc is None else acc * e
-    assert abs(acc.re.midpoint - 11) < Fraction(1, 10 ** 50)
-    assert abs(acc.im.midpoint) < Fraction(1, 10 ** 50)
+        e = to_mpci(embed(x, a, 256))
+        acc = e if acc is None else libmpi.mpci_mul(acc, e, 272)
+    re, im = (from_mpi(v, 272) for v in acc)
+    assert abs(re.midpoint - 11) < Fraction(1, 10 ** 50)
+    assert abs(im.midpoint) < Fraction(1, 10 ** 50)
 
 
 def test_norm_multiplicative_random():
@@ -194,19 +199,17 @@ def test_embed_examples(k5):
     # 1.61803398874989484820458683436563811772...
     # 1.902113032590307144232878666758764286811...
     x = 1 + 2 * k5.zeta()
-    e = embed(x, 1, 256)
+    re, im = embed(x, 1, 256)
     re_oracle = Fraction("1.61803398874989484820458683436563811772")
     im_oracle = Fraction("1.902113032590307144232878666758764286811")
-    assert abs(e.re.midpoint - re_oracle) < Fraction(1, 10 ** 35)
-    assert abs(e.im.midpoint - im_oracle) < Fraction(1, 10 ** 35)
-    assert e.re.radius < Fraction(1, 2 ** 200)
+    assert abs(re.midpoint - re_oracle) < Fraction(1, 10 ** 35)
+    assert abs(im.midpoint - im_oracle) < Fraction(1, 10 ** 35)
+    assert re.radius < Fraction(1, 2 ** 200)
 
-    one = embed(k5.one(), 1, 64)
-    assert one.re.radius == 0 and one.re.midpoint == 1 and one.im.midpoint == 0
+    re, im = embed(k5.one(), 1, 64)
+    assert re.radius == 0 and re.midpoint == 1 and im.midpoint == 0
 
-    z = embed(k5.zeta(), 2, 128)
-    mod = z.abs2()
-    assert mod.contains(1)
+    assert modulus_squared(embed(k5.zeta(), 2, 128)).contains(1)
 
 
 def test_embed_matches_independent_mpmath(k5):
@@ -219,9 +222,9 @@ def test_embed_matches_independent_mpmath(k5):
             for a in k5.places:
                 zeta = mpmath.exp(2j * mpmath.mp.pi * a / 5)
                 val = sum(c * zeta ** i for i, c in enumerate(coeffs))
-                e = embed(x, a, 200)
-                assert abs(e.re.midpoint - Fraction(mpmath.nstr(val.real, 40))) < Fraction(1, 10 ** 30)
-                assert abs(e.im.midpoint - Fraction(mpmath.nstr(val.imag, 40))) < Fraction(1, 10 ** 30)
+                re, im = embed(x, a, 200)
+                assert abs(re.midpoint - Fraction(mpmath.nstr(val.real, 40))) < Fraction(1, 10 ** 30)
+                assert abs(im.midpoint - Fraction(mpmath.nstr(val.imag, 40))) < Fraction(1, 10 ** 30)
 
 
 def test_embed_aut_compatibility():
@@ -235,8 +238,9 @@ def test_embed_aut_compatibility():
             if a in field.places:
                 rhs = embed(x, a, 128)
             else:
-                rhs = embed(x, n - a, 128).conj()
-            assert lhs.re.overlaps(rhs.re) and lhs.im.overlaps(rhs.im)
+                re, im = embed(x, n - a, 128)
+                rhs = re, -im  # the complex conjugate
+            assert lhs[0].overlaps(rhs[0]) and lhs[1].overlaps(rhs[1])
 
 
 def _mpmath_point(x, a, prec):
@@ -262,12 +266,12 @@ def _check_embed(x, a, precision, fine=True):
     got, same = embed(x, a, precision), embed_uncached(x, a, precision)
     w = precision + 16
     bound = Fraction(2 * (sum(map(abs, x.num)) + 1), x.den << w)
-    for g, s in ((got.re, same.re), (got.im, same.im)):
+    for g, s in zip(got, same):
         assert g.overlaps(s) and g.prec == s.prec == w
         assert g.radius <= bound
     if fine:
         ref = embed_uncached(x, a, 4 * precision)
-        for part, (g, f) in enumerate(((got.re, ref.re), (got.im, ref.im))):
+        for part, (g, f) in enumerate(zip(got, ref)):
             if not (g.lower <= f.lower and f.upper <= g.upper):
                 assert g.radius == 0 and g.contains(_mpmath_point(x, a, 4 * precision)[part])
 
@@ -346,15 +350,16 @@ def test_cm_identity_on_unit_circle_elements(k5):
     xi = x.conj() / x
     assert xi * xi.conj() == k5.one()
     for a in k5.places:
-        assert embed(xi, a, 128).abs2().contains(1)
+        assert modulus_squared(embed(xi, a, 128)).contains(1)
 
 
 def _embedding_sum(x):
+    # the sum of all conjugate embeddings, by mpmath's complex interval sum
     total = None
     for a in x.field.units:
-        e = embed(x, a, 128)
-        total = e if total is None else total + e
-    return total.re.midpoint
+        e = to_mpci(embed(x, a, 128))
+        total = e if total is None else libmpi.mpci_add(total, e, 144)
+    return from_mpi(total[0], 144).midpoint
 
 
 def test_trace_and_ramanujan(k5):

@@ -500,16 +500,6 @@ def test_relation_search_matches_fraction_oracle_on_random_balls():
     assert {"found", "none-up-to-bound"} <= statuses
 
 
-def test_relation_search_raises_on_an_infinite_endpoint():
-    unbounded = BallReal.from_int(1, 64) / BallReal.from_endpoints(-1, 1, 64)
-    pi, one = BallReal.pi(96), BallReal.from_int(1, 64)
-    for vectors, modulus in (([[unbounded]], pi), ([[one]], unbounded)):
-        with pytest.raises(OverflowError):
-            find_simultaneous_relation(vectors, modulus, 10, 64)
-        with pytest.raises(OverflowError):
-            fraction_relation(vectors, modulus, 10, 64)
-
-
 def _exp_ball(k, prec):
     # mpmath's enclosure of e^k, so the planted values stay transcendental
     lo, hi = libmpi.mpi_exp((from_int(k), from_int(k)), prec)

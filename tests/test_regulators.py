@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from pweil.arith import BallComplex, BallReal, _cos_sin_turn
+from pweil.arith import BallReal, _cos_sin_turn
 from pweil.cyclo import CycloField, embed
 from pweil.lattice import find_simultaneous_relation, row_hnf
 from pweil.splitting import ord_at, split_prime
@@ -78,9 +78,9 @@ def test_arg_branch_consistency(basis_5_11):
         xi = basis_5_11.xi[idx]
         av = arg_vector(xi, 160)
         for place, val in zip(av.places, av.values):
-            z = embed(xi, place, 160)
+            re, im = embed(xi, place, 160)
             cos, sin = mpi_cos_sin(val)
-            assert cos.overlaps(z.re) and sin.overlaps(z.im)
+            assert cos.overlaps(re) and sin.overlaps(im)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def _per_pair_character_product(thetas):
                                                   -(-(y + err) >> (w - prec)), prec, prec)
                         for y in ys)
             re, im = re + t * cos, im + t * sin
-        fact = fact * abs(BallComplex(re, im))
+        fact = fact * (abs(re) * abs(re) + abs(im) * abs(im)).sqrt()
     return fact
 
 
@@ -215,6 +215,15 @@ def test_circulant_group_delta_matches_the_m2_angle_oracle(basis_8_5):
         assert (fact.man_exp(), fact.prec) == (rebuilt.man_exp(), rebuilt.prec)
         assert (delta.man_exp(), delta.prec) == (want_delta.man_exp(), want_delta.prec)
         assert fact.overlaps(want_fact)
+
+
+def test_circulant_group_delta_encloses_a_factor_that_straddles_0():
+    # thetas [t, t], t = [3/4, 5/4]: the factor of omega = -1 is |t - t|,
+    # whose real part straddles 0; each part is squared through abs, so the
+    # factor encloses 0 instead of raising and still overlaps |det|
+    t = BallReal.from_endpoints(Fraction(3, 4), Fraction(5, 4), 64)
+    delta, fact = circulant_group_delta([t, t])
+    assert fact.contains_zero() and delta.overlaps(fact)
 
 
 @pytest.mark.parametrize("n, p", [(13, 79), (11, 67), (15, 31)])
@@ -244,13 +253,13 @@ def test_certified_arg_meets_the_radius_the_relation_search_needs(basis_5_11, mo
     principal = regulators.arg_principal
     calls = []
 
-    def widened(z):
-        calls.append(z.re.prec)
-        val = principal(z)
-        if z.re.prec != first:
+    def widened(re, im):
+        calls.append(re.prec)
+        val = principal(re, im)
+        if re.prec != first:
             return val
         r = Fraction(3, 4) / (1 << (precision // 2))
-        return BallReal.from_endpoints(val.midpoint - r, val.midpoint + r, z.re.prec)
+        return BallReal.from_endpoints(val.midpoint - r, val.midpoint + r, re.prec)
 
     monkeypatch.setattr(regulators, "arg_principal", widened)
     split = basis_5_11.split
