@@ -498,7 +498,7 @@ def main(argv=None) -> int:
     except (ConfigError, NotPrime, RamifiedPrime, BadCharacterIndices) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    except (PrecisionTooLow, DependentRows, BasisMismatch, NotAWeilUnit,
+    except (ArithmeticError, DependentRows, BasisMismatch, NotAWeilUnit,
             MinusPartViolation, EnumerationBudgetExceeded, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1

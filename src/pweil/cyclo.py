@@ -129,9 +129,6 @@ class CycloField:
     def one(self) -> "CycloElt":
         return self._one
 
-    def zero(self) -> "CycloElt":
-        return self.elt([])
-
     def from_rational(self, q) -> "CycloElt":
         return self.elt([q])
 

@@ -7,10 +7,11 @@ first scale that decides it.  A relation search never claims independence:
 a negative result is a certificate that no relation with coefficients
 below the stated bound exists at the stated precision.
 
-One Gram-Schmidt code serves the layer: the fraction-free integers d_i and
-lambda_ij of ``_gs_row`` (de Weger 1987; Cohen, Alg. 2.6.7), which LLL
-updates in place and hands to the enumeration and the relation search, and
-``gs_norms`` reads through ``_gs_data``.
+One LLL and one Gram-Schmidt code serve the layer: ``lll``, integral LLL at
+delta = 3/4 (de Weger 1987; Cohen, Alg. 2.6.7), returns the fraction-free
+integers d_i and lambda_ij of ``_gs_row`` with the reduced rows, and the
+enumeration and the relation search read them with no second pass;
+``gs_norms`` computes them through ``_gs_data``.
 """
 
 from __future__ import annotations
@@ -137,32 +138,19 @@ def _gs_row(b, k: int, lam, d, gram):
             d[k + 1] = u
 
 
-LLL_DELTA = Fraction(3, 4)
-
-
-def lll(rows: Sequence[Sequence[int]], delta: Fraction = LLL_DELTA,
-        gram: Optional[Sequence[Sequence[int]]] = None) -> list[list[int]]:
-    """delta-LLL-reduced basis of the lattice spanned by the rows.
+def lll(rows: Sequence[Sequence[int]], gram: Optional[Sequence[Sequence[int]]] = None
+        ) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """(reduced rows, lambda, d): the LLL-reduced basis, at delta = 3/4, of
+    the lattice spanned by the rows, and the integers of ``_gs_row`` for it.
 
     ``gram``, when given, is the Gram matrix of the ambient basis: inner
     products are u^T G v instead of the standard dot product.  This is
-    integral LLL (de Weger 1987; Cohen, Alg. 2.6.7): the Gram-Schmidt data
-    are the integers d_i and lambda_ij of ``_gs_row``.  With mu = lambda/d
-    the size reduction and the Lovasz test are exactly those of rational
-    LLL, so the reduced basis is the same.
+    integral LLL (de Weger 1987; Cohen, Alg. 2.6.7): lambda and d are kept
+    up to date through every swap and size reduction, so a caller needs no
+    second pass.  With mu = lambda/d the size reduction and the Lovasz test
+    are those of rational LLL, so the reduced basis is the same.  Dependent
+    rows, a single zero row among them, raise ``DependentRows``.
     """
-    if not delta.denominator < 4 * delta.numerator < 4 * delta.denominator:
-        raise ValueError("delta must lie in (1/4, 1)")
-    if len(rows) <= 1:
-        return [list(map(int, r)) for r in rows]
-    return _lll(rows, delta, gram)[0]
-
-
-def _lll(rows, delta: Fraction, gram):
-    """``lll`` on at least one row, returning (reduced rows, lambda, d): the
-    ``_gs_row`` integers of the reduced rows, which LLL keeps up to date
-    through every swap and size reduction."""
-    num, den = delta.numerator, delta.denominator
     b = [list(map(int, r)) for r in rows]
     n = len(b)
     lam = [[0] * n for _ in range(n)]
@@ -177,7 +165,8 @@ def _lll(rows, delta: Fraction, gram):
             for i in range(l):
                 lam[k][i] -= q * lam[l][i]
 
-    _gs_row(b, 0, lam, d, gram)
+    if n:
+        _gs_row(b, 0, lam, d, gram)
     kmax = 0
     k = 1
     while k < n:
@@ -186,7 +175,7 @@ def _lll(rows, delta: Fraction, gram):
             _gs_row(b, k, lam, d, gram)
         red(k, k - 1)
         lk = lam[k][k - 1]
-        if den * (d[k + 1] * d[k - 1] + lk * lk) < num * d[k] * d[k]:
+        if 4 * (d[k + 1] * d[k - 1] + lk * lk) < 3 * d[k] * d[k]:  # Lovasz, delta = 3/4
             # swap b[k] and b[k-1]; lam[k][k-1] is unchanged
             B = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
             b[k], b[k - 1] = b[k - 1], b[k]
@@ -254,7 +243,7 @@ def short_vectors(basis: Sequence[Sequence[int]], bound,
     higher x_j is 0, only x_i >= 0 is enumerated, so each pair +-x is
     visited once (Schnorr and Euchner 1994), with the same result.
     """
-    reduced, lam, d = _lll(basis, LLL_DELTA, gram)
+    reduced, lam, d = lll(basis, gram)
     n = len(reduced)
     bound = Fraction(bound)
     lcm = math.lcm(*(d[i] * d[i + 1] for i in range(n)))
@@ -433,7 +422,7 @@ def find_simultaneous_relation(vectors: Sequence[Sequence[BallReal]], modulus: B
         scaled = [[((t << (s + 1)) + half) >> (E + 1) for t in row] for row in tails]
         rows = [u + [sum(c * tail[v] for c, tail in zip(u, scaled) if c) for v in range(d)]
                 for u in unimodular]
-        reduced, _, gs = _lll(rows, LLL_DELTA, None)
+        reduced, _, gs = lll(rows)
         unimodular = [row[:k_dim] for row in reduced]
         t_bound = (m + 1) * bound * (Fraction(1, 2) + (1 << s) * r_max)
         threshold_sq = (m + d) * bound * bound + d * t_bound * t_bound

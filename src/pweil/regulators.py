@@ -386,9 +386,11 @@ def gross_row(x: CycloElt, split: SplitData, K: int) -> tuple[list[int], int]:
         unit_norm = ring.one()
         for num in conjugates:
             image = pr.image(num, K + ord_num)
-            assert image.valuation() == ord_num, "valuation mismatch"
+            if image.valuation() != ord_num:
+                raise ArithmeticError("valuation mismatch")
             unit_norm *= ring.elt([c // p ** ord_num for c in image.coeffs])
-        assert not any(unit_norm.coeffs[1:]), "the Frobenius product is not in Z/p^K"
+        if any(unit_norm.coeffs[1:]):
+            raise ArithmeticError("the Frobenius product is not in Z/p^K")
         logs.append(padic_log(unit_norm.coeffs[0] * inv_den, p, K))
     prec = min((k for _, k in logs), default=K)
     return [v % p ** prec for v, _ in logs], prec

@@ -190,7 +190,8 @@ class SplitData:
             w_pow = [ring.one()]
             for _ in range(n - 1):
                 w_pow.append(w_pow[-1] * w)
-            assert w_pow[-1] * w == ring.one(), "w is not an n-th root of unity"
+            if w_pow[-1] * w != ring.one():
+                raise ArithmeticError("w is not an n-th root of unity")
             lift = self._rings[prec] = (ring, tuple(w_pow))
         return lift
 
@@ -249,8 +250,10 @@ def split_prime(field: CycloField, p: int) -> SplitData:
     rest = phi_bar
     for h in orbit_of:  # divided out one at a time: each must leave no remainder
         rest, rem = _zm_rem_monic(rest, h, p)
-        assert not any(rem), "an orbit factor does not divide Phi_n mod p"
-    assert rest == [1], "orbit factors do not multiply to Phi_n mod p"
+        if any(rem):
+            raise ArithmeticError("an orbit factor does not divide Phi_n mod p")
+    if rest != [1]:
+        raise ArithmeticError("orbit factors do not multiply to Phi_n mod p")
 
     factors = sorted(orbit_of, key=(lambda h: (-h[0]) % p) if f == 1 else None)
     c0 = orbit_of[factors[0]]
@@ -268,7 +271,8 @@ def _poly_from_roots(ring: GaloisRing, roots: Sequence) -> tuple[int, ...]:
     for r in roots:
         poly = [-(r * poly[0])] + [poly[i - 1] - r * poly[i] for i in range(1, len(poly))] \
             + [poly[-1]]
-    assert not any(c for e in poly for c in e.coeffs[1:]), "factor not defined over F_p"
+    if any(c for e in poly for c in e.coeffs[1:]):
+        raise ArithmeticError("factor not defined over F_p")
     return tuple(e.coeffs[0] for e in poly)
 
 

@@ -282,11 +282,14 @@ def build_weil_basis(split: SplitData) -> WeilBasis:
     p = split.p
     for idx in split.T:
         elt = x[idx]
-        assert elt.den == 1 and abs(norm(elt)) == p ** M, "generator not integral of norm p^M"
+        if elt.den != 1 or abs(norm(elt)) != p ** M:
+            raise ArithmeticError("generator not integral of norm p^M")
         # integral of norm p^M with ord_P = M/f: ord_Q = 0 at every other Q above p
-        assert ord_at(split.primes[idx], elt) == M // f, "generator valuation profile broken"
+        if ord_at(split.primes[idx], elt) != M // f:
+            raise ArithmeticError("generator valuation profile broken")
     for idx in split.S:
-        assert is_weil_unit(xi[idx], p)
+        if not is_weil_unit(xi[idx], p):
+            raise NotAWeilUnit("xi_%s is not in E_p(k)" % split.primes[idx].label)
     return WeilBasis(split, M=M, h=h, x=x, xi=xi)
 
 
@@ -417,5 +420,6 @@ def jacobi_weil_number(p: int, n: int, a: int, b: int) -> CycloElt:
         counts[e] += 1
     lam = field.elt([-c for c in counts])
     check = lam * lam.conj()
-    assert check == field.from_rational(p), "Jacobi sum failed lambda*lambda^c = p"
+    if check != field.from_rational(p):
+        raise ArithmeticError("Jacobi sum failed lambda*lambda^c = p")
     return lam

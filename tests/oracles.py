@@ -224,7 +224,7 @@ def cholesky_short_vectors(basis, bound, gram=None, node_budget=5_000_000):
     range is visited, but a node counts only when its highest nonzero
     coordinate so far is positive (or none is nonzero), as ``short_vectors``
     enumerates one of each pair +-x."""
-    reduced = lll(list(basis), gram=gram)
+    reduced = lll(list(basis), gram)[0]
     n = len(reduced)
     g = [[Fraction(_dot(u, v, gram)) for v in reduced] for u in reduced]
     bound = Fraction(bound)
@@ -534,7 +534,7 @@ def fraction_relation(vectors, modulus, bound, precision=None):
         scaled = [[round_fraction(t * (1 << s)) for t in row] for row in tails]
         rows = [u + [sum(c * tail[v] for c, tail in zip(u, scaled) if c) for v in range(d)]
                 for u in unimodular]
-        reduced = lll(rows)
+        reduced = lll(rows)[0]
         unimodular = [row[:k_dim] for row in reduced]
         t_bound = (m + 1) * bound * (Fraction(1, 2) + (1 << s) * r_max)
         threshold_sq = (m + d) * bound * bound + d * t_bound * t_bound
@@ -591,7 +591,7 @@ def full_scale_relation(vectors, modulus, bound, precision=None):
         scaled = [[round_fraction(t * (1 << s)) for t in row] for row in tails]
         rows = [u + [sum(c * tail[v] for c, tail in zip(u, scaled) if c) for v in range(d)]
                 for u in unimodular]
-        reduced = lll(rows)
+        reduced = lll(rows)[0]
         unimodular = [row[:k_dim] for row in reduced]
 
     r_max = max(all_rads)

@@ -595,6 +595,17 @@ def test_module_run_config_error_exits_2_with_one_line():
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_a_wrong_generator_fails_under_python_O():
+    # the basis checks raise rather than assert, so they run under -O too:
+    # 2 x_P0 lies in P0^h and gives the same xi, but its norm is not p^M
+    script = ("import sys; from pweil import cli, weilgroup; real = weilgroup.find_generator; "
+              "weilgroup.find_generator = lambda prime, power: 2 * real(prime, power); "
+              "sys.exit(cli.main(['analyze', '--n', '5', '--p', '11', '--format', 'json']))")
+    proc = run_module("-O", "-c", script)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"error: generator not integral of norm p^M\n"
+
+
 def test_cli_import_loads_neither_dataclasses_nor_hashlib():
     # compared with what the interpreter had loaded before, so whatever
     # site loads does not count

@@ -65,7 +65,7 @@ def test_mul_inverse_identity(k5):
     x = 1 + 2 * k5.zeta()
     assert x * x.inverse() == k5.one()
     with pytest.raises(ZeroDivisionError):
-        k5.zero().inverse()
+        k5.elt([]).inverse()
 
 
 def test_one_is_kept_per_field_and_pow_builds_only_its_products(k5, monkeypatch):
@@ -163,7 +163,7 @@ def test_norm_matches_resultant_and_conjugate_product():
     for n in GRID_CONDUCTORS:
         field = CycloField(n)
         deg = field.degree
-        assert norm(field.zero()) == 0
+        assert norm(field.elt([])) == 0
         samples = [
             field.elt([rng.randint(-9, 9) for _ in range(deg)]),
             # coefficients >= 10^8: the CRT bound needs more than one prime
@@ -341,7 +341,7 @@ def test_root_of_unity_lookup_matches_powering(n):
         if not x.is_zero():
             assert is_root_of_unity(x) == powering_is_root_of_unity(x), x
     with pytest.raises(ZeroDivisionError):
-        is_root_of_unity(field.zero())
+        is_root_of_unity(field.elt([]))
 
 
 def test_cm_identity_on_unit_circle_elements(k5):
@@ -451,4 +451,4 @@ def test_from_rational_and_trace_use_the_denominator(k5):
     assert q.as_rational() == Fraction(-3, 2)
     x = k5.elt([Fraction(1, 2), Fraction(1, 3), 0, 0])
     assert abs(_embedding_sum(x) - (Fraction(2) - Fraction(1, 3))) < Fraction(1, 10 ** 20)
-    assert k5.zero().num == (0,) * 4 and k5.zero().den == 1
+    assert k5.elt([]).num == (0,) * 4 and k5.elt([]).den == 1

@@ -117,7 +117,7 @@ def test_lll_generates_same_lattice_and_transform_is_unimodular():
         rows = [[rng.randint(-40, 40) for _ in range(n)] for _ in range(n)]
         if bareiss_det(rows) == 0:
             continue
-        red = lll(rows)
+        red = lll(rows)[0]
         assert _same_lattice(rows, red)
         # recover the transform exactly: T = red * rows^-1 must be integral
         # with determinant +-1
@@ -145,9 +145,9 @@ def test_lll_lovasz_condition_holds():
     rows = [[rng.randint(-30, 30) for _ in range(4)] for _ in range(4)]
     while bareiss_det(rows) == 0:
         rows = [[rng.randint(-30, 30) for _ in range(4)] for _ in range(4)]
-    red = lll(rows)
+    red = lll(rows)[0]
     B = gs_norms(red)
-    # delta = 3/4 default; Lovasz condition on consecutive Gram-Schmidt norms
+    # delta = 3/4; Lovasz condition on consecutive Gram-Schmidt norms
     # after size reduction implies B[k] >= (delta - 1/4) B[k-1] >= B[k-1]/2
     for k in range(1, 4):
         assert B[k] >= Fraction(1, 2) * B[k - 1] * Fraction(1, 2)
@@ -156,6 +156,10 @@ def test_lll_lovasz_condition_holds():
 def test_lll_rejects_dependent():
     with pytest.raises(DependentRows):
         lll([[1, 2], [2, 4]])
+    with pytest.raises(DependentRows) as err:  # a single zero row is a dependent set
+        lll([[0, 0]])
+    assert err.value.rank == 0
+    assert lll([]) == ([], [], [1])  # the empty set is independent
 
 
 def _random_gram(rng, dim):
@@ -171,7 +175,7 @@ def _random_basis(rng, n, cols, magnitude):
 
 def test_lll_matches_fraction_lll_oracle():
     # integral LLL against the rational LLL: the same reduced basis and the
-    # same Gram-Schmidt norms, with and without a Gram matrix, for both deltas
+    # same Gram-Schmidt norms, with and without a Gram matrix, at delta = 3/4
     rng = random.Random(61)
     compared = dependent = 0
     for trial in range(160):
@@ -181,23 +185,22 @@ def test_lll_matches_fraction_lll_oracle():
         if trial % 10 == 0:
             rows[-1] = [x - 3 * y for x, y in zip(rows[0], rows[1])]
         gram = _random_gram(rng, cols) if trial % 2 else None
-        delta = (Fraction(3, 4), Fraction(99, 100))[trial % 4 // 2]
         try:
-            expected = fraction_lll(rows, delta, gram)
+            expected = fraction_lll(rows, gram=gram)
         except DependentRows as err:
             with pytest.raises(DependentRows) as got:
-                lll(rows, delta, gram)
+                lll(rows, gram)
             assert got.value.rank == err.rank
             dependent += 1
             continue
-        reduced = lll(rows, delta, gram)
+        reduced = lll(rows, gram)[0]
         assert reduced == expected
         assert gs_norms(reduced, gram) == fraction_gs_norms(expected, gram)
         compared += 1
     assert dependent >= 10 and compared >= 140
 
 
-def test_lll_core_returns_the_gram_schmidt_data_of_its_output(monkeypatch):
+def test_lll_returns_the_gram_schmidt_data_of_its_output(monkeypatch):
     # the lambda and d that LLL keeps through its swaps and size reductions
     # are those a fresh pass computes on the reduced rows, so the enumeration
     # reads them and makes no second pass
@@ -208,10 +211,9 @@ def test_lll_core_returns_the_gram_schmidt_data_of_its_output(monkeypatch):
         rows = _random_basis(rng, n, cols, 10 ** rng.choice((1, 3, 6)))
         gram = _random_gram(rng, cols) if trial % 2 else None
         try:
-            reduced, lam, d = lattice._lll(rows, Fraction(3, 4), gram)
+            reduced, lam, d = lll(rows, gram)
         except DependentRows:
             continue
-        assert reduced == lll(rows, gram=gram)
         fresh_lam, fresh_d = lattice._gs_data(reduced, gram)
         assert d == fresh_d
         assert all(lam[k][:k] == fresh_lam[k][:k] for k in range(n))
@@ -592,14 +594,14 @@ def _reductions(monkeypatch, vectors, modulus, bound, precision):
     # the certificate (None when inconclusive) and every reduced basis, in order
     calls = []
 
-    core = lattice._lll
+    core = lattice.lll
 
     def recording_lll(rows, *args, **kwargs):
         out = core(rows, *args, **kwargs)
         calls.append(out[0])
         return out
 
-    monkeypatch.setattr(lattice, "_lll", recording_lll)
+    monkeypatch.setattr(lattice, "lll", recording_lll)
     try:
         cert = find_simultaneous_relation(vectors, modulus, bound, precision)
     except PrecisionTooLow:
@@ -665,8 +667,8 @@ def test_progressive_reduction_spans_the_lattice_at_the_settling_scale(monkeypat
 
 
 def test_relation_search_reads_the_gram_schmidt_norms_lll_leaves(monkeypatch):
-    # no second Gram-Schmidt pass and no call of the public lll: the search
-    # reads the d_i of the LLL core, and its bound is min d_{i+1} / d_i
+    # no second Gram-Schmidt pass: the search reads the d_i that lll returns,
+    # and its bound is min d_{i+1} / d_i
     def unused(*args, **kwargs):
         raise AssertionError("second pass")
 
@@ -674,7 +676,7 @@ def test_relation_search_reads_the_gram_schmidt_norms_lll_leaves(monkeypatch):
     s2 = BallReal.from_int(2, 256).sqrt()
     with monkeypatch.context() as mp:
         mp.setattr(lattice, "gs_norms", unused)
-        mp.setattr(lattice, "lll", unused)
+        mp.setattr(lattice, "_gs_data", unused)
         none = find_simultaneous_relation([[pi * s2, pi / 3]], pi, 10 ** 4)
         found = find_simultaneous_relation([[pi * s2], [pi * s2 * 3]], pi, 10 ** 4)
     assert none.status == "none-up-to-bound" and found.status == "found"

@@ -52,7 +52,7 @@ def test_is_weil_unit_examples(k5):
 
 def test_is_weil_unit_rejects_zero(k5):
     with pytest.raises(ZeroDivisionError):
-        is_weil_unit(k5.zero(), 11)
+        is_weil_unit(k5.elt([]), 11)
 
 
 def _is_weil_unit_checking_inverse(x, p):
@@ -76,7 +76,7 @@ def test_is_weil_unit_matches_the_inverse_check(which, request):
     gens = list(basis.x.values())
 
     def small():
-        y = field.zero()
+        y = field.elt([])
         while y.is_zero():
             y = field.elt([rng.randint(-3, 3) for _ in range(field.degree)])
         return y
@@ -311,7 +311,7 @@ def test_a_generator_of_the_conjugate_prime_breaks_the_valuation_profile(n, p, m
     real = weilgroup.find_generator
     monkeypatch.setattr(weilgroup, "find_generator",
                         lambda prime, power: real(prime, power).conj())
-    with pytest.raises(AssertionError, match="generator valuation profile broken"):
+    with pytest.raises(ArithmeticError, match="generator valuation profile broken"):
         build_weil_basis(split)
 
 
