@@ -9,6 +9,7 @@ certificates for independence statements about the argument vectors.
 
 from .arith import (
     BallReal,
+    ConfigError,
     PrecisionTooLow,
     BranchCutHit,
     NotAUnit,

@@ -42,6 +42,10 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 
+class ConfigError(ValueError):
+    """Invalid input: a bad option, conductor, prime, range or character (exit 2)."""
+
+
 class PrecisionTooLow(ArithmeticError):
     """The enclosure is too wide to decide the question; retry with more bits."""
 

@@ -7,8 +7,10 @@ as the relation search) was inconclusive at the given precision and bound
 (a scan still prints every row, with certificate "inconclusive" for such a
 cell, and "error" for a cell that raised), a generator search gave up (its
 node budget or class-order cap was exhausted), or an internal check failed;
-2 invalid configuration (``ConfigError``, a composite or ramified p, bad
-character indices).
+2 invalid configuration (``ConfigError``: a bad option or range from this
+module, a bad conductor from ``CycloField``, a composite or ramified p from
+``split_prime``, p != 1 mod n or bad character indices from
+``jacobi_weil_number``).
 Reports embed their full configuration so reruns are byte-identical.
 
 Each cell of a computation is often one short process, so start-up and exit
@@ -28,12 +30,12 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .arith import PrecisionTooLow, is_prime
+from .arith import ConfigError, PrecisionTooLow, is_prime
 from .cyclo import CycloField
-from .lattice import DependentRows
-from .splitting import NotPrime, RamifiedPrime, split_prime
-from .weilgroup import (BadCharacterIndices, EnumerationBudgetExceeded, MinusPartViolation,
-                        NotAWeilUnit, build_weil_basis, jacobi_weil_number, verify_weil_basis)
+from .lattice import DependentRows, EnumerationBudgetExceeded
+from .splitting import split_prime
+from .weilgroup import (MinusPartViolation, NotAWeilUnit, build_weil_basis, jacobi_weil_number,
+                        verify_weil_basis)
 from .regulators import (
     BasisMismatch,
     argument_independence_certificate,
@@ -47,10 +49,6 @@ from .regulators import (
 SCAN_N_CAP = 20
 SCAN_P_CAP = 1000
 SCAN_CHUNK = 8  # cells per pool task: 1 costs pool traffic, far more leaves a slow tail
-
-
-class ConfigError(ValueError):
-    """Invalid configuration: a bad option, conductor or range (exit 2)."""
 
 
 class RunConfig:
@@ -78,21 +76,6 @@ class RunConfig:
         if self.cache_dir is not None and os.path.exists(self.cache_dir) \
                 and not os.path.isdir(self.cache_dir):
             raise ConfigError("cache dir %s exists and is not a directory" % self.cache_dir)
-
-
-def _validate_conductor(n: int):
-    if n < 3:
-        raise ConfigError("conductor must be >= 3")
-    if n % 4 == 2:
-        raise ConfigError("conductor %d = 2 mod 4: use conductor %d" % (n, n // 2))
-
-
-def _validate_pair(n: int, p: int):
-    _validate_conductor(n)
-    if not is_prime(p):
-        raise NotPrime("%d is not prime" % p)
-    if n % p == 0:
-        raise RamifiedPrime("p = %d divides the conductor %d (ramified)" % (p, n))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +143,6 @@ def analyze_report(n: int, p: int, cfg: RunConfig, regulator: bool = True) -> di
     records K in ``config`` and in its ``split`` section.  A scan cell, whose
     row never reads the regulator matrix, sets ``regulator=False``: the
     matrix is not built and ``gross_matrix`` is None."""
-    _validate_pair(n, p)
     field = CycloField(n)
     split = split_prime(field, p)
     basis = build_weil_basis(split)
@@ -342,7 +324,7 @@ def cmd_scan(args, cfg: RunConfig) -> int:
     if args.p_max >= SCAN_P_CAP:
         raise ConfigError("scan cap exceeded: p-max must be < %d" % SCAN_P_CAP)
     for n in n_list:
-        _validate_conductor(n)
+        CycloField(n)  # raises ConfigError for a bad conductor
 
     cells = []
     for n in n_list:
@@ -395,15 +377,10 @@ def cmd_scan(args, cfg: RunConfig) -> int:
 def cmd_appendix(args, cfg: RunConfig) -> int:
     if args.den_bound < 1:
         raise ConfigError("den_bound must be >= 1")
-    _validate_pair(args.n, args.p)
-    if (args.p - 1) % args.n != 0:
-        raise ConfigError("need p = 1 mod n to build character sums (p=%d, n=%d)"
-                         % (args.p, args.n))
     a, b = args.chars
-    field = CycloField(args.n)
-    split = split_prime(field, args.p)
-    basis = build_weil_basis(split)
+    split = split_prime(CycloField(args.n), args.p)
     lam = jacobi_weil_number(args.p, args.n, a, b)
+    basis = build_weil_basis(split)
     rep_obj = weil_angle_identity(lam, split, basis,
                                   den_bound=args.den_bound, precision=cfg.precision)
     report = {
@@ -495,7 +472,7 @@ def main(argv=None) -> int:
     try:
         cfg.validate()
         return args.run(args, cfg)
-    except (ConfigError, NotPrime, RamifiedPrime, BadCharacterIndices) as exc:
+    except ConfigError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except (ArithmeticError, DependentRows, BasisMismatch, NotAWeilUnit,

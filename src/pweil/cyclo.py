@@ -24,8 +24,8 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .arith import (BallReal, _cos_sin_turn, _zm_rem_monic, binary_power, is_prime,
-                    prime_factors)
+from .arith import (BallReal, ConfigError, _cos_sin_turn, _zm_rem_monic, binary_power,
+                    is_prime, prime_factors)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +62,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     for d in range(1, n):
         if n % d == 0:
             poly, rem = _zm_rem_monic(poly, cyclotomic_polynomial(d))
-            assert not any(rem), "Phi_%d does not divide" % d
+            if any(rem):
+                raise ArithmeticError("Phi_%d does not divide" % d)
     return tuple(poly)
 
 
@@ -87,23 +88,24 @@ class CycloField:
 
     ``places`` lists one residue a_v per infinite place: the phi(n)/2
     smallest positive a coprime to n, one from each pair {a, n - a}.  The
-    place with a_v = 1 corresponds to the fixed embedding itself.
+    place with a_v = 1 corresponds to the fixed embedding itself.  A
+    conductor below 3 or = 2 mod 4 raises ``ConfigError``.
     """
 
     def __init__(self, n: int):
         if n < 3:
-            raise ValueError("conductor must be >= 3")
+            raise ConfigError("conductor must be >= 3")
         if n % 4 == 2:
-            raise ValueError(
-                "conductor %d = 2 mod 4 rejected: same field as conductor %d" % (n, n // 2)
-            )
+            raise ConfigError("conductor %d = 2 mod 4: use conductor %d" % (n, n // 2))
         self.n = n
         self.degree = euler_phi(n)
         self.poly = cyclotomic_polynomial(n)
         self.power_rows = _power_rows(n)
         self.units = tuple(a for a in range(1, n) if gcd(a, n) == 1)
         self.places = tuple(a for a in range(1, (n + 1) // 2) if gcd(a, n) == 1)
-        assert len(self.places) * 2 == self.degree
+        if len(self.places) * 2 != self.degree:
+            raise ArithmeticError("%d places do not pair off %d embeddings"
+                                  % (len(self.places), self.degree))
         self._one = CycloElt(self, (1,) + (0,) * (self.degree - 1), 1)  # elements are immutable
 
     def __repr__(self) -> str:
@@ -253,7 +255,8 @@ class CycloElt:
             adj = adj * self.apply(a)
         nrm = self * adj
         c = nrm.num[0]
-        assert c > 0 and not any(nrm.num[1:]), "N(x) is not a positive rational"
+        if c <= 0 or any(nrm.num[1:]):
+            raise ArithmeticError("N(x) is not a positive rational")
         return CycloElt._make(field, [nrm.den * a for a in adj.num], c * adj.den)
 
     # -- Galois action

@@ -31,8 +31,9 @@ class DependentRows(Exception):
         self.rank = rank
 
 
-class BoundTooLarge(RuntimeError):
-    """Short-vector enumeration exceeded its node budget."""
+class EnumerationBudgetExceeded(RuntimeError):
+    """Short-vector enumeration exceeded its node budget, or the generator
+    search ran out of class orders h."""
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +230,8 @@ def short_vectors(basis: Sequence[Sequence[int]], bound,
     Complete Fincke-Pohst enumeration on the LLL-reduced basis, which only
     makes it cheaper; ``gram`` gives the ambient bilinear form (default dot).
     Results are (vector, squared norm), sorted by norm, then vector.  Raises
-    BoundTooLarge when the visited node count exceeds ``node_budget``.
+    ``EnumerationBudgetExceeded`` when the visited node count exceeds
+    ``node_budget``.
 
     The recursion reads the integers lambda and d of ``_gs_row`` as LLL
     leaves them for the reduced basis, with no second pass: the squared
@@ -276,7 +278,7 @@ def short_vectors(basis: Sequence[Sequence[int]], bound,
             lo = 0  # one of each pair +-x: the highest nonzero x_i is positive
         nodes += hi - lo + 1
         if nodes > node_budget:
-            raise BoundTooLarge("enumeration exceeded %d nodes" % node_budget)
+            raise EnumerationBudgetExceeded("enumeration exceeded %d nodes" % node_budget)
         for xi in range(lo, hi + 1):
             t = di * xi + U
             x[i] = xi

@@ -412,18 +412,14 @@ def gross_matrix(basis: WeilBasis, split: SplitData, K: int) -> GrossMatrix:
         a_inv = pow(a, -1, split.field.n)
         rows.append(tuple(row0[split.act_index(a_inv, j)] for j in range(split.g)))
 
-    min_val = prec
-    for row in rows:
-        total = sum(row) % p ** prec
-        if total:
-            min_val = min(min_val, split_p(total, p)[0])
+    total = sum(row0) % p ** prec  # every row is row 0 permuted: one sum
     return GrossMatrix(
         split=split,
         row_labels=tuple(split.primes[idx].label for idx in S),
         entries=tuple(rows),
         precision=prec,
         heuristic_rank=_padic_rank(rows, p, prec),
-        row_sum_min_valuation=min_val,
+        row_sum_min_valuation=split_p(total, p)[0] if total else prec,
     )
 
 
@@ -454,7 +450,8 @@ def _padic_rank(rows: Sequence[Sequence[int]], p: int, prec: int) -> int:
             if i == pi:
                 continue
             c = a[i][pj] % mod
-            assert c % (p ** v) == 0
+            if c % (p ** v):
+                raise ArithmeticError("pivot column entry not divisible by p^%d" % v)
             factor = ((c // (p ** v)) * inv_unit) % (p ** (prec_left - v))
             if factor:
                 for j in live_cols:

@@ -25,16 +25,8 @@ import random
 from math import gcd
 from typing import Optional, Sequence
 
-from .arith import GaloisRing, PadicElt, _zm_rem_monic, is_prime, split_p
+from .arith import ConfigError, GaloisRing, PadicElt, _zm_rem_monic, is_prime, split_p
 from .cyclo import CycloElt, CycloField, cyclotomic_polynomial
-
-
-class NotPrime(ValueError):
-    """The given integer is not a prime number."""
-
-
-class RamifiedPrime(ValueError):
-    """p divides the conductor; only unramified primes are supported."""
 
 
 def multiplicative_order(a: int, n: int) -> int:
@@ -227,13 +219,14 @@ def split_prime(field: CycloField, p: int) -> SplitData:
     prod (X - t^b); the factors must multiply to Phi_n mod p.  They are
     sorted and labelled; if the factor of label 0 has orbit c0<p>, the one
     of orbit b<p> has coset c0 b^-1 <p> and exponent e in b c0^-1 <p>.
-    Nothing here depends on a p-adic precision.
+    Nothing here depends on a p-adic precision.  Raises ``ConfigError`` when
+    p is not prime or divides n.
     """
     if not is_prime(p):
-        raise NotPrime("%d is not prime" % p)
+        raise ConfigError("%d is not prime" % p)
     n = field.n
     if n % p == 0:
-        raise RamifiedPrime("p = %d divides the conductor %d" % (p, n))
+        raise ConfigError("p = %d divides the conductor %d (ramified)" % (p, n))
     f = multiplicative_order(p, n)
     phi_bar = [c % p for c in cyclotomic_polynomial(n)]
     ring = GaloisRing(p, 1, f, _one_factor(phi_bar, f, p, random.Random(1000003 * n + p)))

@@ -16,9 +16,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .arith import is_prime, prime_factors, split_p
+from .arith import ConfigError, is_prime, prime_factors, split_p
 from .cyclo import CycloElt, CycloField, is_root_of_unity, norm, ramanujan_sum
-from .lattice import BoundTooLarge, row_hnf, short_vectors
+from .lattice import EnumerationBudgetExceeded, row_hnf, short_vectors
 from .splitting import PrimeAbove, SplitData, ord_at
 
 
@@ -28,14 +28,6 @@ class NotAWeilUnit(Exception):
 
 class MinusPartViolation(Exception):
     """Divisor vector is not in the -1 eigenspace of conjugation."""
-
-
-class EnumerationBudgetExceeded(RuntimeError):
-    """Generator search ran out of enumeration nodes or class orders h."""
-
-
-class BadCharacterIndices(ValueError):
-    """Jacobi sum character indices must be nonzero with nonzero sum mod n."""
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +92,8 @@ def alpha_p_map(x: CycloElt, split: SplitData) -> DivisorVec:
         raise NotAWeilUnit("alpha is only defined on E_p(k)")
     coeffs = tuple(-split.f * ord_at(pr, x) for pr in split.primes)
     vec = DivisorVec(split, coeffs)
-    assert vec.is_minus_part(), "valuation vector escaped the minus part"
+    if not vec.is_minus_part():
+        raise MinusPartViolation("valuation vector escaped the minus part")
     return vec
 
 
@@ -124,7 +117,8 @@ def ideal_basis(prime: PrimeAbove, power: int = 1) -> list[list[int]]:
         gens.append([0] * i + [pk] + [0] * (deg - 1 - i))
         gens.append(list((field.zeta(i) * hk).num))
     basis, rank = row_hnf(gens)
-    assert rank == deg
+    if rank != deg:
+        raise ArithmeticError("ideal basis of rank %d, not %d" % (rank, deg))
     return basis
 
 
@@ -183,10 +177,7 @@ def find_generator(prime: PrimeAbove, power: int) -> Optional[CycloElt]:
     floor = deg * _iroot_ceil(n_target * n_target, deg)
     bound = floor + (floor + 1) // 2
     for _ in range(MAX_DOUBLINGS + 1):
-        try:
-            vectors = short_vectors(basis, bound, gram=gram, node_budget=NODE_BUDGET)
-        except BoundTooLarge as exc:
-            raise EnumerationBudgetExceeded(str(exc)) from exc
+        vectors = short_vectors(basis, bound, gram=gram, node_budget=NODE_BUDGET)
         # a length-phi vector over den 1 is canonical: build only what is tested
         for vec in sorted((vec for vec, _norm_sq in vectors), key=_generator_key):
             elt = CycloElt(field, vec, 1)
@@ -397,17 +388,19 @@ def jacobi_weil_number(p: int, n: int, a: int, b: int) -> CycloElt:
 
     chi is the character of F_p* of exact order n sending the smallest
     primitive root to zeta_n; requires p = 1 mod n and a, b, a+b nonzero
-    mod n.  The defining identity lambda * lambda^c = p is verified exactly.
+    mod n, and raises ``ConfigError`` otherwise, or for a bad conductor or a
+    p that is not prime.  The defining identity lambda * lambda^c = p is
+    verified exactly.
     """
+    field = CycloField(n)
     if not is_prime(p):
-        raise ValueError("%d is not prime" % p)
+        raise ConfigError("%d is not prime" % p)
     if (p - 1) % n != 0:
-        raise BadCharacterIndices("need p = 1 mod n for characters of order n")
+        raise ConfigError("need p = 1 mod n to build character sums (p=%d, n=%d)" % (p, n))
     a %= n
     b %= n
     if a == 0 or b == 0 or (a + b) % n == 0:
-        raise BadCharacterIndices("indices a, b, a+b must be nonzero mod n")
-    field = CycloField(n)
+        raise ConfigError("indices a, b, a+b must be nonzero mod n")
     g = _primitive_root(p)
     dlog = [0] * p
     acc = 1

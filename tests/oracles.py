@@ -85,7 +85,7 @@ from pweil.arith import (BallReal, BranchCutHit, GaloisRing, NotAUnit, PadicElt,
 from pweil.cyclo import cyclotomic_polynomial, norm
 from pweil.regulators import (BasisMismatch, GroupDetReport, GrossMatrix, _orbit_mismatch,
                               _padic_rank, certified_arg, circulant_group_delta, gross_row)
-from pweil.lattice import (BoundTooLarge, DependentRows, RelationCertificate, _canonical_sign,
+from pweil.lattice import (DependentRows, RelationCertificate, _canonical_sign,
                            _dot, _hnf_with_transform, gs_norms, lll, row_hnf, short_vectors)
 from pweil.splitting import ord_at
 from pweil.weilgroup import (EnumerationBudgetExceeded, MinusPartViolation, _generator_key,
@@ -262,7 +262,7 @@ def cholesky_short_vectors(basis, bound, gram=None, node_budget=5_000_000):
             if (higher or xi) >= 0:
                 nodes += 1
             if nodes > node_budget:
-                raise BoundTooLarge("enumeration exceeded %d nodes" % node_budget)
+                raise EnumerationBudgetExceeded("enumeration exceeded %d nodes" % node_budget)
             x[i] = xi
             if i == 0:
                 if any(x):
@@ -421,10 +421,7 @@ def per_prime_generator(prime, power, node_budget=5_000_000, max_doublings=6):
     floor = deg * _iroot_ceil(n_target * n_target, deg)
     bound = floor + (floor + 1) // 2
     for _ in range(max_doublings + 1):
-        try:
-            vectors = short_vectors(basis, bound, gram=gram, node_budget=node_budget)
-        except BoundTooLarge as exc:
-            raise EnumerationBudgetExceeded(str(exc)) from exc
+        vectors = short_vectors(basis, bound, gram=gram, node_budget=node_budget)
         candidates = []
         for vec, _norm_sq in vectors:
             elt = field.elt(vec)

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -549,8 +550,8 @@ def test_scan_cell_that_raises_is_an_uncached_error_row(capsys, monkeypatch, tmp
 
 
 def test_value_error_inside_a_computation_exits_1(capsys, monkeypatch):
-    # only ConfigError, NotPrime, RamifiedPrime and BadCharacterIndices are
-    # "invalid configuration"; a ValueError from a computation is exit 1
+    # only ConfigError is "invalid configuration"; a ValueError from a
+    # computation is exit 1
     def broken(split):
         raise ValueError("internal value error")
 
@@ -565,7 +566,51 @@ def test_configuration_errors_are_config_error():
     with pytest.raises(ConfigError):
         RunConfig(precision=32).validate()
     with pytest.raises(ConfigError):
-        pweil.cli._validate_pair(6, 5)
+        pweil.cli.analyze_report(6, 5, RunConfig())
+
+
+CONDUCTOR_6 = "conductor 6 = 2 mod 4: use conductor 3"
+CONDUCTOR_2 = "conductor must be >= 3"
+NOT_PRIME = "4 is not prime"
+RAMIFIED = "p = 5 divides the conductor 5 (ramified)"
+BAD_CHARS = "indices a, b, a+b must be nonzero mod n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("analyze --n 6 --p 5", CONDUCTOR_6),
+    ("analyze --n 2 --p 5", CONDUCTOR_2),
+    ("analyze --n 5 --p 4", NOT_PRIME),
+    ("analyze --n 5 --p 5", RAMIFIED),
+    ("analyze --n 15 --p 3", "p = 3 divides the conductor 15 (ramified)"),
+    ("scan --n-range 5,6 --p-max 10", CONDUCTOR_6),
+    ("scan --n-range 2,5 --p-max 10", CONDUCTOR_2),
+    ("scan --n-range 24 --p-max 10", "scan cap exceeded: conductors must be <= 20"),
+    ("scan --n-range 5 --p-max 5000", "scan cap exceeded: p-max must be < 1000"),
+    ("appendix --n 6 --p 7 --chars 1 1", CONDUCTOR_6),
+    ("appendix --n 2 --p 5 --chars 1 1", CONDUCTOR_2),
+    ("appendix --n 5 --p 4 --chars 1 1", NOT_PRIME),
+    ("appendix --n 5 --p 5 --chars 1 1", RAMIFIED),
+    ("appendix --n 5 --p 13 --chars 1 1",
+     "need p = 1 mod n to build character sums (p=13, n=5)"),
+    ("appendix --n 5 --p 11 --chars 1 4", BAD_CHARS),
+    ("appendix --n 5 --p 11 --chars 0 1", BAD_CHARS),
+])
+def test_invalid_input_exits_2_with_one_error_line(capsys, argv, message):
+    # every invalid input is one ConfigError, raised by the module that
+    # uses the input, and main turns it into exit 2 and one line on stderr
+    assert run_cli(capsys, *argv.split()) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pweil.CycloField(6),
+    lambda: pweil.split_prime(pweil.CycloField(5), 4),
+    lambda: pweil.split_prime(pweil.CycloField(15), 3),
+    lambda: pweil.jacobi_weil_number(13, 5, 1, 1),
+    lambda: pweil.jacobi_weil_number(4, 5, 1, 1),
+], ids=["conductor-6", "p-4", "p-3-ramified", "p-13-not-1-mod-5", "jacobi-p-4"])
+def test_the_library_raises_config_error_for_invalid_input(call):
+    with pytest.raises(pweil.ConfigError):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +649,19 @@ def test_a_wrong_generator_fails_under_python_O():
     proc = run_module("-O", "-c", script)
     assert (proc.returncode, proc.stdout) == (1, b"")
     assert proc.stderr == b"error: generator not integral of norm p^M\n"
+
+
+def test_the_package_has_no_assert_statements():
+    # python -O strips asserts: every exact check in the package raises instead
+    found = []
+    package = os.path.dirname(os.path.abspath(pweil.__file__))
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += ["%s:%d" % (name, node.lineno)
+                      for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_cli_import_loads_neither_dataclasses_nor_hashlib():

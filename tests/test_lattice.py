@@ -14,8 +14,8 @@ from oracles import (bareiss_det, cholesky_short_vectors, fraction_gs_norms, fra
 from pweil import lattice, weilgroup
 from pweil.arith import BallReal, PrecisionTooLow
 from pweil.lattice import (
-    BoundTooLarge,
     DependentRows,
+    EnumerationBudgetExceeded,
     find_simultaneous_relation,
     gs_norms,
     kernel_basis_int,
@@ -363,8 +363,8 @@ def test_short_vectors_complete_vs_box_oracle():
 def test_short_vectors_match_cholesky_oracle(grid, monkeypatch):
     # every search find_generator makes on the acceptance grid, then random
     # lattices with and without a Gram matrix and with fractional bounds:
-    # the same list as the rational-Cholesky enumeration, and BoundTooLarge
-    # exactly when the budget is below its node count
+    # the same list as the rational-Cholesky enumeration, and
+    # EnumerationBudgetExceeded exactly when the budget is below its node count
     searches = []
 
     def recording(basis, bound, gram=None, node_budget=5_000_000):
@@ -396,12 +396,12 @@ def test_short_vectors_match_cholesky_oracle(grid, monkeypatch):
     for basis, bound, gram in searches:
         expected, nodes = cholesky_short_vectors(basis, bound, gram)
         assert short_vectors(basis, bound, gram, node_budget=nodes) == expected
-        with pytest.raises(BoundTooLarge):
+        with pytest.raises(EnumerationBudgetExceeded):
             short_vectors(basis, bound, gram, node_budget=nodes - 1)
 
 
 def test_short_vectors_budget():
-    with pytest.raises(BoundTooLarge):
+    with pytest.raises(EnumerationBudgetExceeded):
         short_vectors([[1, 0], [0, 1]], 10 ** 8, node_budget=100)
 
 
