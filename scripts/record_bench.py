@@ -15,7 +15,8 @@ ratio of the medians and in how many paired seeds it is better, in the
 direction that ``BENCHMARK.json`` gives.  Each checkout then makes one
 ``--trace 1`` run per workload (seed 0, one unit) for the per-layer
 metrics, and one full-range ``pweil scan`` whose wall time and stdout
-sha256 are recorded.  Nothing here is a gate.
+sha256 are recorded.  Each checkout entry also holds ``src_lines``, the
+line total of its ``src/pweil/*.py``.  Nothing here is a gate.
 """
 
 from __future__ import annotations
@@ -84,6 +85,17 @@ def full_range_scan(checkout: str) -> dict:
             "sha256": digest, "matches_recorded": digest == recorded}
 
 
+def src_lines(checkout: str) -> int:
+    """The line total of the checkout's ``src/pweil/*.py``, as ``wc -l`` counts."""
+    package = os.path.join(checkout, "src", "pweil")
+    total = 0
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
+
+
 def _summary(values: list) -> dict:
     q = statistics.quantiles(values, n=4) if len(values) > 1 else [values[0]] * 3
     return {"median": statistics.median(values), "q1": q[0], "q3": q[2]}
@@ -112,7 +124,8 @@ def main(argv=None) -> int:
            "host": {"cpu": _cpu_model(), "machine": platform.machine(),
                     "python": platform.python_version(), "nproc": len(os.sched_getaffinity(0))},
            "settings": {"seeds": seeds, "seconds": args.seconds, "workloads": list(WORKLOADS)},
-           "checkouts": {label: {"describe": _describe(path), "workloads": {}}
+           "checkouts": {label: {"describe": _describe(path), "src_lines": src_lines(path),
+                                 "workloads": {}}
                          for label, path in checkouts}}
     for workload in WORKLOADS:
         runs = {label: [] for label, _ in checkouts}

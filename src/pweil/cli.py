@@ -1,16 +1,23 @@
 """Command-line frontend: single-case analysis, grid scans and identity reports.
 
-Exit codes: 0 all exact checks passed (relation certificates reporting
-"none-up-to-bound" are informational); 1 an exact identity failed, a
-relation was found, a reconstruction failed, a certified computation (such
-as the relation search) was inconclusive at the given precision and bound
-(a scan still prints every row, with certificate "inconclusive" for such a
-cell, and "error" for a cell that raised), a generator search gave up (its
-node budget or class-order cap was exhausted), or an internal check failed;
-2 invalid configuration (``ConfigError``: a bad option or range from this
-module, a bad conductor from ``CycloField``, a composite or ramified p from
-``split_prime``, p != 1 mod n or bad character indices from
-``jacobi_weil_number``).
+Exit codes:
+
+- 0: all exact checks passed (relation certificates reporting
+  "none-up-to-bound" are informational);
+- 1: a report failed (an exact identity failed, a relation was found, a
+  reconstruction failed), or a computation raised an ``ArithmeticError``
+  or a ``ValueError``: ``PrecisionTooLow`` (inconclusive at the given
+  precision and bound), ``EnumerationBudgetExceeded`` (a generator search
+  exhausted its node budget or class-order cap), or a failed internal
+  check (``DependentRows``, ``BasisMismatch``, ``NotAWeilUnit``,
+  ``MinusPartViolation``, every exact check); a scan still prints every
+  row, with certificate "inconclusive" for a cell that raised
+  ``PrecisionTooLow`` and "error" for one that raised anything else;
+- 2: invalid configuration, always ``pweil.arith.ConfigError``: a bad
+  option or range from this module, a bad conductor from ``CycloField``,
+  a composite or ramified p from ``split_prime``, p != 1 mod n or bad
+  character indices from ``jacobi_weil_number``.
+
 Reports embed their full configuration so reruns are byte-identical.
 
 Each cell of a computation is often one short process, so start-up and exit
@@ -32,12 +39,9 @@ from typing import Optional
 from . import __version__
 from .arith import ConfigError, PrecisionTooLow, is_prime
 from .cyclo import CycloField
-from .lattice import DependentRows, EnumerationBudgetExceeded
 from .splitting import split_prime
-from .weilgroup import (MinusPartViolation, NotAWeilUnit, build_weil_basis, jacobi_weil_number,
-                        verify_weil_basis)
+from .weilgroup import build_weil_basis, jacobi_weil_number, verify_weil_basis
 from .regulators import (
-    BasisMismatch,
     argument_independence_certificate,
     closure_dimension,
     find_abelian_generator,
@@ -475,8 +479,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    except (ArithmeticError, DependentRows, BasisMismatch, NotAWeilUnit,
-            MinusPartViolation, EnumerationBudgetExceeded, ValueError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
 

@@ -20,7 +20,7 @@ field labels are unique.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -99,8 +99,6 @@ class CycloField:
             raise ConfigError("conductor %d = 2 mod 4: use conductor %d" % (n, n // 2))
         self.n = n
         self.degree = euler_phi(n)
-        self.poly = cyclotomic_polynomial(n)
-        self.power_rows = _power_rows(n)
         self.units = tuple(a for a in range(1, n) if gcd(a, n) == 1)
         self.places = tuple(a for a in range(1, (n + 1) // 2) if gcd(a, n) == 1)
         if len(self.places) * 2 != self.degree:
@@ -110,6 +108,11 @@ class CycloField:
 
     def __repr__(self) -> str:
         return "CycloField(%d)" % self.n
+
+    @cached_property
+    def power_rows(self):
+        # built on first use, so split_prime rejects a bad p without Phi_n
+        return _power_rows(self.n)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CycloField) and self.n == other.n

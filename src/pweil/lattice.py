@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 from .arith import BallReal, PrecisionTooLow
 
 
-class DependentRows(Exception):
+class DependentRows(ArithmeticError):
     """Input rows are linearly dependent; the reported rank is attached."""
 
     def __init__(self, rank: int):
@@ -31,7 +31,7 @@ class DependentRows(Exception):
         self.rank = rank
 
 
-class EnumerationBudgetExceeded(RuntimeError):
+class EnumerationBudgetExceeded(ArithmeticError):
     """Short-vector enumeration exceeded its node budget, or the generator
     search ran out of class orders h."""
 

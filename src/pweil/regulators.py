@@ -38,7 +38,7 @@ from .splitting import SplitData, ord_at
 from .weilgroup import WeilBasis
 
 
-class BasisMismatch(Exception):
+class BasisMismatch(ArithmeticError):
     """The basis is not the Galois orbit that a computation reads it as."""
 
 

@@ -22,11 +22,11 @@ from .lattice import EnumerationBudgetExceeded, row_hnf, short_vectors
 from .splitting import PrimeAbove, SplitData, ord_at
 
 
-class NotAWeilUnit(Exception):
+class NotAWeilUnit(ArithmeticError):
     """The element does not lie in E_p(k)."""
 
 
-class MinusPartViolation(Exception):
+class MinusPartViolation(ArithmeticError):
     """Divisor vector is not in the -1 eigenspace of conjugation."""
 
 

@@ -288,7 +288,7 @@ def cholesky_short_vectors(basis, bound, gram=None, node_budget=5_000_000):
 def fraction_elt(field, coeffs):
     c = [Fraction(x) for x in coeffs]
     if len(c) > field.degree:
-        c = _q_poly_rem(c, field.poly)
+        c = _q_poly_rem(c, cyclotomic_polynomial(field.n))
     c += [Fraction(0)] * (field.degree - len(c))
     return tuple(c)
 
@@ -316,7 +316,7 @@ def fraction_inverse(field, a):
     """Inverse modulo Phi_n via the extended Euclidean algorithm in Q[x]."""
     if all(c == 0 for c in a):
         raise ZeroDivisionError("inverse of zero")
-    r0 = [Fraction(c) for c in field.poly]
+    r0 = [Fraction(c) for c in cyclotomic_polynomial(field.n)]
     r1 = list(a)
     _q_trim(r1)
     s0 = []

@@ -10,12 +10,14 @@ import pytest
 
 import pweil
 import pweil.cli
-from pweil.arith import is_prime
-from pweil.cli import ConfigError, RunConfig, main
-from pweil.lattice import DependentRows
+from pweil import cyclo, weilgroup
+from pweil.arith import ConfigError, is_prime
+from pweil.cli import RunConfig, main
+from pweil.cyclo import CycloField
+from pweil.lattice import DependentRows, EnumerationBudgetExceeded
 from pweil.regulators import BasisMismatch
-from pweil import weilgroup
-from pweil.weilgroup import MinusPartViolation, NotAWeilUnit
+from pweil.splitting import split_prime
+from pweil.weilgroup import MinusPartViolation, NotAWeilUnit, jacobi_weil_number
 
 
 def run_cli(capsys, *argv):
@@ -490,9 +492,13 @@ def test_inconclusive_relation_search_is_one_error_line(capsys, tmp_path):
     MinusPartViolation("pi_M is only defined on the minus part"),
     BasisMismatch("conjugates do not span E_p(k) x Q"),
     DependentRows(3),
+    EnumerationBudgetExceeded("enumeration exceeded 10 nodes"),
 ])
 def test_internal_failure_exits_1_not_2(capsys, monkeypatch, exc):
-    # an internal failure is not "invalid configuration" (exit 2)
+    # an internal failure is not "invalid configuration" (exit 2): every
+    # such class is an ArithmeticError, which main maps to exit 1
+    assert isinstance(exc, ArithmeticError)
+
     def broken(split):
         raise exc
 
@@ -602,15 +608,39 @@ def test_invalid_input_exits_2_with_one_error_line(capsys, argv, message):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: pweil.CycloField(6),
-    lambda: pweil.split_prime(pweil.CycloField(5), 4),
-    lambda: pweil.split_prime(pweil.CycloField(15), 3),
-    lambda: pweil.jacobi_weil_number(13, 5, 1, 1),
-    lambda: pweil.jacobi_weil_number(4, 5, 1, 1),
+    lambda: CycloField(6),
+    lambda: split_prime(CycloField(5), 4),
+    lambda: split_prime(CycloField(15), 3),
+    lambda: jacobi_weil_number(13, 5, 1, 1),
+    lambda: jacobi_weil_number(4, 5, 1, 1),
 ], ids=["conductor-6", "p-4", "p-3-ramified", "p-13-not-1-mod-5", "jacobi-p-4"])
 def test_the_library_raises_config_error_for_invalid_input(call):
-    with pytest.raises(pweil.ConfigError):
+    with pytest.raises(ConfigError):
         call()
+
+
+def test_a_bad_p_is_rejected_before_phi_n_is_built(monkeypatch):
+    # split_prime rejects p before anything reads Phi_n or the sparse power
+    # rows, so a bad p at a large conductor pays for no field build
+    calls = []
+    modules = [m for name, m in sys.modules.items() if name.startswith("pweil.")]
+    for name in ("_power_rows", "cyclotomic_polynomial"):
+        real = getattr(cyclo, name)
+
+        def spy(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, spy)
+    with pytest.raises(ConfigError, match=r"^4 is not prime$"):
+        pweil.cli.analyze_report(4620, 4, RunConfig())
+    assert calls == []
+    # the spies do see the reads of a field that is used
+    split_prime(CycloField(5), 11).field.zeta(4)
+    assert set(calls) == {"_power_rows", "cyclotomic_polynomial"}
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +692,20 @@ def test_the_package_has_no_assert_statements():
             found += ["%s:%d" % (name, node.lineno)
                       for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+@pytest.mark.parametrize("module", ["pweil"] + ["pweil." + m for m in (
+    "arith", "cyclo", "splitting", "lattice", "weilgroup", "regulators", "cli")])
+def test_each_module_imports_alone(module):
+    # `import pweil` loads none of its modules, so each module must import
+    # all that it needs itself
+    proc = run_module("-c", "import sys, %s; print(' '.join(sorted(sys.modules)))" % module)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    loaded = [name for name in proc.stdout.decode().split() if name.startswith("pweil.")]
+    if module == "pweil":
+        assert loaded == []
+    else:
+        assert module in loaded
 
 
 def test_cli_import_loads_neither_dataclasses_nor_hashlib():
