@@ -202,20 +202,31 @@ def _atan_series(a: int, b: int, w: int, alternate: bool = True) -> tuple[int, i
     return total, 2 * j + 6
 
 
-_PI = [0, 0]  # (w, y) with |y - 2^w pi| < 1.1, for the largest w asked for
+_KEPT: dict = {}  # name -> (w, y) with |y - 2^w c| < 1.1, for the largest w asked for
+
+
+def _kept(name: str, w: int, series) -> int:
+    """y with |y - 2^w c| < 2 for the constant c, where series(W) must be
+    within 2^(g - 4) of 2^W c at W = w + g, g = log2(w) + 10 guard bits;
+    kept for the largest w so far and shifted down for a smaller one."""
+    big, y = _KEPT.get(name, (0, 0))
+    if w > big:
+        big = max(w, 2 * big)
+        g = big.bit_length() + 10
+        big, y = _KEPT[name] = big, series(big + g) >> g
+    return y >> (big - w)
 
 
 def _pi_fixed(w: int) -> int:
-    """y with |y - 2^w pi| < 2: Machin's pi = 16 atan(1/5) - 4 atan(1/239)
-    at g = log2(w) + 10 guard bits (the series errors sum to under 14 (w +
-    g) < 2^(g - 4)), kept for the largest w so far and shifted down for a
-    smaller one."""
-    if w > _PI[0]:
-        big = max(w, 2 * _PI[0])
-        g = big.bit_length() + 10
-        u, v = _atan_series(1, 5, big + g)[0], _atan_series(1, 239, big + g)[0]
-        _PI[:] = big, (16 * u - 4 * v) >> g
-    return _PI[1] >> (_PI[0] - w)
+    """2^w pi within 2 (``_kept``): Machin's pi = 16 atan(1/5) - 4 atan(1/239),
+    the series errors under 15 W + 200 in all, below 2^(g - 4) for w >= 8."""
+    return _kept("pi", w, lambda W: 16 * _atan_series(1, 5, W)[0] - 4 * _atan_series(1, 239, W)[0])
+
+
+def _ln2_fixed(w: int) -> int:
+    """2^w log 2 within 2 (``_kept``): log 2 = 2 atanh(1/3), twice the
+    series error under 3 W + 20, below 2^(g - 4) for every w."""
+    return _kept("log 2", w, lambda W: 2 * _atan_series(1, 3, W, False)[0])
 
 
 @lru_cache(maxsize=None)
@@ -225,14 +236,12 @@ def _pi_ends(prec: int) -> list:
 
 def _log_fixed(m: int, e: int, w: int):
     """log(m 2^e), m > 0 and m 2^e != 1: with m = 2^k (1 + z) / (1 - z), k
-    chosen so that |z| <= 1/5, it is (k + e) log 2 + 2 atanh z, and log 2 =
-    2 atanh(1/3); the error is twice that of the series for z plus 2|k + e|
-    times that of the series for 1/3."""
+    chosen so that |z| <= 1/5, it is (k + e) log 2 + 2 atanh z; the error is
+    twice that of the series for z plus 2 |k + e| (``_ln2_fixed``)."""
     k = (3 * m).bit_length() - 2
     d, n = m - (1 << k), k + e
     u, eu = _atan_series(abs(d), m + (1 << k), w, False)
-    l2, e2 = _atan_series(1, 3, w, False)
-    return (2 * (u if d >= 0 else -u) + 2 * n * l2,), 2 * eu + 2 * abs(n) * e2, w
+    return (2 * (u if d >= 0 else -u) + n * _ln2_fixed(w),), 2 * eu + 2 * abs(n), w
 
 
 @lru_cache(maxsize=None)
@@ -472,16 +481,18 @@ class BallReal:
 
     def log(self) -> "BallReal":
         """log is increasing; both ends are correctly rounded (``_log_fixed``),
-        and log 1 = 0 exactly."""
+        log 1 = 0 exactly, and an exact ball takes both from one evaluation."""
         if not self.is_positive():
             raise ValueError("log of a ball that is not positive")
 
-        def end(x, up):  # log 1 = 0
+        def ends(x, *modes):  # log 1 = 0
             if x == (1, 0):
-                return (0, 0)
-            return _settle(lambda w: _log_fixed(*x, w), self.prec, (up,))[0][0]
+                return [(0, 0)] * len(modes)
+            return _settle(lambda w: _log_fixed(*x, w), self.prec, modes)[0]
 
-        return BallReal(end(self._lo, False), end(self._hi, True), self.prec)
+        lo, hi = self._lo, self._hi
+        return BallReal(*(ends(lo, False, True) if lo == hi else ends(lo, False) + ends(hi, True)),
+                        self.prec)
 
     def atan(self) -> "BallReal":
         """One evaluation at the exact midpoint, rounded to nearest correctly

@@ -44,15 +44,17 @@ def row_hnf(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
 
     Pivots are positive, entries above each pivot reduced into [0, pivot).
     """
-    h, _, rank = _hnf_with_transform(rows, want_transform=False)
+    h, _, rank = _hnf_with_transform(rows)
     return h, rank
 
 
-def _hnf_with_transform(rows, want_transform: bool):
+def _hnf_with_transform(rows):
+    """(nonzero rows of H, U, rank): H = U A is the row HNF of A = rows,
+    U is unimodular, and the zero rows of H come last."""
     a = [list(map(int, r)) for r in rows]
     m = len(a)
     ncols = len(a[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if want_transform else None
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     r = 0
     for c in range(ncols):
         piv = None
@@ -69,23 +71,19 @@ def _hnf_with_transform(rows, want_transform: bool):
                 q = a[i][c] // a[i0][c]
                 if q:
                     a[i] = [x - q * y for x, y in zip(a[i], a[i0])]
-                    if u is not None:
-                        u[i] = [x - q * y for x, y in zip(u[i], u[i0])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[i0])]
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        if u is not None:
-            u[r], u[piv] = u[piv], u[r]
+        u[r], u[piv] = u[piv], u[r]
         if a[r][c] < 0:
             a[r] = [-x for x in a[r]]
-            if u is not None:
-                u[r] = [-x for x in u[r]]
+            u[r] = [-x for x in u[r]]
         for i in range(r):
             q = a[i][c] // a[r][c]
             if q:
                 a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                if u is not None:
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         r += 1
         if r == m:
             break
@@ -100,7 +98,7 @@ def kernel_basis_int(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     zero rows, so the rows of U from the rank on span the kernel."""
     if not rows:
         return []
-    _, u, rank = _hnf_with_transform(rows, want_transform=True)
+    _, u, rank = _hnf_with_transform(rows)
     return u[rank:]
 
 

@@ -143,7 +143,7 @@ def argument_independence_certificate(
     is additionally decided exactly.
 
     The basis is the orbit of xi_{P0}, P0 = S[0]: xi_P = sigma_a(xi_{P0})
-    with a = min(coset of P), checked exactly, so its arguments take
+    with a the transporter of P, checked exactly, so its arguments take
     d = |places| calls to ``certified_arg`` in place of |S| d.  They are
     the principal theta_u = arg sigma_u(xi_{P0}), u in ``field.places``,
     and theta_{n-u} = -theta_u (|xi_{P0}| = 1 and xi_{P0} != -1); then
@@ -191,14 +191,14 @@ def _orbit_arguments(basis: WeilBasis, precision: int) -> list[tuple[BallReal, .
 
 
 def _orbit_transporters(basis: WeilBasis) -> list[int]:
-    """a = min(coset of P) for each P in S, so that P = sigma_a(P0) (P0 =
-    S[0] has 1 in its coset), after checking xi_P = sigma_a(xi_{P0})
+    """The transporter a of each P in S, P = sigma_a(P0) with P0 = S[0]
+    (``SplitData.transporter``), after checking xi_P = sigma_a(xi_{P0})
     exactly, as ``build_weil_basis`` builds it; raises BasisMismatch on a
     basis built otherwise."""
     split = basis.split
     out = []
     for idx in split.S:
-        a = min(split.primes[idx].coset)
+        a = split.transporter[idx]
         if basis.xi[idx] != basis.xi[split.S[0]].apply(a):
             raise BasisMismatch("xi_%s is not sigma_%d(xi_%s)"
                                 % (split.primes[idx].label, a, split.primes[split.S[0]].label))

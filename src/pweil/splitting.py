@@ -6,8 +6,9 @@ factor of Phi_n mod p and its coset in (Z/n)*.  The p-adic side needs only
 one unramified completion: ``SplitData.ring_at(k)`` keeps GR(p^k, f) on the
 factor of P0 mod p with the root w = t of Phi_n Newton-lifted to p^k, and
 a prime above p is an exponent e, the embedding zeta -> w^e.  Valuations
-reduce to p-adic valuations of images in that ring, so no general ideal
-factorization and no lifted factor per prime is ever needed.
+reduce to p-adic valuations of images in that ring, and P^k is the kernel
+of the embedding mod p^k (``weilgroup.ideal_basis``), so no general ideal
+factorization and no lifted factor of Phi_n is ever needed.
 
 The split is exact and carries no p-adic precision: each caller asks
 ``ring_at`` for the digits it needs (``ord_at`` as many as the valuation
@@ -17,28 +18,17 @@ Labelling is canonical: for f = 1 primes are sorted by the image root of
 zeta in [0, p), otherwise by the coefficient tuple of the factor mod p.
 The coset of a prime is the set of a with sigma_a sending the prime of
 label 0's reduction onto this prime's; sigma_a then multiplies cosets by a.
+P0, of label 0, has 1 in its coset, so P = sigma_a(P0) for the transporter
+a = min coset of P, which ``SplitData.transporter`` alone computes.
 """
 
 from __future__ import annotations
 
 import random
-from math import gcd
 from typing import Optional, Sequence
 
 from .arith import ConfigError, GaloisRing, PadicElt, _zm_rem_monic, is_prime, split_p
 from .cyclo import CycloElt, CycloField, cyclotomic_polynomial
-
-
-def multiplicative_order(a: int, n: int) -> int:
-    if gcd(a, n) != 1:
-        raise ValueError("order of a non-unit")
-    order = 1
-    x = a % n
-    while x != 1:
-        x = (x * a) % n
-        order += 1
-    return order
-
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +126,8 @@ class PrimeAbove:
 
 
 class SplitData:
-    """All primes above p with the Galois action, the set T and the section S."""
+    """All primes above p with the Galois action, the transporters
+    (P_i = sigma_a(P0) for a = ``transporter[i]``), the set T and the section S."""
 
     def __init__(self, field: CycloField, p: int, primes: Sequence[PrimeAbove]):
         self.field = field
@@ -148,17 +139,9 @@ class SplitData:
         self.g = len(self.primes)
         self._rings: dict[int, tuple[GaloisRing, tuple[PadicElt, ...]]] = {}
         self._prime_of = {a: prime.index for prime in self.primes for a in prime.coset}
+        self.transporter = tuple(min(prime.coset) for prime in self.primes)
         self.T = tuple(pr.index for pr in self.primes if not pr.is_conj_stable())
-        S = []
-        seen = set()
-        for idx in self.T:
-            if idx in seen:
-                continue
-            cidx = self.conj_index(idx)
-            seen.add(idx)
-            seen.add(cidx)
-            S.append(min(idx, cidx))
-        self.S = tuple(sorted(S))
+        self.S = tuple(sorted({min(idx, self.conj_index(idx)) for idx in self.T}))
 
     def ring_at(self, prec: int) -> tuple[GaloisRing, tuple[PadicElt, ...]]:
         """GR(p^prec, f) on h_bar of P0 (monic and irreducible mod p, so a
@@ -189,7 +172,7 @@ class SplitData:
 
     def act_index(self, a: int, index: int) -> int:
         """Index of sigma_a(P_index): its coset is a times that of P_index."""
-        return self._prime_of[a * min(self.primes[index].coset) % self.field.n]
+        return self._prime_of[a * self.transporter[index] % self.field.n]
 
     def conj_index(self, index: int) -> int:
         return self.act_index(self.field.n - 1, index)
@@ -227,7 +210,7 @@ def split_prime(field: CycloField, p: int) -> SplitData:
     n = field.n
     if n % p == 0:
         raise ConfigError("p = %d divides the conductor %d (ramified)" % (p, n))
-    f = multiplicative_order(p, n)
+    f = next(k for k in range(1, n) if pow(p, k, n) == 1)  # the order of p mod n
     phi_bar = [c % p for c in cyclotomic_polynomial(n)]
     ring = GaloisRing(p, 1, f, _one_factor(phi_bar, f, p, random.Random(1000003 * n + p)))
     t, t_pow = ring.elt([0, 1]), [ring.one()]
@@ -259,13 +242,14 @@ def split_prime(field: CycloField, p: int) -> SplitData:
 
 
 def _poly_from_roots(ring: GaloisRing, roots: Sequence) -> tuple[int, ...]:
-    """prod (X - r) over the roots in F_{p^f}[X]; every coefficient must lie in F_p."""
+    """prod (X - r) over the roots in GR(p^k, f)[X]; every coefficient must
+    lie in Z/p^k (F_p at k = 1)."""
     poly = [ring.one()]
     for r in roots:
         poly = [-(r * poly[0])] + [poly[i - 1] - r * poly[i] for i in range(1, len(poly))] \
             + [poly[-1]]
     if any(c for e in poly for c in e.coeffs[1:]):
-        raise ArithmeticError("factor not defined over F_p")
+        raise ArithmeticError("factor not defined over Z/p^%d" % ring.prec)
     return tuple(e.coeffs[0] for e in poly)
 
 

@@ -18,8 +18,8 @@ from typing import NamedTuple, Optional
 
 from .arith import ConfigError, is_prime, prime_factors, split_p
 from .cyclo import CycloElt, CycloField, is_root_of_unity, norm, ramanujan_sum
-from .lattice import EnumerationBudgetExceeded, row_hnf, short_vectors
-from .splitting import PrimeAbove, SplitData, ord_at
+from .lattice import EnumerationBudgetExceeded, short_vectors
+from .splitting import PrimeAbove, SplitData, _poly_from_roots, ord_at
 
 
 class NotAWeilUnit(ArithmeticError):
@@ -101,25 +101,24 @@ def alpha_p_map(x: CycloElt, split: SplitData) -> DivisorVec:
 # Ideal lattices and generator search
 
 def ideal_basis(prime: PrimeAbove, power: int = 1) -> list[list[int]]:
-    """HNF Z-basis (rows of zeta-power coordinates) of P^power, k = power.
+    """A triangular Z-basis (rows of zeta-power coordinates) of P^power, k = power.
 
-    P = (p, h(zeta)) with v_P(h(zeta)) >= 1 and v_Q(h(zeta)) = 0 at every
-    other Q above p, so the ideal (p^k, h(zeta)^k) is P^k; as a Z-module it
-    is spanned by the zeta^i p^k and zeta^i h(zeta)^k, i < phi(n), and one
-    HNF of those rows is its basis.
+    P^k is the kernel of zeta -> w^e into GR(p^k, f) (``PrimeAbove.image``),
+    in which w^e has the minimal polynomial mu_k = prod_{i<f} (X - w^(e p^i))
+    over Z/p^k, monic of degree f, so P^k = (p^k, mu_k(zeta)).  The rows
+    p^k zeta^j, j < f, and zeta^j mu_k(zeta), j < phi(n) - f, lie in P^k and
+    are lower triangular with determinant p^(kf) = [Z[zeta] : P^k], so they
+    are a basis of it.  Power 0 gives the identity basis.
     """
-    field = prime.field
-    deg = field.degree
-    pk = prime.p ** power
-    hk = field.elt([c % prime.p for c in prime.h_bar]) ** power
-    gens = []
-    for i in range(deg):
-        gens.append([0] * i + [pk] + [0] * (deg - 1 - i))
-        gens.append(list((field.zeta(i) * hk).num))
-    basis, rank = row_hnf(gens)
-    if rank != deg:
-        raise ArithmeticError("ideal basis of rank %d, not %d" % (rank, deg))
-    return basis
+    deg = prime.field.degree
+    if power == 0:
+        return [[int(i == j) for j in range(deg)] for i in range(deg)]
+    ring, w_pow = prime.split.ring_at(power)
+    n, f = prime.field.n, prime.f
+    mu = list(_poly_from_roots(ring, [w_pow[prime.e * prime.p ** i % n] for i in range(f)]))
+    rows = [[0] * j + [ring.pK] + [0] * (deg - 1 - j) for j in range(f)]
+    rows += [[0] * j + mu + [0] * (deg - f - 1 - j) for j in range(deg - f)]
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -234,8 +233,9 @@ def build_weil_basis(split: SplitData) -> WeilBasis:
     h of P0 = S[0], found by searching generators of P0^h for h = 1, 2, ...;
     M = f h.  A search that runs out of nodes moves on to the next h; its
     error is raised only when no h <= H_CAP gives a generator.  P0 has
-    label 0 and 1 in its coset, so P = sigma_a(P0) for a = min coset of P;
-    for P in S, x_P = sigma_a(x_{P0}), which generates sigma_a(P0^h) = P^h,
+    label 0, so P = sigma_a(P0) for the transporter a of P
+    (``SplitData.transporter``); for P in S, x_P = sigma_a(x_{P0}), which
+    generates sigma_a(P0^h) = P^h,
     and x_{P^c} = x_P^c, so the basis is the Galois orbit of xi_{P0}:
     xi_P = sigma_a(xi_{P0}).  All structural identities are verified
     exactly before returning.
@@ -265,7 +265,7 @@ def build_weil_basis(split: SplitData) -> WeilBasis:
     x: dict[int, CycloElt] = {}
     xi: dict[int, CycloElt] = {}
     for idx in split.S:
-        a = min(split.primes[idx].coset)
+        a = split.transporter[idx]
         x[idx] = x0.apply(a)
         x[split.conj_index(idx)] = x[idx].conj()
         xi[idx] = xi0.apply(a)

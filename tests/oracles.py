@@ -55,9 +55,13 @@ the group determinant on the arguments of the built orbit sigma_a^k(xi_{P0})
 at the fixed embedding, before they were the arguments of xi_{P0} at the
 places a^k, and ``iterated_ideal_basis`` is the basis of P^k from k - 1
 rounds of products with p and h(zeta) and an HNF, before it was one HNF of
-the zeta^i p^k and zeta^i h(zeta)^k.  ``schoolbook_mul`` is the
+the zeta^i p^k and zeta^i h(zeta)^k, and then the triangular rows of p^k and
+mu_k read off the lifted root.  ``schoolbook_mul`` is the
 Galois-ring product as a schoolbook convolution and one remainder modulo h,
 before it was one Kronecker-packed int product with packed rows t^e mod h.
+``two_settle_log_ends`` is the log of an exact ball with each end from its
+own ``_settle`` and log 2 summed as 2 atanh(1/3) in every evaluation, before
+both ends came from one evaluation with log 2 kept.
 They stay here as the differential oracles.
 
 Their polynomial arithmetic over F_p (``fp_mul``, ``fp_divmod``,
@@ -80,8 +84,8 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_div, gf_from_int_poly, gf_gcd, gf_gcdex, gf_mul
 
 from pweil.arith import (BallReal, BranchCutHit, GaloisRing, NotAUnit, PadicElt,
-                         PrecisionTooLow, _ilog, _zm_rem_monic, arg_principal, ball_det,
-                         padic_log, split_p)
+                         PrecisionTooLow, _atan_series, _ilog, _settle, _zm_rem_monic,
+                         arg_principal, ball_det, padic_log, split_p)
 from pweil.cyclo import cyclotomic_polynomial, norm
 from pweil.regulators import (BasisMismatch, GroupDetReport, GrossMatrix, _orbit_mismatch,
                               _padic_rank, certified_arg, circulant_group_delta, gross_row)
@@ -1013,7 +1017,7 @@ def transform_kernel_basis_int(rows):
     a = [list(map(int, r)) for r in rows]
     if not a:
         return []
-    _, u, _ = _hnf_with_transform(a, want_transform=True)
+    _, u, _ = _hnf_with_transform(a)
     m, ncols = len(a), len(a[0])
     h_full = [[sum(u[i][k] * a[k][j] for k in range(m)) for j in range(ncols)]
               for i in range(m)]
@@ -1085,3 +1089,22 @@ def iterated_ideal_basis(prime, power):
         basis, rank = row_hnf(prods)
         assert rank == deg
     return basis
+
+
+def _summed_log_fixed(m, e, w):
+    """log(m 2^e) as ``arith._log_fixed`` took it with log 2 = 2 atanh(1/3)
+    summed in every call: the error is twice that of the series for z plus
+    2 |k + e| times that of the series for 1/3."""
+    k = (3 * m).bit_length() - 2
+    d, n = m - (1 << k), k + e
+    u, eu = _atan_series(abs(d), m + (1 << k), w, False)
+    l2, e2 = _atan_series(1, 3, w, False)
+    return (2 * (u if d >= 0 else -u) + 2 * n * l2,), 2 * eu + 2 * abs(n) * e2, w
+
+
+def two_settle_log_ends(ball):
+    """The ends of log of an exact ball other than 1, the lower end rounded
+    down and the upper up, each from its own ``_settle``."""
+    x = ball.man_exp()[0]
+    return tuple(_settle(lambda w: _summed_log_fixed(*x, w), ball.prec, (up,))[0][0]
+                 for up in (False, True))

@@ -29,7 +29,8 @@ from pweil.weilgroup import _primitive_root
 from oracles import (bareiss_det, fraction_contains_zero, fraction_excludes_zero,
                      fraction_is_negative, fraction_is_positive, fraction_overlaps, frobenius,
                      frobenius_norm, from_mpi, galois_ring_inverse, hensel_lift_factor,
-                     mpi_cos_sin, resultant_mod, ring_padic_log, schoolbook_mul, to_mpi)
+                     mpi_cos_sin, resultant_mod, ring_padic_log, schoolbook_mul, to_mpi,
+                     two_settle_log_ends)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +265,21 @@ def test_pi_and_log_enclosures_against_mpi():
         _assert_encloses_tightly(ball.log(), from_mpi(libmpi.mpi_log(v, prec + 64), prec + 64),
                                  from_mpi(libmpi.mpi_log(v, prec), prec), prec)
     assert BallReal.from_int(1, 64).log().is_exact_zero()
+
+
+def test_log_of_an_exact_ball_is_one_evaluation(monkeypatch):
+    # log p for every prime p < 1000 at four precisions: one _log_fixed
+    # evaluation gives both ends, and they are the ends that two settles,
+    # one per end with log 2 summed in each evaluation, give
+    kernel, widths = arith._log_fixed, []
+    monkeypatch.setattr(arith, "_log_fixed", lambda m, e, w: widths.append(w) or kernel(m, e, w))
+    for prec in (64, 256, 1056, 2048):
+        for p in filter(is_prime, range(2, 1000)):
+            ball = BallReal.from_int(p, prec)
+            widths.clear()
+            got = ball.log()
+            assert widths == [prec + 32], (p, prec, widths)
+            assert got.man_exp() == two_settle_log_ends(ball), (p, prec)
 
 
 def test_cos_sin_enclosures_against_mpi():

@@ -136,19 +136,20 @@ def test_action_examples(k5, split_5_11):
 
 
 def test_transporters_are_coset_minima(grid):
-    # S[0] is P0, 1 lies in its coset, so the least a with sigma_a(P0) = P
-    # is the least element of the coset of P; act_index is coset arithmetic
+    # P0 (label 0, and S[0] when S is nonempty) has 1 in its coset, so the
+    # least a with sigma_a(P0) = P is the least element of the coset of P,
+    # the transporter that the split keeps; act_index is coset arithmetic
     for field, sp, _ in grid[0].values():
         n = field.n
         for a in field.units:
             for pr in sp.primes:
                 target = frozenset(a * b % n for b in pr.coset)
                 assert sp.primes[sp.act_index(a, pr.index)].coset == target
-        if sp.S:
-            assert sp.S[0] == 0 and 1 in sp.primes[0].coset
-            for idx in sp.S:
-                searched = next(a for a in field.units if sp.act_index(a, 0) == idx)
-                assert min(sp.primes[idx].coset) == searched
+        assert sp.transporter[0] == 1 and 1 in sp.primes[0].coset
+        assert not sp.S or sp.S[0] == 0
+        for idx in range(sp.g):
+            searched = next(a for a in field.units if sp.act_index(a, 0) == idx)
+            assert sp.transporter[idx] == min(sp.primes[idx].coset) == searched
 
 
 def test_fg_equals_phi_on_grid():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pweil.arith import ConfigError, split_p
-from pweil.cyclo import CycloField, embed, is_root_of_unity, norm
-from pweil import weilgroup
+from pweil.cyclo import CycloElt, CycloField, embed, is_root_of_unity, norm
+from pweil import lattice, weilgroup
 from pweil.splitting import is_prime, ord_at, split_prime
 from pweil.weilgroup import (
     DivisorVec,
@@ -26,7 +26,7 @@ from pweil.weilgroup import (
     _generator_key,
     _iroot_ceil,
 )
-from pweil.lattice import short_vectors
+from pweil.lattice import row_hnf, short_vectors
 from oracles import (bareiss_det, fraction_elt, fraction_mul, fraction_pow, inverse_pi_m_map,
                      iterated_ideal_basis, modulus_squared, per_prime_generator,
                      powering_is_root_of_unity)
@@ -104,26 +104,47 @@ def test_is_weil_unit_matches_the_inverse_check(which, request):
 # ideal lattices and generators
 
 def test_ideal_basis_has_index_norm(k5, split_5_11):
+    # [Z[zeta] : P^power] = N(P)^power: at (5, 11) with f = 1, and at the
+    # f = 3 prime of (13, 3), N(P) = 27
     pr = split_5_11.primes[0]
     for power in (1, 2, 3):
-        rows = ideal_basis(pr, power)
-        # [Z[zeta] : P^power] = N(P)^power = 11^power
-        assert abs(bareiss_det(rows)) == 11 ** power
+        assert abs(bareiss_det(ideal_basis(pr, power))) == 11 ** power
+    pr = split_prime(CycloField(13), 3).primes[0]
+    assert pr.f == 3
+    for power in range(5):
+        assert abs(bareiss_det(ideal_basis(pr, power))) == 27 ** power
 
 
 def test_ideal_basis_matches_the_iterated_oracle():
-    # one HNF of the zeta^i p^k and zeta^i h(zeta)^k gives the same (unique)
-    # HNF as k - 1 rounds of products: the first three primes of twelve
-    # cells, k = 0..4, up to the completely split (23, 47) of degree 22
+    # the triangular basis from the lifted root spans the lattice that k - 1
+    # rounds of products give: one (unique) HNF for the first three primes of
+    # twelve cells, k = 0..4, up to the completely split (23, 47) of degree 22
     cells = [(5, 11), (5, 19), (7, 29), (8, 5), (8, 17), (12, 13), (13, 79), (11, 67),
              (15, 31), (16, 17), (20, 41), (23, 47)]
     pairs = 0
     for n, p in cells:
         for pr in split_prime(CycloField(n), p).primes[:3]:
             for k in range(5):
-                assert ideal_basis(pr, k) == iterated_ideal_basis(pr, k), (n, p, pr.label, k)
+                assert row_hnf(ideal_basis(pr, k))[0] == iterated_ideal_basis(pr, k), \
+                    (n, p, pr.label, k)
                 pairs += 1
     assert pairs == 170
+
+
+def test_ideal_basis_builds_no_power_product_or_hnf(monkeypatch):
+    # the basis is read off the lifted root: no element of Q(zeta_n) is
+    # raised to a power or multiplied, and no HNF runs
+    def refuse(*args):
+        raise AssertionError("ideal_basis built a power, a product or an HNF")
+
+    splits = [split_prime(CycloField(n), p) for n, p in ((13, 79), (13, 3), (16, 17))]
+    monkeypatch.setattr(CycloElt, "__pow__", refuse)
+    monkeypatch.setattr(CycloElt, "__mul__", refuse)
+    monkeypatch.setattr(lattice, "_hnf_with_transform", refuse)
+    for split in splits:
+        for pr in split.primes:
+            for k in range(4):
+                assert len(ideal_basis(pr, k)) == split.field.degree
 
 
 def test_find_generator_power_zero(k5, split_5_11):
